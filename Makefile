@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-short test-race bench bench-baseline bench-gate profile cover cover-check fuzz reproduce serve loadtest sweep clean
+.PHONY: all check build vet lint test test-short test-race bench bench-baseline bench-gate profile cover cover-check fuzz loc-delta reproduce serve loadtest sweep clean
 
 all: check
 
@@ -50,11 +50,11 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Snapshot the hot-path microbenchmarks (L1 access, the one-pass multi-config
-# simulator vs per-config replay, characterization at 1-8 workers and on both
-# engines, kernel trace recording, kernel execution, one proposed-system
-# simulation, ANN forward pass, the cluster dispatcher's routing pass, and
-# the daemon's warm batch serving path) as committed JSON, for before/after
-# comparison across PRs.
+# simulator vs per-config replay, characterization at 1-8 workers and on the
+# stream and replay engines, structured trace recording for the replay
+# engine, kernel execution, one proposed-system simulation, ANN forward
+# pass, the cluster dispatcher's routing pass, and the daemon's warm batch
+# serving path) as committed JSON, for before/after comparison across PRs.
 bench-baseline:
 	$(GO) test -run=NONE -bench='BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict' \
 		-benchmem ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/ \
@@ -109,6 +109,14 @@ fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzTraceFile -fuzztime 20s
 	$(GO) test . -run=NONE -fuzz FuzzParsePredictorSpec -fuzztime 20s
 	$(GO) test ./internal/scenario -run=NONE -fuzz FuzzParseScenarioSpec -fuzztime 20s
+
+# Net line delta of the non-test Go files between BASE and the working tree
+# (tracked and staged files), from git diff --numstat:
+# `make loc-delta BASE=origin/main`.
+BASE ?= HEAD
+loc-delta:
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' | \
+		awk '{ add += $$1; del += $$2 } END { printf "non-test Go lines vs $(BASE): +%d -%d (net %+d)\n", add, del, add - del }'
 
 # The paper's full evaluation (Figures 6 & 7 at 5000 arrivals).
 reproduce:

@@ -37,11 +37,11 @@ var (
 func benchSetup(b *testing.B) (*System, *System, *ExperimentResult) {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSys, benchErr = New(Options{Predictor: PredictANN})
+		benchSys, benchErr = New(Options{})
 		if benchErr != nil {
 			return
 		}
-		benchOracle, benchErr = New(Options{Predictor: PredictOracle})
+		benchOracle, benchErr = New(Options{Spec: MustParsePredictorSpec("oracle")})
 		if benchErr != nil {
 			return
 		}
@@ -341,10 +341,10 @@ func BenchmarkAblationPredictors(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	kinds := []PredictorKind{PredictOracle, PredictANN, PredictLinear, PredictKNN, PredictStump, PredictTree}
-	energies := map[PredictorKind]float64{}
+	kinds := []string{"oracle", "ann", "linear", "knn", "stump", "tree"}
+	energies := map[string]float64{}
 	for _, kind := range kinds {
-		sys, err := New(Options{Predictor: kind})
+		sys, err := New(Options{Spec: MustParsePredictorSpec(kind)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 		}
 	}
 	for _, kind := range kinds {
-		b.ReportMetric(energies[kind], "mJ-"+kind.String())
+		b.ReportMetric(energies[kind], "mJ-"+kind)
 	}
 }
 
@@ -430,7 +430,7 @@ func BenchmarkAblationLoad(b *testing.B) {
 // two-level hierarchy extension: proposed-system savings under both ground
 // truths.
 func BenchmarkExtensionL2(b *testing.B) {
-	l2sys, err := New(Options{Predictor: PredictOracle, WithL2: true})
+	l2sys, err := New(Options{Spec: MustParsePredictorSpec("oracle"), WithL2: true})
 	if err != nil {
 		b.Fatal(err)
 	}

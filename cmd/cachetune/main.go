@@ -1,15 +1,14 @@
 // Command cachetune explores the cache design space for one benchmark: it
 // executes the kernel, scores every Table 1 configuration under the
 // Figure 4 energy model — streaming accesses straight into the one-pass
-// simulator by default (-engine=stream), from a recorded trace in a single
-// traversal with -engine=onepass, or one replay per configuration with
-// -engine=replay —
-// prints the full sweep, and then walks the Figure 5 tuning heuristic on
-// each core size to show how few configurations the heuristic needs.
+// simulator by default (-engine=stream), or one replay per configuration
+// with -engine=replay — prints the full sweep, and then walks the Figure 5
+// tuning heuristic on each core size to show how few configurations the
+// heuristic needs.
 //
 // Usage:
 //
-//	cachetune [-kernel tblook] [-scale 1] [-seed 1] [-engine stream|onepass|replay] [-space]
+//	cachetune [-kernel tblook] [-scale 1] [-seed 1] [-engine stream|replay] [-space]
 //	          [-trace walk.json] [-predictor ensemble:table,markov,ann]
 //	cachetune -list
 //
@@ -42,8 +41,8 @@ import (
 
 // sweepTrace scores a saved trace across the full design space: one pass
 // through the trace for all 18 configurations by default (a saved trace is
-// already materialized, so stream and onepass coincide here), or the
-// reference per-configuration replay loop under -engine=replay.
+// already materialized, so nothing is left to stream), or the reference
+// per-configuration replay loop under -engine=replay.
 func sweepTrace(path string, engine characterize.Engine) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -111,7 +110,7 @@ func run() error {
 	space := flag.Bool("space", false, "print the Table 1 design space and exit")
 	fromTrace := flag.String("fromtrace", "", "sweep a saved trace file (see tracegen) instead of a kernel")
 	var engine characterize.Engine
-	flag.TextVar(&engine, "engine", characterize.EngineStream, "cache simulation engine: stream (fused execution+scoring, no trace), onepass (record then score in one traversal) or replay (reference per-config path)")
+	flag.TextVar(&engine, "engine", characterize.EngineStream, "cache simulation engine: stream (fused execution+scoring, no trace) or replay (reference per-config path)")
 	traceFile := flag.String("trace", "", "write the tuning walk as decision-audit tune events to this file (.json = Chrome/Perfetto, else CSV)")
 	predictorFlag := flag.String("predictor", "", "also report this predictor's best-size call for the kernel (any kind or ensemble:kind[=weight],...; empty skips)")
 	flag.Parse()

@@ -95,7 +95,7 @@ func run() error {
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel workers for characterization and training")
 	cacheDir := flag.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
 	var engine hetsched.Engine
-	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine for cold-start characterization: stream|onepass|replay")
+	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine for cold-start characterization: stream|replay")
 	faultsFlag := flag.String("faults", "off", "default fault-injection plan for schedule requests: off, or mttf=..,recover=..,permanent=..,stuck=..,noise=..,seed=..")
 	clusterFlag := flag.String("cluster", "4*quad", "default cluster topology for /v1/cluster requests: ';'-joined node shapes with N* repetition")
 	var scorer hetsched.ScorerKind

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hmsim [-arrivals 5000] [-util 0.9] [-seed 1] [-predictor ann|ensemble:table,markov,ann|...]
-//	      [-j N] [-cache-dir auto] [-engine stream|onepass|replay]
+//	      [-j N] [-cache-dir auto] [-engine stream|replay]
 //	      [-faults mttf=5e6,recover=1e5,noise=0.05,seed=1]
 //	      [-trace file.json]
 //	      [-cluster 8*quad;8*16x2] [-scorer hybrid] [-no-steal]
@@ -61,7 +61,7 @@ func run() error {
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel workers for characterization and training")
 	cacheDir := flag.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
 	var engine hetsched.Engine
-	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine for characterization: stream|onepass|replay")
+	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine for characterization: stream|replay")
 	faultsFlag := flag.String("faults", "off", "fault-injection plan: off, or mttf=..,recover=..,permanent=..,stuck=..,noise=..,seed=..")
 	traceFile := flag.String("trace", "", "write the proposed system's decision-audit trace to this file (.json = Chrome/Perfetto, else CSV)")
 	clusterFlag := flag.String("cluster", "", "run in cluster mode over this topology (';'-joined node shapes with N* repetition, e.g. 8*quad;8*16x2)")

@@ -67,7 +67,7 @@ func run() error {
 	flag.TextVar(&spec, "predictor", hetsched.DefaultPredictorSpec(),
 		"predictor: ann|oracle|linear|knn|stump|tree|table|markov|nn, or ensemble:kind[=weight],...")
 	var engine hetsched.Engine
-	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine: stream|onepass|replay")
+	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine: stream|replay")
 	seed := flag.Int64("seed", 1, "workload seed")
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel workers for setup and grid simulation")
 	cacheDir := flag.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")

@@ -20,16 +20,12 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Fprintln(os.Stderr, "training single mixed-domain ANN (20 kernels)...")
-	single, err := hetsched.New(hetsched.Options{
-		Predictor:      hetsched.PredictANN,
-		IncludeTelecom: true,
-	})
+	single, err := hetsched.New(hetsched.Options{IncludeTelecom: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "training per-domain ANNs + router...")
 	multi, err := hetsched.New(hetsched.Options{
-		Predictor:      hetsched.PredictANN,
 		IncludeTelecom: true,
 		MultiDomainANN: true,
 	})

@@ -22,7 +22,7 @@ func main() {
 	flag.Parse()
 
 	fmt.Fprintln(os.Stderr, "setting up (characterization + ANN training)...")
-	sys, err := hetsched.New(hetsched.Options{Predictor: hetsched.PredictANN})
+	sys, err := hetsched.New(hetsched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

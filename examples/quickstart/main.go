@@ -19,7 +19,7 @@ func main() {
 	// cache design space and trains the bagged {10,18,5,1} ANN — everything
 	// the paper's scheduler needs.
 	fmt.Fprintln(os.Stderr, "setting up (characterization + ANN training)...")
-	sys, err := hetsched.New(hetsched.Options{Predictor: hetsched.PredictANN})
+	sys, err := hetsched.New(hetsched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

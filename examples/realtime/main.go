@@ -19,7 +19,7 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Fprintln(os.Stderr, "setting up (characterization + ANN training)...")
-	sys, err := hetsched.New(hetsched.Options{Predictor: hetsched.PredictANN})
+	sys, err := hetsched.New(hetsched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

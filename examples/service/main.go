@@ -31,11 +31,11 @@ func main() {
 
 func run() error {
 	// Build the shared System once (the oracle predictor skips ANN
-	// training; use hetsched.PredictANN for the paper's predictor) and wrap
+	// training; the zero Options.Spec selects the paper's ANN) and wrap
 	// it in the service. The System is immutable, so the 2-worker pool
 	// shares it read-only.
 	fmt.Fprintln(os.Stderr, "characterizing suite and starting in-process daemon...")
-	sys, err := hetsched.New(hetsched.Options{Predictor: hetsched.PredictOracle})
+	sys, err := hetsched.New(hetsched.Options{Spec: hetsched.MustParsePredictorSpec("oracle")})
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,7 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Fprintln(os.Stderr, "characterizing suite...")
-	sys, err := hetsched.New(hetsched.Options{Predictor: hetsched.PredictOracle})
+	sys, err := hetsched.New(hetsched.Options{Spec: hetsched.MustParsePredictorSpec("oracle")})
 	if err != nil {
 		log.Fatal(err)
 	}

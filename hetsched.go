@@ -20,7 +20,7 @@
 //
 // Typical use:
 //
-//	sys, err := hetsched.New(hetsched.Options{Predictor: hetsched.PredictANN})
+//	sys, err := hetsched.New(hetsched.Options{}) // the paper's bagged ANN
 //	...
 //	res, err := sys.Experiment(hetsched.DefaultExperimentConfig())
 //	fmt.Print(hetsched.FormatFigures(res))
@@ -173,129 +173,31 @@ func TelecomKernels() []Kernel { return eembc.TelecomSuite() }
 // KernelByName returns one benchmark by its EEMBC-style name.
 func KernelByName(name string) (Kernel, error) { return eembc.ByName(name) }
 
-// PredictorKind selects the best-core predictor a System schedules with.
-type PredictorKind int
-
-// Predictor kinds.
-const (
-	// PredictANN is the paper's predictor: 30 bagged {10,18,5,1} networks.
-	PredictANN PredictorKind = iota
-	// PredictOracle uses ground-truth best sizes (upper bound).
-	PredictOracle
-	// PredictLinear is the ridge-regression baseline.
-	PredictLinear
-	// PredictKNN is the k-nearest-neighbours baseline (k=3).
-	PredictKNN
-	// PredictStump is the decision-stump baseline.
-	PredictStump
-	// PredictTree is the depth-4 CART decision-tree baseline.
-	PredictTree
-)
-
 // Engine selects the cache-simulation engine characterization runs on.
 type Engine = characterize.Engine
 
 // Simulation engines. EngineStream (the zero value) fuses kernel execution
 // and simulation: packed accesses stream straight into the one-pass
 // simulator in fixed-size chunks, with no trace ever materialized and the
-// simulator state reused per worker. EngineOnePass records a packed trace
-// and scores all 18 Table 1 configurations in a single traversal;
-// EngineReplay is the reference per-configuration path. All three are
-// bit-identical, so the choice never changes results — only how long
-// characterization takes.
+// simulator state reused per worker. EngineReplay is the reference
+// per-configuration path. Both are bit-identical, so the choice never
+// changes results — only how long characterization takes.
 const (
-	EngineStream  = characterize.EngineStream
-	EngineOnePass = characterize.EngineOnePass
-	EngineReplay  = characterize.EngineReplay
+	EngineStream = characterize.EngineStream
+	EngineReplay = characterize.EngineReplay
 )
-
-// ParseEngine parses the CLIs' shared -engine flag vocabulary
-// ("stream"|"onepass"|"replay").
-func ParseEngine(s string) (Engine, error) { return characterize.ParseEngine(s) }
 
 // ReplayCount reports the process-wide number of kernel trace traversals
 // performed so far: one per (variant, configuration) under EngineReplay,
-// one per variant under EngineStream and EngineOnePass — the observable
-// 18×→1 reduction.
+// one per variant under EngineStream — the observable 18×→1 reduction.
 func ReplayCount() uint64 { return characterize.ReplayCount() }
-
-// ParsePredictorKind parses a predictor name as printed by
-// PredictorKind.String — the shared flag/API vocabulary of the CLIs and the
-// hetschedd daemon.
-func ParsePredictorKind(s string) (PredictorKind, error) {
-	switch s {
-	case "ann":
-		return PredictANN, nil
-	case "oracle":
-		return PredictOracle, nil
-	case "linear":
-		return PredictLinear, nil
-	case "knn":
-		return PredictKNN, nil
-	case "stump":
-		return PredictStump, nil
-	case "tree":
-		return PredictTree, nil
-	}
-	return 0, fmt.Errorf("hetsched: unknown predictor %q (want ann|oracle|linear|knn|stump|tree)", s)
-}
-
-// String names the predictor kind.
-func (k PredictorKind) String() string {
-	switch k {
-	case PredictANN:
-		return "ann"
-	case PredictOracle:
-		return "oracle"
-	case PredictLinear:
-		return "linear"
-	case PredictKNN:
-		return "knn"
-	case PredictStump:
-		return "stump"
-	case PredictTree:
-		return "tree"
-	}
-	return fmt.Sprintf("predictor(%d)", int(k))
-}
-
-// Set implements flag.Value, so CLIs bind -predictor straight to a
-// PredictorKind instead of hand-parsing strings.
-func (k *PredictorKind) Set(s string) error {
-	parsed, err := ParsePredictorKind(s)
-	if err != nil {
-		return err
-	}
-	*k = parsed
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler; an out-of-range kind is an
-// error rather than a silently serialized "predictor(N)".
-func (k PredictorKind) MarshalText() ([]byte, error) {
-	if k < PredictANN || k > PredictTree {
-		return nil, fmt.Errorf("hetsched: unknown predictor kind %d", int(k))
-	}
-	return []byte(k.String()), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler (flag.TextVar, JSON
-// object keys, config files).
-func (k *PredictorKind) UnmarshalText(text []byte) error {
-	return k.Set(string(text))
-}
 
 // Options configures New.
 type Options struct {
 	// Spec selects the best-core predictor: a single kind or a weighted
-	// online-learning ensemble (see ParsePredictorSpec). When zero, the
-	// legacy Predictor field applies.
+	// online-learning ensemble (see ParsePredictorSpec). The zero value
+	// is DefaultPredictorSpec, the paper's bagged ANN.
 	Spec PredictorSpec
-	// Predictor selects the best-core predictor by legacy kind (default
-	// PredictANN). Superseded by Spec, which covers every kind name plus
-	// the ensemble grammar; kept for compatibility and ignored when Spec
-	// is set.
-	Predictor PredictorKind
 	// Seed drives ANN training and splits (default 42).
 	Seed int64
 	// EnergyParams overrides the energy-model constants (nil = defaults).
@@ -309,7 +211,7 @@ type Options struct {
 	// the multi-domain setting of Section IV.D. Requires recharacterizing,
 	// so setup is slower than the cached automotive-only default.
 	IncludeTelecom bool
-	// MultiDomainANN (requires IncludeTelecom and PredictANN) trains one
+	// MultiDomainANN (requires IncludeTelecom and the "ann" spec) trains one
 	// specialized ensemble per application domain with a nearest-sample
 	// router, instead of a single ANN over the mixed population —
 	// Section IV.D's "multiple ANNs each ... specialized for a different
@@ -322,8 +224,7 @@ type Options struct {
 	// Engine selects the cache-simulation engine for characterization.
 	// The default EngineStream streams each kernel's accesses straight
 	// into the one-pass simulator as it executes, materializing no trace;
-	// EngineOnePass and EngineReplay are the reference paths.
-	// Bit-identical results every way.
+	// EngineReplay is the reference path. Bit-identical results either way.
 	Engine Engine
 	// CacheDir enables the persistent characterization cache: DBs are
 	// content-keyed (design space, energy constants, variant list) and
@@ -455,11 +356,7 @@ func New(opts Options) (*System, error) {
 	}
 	spec := opts.Spec
 	if spec.IsZero() {
-		// Legacy selection path: lift the deprecated kind to its spec.
-		spec, err = opts.Predictor.Spec()
-		if err != nil {
-			return nil, err
-		}
+		spec = DefaultPredictorSpec()
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -469,7 +366,7 @@ func New(opts Options) (*System, error) {
 	sys.buildOpts = opts
 	if opts.MultiDomainANN {
 		if !opts.IncludeTelecom || !spec.IsSingle("ann") {
-			return nil, fmt.Errorf("hetsched: MultiDomainANN requires IncludeTelecom and PredictANN")
+			return nil, fmt.Errorf("hetsched: MultiDomainANN requires IncludeTelecom and the ann predictor")
 		}
 		md, err := trainMultiDomain(em, copts, opts, seed)
 		if err != nil {

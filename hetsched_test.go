@@ -1,6 +1,7 @@
 package hetsched
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func oracleSystem(t testing.TB) *System {
 	t.Helper()
-	sys, err := New(Options{Predictor: PredictOracle})
+	sys, err := New(Options{Spec: MustParsePredictorSpec("oracle")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,12 +22,12 @@ func TestNewWithEveryPredictorKind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains predictors; skipped in -short")
 	}
-	for _, kind := range []PredictorKind{PredictANN, PredictOracle, PredictLinear, PredictKNN, PredictStump} {
-		sys, err := New(Options{Predictor: kind})
+	for _, kind := range []string{"ann", "oracle", "linear", "knn", "stump"} {
+		sys, err := New(Options{Spec: MustParsePredictorSpec(kind)})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if sys.PredictorName() != kind.String() {
+		if sys.PredictorName() != kind {
 			t.Errorf("predictor name %q != kind %q", sys.PredictorName(), kind)
 		}
 		pred, oracle, err := sys.PredictBestSize("matrix")
@@ -36,12 +37,45 @@ func TestNewWithEveryPredictorKind(t *testing.T) {
 		if pred != 2 && pred != 4 && pred != 8 {
 			t.Errorf("%v: predicted size %d not in design space", kind, pred)
 		}
-		if kind == PredictOracle && pred != oracle {
+		if kind == "oracle" && pred != oracle {
 			t.Errorf("oracle disagrees with itself: %d vs %d", pred, oracle)
 		}
 	}
-	if _, err := New(Options{Predictor: PredictorKind(99)}); err == nil {
+	if _, err := New(Options{Spec: PredictorSpec{Members: []MemberSpec{{Kind: "bogus", Weight: 1}}}}); err == nil {
 		t.Error("unknown predictor kind accepted")
+	}
+}
+
+// TestNewZeroOptionsDefault pins the zero Options.Spec to the paper's
+// predictor: New(Options{}) builds the bagged ANN, named and predicting
+// exactly as an explicit "ann" spec does.
+func TestNewZeroOptionsDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the ANN; skipped in -short")
+	}
+	def, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.PredictorName() != "ann" {
+		t.Errorf("zero Options predictor %q, want ann", def.PredictorName())
+	}
+	explicit, err := New(Options{Spec: MustParsePredictorSpec("ann")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range Kernels() {
+		got, _, err := def.PredictBestSize(k.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := explicit.PredictBestSize(k.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: zero Options predicts %dKB, explicit ann spec %dKB", k.Name, got, want)
+		}
 	}
 }
 
@@ -51,7 +85,7 @@ func TestANNExperimentShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the ANN and runs four systems; skipped in -short")
 	}
-	sys, err := New(Options{Predictor: PredictANN})
+	sys, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +258,7 @@ func TestIncludeTelecomExtendsPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recharacterizes 20 kernels; skipped in -short")
 	}
-	sys, err := New(Options{Predictor: PredictOracle, IncludeTelecom: true})
+	sys, err := New(Options{Spec: MustParsePredictorSpec("oracle"), IncludeTelecom: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +292,14 @@ func TestMultiDomainANNOption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two ensembles; skipped in -short")
 	}
-	// Validation: requires IncludeTelecom + PredictANN.
-	if _, err := New(Options{Predictor: PredictANN, MultiDomainANN: true}); err == nil {
+	// Validation: requires IncludeTelecom + the ann predictor.
+	if _, err := New(Options{MultiDomainANN: true}); err == nil {
 		t.Error("MultiDomainANN without IncludeTelecom accepted")
 	}
-	if _, err := New(Options{Predictor: PredictOracle, IncludeTelecom: true, MultiDomainANN: true}); err == nil {
+	if _, err := New(Options{Spec: MustParsePredictorSpec("oracle"), IncludeTelecom: true, MultiDomainANN: true}); err == nil {
 		t.Error("MultiDomainANN with non-ANN predictor accepted")
 	}
-	sys, err := New(Options{Predictor: PredictANN, IncludeTelecom: true, MultiDomainANN: true})
+	sys, err := New(Options{IncludeTelecom: true, MultiDomainANN: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +324,11 @@ func TestWithL2ChangesGroundTruth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recharacterizes the suite; skipped in -short")
 	}
-	l1, err := New(Options{Predictor: PredictOracle})
+	l1, err := New(Options{Spec: MustParsePredictorSpec("oracle")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := New(Options{Predictor: PredictOracle, WithL2: true})
+	l2, err := New(Options{Spec: MustParsePredictorSpec("oracle"), WithL2: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +499,7 @@ func TestNewWarmStartFromCache(t *testing.T) {
 	}
 
 	before := characterize.ReplayCount()
-	sys, err := New(Options{Predictor: PredictOracle, CacheDir: dir, Workers: 2})
+	sys, err := New(Options{Spec: MustParsePredictorSpec("oracle"), CacheDir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,29 +540,30 @@ func TestResolveCacheDir(t *testing.T) {
 // surface that cmd/* bind via flag.TextVar: every valid vocabulary word
 // round-trips, and out-of-range values refuse to marshal.
 func TestFlagTextRoundTrip(t *testing.T) {
-	for _, want := range []PredictorKind{PredictANN, PredictOracle, PredictLinear, PredictKNN, PredictStump, PredictTree} {
+	for _, name := range []string{"ann", "oracle", "linear", "knn", "stump", "tree"} {
+		want := MustParsePredictorSpec(name)
 		text, err := want.MarshalText()
-		if err != nil {
-			t.Fatalf("%v.MarshalText: %v", want, err)
+		if err != nil || string(text) != name {
+			t.Fatalf("%v.MarshalText = %q, %v", want, text, err)
 		}
-		var got PredictorKind
-		if err := got.UnmarshalText(text); err != nil || got != want {
+		var got PredictorSpec
+		if err := got.UnmarshalText(text); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("predictor round trip %q -> %v, err %v", text, got, err)
 		}
-		var viaSet PredictorKind
-		if err := viaSet.Set(string(text)); err != nil || viaSet != want {
+		var viaSet PredictorSpec
+		if err := viaSet.Set(string(text)); err != nil || !reflect.DeepEqual(viaSet, want) {
 			t.Errorf("predictor Set(%q) -> %v, err %v", text, viaSet, err)
 		}
 	}
-	var k PredictorKind
+	var k PredictorSpec
 	if err := k.Set("nosuch"); err == nil {
 		t.Error("unknown predictor accepted")
 	}
-	if _, err := PredictorKind(99).MarshalText(); err == nil {
-		t.Error("out-of-range predictor marshaled")
+	if _, err := (PredictorSpec{}).MarshalText(); err == nil {
+		t.Error("empty predictor spec marshaled")
 	}
 
-	for _, want := range []Engine{EngineStream, EngineOnePass, EngineReplay} {
+	for _, want := range []Engine{EngineStream, EngineReplay} {
 		text, err := want.MarshalText()
 		if err != nil {
 			t.Fatalf("%v.MarshalText: %v", want, err)
@@ -560,7 +595,7 @@ func TestParseFaultPlanFacade(t *testing.T) {
 	if _, err := ParseFaultPlan("noise=2"); err == nil {
 		t.Error("out-of-range noise accepted")
 	}
-	if _, err := New(Options{Predictor: PredictOracle, Faults: FaultPlan{CounterNoise: 7}}); err == nil {
+	if _, err := New(Options{Spec: MustParsePredictorSpec("oracle"), Faults: FaultPlan{CounterNoise: 7}}); err == nil {
 		t.Error("New accepted an invalid fault plan")
 	}
 }

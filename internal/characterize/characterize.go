@@ -6,15 +6,13 @@
 // cache accesses and miss rates with SimpleScalar for every configuration
 // and evaluating them under the Figure 4 energy model.
 //
-// Scoring runs on one of three engines (Options.Engine). The default
+// Scoring runs on one of two engines (Options.Engine). The default
 // streaming engine never materializes a trace at all: kernel execution
 // feeds packed accesses straight into cache.MultiSim through a fixed-size
 // vm.StreamSink chunk buffer, on per-worker reusable simulator state. The
-// one-pass engine records a packed vm.FlatTrace and then scores all 18
-// configurations in a single traversal; the replay engine reruns the trace
-// once per configuration. All three produce bit-identical DBs — onepass and
-// replay are kept as the references the equivalence tests check the fast
-// path against.
+// replay engine records the trace and reruns it once per configuration.
+// Both produce bit-identical DBs — replay is kept as the independent
+// reference the equivalence tests check the fast path against.
 //
 // The resulting DB is the ground truth the experiments draw from: the
 // scheduler's profiling table learns *parts* of it at runtime, the ANN is
@@ -223,12 +221,8 @@ const (
 	// chunks (vm.StreamSink) without materializing a trace, on per-worker
 	// reusable simulator state.
 	EngineStream Engine = iota
-	// EngineOnePass records a packed vm.FlatTrace, then traverses it once
-	// scoring every configuration simultaneously (cache.MultiSim) — the
-	// first reference engine.
-	EngineOnePass
 	// EngineReplay is the ground-truth reference implementation: one full
-	// trace replay per configuration (18× the traversals of EngineOnePass).
+	// trace replay per configuration (18× the traversals of EngineStream).
 	EngineReplay
 )
 
@@ -237,8 +231,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineStream:
 		return "stream"
-	case EngineOnePass:
-		return "onepass"
 	case EngineReplay:
 		return "replay"
 	}
@@ -251,12 +243,10 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "stream":
 		return EngineStream, nil
-	case "onepass":
-		return EngineOnePass, nil
 	case "replay":
 		return EngineReplay, nil
 	}
-	return 0, fmt.Errorf("characterize: unknown engine %q (want stream|onepass|replay)", s)
+	return 0, fmt.Errorf("characterize: unknown engine %q (want stream|replay)", s)
 }
 
 // Set implements flag.Value, so CLIs bind -engine straight to an Engine.
@@ -305,11 +295,10 @@ type Options struct {
 
 // replays counts trace traversals performed by this process: one per
 // (variant, configuration) pair under EngineReplay, one per variant under
-// EngineOnePass and EngineStream (the stream engine's single fused
-// execution+simulation pass counts as one traversal) — which is exactly the
-// 18×→1 reduction the fast engines exist for, observable via
-// hmsweep/cachetune. The disk-cache tests assert a warm load does not move
-// it.
+// EngineStream (its single fused execution+simulation pass counts as one
+// traversal) — which is exactly the 18×→1 reduction the fast engine exists
+// for, observable via hmsweep/cachetune. The disk-cache tests assert a warm
+// load does not move it.
 var replays atomic.Uint64
 
 // ReplayCount reports the number of trace traversals performed by this
@@ -471,20 +460,16 @@ func submit(jobs chan jobFunc, f jobFunc) <-chan struct{} {
 }
 
 func characterizeOne(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
-	switch opts.Engine {
-	case EngineReplay:
+	if opts.Engine == EngineReplay {
 		return characterizeOneReplay(v, em, opts, jobs)
-	case EngineOnePass:
-		return characterizeOneOnePass(v, em, opts, jobs)
-	default:
-		return characterizeOneStream(v, em, opts, jobs)
 	}
+	return characterizeOneStream(v, em, opts, jobs)
 }
 
 // characterizeOneStream is the default path: one fused pool job executes
 // the kernel with its memory stream feeding the worker's reusable MultiSim
 // through a chunked StreamSink, so no trace is ever materialized — the
-// ~2 MB/variant of trace and simulator allocations of the other engines
+// ~2 MB/variant of trace and simulator allocations of the replay engine
 // collapse to the Record itself. The aggregate statistics the feature
 // vector needs (access/write counts, distinct-block footprints) are
 // maintained inline by the sink during execution.
@@ -537,65 +522,6 @@ func characterizeOneStream(v Variant, em *energy.Model, opts Options, jobs chan 
 	if jobErr != nil {
 		return Record{}, jobErr
 	}
-	return rec, nil
-}
-
-// characterizeOneOnePass is the default path: record the kernel in the
-// packed representation, then score the whole design space in a single
-// trace traversal (one pool job, since the traversal costs about as much as
-// one legacy replay).
-func characterizeOneOnePass(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
-	k, err := eembc.ByName(v.Kernel)
-	if err != nil {
-		return Record{}, err
-	}
-	var (
-		ctr    vm.Counters
-		ftr    *vm.FlatTrace
-		recErr error
-	)
-	<-submit(jobs, func(*engineScratch) { ctr, ftr, recErr = eembc.RecordFlat(k, v.Params) })
-	if recErr != nil {
-		return Record{}, recErr
-	}
-	space := cache.DesignSpace()
-	var (
-		ms    *cache.MultiSim
-		msErr error
-	)
-	if opts.L2 != nil {
-		ms, msErr = cache.NewMultiSimHierarchy(space, opts.L2.L2Params().Config)
-	} else {
-		ms, msErr = cache.NewMultiSim(space)
-	}
-	if msErr != nil {
-		return Record{}, msErr
-	}
-	<-submit(jobs, func(*engineScratch) {
-		replays.Add(1)
-		ms.AccessBatch(ftr.Packed)
-	})
-	rec := Record{
-		Kernel:     v.Kernel,
-		Params:     v.Params,
-		BaseCycles: ctr.Cycles,
-		Accesses:   uint64(ftr.Len()),
-		Configs:    make([]ConfigResult, len(space)),
-	}
-	for j, s := range ms.Stats() {
-		if opts.L2 != nil {
-			rec.Configs[j] = resultL2(s.Config, s.Hits, s.L2Hits, s.OffChip, ctr.Cycles, opts.L2)
-		} else {
-			rec.Configs[j] = resultL1(s.Config, s.Hits, s.Misses, ctr.Cycles, em)
-		}
-	}
-	var baseHits, baseMisses uint64
-	for j, cfg := range space {
-		if cfg == cache.BaseConfig {
-			baseHits, baseMisses = rec.Configs[j].Hits, rec.Configs[j].Misses
-		}
-	}
-	rec.Features = stats.FromExecution(ctr, ftr, baseHits, baseMisses)
 	return rec, nil
 }
 

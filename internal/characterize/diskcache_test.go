@@ -86,7 +86,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 func TestCacheKeyEngineInvariance(t *testing.T) {
 	em := energy.NewDefault()
 	variants := smallVariants()
-	base, err := CacheKey(variants, em, Options{Engine: EngineOnePass})
+	base, err := CacheKey(variants, em, Options{Engine: EngineStream})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCacheKeyEngineInvariance(t *testing.T) {
 	}
 
 	// Cross-engine warm load: characterize under the reference engine,
-	// then ask again under the one-pass engine — it must come from disk.
+	// then ask again under the streaming engine — it must come from disk.
 	dir := t.TempDir()
 	cold, fromCache, err := CharacterizeCached(variants, em, Options{Engine: EngineReplay}, dir)
 	if err != nil {
@@ -108,12 +108,12 @@ func TestCacheKeyEngineInvariance(t *testing.T) {
 	if fromCache {
 		t.Fatal("first run reported a cache hit in a fresh directory")
 	}
-	warm, fromCache, err := CharacterizeCached(variants, em, Options{Engine: EngineOnePass}, dir)
+	warm, fromCache, err := CharacterizeCached(variants, em, Options{Engine: EngineStream}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fromCache {
-		t.Fatal("one-pass request missed the cache the replay engine warmed")
+		t.Fatal("stream request missed the cache the replay engine warmed")
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("cross-engine cached DB differs from the freshly built one")

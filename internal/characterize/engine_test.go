@@ -12,13 +12,13 @@ import (
 
 // diffDBs pinpoints the first divergence between two DBs so an equivalence
 // failure names the kernel/config/field instead of dumping two databases.
-func diffDBs(t *testing.T, onepass, replay *DB) {
+func diffDBs(t *testing.T, stream, replay *DB) {
 	t.Helper()
-	if len(onepass.Records) != len(replay.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(onepass.Records), len(replay.Records))
+	if len(stream.Records) != len(replay.Records) {
+		t.Fatalf("record counts differ: %d vs %d", len(stream.Records), len(replay.Records))
 	}
-	for i := range onepass.Records {
-		a, b := &onepass.Records[i], &replay.Records[i]
+	for i := range stream.Records {
+		a, b := &stream.Records[i], &replay.Records[i]
 		if a.Kernel != b.Kernel || a.Params != b.Params || a.ID != b.ID {
 			t.Errorf("record %d identity differs: %s/%+v vs %s/%+v", i, a.Kernel, a.Params, b.Kernel, b.Params)
 			continue
@@ -28,21 +28,21 @@ func diffDBs(t *testing.T, onepass, replay *DB) {
 				a.Kernel, a.BaseCycles, a.Accesses, b.BaseCycles, b.Accesses)
 		}
 		if a.Features != b.Features {
-			t.Errorf("%s: features differ:\n one-pass %v\n replay   %v", a.Kernel, a.Features, b.Features)
+			t.Errorf("%s: features differ:\n stream %v\n replay %v", a.Kernel, a.Features, b.Features)
 		}
 		for j := range a.Configs {
 			ca, cb := a.Configs[j], b.Configs[j]
 			if ca != cb {
-				t.Errorf("%s %s: one-pass %+v\n                replay %+v", a.Kernel, ca.Config, ca, cb)
+				t.Errorf("%s %s: stream %+v\n              replay %+v", a.Kernel, ca.Config, ca, cb)
 			}
 		}
 	}
 }
 
-// TestEnginesBitIdentical is the golden equivalence gate: the streaming and
-// one-pass engines must produce DBs bit-identical (hits, misses, L2 splits,
-// cycles, features, every energy float) to the per-configuration replay
-// across every EEMBC kernel and all 18 configurations.
+// TestEnginesBitIdentical is the golden equivalence gate: the streaming
+// engine must produce DBs bit-identical (hits, misses, L2 splits, cycles,
+// features, every energy float) to the per-configuration replay across
+// every EEMBC kernel and all 18 configurations.
 func TestEnginesBitIdentical(t *testing.T) {
 	em := energy.NewDefault()
 	variants := ExtendedVariants() // all 20 kernels: automotive + telecom
@@ -53,26 +53,18 @@ func TestEnginesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onepass, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineOnePass})
-	if err != nil {
-		t.Fatal(err)
-	}
 	replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(onepass, replay) {
-		diffDBs(t, onepass, replay)
-		t.Fatal("one-pass and replay engines diverge (see per-field diffs above)")
-	}
-	if !reflect.DeepEqual(stream, onepass) {
-		diffDBs(t, stream, onepass)
-		t.Fatal("streaming and one-pass engines diverge (see per-field diffs above)")
+	if !reflect.DeepEqual(stream, replay) {
+		diffDBs(t, stream, replay)
+		t.Fatal("streaming and replay engines diverge (see per-field diffs above)")
 	}
 }
 
 // TestEnginesBitIdenticalL2 repeats the gate under the two-level hierarchy
-// mode, where the one-pass simulator must reproduce each configuration's
+// mode, where the streaming simulator must reproduce each configuration's
 // private L2 stream (writeback ordering included).
 func TestEnginesBitIdenticalL2(t *testing.T) {
 	em := energy.NewDefault()
@@ -88,21 +80,13 @@ func TestEnginesBitIdenticalL2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onepass, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineOnePass, L2: l2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay, L2: l2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(onepass, replay) {
-		diffDBs(t, onepass, replay)
+	if !reflect.DeepEqual(stream, replay) {
+		diffDBs(t, stream, replay)
 		t.Fatal("engines diverge under L2 mode (see per-field diffs above)")
-	}
-	if !reflect.DeepEqual(stream, onepass) {
-		diffDBs(t, stream, onepass)
-		t.Fatal("streaming engine diverges under L2 mode (see per-field diffs above)")
 	}
 }
 
@@ -129,7 +113,7 @@ func randomVariants(seed int64, n int) []Variant {
 
 // TestEnginesEquivalentRandom is the property-based equivalence gate: for a
 // table of seeds, randomly drawn kernel variants must characterize
-// bit-identically under the streaming, one-pass and replay engines. The
+// bit-identically under the streaming and replay engines. The
 // fixed golden tests above pin the canonical suites; this one probes the
 // space between them (and runs under -race via make test-race).
 func TestEnginesEquivalentRandom(t *testing.T) {
@@ -149,21 +133,13 @@ func TestEnginesEquivalentRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream on %+v: %v", variants, err)
 			}
-			onepass, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineOnePass})
-			if err != nil {
-				t.Fatalf("one-pass on %+v: %v", variants, err)
-			}
 			replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay})
 			if err != nil {
 				t.Fatalf("replay on %+v: %v", variants, err)
 			}
-			if !reflect.DeepEqual(onepass, replay) {
-				diffDBs(t, onepass, replay)
-				t.Fatalf("one-pass vs replay diverge on random variants %+v", variants)
-			}
-			if !reflect.DeepEqual(stream, onepass) {
-				diffDBs(t, stream, onepass)
-				t.Fatalf("stream vs one-pass diverge on random variants %+v", variants)
+			if !reflect.DeepEqual(stream, replay) {
+				diffDBs(t, stream, replay)
+				t.Fatalf("stream vs replay diverge on random variants %+v", variants)
 			}
 		})
 	}
@@ -171,14 +147,16 @@ func TestEnginesEquivalentRandom(t *testing.T) {
 
 // TestEngineFlagVocabulary pins the -engine flag round trip.
 func TestEngineFlagVocabulary(t *testing.T) {
-	for _, e := range []Engine{EngineStream, EngineOnePass, EngineReplay} {
+	for _, e := range []Engine{EngineStream, EngineReplay} {
 		got, err := ParseEngine(e.String())
 		if err != nil || got != e {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine")
+	for _, bad := range []string{"quantum", "onepass"} {
+		if _, err := ParseEngine(bad); err == nil {
+			t.Errorf("ParseEngine accepted unknown engine %q", bad)
+		}
 	}
 	if Engine(99).String() == "" {
 		t.Error("unknown engine must still print something")
@@ -191,10 +169,10 @@ func TestEngineFlagVocabulary(t *testing.T) {
 	}
 }
 
-// TestOnePassReplayCount asserts the observable 18×→1 reduction: streaming
-// and one-pass characterization perform exactly one traversal per variant,
+// TestEngineTraversalCounts asserts the observable 18×→1 reduction:
+// streaming characterization performs exactly one traversal per variant,
 // the replay engine one per (variant, configuration).
-func TestOnePassReplayCount(t *testing.T) {
+func TestEngineTraversalCounts(t *testing.T) {
 	em := energy.NewDefault()
 	variants := CanonicalVariants()[:2]
 
@@ -204,14 +182,6 @@ func TestOnePassReplayCount(t *testing.T) {
 	}
 	if got := ReplayCount() - before; got != uint64(len(variants)) {
 		t.Errorf("stream traversals = %d, want %d (one per variant)", got, len(variants))
-	}
-
-	before = ReplayCount()
-	if _, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineOnePass}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ReplayCount() - before; got != uint64(len(variants)) {
-		t.Errorf("one-pass traversals = %d, want %d (one per variant)", got, len(variants))
 	}
 
 	before = ReplayCount()

@@ -155,19 +155,6 @@ func Record(k Kernel, p Params) (vm.Counters, *vm.Trace, error) {
 	return ctr, tr, err
 }
 
-// RecordFlat is Record in the packed representation the one-pass simulator
-// consumes (vm.FlatTrace): half the record-time memory traffic, and exact
-// preallocation from the memoized access count.
-func RecordFlat(k Kernel, p Params) (vm.Counters, *vm.FlatTrace, error) {
-	n, _ := knownMemOps(k, p)
-	tr := vm.NewFlatTrace(n)
-	ctr, err := Run(k, p, tr)
-	if err == nil {
-		memOpsMemo.Store(memoKey{k.Name, p}, int(ctr.MemOps()))
-	}
-	return ctr, tr, err
-}
-
 // rng returns the kernel's deterministic data source: seeded by both the
 // global seed and the kernel name so kernels get distinct but reproducible
 // data.

@@ -32,48 +32,6 @@ func TestRecordTraceSizedFromMemOps(t *testing.T) {
 		t.Errorf("warm Record: len %d != cap %d (buffer not exactly presized)",
 			len(tr2.Accesses), cap(tr2.Accesses))
 	}
-
-	ctrF, ft, err := RecordFlat(k, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(ft.Len()) != ctrF.MemOps() {
-		t.Fatalf("flat trace length %d != MemOps %d", ft.Len(), ctrF.MemOps())
-	}
-	if len(ft.Packed) != cap(ft.Packed) {
-		t.Errorf("warm RecordFlat: len %d != cap %d", len(ft.Packed), cap(ft.Packed))
-	}
-}
-
-// TestRecordFlatMatchesRecord: both representations record the same stream
-// and the same counters.
-func TestRecordFlatMatchesRecord(t *testing.T) {
-	k, err := ByName("cacheb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{Scale: 1, Iterations: 2, Seed: 3}
-	ctrA, tr, err := Record(k, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrB, ft, err := RecordFlat(k, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctrA != ctrB {
-		t.Fatalf("counters differ:\n %+v\n %+v", ctrA, ctrB)
-	}
-	if ft.Len() != tr.Len() {
-		t.Fatalf("lengths differ: flat %d, structured %d", ft.Len(), tr.Len())
-	}
-	for i, a := range tr.Accesses {
-		addr := ft.Packed[i] >> 1
-		write := ft.Packed[i]&1 == 1
-		if addr != a.Addr || write != a.Write {
-			t.Fatalf("access %d: flat (%#x,%v), structured (%#x,%v)", i, addr, write, a.Addr, a.Write)
-		}
-	}
 }
 
 // TestRecordAllocsSteadyState: with the memo warm, recording allocates a
@@ -86,11 +44,11 @@ func TestRecordAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocsFor := func(p Params) float64 {
-		if _, _, err := RecordFlat(k, p); err != nil { // warm the memo
+		if _, _, err := Record(k, p); err != nil { // warm the memo
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(3, func() {
-			if _, _, err := RecordFlat(k, p); err != nil {
+			if _, _, err := Record(k, p); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -102,9 +60,9 @@ func TestRecordAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkRecordTrace reports the record-time allocation profile for both
-// representations with a warm memo (the steady state of every
-// characterization run after the first).
+// BenchmarkRecordTrace reports the record-time allocation profile with a
+// warm memo (the steady state of every replay characterization run after
+// the first).
 func BenchmarkRecordTrace(b *testing.B) {
 	k, err := ByName("a2time")
 	if err != nil {
@@ -119,18 +77,6 @@ func BenchmarkRecordTrace(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := Record(k, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		if _, _, err := RecordFlat(k, p); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := RecordFlat(k, p); err != nil {
 				b.Fatal(err)
 			}
 		}

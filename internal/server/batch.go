@@ -240,13 +240,8 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
-	if _, _, err := core.NewPolicy(req.System); err != nil {
+	if err := s.checkRun(req.System, nil, req.Utilization); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if req.Utilization <= 0 || req.Utilization > 1.5 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"utilization %v out of range (0, 1.5]", req.Utilization)
 		return
 	}
 	if len(req.Jobs) < 1 || len(req.Jobs) > s.cfg.MaxArrivals {
@@ -330,31 +325,13 @@ func (s *Server) handleClusterScheduleBatch(w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
-	nodes := s.cfg.ClusterNodes
-	if req.Nodes != "" {
-		var err error
-		nodes, err = hetsched.ParseClusterSpec(req.Nodes)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "nodes: %s", err)
-			return
-		}
-	}
-	scorer := s.cfg.ClusterScorer
-	if req.Scorer != "" {
-		var err error
-		scorer, err = hetsched.ParseScorer(req.Scorer)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-			return
-		}
-	}
-	if _, _, err := core.NewPolicy(req.System); err != nil {
+	nodes, scorer, err := s.clusterTarget(req.Nodes, req.Scorer)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
-	if req.Utilization <= 0 || req.Utilization > 1.5 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"utilization %v out of range (0, 1.5]", req.Utilization)
+	if err := s.checkRun(req.System, nil, req.Utilization); err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
 	if req.StealThreshold < 0 {

@@ -2,10 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 
 	"hetsched"
-	"hetsched/internal/core"
 )
 
 // handleClusterSchedule serves POST /v1/cluster/schedule: one workload
@@ -23,36 +23,13 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
-	nodes := s.cfg.ClusterNodes
-	if req.Nodes != "" {
-		var err error
-		nodes, err = hetsched.ParseClusterSpec(req.Nodes)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "nodes: %s", err)
-			return
-		}
-	}
-	scorer := s.cfg.ClusterScorer
-	if req.Scorer != "" {
-		var err error
-		scorer, err = hetsched.ParseScorer(req.Scorer)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-			return
-		}
-	}
-	if _, _, err := core.NewPolicy(req.System); err != nil {
+	nodes, scorer, err := s.clusterTarget(req.Nodes, req.Scorer)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
-	if req.Arrivals < 1 || req.Arrivals > s.cfg.MaxArrivals {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"arrivals %d out of range [1, %d]", req.Arrivals, s.cfg.MaxArrivals)
-		return
-	}
-	if req.Utilization <= 0 || req.Utilization > 1.5 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"utilization %v out of range (0, 1.5]", req.Utilization)
+	if err := s.checkRun(req.System, &req.Arrivals, req.Utilization); err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
 	if req.StealThreshold < 0 {
@@ -76,14 +53,9 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "negative priority")
 		return
 	}
-	traced := false
-	switch v := r.URL.Query().Get("trace"); v {
-	case "", "0", "false":
-	case "1", "true":
-		traced = true
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"trace=%q not in {0, 1, true, false}", v)
+	traced, err := traceQuery(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
 	if !s.admit(w, req.Priority, req.Arrivals) {
@@ -117,30 +89,33 @@ func (s *Server) runClusterSchedule(ctx context.Context, req ClusterScheduleRequ
 	if req.Faults != nil {
 		cfg.Faults = req.Faults.plan()
 	}
-	var rec *hetsched.TraceRecorder
-	if traced {
-		rec = hetsched.NewTraceRing(maxInlineTraceEvents)
-		cfg.Trace = rec
-	}
+	cfg.Trace = inlineRecorder(traced)
 	res, err := sys.RunClusterContext(ctx, cfg, jobs)
 	if err != nil {
 		return nil, err
 	}
 	s.met.ObserveCluster(res)
 	resp := summarizeCluster(nodes, res)
-	if rec != nil {
-		evs := rec.Events()
-		s.ring.Append(evs)
-		counts := traceCounts(rec.Count)
-		s.met.ObserveTrace(counts)
-		resp.Trace = &TraceBlock{
-			Events:  len(evs),
-			Dropped: rec.Dropped(),
-			Counts:  counts,
-			Entries: wireEvents(evs),
+	resp.Trace = s.publishTrace(cfg.Trace)
+	return resp, nil
+}
+
+// clusterTarget resolves a cluster request's topology and scorer, falling
+// back to the daemon defaults for empty fields.
+func (s *Server) clusterTarget(nodesSpec, scorerName string) ([]hetsched.SystemSpec, hetsched.ScorerKind, error) {
+	nodes, scorer := s.cfg.ClusterNodes, s.cfg.ClusterScorer
+	var err error
+	if nodesSpec != "" {
+		if nodes, err = hetsched.ParseClusterSpec(nodesSpec); err != nil {
+			return nil, 0, fmt.Errorf("nodes: %w", err)
 		}
 	}
-	return resp, nil
+	if scorerName != "" {
+		if scorer, err = hetsched.ParseScorer(scorerName); err != nil {
+			return nil, 0, err
+		}
+	}
+	return nodes, scorer, nil
 }
 
 // summarizeCluster projects a ClusterResult onto the wire schema.

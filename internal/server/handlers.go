@@ -181,18 +181,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
-	if _, _, err := core.NewPolicy(req.System); err != nil {
+	if err := s.checkRun(req.System, &req.Arrivals, req.Utilization); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if req.Arrivals < 1 || req.Arrivals > s.cfg.MaxArrivals {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"arrivals %d out of range [1, %d]", req.Arrivals, s.cfg.MaxArrivals)
-		return
-	}
-	if req.Utilization <= 0 || req.Utilization > 1.5 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"utilization %v out of range (0, 1.5]", req.Utilization)
 		return
 	}
 	if req.PriorityLevels < 0 || req.DeadlineSlack < 0 {
@@ -243,14 +233,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "negative priority")
 		return
 	}
-	traced := false
-	switch v := r.URL.Query().Get("trace"); v {
-	case "", "0", "false":
-	case "1", "true":
-		traced = true
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"trace=%q not in {0, 1, true, false}", v)
+	traced, err := traceQuery(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 		return
 	}
 	if !s.admit(w, req.Priority, effArrivals) {
@@ -299,11 +284,7 @@ func (s *Server) runSchedule(ctx context.Context, req ScheduleRequest, scenarioS
 	if req.Faults != nil {
 		sim.Faults = req.Faults.plan()
 	}
-	var rec *hetsched.TraceRecorder
-	if traced {
-		rec = hetsched.NewTraceRing(maxInlineTraceEvents)
-		sim.Trace = rec
-	}
+	sim.Trace = inlineRecorder(traced)
 	m, err := sys.RunSystemContext(ctx, req.System, jobs, sim)
 	if err != nil {
 		return nil, err
@@ -322,19 +303,66 @@ func (s *Server) runSchedule(ctx context.Context, req ScheduleRequest, scenarioS
 	if !scenarioSpec.IsZero() {
 		resp.Scenario = scenarioSpec.String()
 	}
-	if rec != nil {
-		evs := rec.Events()
-		s.ring.Append(evs)
-		counts := traceCounts(rec.Count)
-		s.met.ObserveTrace(counts)
-		resp.Trace = &TraceBlock{
-			Events:  len(evs),
-			Dropped: rec.Dropped(),
-			Counts:  counts,
-			Entries: wireEvents(evs),
-		}
-	}
+	resp.Trace = s.publishTrace(sim.Trace)
 	return resp, nil
+}
+
+// checkRun validates the fields every schedule endpoint shares: the named
+// per-node system and the offered utilization. The single-run endpoints
+// pass their arrivals, checked against the server cap in between — the
+// order their errors have always been reported in; batches pass nil.
+func (s *Server) checkRun(system string, arrivals *int, utilization float64) error {
+	if _, _, err := core.NewPolicy(system); err != nil {
+		return err
+	}
+	if arrivals != nil && (*arrivals < 1 || *arrivals > s.cfg.MaxArrivals) {
+		return fmt.Errorf("arrivals %d out of range [1, %d]", *arrivals, s.cfg.MaxArrivals)
+	}
+	if utilization <= 0 || utilization > 1.5 {
+		return fmt.Errorf("utilization %v out of range (0, 1.5]", utilization)
+	}
+	return nil
+}
+
+// traceQuery parses the ?trace= switch of the single-run schedule
+// endpoints.
+func traceQuery(r *http.Request) (bool, error) {
+	switch v := r.URL.Query().Get("trace"); v {
+	case "", "0", "false":
+		return false, nil
+	case "1", "true":
+		return true, nil
+	default:
+		return false, fmt.Errorf("trace=%q not in {0, 1, true, false}", v)
+	}
+}
+
+// inlineRecorder returns the bounded per-run recorder behind ?trace=1, or
+// nil (tracing off) for an untraced run.
+func inlineRecorder(traced bool) *hetsched.TraceRecorder {
+	if !traced {
+		return nil
+	}
+	return hetsched.NewTraceRing(maxInlineTraceEvents)
+}
+
+// publishTrace copies a traced run's events into the daemon-wide ring,
+// feeds the per-kind trace counters and returns the inline response block;
+// an untraced run (nil recorder) publishes nothing and returns nil.
+func (s *Server) publishTrace(rec *hetsched.TraceRecorder) *TraceBlock {
+	if rec == nil {
+		return nil
+	}
+	evs := rec.Events()
+	s.ring.Append(evs)
+	counts := traceCounts(rec.Count)
+	s.met.ObserveTrace(counts)
+	return &TraceBlock{
+		Events:  len(evs),
+		Dropped: rec.Dropped(),
+		Counts:  counts,
+		Entries: wireEvents(evs),
+	}
 }
 
 // traceCounts materializes per-kind counters (keyed by kind name) from a

@@ -31,7 +31,7 @@ var (
 func testSystem(t testing.TB) *hetsched.System {
 	t.Helper()
 	sysOnce.Do(func() {
-		sysVal, sysErr = hetsched.New(hetsched.Options{Predictor: hetsched.PredictOracle})
+		sysVal, sysErr = hetsched.New(hetsched.Options{Spec: hetsched.MustParsePredictorSpec("oracle")})
 	})
 	if sysErr != nil {
 		t.Fatalf("building test system: %v", sysErr)

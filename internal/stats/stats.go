@@ -61,9 +61,9 @@ func FeatureNames() [NumFeatures]string {
 }
 
 // FootprintSource is the slice of the trace API the feature vector needs:
-// distinct-block working-set counts. Both *vm.Trace and *vm.FlatTrace
-// satisfy it, so the one-pass pipeline never materializes a structured
-// trace just for features.
+// distinct-block working-set counts. *vm.Trace, *vm.FlatTrace and
+// *vm.StreamSink satisfy it, so the streaming pipeline never materializes
+// a trace just for features.
 type FootprintSource interface {
 	Footprint(blockBytes int) int
 }

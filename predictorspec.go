@@ -1,11 +1,9 @@
 package hetsched
 
-// PredictorSpec supersedes PredictorKind as the predictor-selection
-// vocabulary: a composable spec naming one predictor or a weighted
-// ensemble of them, with the same full flag.Value / encoding.Text*
-// round-trip contract the typed flags established. Every legacy kind name
-// parses verbatim ("ann", "oracle", ...), so existing -predictor values
-// and wire payloads keep working; the new grammar adds
+// PredictorSpec is the predictor-selection vocabulary: a composable spec
+// naming one predictor or a weighted ensemble of them, with a full
+// flag.Value / encoding.Text* round-trip contract. A single kind name
+// ("ann", "oracle", ...) selects that predictor; the ensemble grammar adds
 //
 //	ensemble:table,markov,ann        (uniform starting weights)
 //	ensemble:table=2,markov,ann=0.5  (explicit relative weights)
@@ -65,7 +63,7 @@ type MemberSpec struct {
 
 // PredictorSpec selects the predictor a System schedules with: a single
 // kind or a weighted ensemble. The zero value is empty (IsZero) and makes
-// Options fall back to the deprecated Options.Predictor field.
+// New build DefaultPredictorSpec.
 type PredictorSpec struct {
 	Members []MemberSpec
 }
@@ -209,18 +207,7 @@ func (p *PredictorSpec) UnmarshalText(text []byte) error {
 	return p.Set(string(text))
 }
 
-// Spec lifts a legacy PredictorKind to its single-member PredictorSpec;
-// out-of-range kinds error exactly as the old New switch did.
-func (k PredictorKind) Spec() (PredictorSpec, error) {
-	if k < PredictANN || k > PredictTree {
-		return PredictorSpec{}, fmt.Errorf("hetsched: unknown predictor kind %d", int(k))
-	}
-	return PredictorSpec{Members: []MemberSpec{{Kind: k.String(), Weight: 1}}}, nil
-}
-
-// buildBasePredictor constructs one fixed trained kind — the exact objects
-// the legacy PredictorKind switch built, so single-kind specs are
-// bit-identical to pre-spec Systems.
+// buildBasePredictor constructs one fixed trained kind.
 func buildBasePredictor(kind string, eval, train *DB, seed int64, opts Options) (Predictor, error) {
 	switch kind {
 	case "ann":
@@ -246,7 +233,7 @@ func buildBasePredictor(kind string, eval, train *DB, seed int64, opts Options) 
 }
 
 // buildPredictor constructs the predictor a spec names. Single fixed kinds
-// return the legacy predictor objects unchanged; online kinds and
+// return the trained predictor object itself; online kinds and
 // multi-member specs build a predict.Ensemble wired for outcome feedback.
 func buildPredictor(spec PredictorSpec, eval, train *DB, seed int64, opts Options) (Predictor, error) {
 	if err := spec.Validate(); err != nil {

@@ -7,30 +7,25 @@ import (
 )
 
 // TestPredictorSpecRoundTrip extends the flag.TextVar round-trip contract
-// to PredictorSpec: every legacy kind name parses and renders verbatim (so
+// to PredictorSpec: every fixed kind name parses and renders verbatim (so
 // existing -predictor values keep working), ensemble specs round-trip
 // through String, and invalid specs refuse to parse or marshal.
 func TestPredictorSpecRoundTrip(t *testing.T) {
-	// Every legacy PredictorKind name, verbatim.
-	for _, kind := range []PredictorKind{PredictANN, PredictOracle, PredictLinear, PredictKNN, PredictStump, PredictTree} {
-		name := kind.String()
+	// Every fixed trained kind name, verbatim.
+	for _, name := range []string{"ann", "oracle", "linear", "knn", "stump", "tree"} {
 		spec, err := ParsePredictorSpec(name)
 		if err != nil {
-			t.Fatalf("legacy kind %q no longer parses: %v", name, err)
+			t.Fatalf("fixed kind %q no longer parses: %v", name, err)
 		}
 		if !spec.IsSingle(name) || spec.String() != name {
-			t.Errorf("legacy kind %q mangled: parsed %+v, renders %q", name, spec, spec)
+			t.Errorf("fixed kind %q mangled: parsed %+v, renders %q", name, spec, spec)
 		}
-		lifted, err := kind.Spec()
-		if err != nil || !reflect.DeepEqual(lifted, spec) {
-			t.Errorf("%v.Spec() = %+v, %v; want %+v", kind, lifted, err, spec)
+		if single := (PredictorSpec{Members: []MemberSpec{{Kind: name, Weight: 1}}}); !reflect.DeepEqual(spec, single) {
+			t.Errorf("fixed kind %q parsed to %+v, want %+v", name, spec, single)
 		}
 		if spec.Online() {
-			t.Errorf("legacy kind %q reported online", name)
+			t.Errorf("fixed kind %q reported online", name)
 		}
-	}
-	if _, err := PredictorKind(99).Spec(); err == nil {
-		t.Error("out-of-range kind lifted to a spec")
 	}
 
 	// New single online kinds and ensemble grammars.

@@ -133,11 +133,11 @@ func TestTraceExportersGolden(t *testing.T) {
 // one setup worker or eight — characterization/training parallelism must
 // never leak into the decision audit.
 func TestTraceWorkerCountInvariant(t *testing.T) {
-	sys1, err := New(Options{Predictor: PredictOracle, Workers: 1})
+	sys1, err := New(Options{Spec: MustParsePredictorSpec("oracle"), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys8, err := New(Options{Predictor: PredictOracle, Workers: 8})
+	sys8, err := New(Options{Spec: MustParsePredictorSpec("oracle"), Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestTraceWorkerCountInvariant(t *testing.T) {
 // training, scheduling, fault handling) observes the difference either.
 func TestTraceEngineInvariant(t *testing.T) {
 	var base []TraceEvent
-	for _, eng := range []Engine{EngineStream, EngineOnePass, EngineReplay} {
-		sys, err := New(Options{Predictor: PredictOracle, Engine: eng})
+	for _, eng := range []Engine{EngineStream, EngineReplay} {
+		sys, err := New(Options{Spec: MustParsePredictorSpec("oracle"), Engine: eng})
 		if err != nil {
 			t.Fatalf("engine %v: %v", eng, err)
 		}
