@@ -56,9 +56,7 @@ func (s *Server) admit(w http.ResponseWriter, priority, cost int) bool {
 		return true
 	}
 	s.met.ObserveShed()
-	depth := s.pool.QueueDepth()
-	retry := 1 + depth/s.pool.Workers()
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	depth, retry := s.retryAfter(w)
 	writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
 		Error: fmt.Sprintf(
 			"request shed by admission control: priority %d below the current bar %.2f (%d queued); retry after %ds or raise \"priority\"",
@@ -67,4 +65,14 @@ func (s *Server) admit(w http.ResponseWriter, priority, cost int) bool {
 		QueueDepth: depth,
 	})
 	return false
+}
+
+// retryAfter sets the Retry-After header of a 429 and returns the queue
+// depth it was scaled from, with the advised seconds: a full queue behind
+// few workers takes proportionally longer to drain than one behind many.
+func (s *Server) retryAfter(w http.ResponseWriter) (depth, retry int) {
+	depth = s.pool.QueueDepth()
+	retry = 1 + depth/s.pool.Workers()
+	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	return depth, retry
 }

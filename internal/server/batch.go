@@ -1,10 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 
 	"hetsched"
 	"hetsched/internal/characterize"
@@ -32,8 +33,8 @@ type batchPlan struct {
 }
 
 // planBatch validates every row, isolating per-row failures into their
-// result row. Only request-shape errors (empty batch handled by the
-// caller, a mixed explicit/implicit arrival set) fail the whole batch.
+// result row. Only request-shape errors (a mixed explicit/implicit arrival
+// set; checkBatch bounds the batch size) fail the whole batch.
 func planBatch(jobs []BatchJob) (*batchPlan, error) {
 	p := &batchPlan{
 		results: make([]BatchJobResult, len(jobs)),
@@ -101,18 +102,6 @@ func batchVariant(j BatchJob) (characterize.Variant, error) {
 	return characterize.Variant{Kernel: j.Kernel, Params: params}, nil
 }
 
-// batchPriority is the request's effective admission priority: the maximum
-// of the request-level priority and every job's.
-func batchPriority(base int, jobs []BatchJob) int {
-	p := base
-	for _, j := range jobs {
-		if j.Priority > p {
-			p = j.Priority
-		}
-	}
-	return p
-}
-
 // characterizeBatch resolves every distinct variant through the serving
 // tier — one lookup per variant, each hitting the warmest level available
 // (memory, a coalesced in-flight compute, disk, or a fresh compute) — and
@@ -157,6 +146,7 @@ func batchJobs(reqJobs []BatchJob, plan *batchPlan, db *hetsched.DB, utilization
 	jobs := make([]hetsched.Job, n)
 	for k, ri := range plan.valid {
 		jobs[k] = hetsched.Job{
+			Index:    k,
 			AppID:    plan.appOf[ri],
 			Priority: reqJobs[ri].Priority,
 		}
@@ -179,22 +169,17 @@ func batchJobs(reqJobs []BatchJob, plan *batchPlan, db *hetsched.DB, utilization
 	}
 	// The simulator consumes arrivals in time order; sort stably so ties
 	// keep request order, then assign sequence numbers and remember which
-	// request row each simulator job came from.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return jobs[idx[a]].ArrivalCycle < jobs[idx[b]].ArrivalCycle
+	// request row each simulator job came from (Index holds the job's
+	// position in plan.valid until then).
+	slices.SortStableFunc(jobs, func(a, b hetsched.Job) int {
+		return cmp.Compare(a.ArrivalCycle, b.ArrivalCycle)
 	})
-	sorted := make([]hetsched.Job, n)
 	simToReq := make([]int, n)
-	for pos, k := range idx {
-		sorted[pos] = jobs[k]
-		sorted[pos].Index = pos
-		simToReq[pos] = plan.valid[k]
+	for pos := range jobs {
+		simToReq[pos] = plan.valid[jobs[pos].Index]
+		jobs[pos].Index = pos
 	}
-	return sorted, simToReq, nil
+	return jobs, simToReq, nil
 }
 
 // fillPlacements projects the recorded execution timeline onto the per-row
@@ -236,83 +221,41 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		System:      "proposed",
 		Utilization: 0.9,
 	}
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if err := s.checkRun(req.System, nil, req.Utilization); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if len(req.Jobs) < 1 || len(req.Jobs) > s.cfg.MaxArrivals {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"batch of %d jobs out of range [1, %d]", len(req.Jobs), s.cfg.MaxArrivals)
-		return
-	}
-	plan, err := planBatch(req.Jobs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if !s.admit(w, batchPriority(req.Priority, req.Jobs), len(req.Jobs)) {
-		return
-	}
-	s.serveJob(w, r, "batch", func(ctx context.Context) (any, error) {
-		return s.runScheduleBatch(ctx, req, plan)
-	})
-}
-
-// runScheduleBatch executes one batch on a worker: characterize the
-// distinct variants through the serving tier, build the batch workload,
-// run one simulation, project per-job placements.
-func (s *Server) runScheduleBatch(ctx context.Context, req BatchScheduleRequest, plan *batchPlan) (any, error) {
-	db, wire, err := s.characterizeBatch(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	resp := BatchScheduleResponse{
-		System:           req.System,
-		Jobs:             len(req.Jobs),
-		Scheduled:        len(plan.valid),
-		Rejected:         len(req.Jobs) - len(plan.valid),
-		Characterization: wire,
-		Results:          plan.results,
-	}
-	if len(plan.valid) == 0 {
-		return resp, nil
-	}
-	cores := len(core.DefaultSimConfig().CoreSizesKB)
-	jobs, simToReq, err := batchJobs(req.Jobs, plan, db, req.Utilization, cores)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sim := hetsched.SimConfig{RecordSchedule: true}
-	for _, j := range jobs {
-		if j.Priority != 0 {
-			sim.PriorityScheduling = true
-			sim.Preemptive = req.Preemptive
-			break
+	s.serveSchedule(w, r, "batch", &req, func() (*scheduleRun, error) {
+		if err := s.checkRun(req.System, nil, req.Utilization); err != nil {
+			return nil, err
 		}
-	}
-	m, err := s.system().RunOnDBContext(ctx, db, req.System, jobs, sim)
-	if err != nil {
-		return nil, err
-	}
-	if m.Predictor != nil {
-		s.met.ObservePredictor(m.Predictor)
-	}
-	resp.System = m.System
-	resp.Completed = m.Completed
-	resp.MakespanCycles = m.Makespan
-	resp.TurnaroundP50 = m.TurnaroundPercentile(50)
-	resp.TurnaroundP95 = m.TurnaroundPercentile(95)
-	resp.TurnaroundP99 = m.TurnaroundPercentile(99)
-	resp.TotalEnergyNJ = m.TotalEnergy()
-	fillPlacements(resp.Results, jobs, simToReq, m.Schedule)
-	return resp, nil
+		run, err := s.checkBatch(req.System, req.Utilization, req.Priority, req.Jobs)
+		if err != nil {
+			return nil, err
+		}
+		run.sim.RecordSchedule = true
+		for _, ri := range run.plan.valid {
+			if req.Jobs[ri].Priority != 0 {
+				run.sim.PriorityScheduling = true
+				run.sim.Preemptive = req.Preemptive
+				break
+			}
+		}
+		run.respond = func(o runOutcome) any {
+			fillPlacements(run.plan.results, o.jobs, o.simToReq, o.schedule)
+			return BatchScheduleResponse{
+				System:           o.node.System,
+				Jobs:             len(req.Jobs),
+				Scheduled:        len(run.plan.valid),
+				Rejected:         len(req.Jobs) - len(run.plan.valid),
+				Completed:        o.node.Completed,
+				MakespanCycles:   o.node.MakespanCycles,
+				TurnaroundP50:    o.node.TurnaroundP50,
+				TurnaroundP95:    o.node.TurnaroundP95,
+				TurnaroundP99:    o.node.TurnaroundP99,
+				TotalEnergyNJ:    o.node.TotalEnergyNJ,
+				Characterization: o.wire,
+				Results:          run.plan.results,
+			}
+		}
+		return run, nil
+	})
 }
 
 // handleClusterScheduleBatch serves POST /v1/cluster/schedule/batch.
@@ -321,93 +264,51 @@ func (s *Server) handleClusterScheduleBatch(w http.ResponseWriter, r *http.Reque
 		System:      "proposed",
 		Utilization: 0.9,
 	}
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	nodes, scorer, err := s.clusterTarget(req.Nodes, req.Scorer)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if err := s.checkRun(req.System, nil, req.Utilization); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if req.StealThreshold < 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "negative steal_threshold")
-		return
-	}
-	if len(req.Jobs) < 1 || len(req.Jobs) > s.cfg.MaxArrivals {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"batch of %d jobs out of range [1, %d]", len(req.Jobs), s.cfg.MaxArrivals)
-		return
-	}
-	plan, err := planBatch(req.Jobs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if !s.admit(w, batchPriority(req.Priority, req.Jobs), len(req.Jobs)) {
-		return
-	}
-	s.serveJob(w, r, "cluster_batch", func(ctx context.Context) (any, error) {
-		return s.runClusterScheduleBatch(ctx, req, nodes, scorer, plan)
+	s.serveSchedule(w, r, "cluster_batch", &req, func() (*scheduleRun, error) {
+		cfg, err := s.checkCluster(req.Nodes, req.Scorer, req.System, nil, req.Utilization,
+			req.StealThreshold, req.DisableStealing)
+		if err != nil {
+			return nil, err
+		}
+		run, err := s.checkBatch(req.System, req.Utilization, req.Priority, req.Jobs)
+		if err != nil {
+			return nil, err
+		}
+		run.cluster = cfg
+		run.respond = func(o runOutcome) any {
+			resp := BatchClusterScheduleResponse{
+				ClusterScheduleResponse: o.cluster,
+				Scheduled:               len(run.plan.valid),
+				Rejected:                len(req.Jobs) - len(run.plan.valid),
+				Characterization:        o.wire,
+			}
+			for _, res := range run.plan.results {
+				if res.Error != "" {
+					resp.RejectedJobs = append(resp.RejectedJobs, res)
+				}
+			}
+			return resp
+		}
+		return run, nil
 	})
 }
 
-// runClusterScheduleBatch executes one cluster batch on a worker:
-// characterize through the serving tier, build the batch workload sized
-// for the cluster's total core count, route and simulate.
-func (s *Server) runClusterScheduleBatch(ctx context.Context, req BatchClusterScheduleRequest,
-	nodes []hetsched.SystemSpec, scorer hetsched.ScorerKind, plan *batchPlan) (any, error) {
-	db, wire, err := s.characterizeBatch(ctx, plan)
+// checkBatch validates what both batch endpoints share — the batch size,
+// then every row — and returns a run drawing its workload from the batch
+// plan, admitted at the highest priority the request or any row asserts.
+func (s *Server) checkBatch(system string, utilization float64, priority int, rows []BatchJob) (*scheduleRun, error) {
+	if len(rows) < 1 || len(rows) > s.cfg.MaxArrivals {
+		return nil, fmt.Errorf("batch of %d jobs out of range [1, %d]", len(rows), s.cfg.MaxArrivals)
+	}
+	plan, err := planBatch(rows)
 	if err != nil {
 		return nil, err
 	}
-	resp := BatchClusterScheduleResponse{
-		Scheduled:        len(plan.valid),
-		Rejected:         len(req.Jobs) - len(plan.valid),
-		Characterization: wire,
+	for _, j := range rows {
+		priority = max(priority, j.Priority)
 	}
-	for i := range plan.results {
-		if plan.results[i].Error != "" {
-			resp.RejectedJobs = append(resp.RejectedJobs, plan.results[i])
-		}
-	}
-	cores := 0
-	for _, spec := range nodes {
-		cores += spec.Cores()
-	}
-	if len(plan.valid) == 0 {
-		resp.ClusterScheduleResponse = ClusterScheduleResponse{
-			System:    req.System,
-			Scorer:    scorer.String(),
-			Nodes:     hetsched.FormatClusterSpec(nodes),
-			NodeCount: len(nodes),
-			Cores:     cores,
-		}
-		return resp, nil
-	}
-	jobs, _, err := batchJobs(req.Jobs, plan, db, req.Utilization, cores)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfg := hetsched.ClusterConfig{
-		Nodes:           nodes,
-		System:          req.System,
-		Scorer:          scorer,
-		StealThreshold:  req.StealThreshold,
-		DisableStealing: req.DisableStealing,
-	}
-	res, err := s.system().RunClusterOnDBContext(ctx, db, cfg, jobs)
-	if err != nil {
-		return nil, err
-	}
-	s.met.ObserveCluster(res)
-	resp.ClusterScheduleResponse = summarizeCluster(nodes, res)
-	return resp, nil
+	return &scheduleRun{
+		system: system, priority: priority, cost: len(rows),
+		rows: rows, plan: plan, utilization: utilization,
+	}, nil
 }

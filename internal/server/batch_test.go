@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -359,5 +360,37 @@ func TestBatchClusterSchedule(t *testing.T) {
 	}
 	if c := cr.Characterization; c.UniqueVariants != 4 {
 		t.Errorf("characterization = %+v, want 4 unique variants", c)
+	}
+}
+
+// TestBatchFaultCounters runs a batch on a daemon whose System carries a
+// default fault plan: the batch run is fault-injected like a /v1/schedule
+// run, so it must feed the same fault counters.
+func TestBatchFaultCounters(t *testing.T) {
+	plan, err := hetsched.ParseFaultPlan("mttf=200000,recover=5000,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := hetsched.New(hetsched.Options{Spec: hetsched.MustParsePredictorSpec("oracle"), Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(sys, quietConfig(Config{Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, body := postJSON(t, ts.URL+"/v1/schedule/batch", `{"jobs": [
+		{"kernel": "tblook"}, {"kernel": "a2time"}, {"kernel": "aifftr"}, {"kernel": "tblook"},
+		{"kernel": "a2time"}, {"kernel": "aifftr"}, {"kernel": "tblook"}, {"kernel": "a2time"}
+	]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, body %s", resp.StatusCode, body)
+	}
+	if snap := s.met.Snapshot(); snap.FaultedRuns != 1 || snap.FaultEvents == 0 {
+		t.Errorf("after one faulted batch: faulted_runs = %d, fault_events = %d; want 1 and > 0",
+			snap.FaultedRuns, snap.FaultEvents)
 	}
 }

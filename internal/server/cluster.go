@@ -1,7 +1,7 @@
 package server
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -19,103 +19,66 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 		Utilization: 0.9,
 		Seed:        1,
 	}
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	nodes, scorer, err := s.clusterTarget(req.Nodes, req.Scorer)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if err := s.checkRun(req.System, &req.Arrivals, req.Utilization); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if req.StealThreshold < 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"negative steal_threshold")
-		return
-	}
-	if req.Faults != nil {
-		if err := req.Faults.plan().Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "faults: %s", err)
-			return
+	s.serveSchedule(w, r, "cluster", &req, func() (*scheduleRun, error) {
+		cfg, err := s.checkCluster(req.Nodes, req.Scorer, req.System, &req.Arrivals, req.Utilization,
+			req.StealThreshold, req.DisableStealing)
+		if err != nil {
+			return nil, err
 		}
-	}
-	for _, k := range req.Kernels {
-		if _, err := hetsched.KernelByName(k); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-			return
+		var traced bool
+		if cfg.Faults, traced, err = checkGenerated(r, req.Faults, req.Kernels, req.Priority); err != nil {
+			return nil, err
 		}
-	}
-	if req.Priority < 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "negative priority")
-		return
-	}
-	traced, err := traceQuery(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if !s.admit(w, req.Priority, req.Arrivals) {
-		return
-	}
-	s.serveJob(w, r, "cluster", func(ctx context.Context) (any, error) {
-		return s.runClusterSchedule(ctx, req, nodes, scorer, traced)
+		return &scheduleRun{
+			system: req.System, priority: req.Priority, cost: req.Arrivals, traced: traced, cluster: cfg,
+			generate: func(sys *hetsched.System) ([]hetsched.Job, error) {
+				return sys.ClusterWorkload(cfg.Nodes, req.Kernels, req.Arrivals, req.Utilization, req.Seed)
+			},
+			respond: func(o runOutcome) any { return o.cluster },
+		}, nil
 	})
 }
 
-// runClusterSchedule executes one cluster job on a worker: generate the
-// cluster-sized workload, route and simulate, summarize, feed the
-// counters.
-func (s *Server) runClusterSchedule(ctx context.Context, req ClusterScheduleRequest,
-	nodes []hetsched.SystemSpec, scorer hetsched.ScorerKind, traced bool) (any, error) {
-	sys := s.system() // one snapshot: a concurrent hot-swap never splits this run
-	jobs, err := sys.ClusterWorkload(nodes, req.Kernels, req.Arrivals, req.Utilization, req.Seed)
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// checkCluster checks what both cluster endpoints share, in their order —
+// the topology and scorer (empty fields fall back to the daemon defaults),
+// the run fields, the steal threshold — and returns the dispatcher's
+// configuration.
+func (s *Server) checkCluster(nodesSpec, scorerName, system string, arrivals *int, utilization float64,
+	stealThreshold int, disableStealing bool) (hetsched.ClusterConfig, error) {
 	cfg := hetsched.ClusterConfig{
-		Nodes:           nodes,
-		System:          req.System,
-		Scorer:          scorer,
-		StealThreshold:  req.StealThreshold,
-		DisableStealing: req.DisableStealing,
+		Nodes:           s.cfg.ClusterNodes,
+		System:          system,
+		Scorer:          s.cfg.ClusterScorer,
+		StealThreshold:  stealThreshold,
+		DisableStealing: disableStealing,
 	}
-	if req.Faults != nil {
-		cfg.Faults = req.Faults.plan()
-	}
-	cfg.Trace = inlineRecorder(traced)
-	res, err := sys.RunClusterContext(ctx, cfg, jobs)
-	if err != nil {
-		return nil, err
-	}
-	s.met.ObserveCluster(res)
-	resp := summarizeCluster(nodes, res)
-	resp.Trace = s.publishTrace(cfg.Trace)
-	return resp, nil
-}
-
-// clusterTarget resolves a cluster request's topology and scorer, falling
-// back to the daemon defaults for empty fields.
-func (s *Server) clusterTarget(nodesSpec, scorerName string) ([]hetsched.SystemSpec, hetsched.ScorerKind, error) {
-	nodes, scorer := s.cfg.ClusterNodes, s.cfg.ClusterScorer
 	var err error
 	if nodesSpec != "" {
-		if nodes, err = hetsched.ParseClusterSpec(nodesSpec); err != nil {
-			return nil, 0, fmt.Errorf("nodes: %w", err)
+		if cfg.Nodes, err = hetsched.ParseClusterSpec(nodesSpec); err != nil {
+			return cfg, fmt.Errorf("nodes: %w", err)
 		}
 	}
 	if scorerName != "" {
-		if scorer, err = hetsched.ParseScorer(scorerName); err != nil {
-			return nil, 0, err
+		if cfg.Scorer, err = hetsched.ParseScorer(scorerName); err != nil {
+			return cfg, err
 		}
 	}
-	return nodes, scorer, nil
+	if err := s.checkRun(system, arrivals, utilization); err != nil {
+		return cfg, err
+	}
+	if stealThreshold < 0 {
+		return cfg, errors.New("negative steal_threshold")
+	}
+	return cfg, nil
+}
+
+// clusterCores is a topology's total core count.
+func clusterCores(nodes []hetsched.SystemSpec) int {
+	cores := 0
+	for _, spec := range nodes {
+		cores += spec.Cores()
+	}
+	return cores
 }
 
 // summarizeCluster projects a ClusterResult onto the wire schema.
@@ -163,15 +126,11 @@ func summarizeCluster(nodes []hetsched.SystemSpec, res *hetsched.ClusterResult) 
 // handleClusterStatus serves GET /v1/cluster/status: the daemon's default
 // topology and the cumulative cluster counters.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	cores := 0
-	for _, spec := range s.cfg.ClusterNodes {
-		cores += spec.Cores()
-	}
-	runs, steals, nodes := s.met.ClusterCounters()
+	runs, steals, nodes := s.met.clusterCounters()
 	writeJSON(w, http.StatusOK, ClusterStatusResponse{
 		Nodes:        hetsched.FormatClusterSpec(s.cfg.ClusterNodes),
 		NodeCount:    len(s.cfg.ClusterNodes),
-		Cores:        cores,
+		Cores:        clusterCores(s.cfg.ClusterNodes),
 		Scorer:       s.cfg.ClusterScorer.String(),
 		ClusterRuns:  runs,
 		Steals:       steals,

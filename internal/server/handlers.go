@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"hetsched"
@@ -105,12 +104,9 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 	case err == nil:
 		writeJSON(w, http.StatusOK, v)
 	case errors.Is(err, ErrQueueFull):
-		// Scale the advised backoff with the backlog: a full queue behind
-		// few workers takes proportionally longer to drain than one behind
-		// many. The envelope carries the raw depth so clients can do better.
-		depth := s.pool.QueueDepth()
-		retry := 1 + depth/s.pool.Workers()
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		// The envelope carries the raw depth so clients can do better than
+		// the advised backoff.
+		depth, retry := s.retryAfter(w)
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error: fmt.Sprintf("job queue full (%d queued, %d workers busy); retry after %ds",
 				depth, s.pool.Busy(), retry),
@@ -169,6 +165,72 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// The four schedule endpoints share one pipeline: decode → check → admit →
+// pool → (workload source × topology) → observe → summarize. A handler
+// keeps only its request type, its defaults, its check order and the shape
+// of its response; runSchedule is the one place that branches, on where
+// the jobs come from (a generator or a batch plan) and on what runs them
+// (one node or the cluster dispatcher).
+
+// scheduleRun is one checked schedule request on its way from the handler
+// through admission and the worker pool to the run step.
+type scheduleRun struct {
+	system   string
+	priority int // admission priority
+	cost     int // admission cost: the jobs the request asks to simulate
+	traced   bool
+
+	// The workload source: generate draws the jobs on the run's System
+	// snapshot; without it the batch plan's rows are characterized through
+	// the serving tier and spread at utilization.
+	generate    func(sys *hetsched.System) ([]hetsched.Job, error)
+	rows        []BatchJob
+	plan        *batchPlan
+	utilization float64
+
+	// The topology: one node under sim, or the cluster dispatcher under
+	// cluster when it names nodes.
+	sim     hetsched.SimConfig
+	cluster hetsched.ClusterConfig
+
+	// respond projects the run's outcome onto the endpoint's response.
+	respond func(runOutcome) any
+}
+
+// runOutcome is the summarized run an endpoint's respond projects: node
+// for a one-node run, cluster for a cluster run, and for a batch source
+// the characterization counts plus the simulated jobs, each one's request
+// row and the placement timeline.
+type runOutcome struct {
+	node     ScheduleResponse
+	cluster  ClusterScheduleResponse
+	wire     BatchCharacterizationWire
+	jobs     []hetsched.Job
+	simToReq []int
+	schedule []core.PlacementEvent
+}
+
+// serveSchedule is the request half of the pipeline: decode the body over
+// req (which carries the endpoint's defaults), answer the first error of
+// check with 400, then admit the run and queue it on the worker pool.
+func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, endpoint string, req any, check func() (*scheduleRun, error)) {
+	var run *scheduleRun
+	err := decodeStrict(r, req)
+	if err == nil {
+		run, err = check()
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+		return
+	}
+	if !s.admit(w, run.priority, run.cost) {
+		return
+	}
+	s.serveJob(w, r, endpoint, func(ctx context.Context) (any, error) {
+		return s.runSchedule(ctx, run)
+	})
+}
+
 // handleSchedule serves POST /v1/schedule.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	req := ScheduleRequest{
@@ -177,140 +239,83 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		Utilization: 0.9,
 		Seed:        1,
 	}
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if err := s.checkRun(req.System, &req.Arrivals, req.Utilization); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if req.PriorityLevels < 0 || req.DeadlineSlack < 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "negative priority_levels or deadline_slack")
-		return
-	}
-	scenarioSpec, err := hetsched.ParseScenarioSpec(req.Scenario)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "scenario: %s", err)
-		return
-	}
-	effArrivals := req.Arrivals
-	if !scenarioSpec.IsZero() {
-		if len(req.Kernels) > 0 || req.PriorityLevels > 0 || req.DeadlineSlack > 0 {
-			writeError(w, http.StatusBadRequest, codeBadRequest,
-				"scenario is mutually exclusive with kernels, priority_levels and deadline_slack")
-			return
+	s.serveSchedule(w, r, "schedule", &req, func() (*scheduleRun, error) {
+		if err := s.checkRun(req.System, &req.Arrivals, req.Utilization); err != nil {
+			return nil, err
 		}
-		if scenarioSpec.Source == "replay" {
-			// Replay reads a server-local file path; that stays a CLI/library
-			// feature rather than a remote-request capability.
-			writeError(w, http.StatusBadRequest, codeBadRequest,
-				"scenario source replay is not available over the API")
-			return
+		if req.PriorityLevels < 0 || req.DeadlineSlack < 0 {
+			return nil, errors.New("negative priority_levels or deadline_slack")
 		}
-		if scenarioSpec.Jobs > 0 {
-			effArrivals = scenarioSpec.Jobs
+		scenario, err := hetsched.ParseScenarioSpec(req.Scenario)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		if effArrivals > s.cfg.MaxArrivals {
-			writeError(w, http.StatusBadRequest, codeBadRequest,
-				"scenario jobs %d exceed the server cap %d", effArrivals, s.cfg.MaxArrivals)
-			return
+		cost := req.Arrivals
+		if !scenario.IsZero() {
+			if len(req.Kernels) > 0 || req.PriorityLevels > 0 || req.DeadlineSlack > 0 {
+				return nil, errors.New("scenario is mutually exclusive with kernels, priority_levels and deadline_slack")
+			}
+			if scenario.Source == "replay" {
+				// Replay reads a server-local file path; that stays a
+				// CLI/library feature rather than a remote-request capability.
+				return nil, errors.New("scenario source replay is not available over the API")
+			}
+			if scenario.Jobs > 0 {
+				cost = scenario.Jobs
+			}
+			if cost > s.cfg.MaxArrivals {
+				return nil, fmt.Errorf("scenario jobs %d exceed the server cap %d", cost, s.cfg.MaxArrivals)
+			}
 		}
-	}
-	if req.Faults != nil {
-		if err := req.Faults.plan().Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "faults: %s", err)
-			return
+		faults, traced, err := checkGenerated(r, req.Faults, req.Kernels, req.Priority)
+		if err != nil {
+			return nil, err
 		}
-	}
-	for _, k := range req.Kernels {
-		if _, err := hetsched.KernelByName(k); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-			return
+		sim := hetsched.SimConfig{Faults: faults}
+		scenario.ApplySim(&sim)
+		if req.PriorityLevels > 0 {
+			sim.PriorityScheduling = true
+			sim.Preemptive = req.Preemptive
 		}
-	}
-	if req.Priority < 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "negative priority")
-		return
-	}
-	traced, err := traceQuery(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if !s.admit(w, req.Priority, effArrivals) {
-		return
-	}
-	s.serveJob(w, r, "schedule", func(ctx context.Context) (any, error) {
-		return s.runSchedule(ctx, req, scenarioSpec, traced)
+		return &scheduleRun{
+			system: req.System, priority: req.Priority, cost: cost, traced: traced, sim: sim,
+			generate: func(sys *hetsched.System) ([]hetsched.Job, error) {
+				var (
+					jobs []hetsched.Job
+					err  error
+				)
+				switch {
+				case !scenario.IsZero():
+					jobs, err = sys.ScenarioWorkload(scenario, req.Arrivals, req.Utilization, req.Seed)
+				case len(req.Kernels) > 0:
+					jobs, err = sys.WeightedWorkload(req.Kernels, req.Arrivals, req.Utilization, req.Seed)
+				default:
+					jobs, err = sys.Workload(req.Arrivals, req.Utilization, req.Seed)
+				}
+				if err != nil {
+					return nil, err
+				}
+				if req.PriorityLevels > 0 {
+					sys.AssignPriorities(jobs, req.PriorityLevels, req.Seed+1)
+				}
+				if req.DeadlineSlack > 0 {
+					err = sys.AssignDeadlines(jobs, req.DeadlineSlack)
+				}
+				return jobs, err
+			},
+			respond: func(o runOutcome) any {
+				o.node.Scenario = scenario.String()
+				return o.node
+			},
+		}, nil
 	})
 }
 
-// runSchedule executes one schedule job on a worker: generate the workload,
-// decorate it, simulate, summarize. The context is checked between stages;
-// a single simulation is not interruptible mid-run.
-func (s *Server) runSchedule(ctx context.Context, req ScheduleRequest, scenarioSpec hetsched.ScenarioSpec, traced bool) (any, error) {
-	sys := s.system() // one snapshot: a concurrent hot-swap never splits this run
-	var (
-		jobs []hetsched.Job
-		err  error
-	)
-	switch {
-	case !scenarioSpec.IsZero():
-		jobs, err = sys.ScenarioWorkload(scenarioSpec, req.Arrivals, req.Utilization, req.Seed)
-	case len(req.Kernels) > 0:
-		jobs, err = sys.WeightedWorkload(req.Kernels, req.Arrivals, req.Utilization, req.Seed)
-	default:
-		jobs, err = sys.Workload(req.Arrivals, req.Utilization, req.Seed)
-	}
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sim := hetsched.SimConfig{}
-	scenarioSpec.ApplySim(&sim)
-	if req.PriorityLevels > 0 {
-		sys.AssignPriorities(jobs, req.PriorityLevels, req.Seed+1)
-		sim.PriorityScheduling = true
-		sim.Preemptive = req.Preemptive
-	}
-	if req.DeadlineSlack > 0 {
-		if err := sys.AssignDeadlines(jobs, req.DeadlineSlack); err != nil {
-			return nil, badRequest(err)
-		}
-	}
-	if req.Faults != nil {
-		sim.Faults = req.Faults.plan()
-	}
-	sim.Trace = inlineRecorder(traced)
-	m, err := sys.RunSystemContext(ctx, req.System, jobs, sim)
-	if err != nil {
-		return nil, err
-	}
-	if m.FaultInjected {
-		s.met.ObserveFaults(m.FaultEvents, m.JobsRedispatched)
-	}
-	if m.Predictor != nil {
-		s.met.ObservePredictor(m.Predictor)
-	}
-	if m.DeadlinesTotal > 0 {
-		s.met.ObserveSLO(m.DeadlinesTotal, m.DeadlineMisses, m.SLOMigrations,
-			m.ClassDeadlines, m.ClassDeadlineMisses)
-	}
-	resp := summarize(m)
-	if !scenarioSpec.IsZero() {
-		resp.Scenario = scenarioSpec.String()
-	}
-	resp.Trace = s.publishTrace(sim.Trace)
-	return resp, nil
-}
-
 // checkRun validates the fields every schedule endpoint shares: the named
-// per-node system and the offered utilization. The single-run endpoints
-// pass their arrivals, checked against the server cap in between — the
-// order their errors have always been reported in; batches pass nil.
+// per-node system and the offered utilization. The generated-workload
+// endpoints pass their arrivals, checked against the server cap in
+// between — the order their errors have always been reported in; batches
+// pass nil.
 func (s *Server) checkRun(system string, arrivals *int, utilization float64) error {
 	if _, _, err := core.NewPolicy(system); err != nil {
 		return err
@@ -324,7 +329,31 @@ func (s *Server) checkRun(system string, arrivals *int, utilization float64) err
 	return nil
 }
 
-// traceQuery parses the ?trace= switch of the single-run schedule
+// checkGenerated validates what the two generated-workload endpoints share
+// after their own fields — the fault plan, the kernel mix, the admission
+// priority, then the ?trace= switch — and returns the run's fault plan (a
+// zero plan inherits the daemon default) and whether it is traced.
+func checkGenerated(r *http.Request, faults *FaultSpec, kernels []string, priority int) (hetsched.FaultPlan, bool, error) {
+	var plan hetsched.FaultPlan
+	if faults != nil {
+		plan = faults.plan()
+		if err := plan.Validate(); err != nil {
+			return plan, false, fmt.Errorf("faults: %w", err)
+		}
+	}
+	for _, k := range kernels {
+		if _, err := hetsched.KernelByName(k); err != nil {
+			return plan, false, err
+		}
+	}
+	if priority < 0 {
+		return plan, false, errors.New("negative priority")
+	}
+	traced, err := traceQuery(r)
+	return plan, traced, err
+}
+
+// traceQuery parses the ?trace= switch of the generated-workload
 // endpoints.
 func traceQuery(r *http.Request) (bool, error) {
 	switch v := r.URL.Query().Get("trace"); v {
@@ -337,6 +366,74 @@ func traceQuery(r *http.Request) (bool, error) {
 	}
 }
 
+// runSchedule is the pipeline's run step, on a worker: draw the jobs from
+// the run's source, run them on its topology, then publish the trace,
+// observe and summarize once per topology. The context is checked between
+// stages; a single simulation is not interruptible mid-run.
+func (s *Server) runSchedule(ctx context.Context, run *scheduleRun) (any, error) {
+	sys := s.system() // one snapshot: a concurrent hot-swap never splits this run
+	nodes := run.cluster.Nodes
+	db := sys.Eval
+	var (
+		out  runOutcome
+		jobs []hetsched.Job
+		err  error
+	)
+	if run.generate != nil {
+		if jobs, err = run.generate(sys); err != nil {
+			return nil, badRequest(err)
+		}
+	} else {
+		if db, out.wire, err = s.characterizeBatch(ctx, run.plan); err != nil {
+			return nil, err
+		}
+		cores := len(core.DefaultSimConfig().CoreSizesKB)
+		if nodes != nil {
+			cores = clusterCores(nodes)
+		}
+		if len(run.plan.valid) == 0 {
+			out.node.System = run.system
+			out.cluster = ClusterScheduleResponse{
+				System:    run.system,
+				Scorer:    run.cluster.Scorer.String(),
+				Nodes:     hetsched.FormatClusterSpec(nodes),
+				NodeCount: len(nodes),
+				Cores:     cores,
+			}
+			return run.respond(out), nil
+		}
+		if jobs, out.simToReq, err = batchJobs(run.rows, run.plan, db, run.utilization, cores); err != nil {
+			return nil, err
+		}
+		out.jobs = jobs
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rec := inlineRecorder(run.traced)
+	if nodes == nil {
+		run.sim.Trace = rec
+		m, err := sys.RunOnDBContext(ctx, db, run.system, jobs, run.sim)
+		if err != nil {
+			return nil, err
+		}
+		out.node = summarize(m)
+		out.node.Trace = s.publishTrace(rec)
+		out.schedule = m.Schedule
+		s.met.observeNode(m, out.node.Trace)
+	} else {
+		run.cluster.Trace = rec
+		res, err := sys.RunClusterOnDBContext(ctx, db, run.cluster, jobs)
+		if err != nil {
+			return nil, err
+		}
+		out.cluster = summarizeCluster(nodes, res)
+		out.cluster.Trace = s.publishTrace(rec)
+		s.met.observeCluster(res, out.cluster.Trace)
+	}
+	return run.respond(out), nil
+}
+
 // inlineRecorder returns the bounded per-run recorder behind ?trace=1, or
 // nil (tracing off) for an untraced run.
 func inlineRecorder(traced bool) *hetsched.TraceRecorder {
@@ -346,21 +443,19 @@ func inlineRecorder(traced bool) *hetsched.TraceRecorder {
 	return hetsched.NewTraceRing(maxInlineTraceEvents)
 }
 
-// publishTrace copies a traced run's events into the daemon-wide ring,
-// feeds the per-kind trace counters and returns the inline response block;
-// an untraced run (nil recorder) publishes nothing and returns nil.
+// publishTrace copies a traced run's events into the daemon-wide ring and
+// returns the inline response block; an untraced run (nil recorder)
+// publishes nothing and returns nil.
 func (s *Server) publishTrace(rec *hetsched.TraceRecorder) *TraceBlock {
 	if rec == nil {
 		return nil
 	}
 	evs := rec.Events()
 	s.ring.Append(evs)
-	counts := traceCounts(rec.Count)
-	s.met.ObserveTrace(counts)
 	return &TraceBlock{
 		Events:  len(evs),
 		Dropped: rec.Dropped(),
-		Counts:  counts,
+		Counts:  traceCounts(rec.Count),
 		Entries: wireEvents(evs),
 	}
 }

@@ -2,9 +2,10 @@ package server
 
 import (
 	"expvar"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hetsched"
@@ -18,61 +19,21 @@ import (
 const latencyReservoirCap = 2048
 
 // Metrics aggregates the daemon's service-level counters: request totals by
-// endpoint and status class, queue/worker gauges wired to the pool, and
-// streaming service-latency percentiles per compute endpoint.
+// endpoint and status class, queue/worker gauges wired to the pool,
+// streaming service-latency percentiles per compute endpoint, and the
+// cumulative outcomes of schedule runs.
 type Metrics struct {
 	start time.Time
 	pool  *Pool              // gauge source (queue depth, busy workers); nil in tests
 	tier  *characterize.Tier // batch characterization tier; nil in tests
 
-	requests  atomic.Int64    // every HTTP request through the logging middleware
-	responses [6]atomic.Int64 // indexed by status class (1xx..5xx)
-	shed      atomic.Int64    // requests rejected by priority-aware admission control
-
-	// Fault-injection counters, cumulative across faulted schedule runs.
-	faultedRuns      atomic.Int64
-	faultEvents      atomic.Int64
-	jobsRedispatched atomic.Int64
-
-	// Decision-audit counters, cumulative across ?trace=1 schedule runs:
-	// how many runs were traced and, per event kind, how many scheduling
-	// decisions they recorded.
-	tracedRuns  atomic.Int64
-	traceMu     sync.Mutex
-	traceCounts map[string]uint64
-
-	// Cluster-dispatch counters, cumulative across /v1/cluster/schedule
-	// runs: run/steal totals plus per-node-index routing counters.
-	clusterRuns   atomic.Int64
-	clusterSteals atomic.Int64
-	clusterMu     sync.Mutex
-	clusterNodes  map[int]*ClusterNodeCounters
-
-	// SLO counters, cumulative across scenario schedule runs that set
-	// deadlines: deadline totals/misses, SLO-forced migrations, and
-	// per-class deadline accounting merged by class name.
-	sloMu          sync.Mutex
-	sloRuns        int64
-	sloDeadlines   int64
-	sloMisses      int64
-	sloMigrations  int64
-	sloClassTotals map[string]int64
-	sloClassMisses map[string]int64
-
-	// Predictor-quality counters, cumulative across schedule runs whose
-	// predictor scored predictions against completed jobs' ground truth.
-	// Member rows merge by name across hot-swaps; weights are the latest
-	// observed end-of-run values.
-	predictorSwaps atomic.Int64
-	predMu         sync.Mutex
-	predRuns       int64
-	predName       string // latest run's predictor name
-	predTotals     PredictorMemberWire
-	predOrder      []string
-	predMembers    map[string]*PredictorMemberWire
-
-	mu  sync.Mutex
-	lat map[string]*latencySeries
+	// mu guards totals and lat, so a Snapshot is one consistent cut: each
+	// observed request or run is in it whole or not at all.
+	mu sync.Mutex
+	// totals holds every cumulative counter in its /metrics wire form; its
+	// gauge, uptime and endpoint fields stay zero.
+	totals Snapshot
+	lat    map[string]*latencySeries
 }
 
 // latencySeries is one endpoint's service-time distribution.
@@ -87,196 +48,163 @@ type latencySeries struct {
 // be nil for tests.
 func NewMetrics(pool *Pool) *Metrics {
 	return &Metrics{
-		start:          time.Now(),
-		pool:           pool,
-		traceCounts:    map[string]uint64{},
-		sloClassTotals: map[string]int64{},
-		sloClassMisses: map[string]int64{},
-		clusterNodes:   map[int]*ClusterNodeCounters{},
-		predMembers:    map[string]*PredictorMemberWire{},
-		lat:            map[string]*latencySeries{},
+		start: time.Now(),
+		pool:  pool,
+		totals: Snapshot{
+			TraceDecisions: map[string]uint64{},
+			ClusterNodes:   map[string]ClusterNodeCounters{},
+			SLOClasses:     map[string]ClassSLOWire{},
+		},
+		lat: map[string]*latencySeries{},
 	}
-}
-
-// series returns (creating if needed) the endpoint's latency series.
-func (m *Metrics) series(endpoint string, seed int64) *latencySeries {
-	s, ok := m.lat[endpoint]
-	if !ok {
-		res, _ := stats.NewReservoir(latencyReservoirCap, seed)
-		qw, _ := stats.NewReservoir(latencyReservoirCap, seed+1)
-		s = &latencySeries{res: res, queueWait: qw}
-		m.lat[endpoint] = s
-	}
-	return s
 }
 
 // ObserveRequest counts one HTTP request and its response status class.
 func (m *Metrics) ObserveRequest(status int) {
-	m.requests.Add(1)
-	if c := status / 100; c >= 1 && c <= 5 {
-		m.responses[c].Add(1)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.totals.Requests++
+	switch status / 100 {
+	case 2:
+		m.totals.Status2xx++
+	case 4:
+		m.totals.Status4xx++
+	case 5:
+		m.totals.Status5xx++
 	}
 }
 
 // ObserveShed counts one request rejected by priority-aware admission
 // control (shed_low_priority, as opposed to the literal queue-full 429).
-func (m *Metrics) ObserveShed() { m.shed.Add(1) }
-
-// ObserveFaults accumulates one fault-injected schedule run's degradation
-// counters into the daemon-wide totals.
-func (m *Metrics) ObserveFaults(events, redispatched int) {
-	m.faultedRuns.Add(1)
-	m.faultEvents.Add(int64(events))
-	m.jobsRedispatched.Add(int64(redispatched))
+func (m *Metrics) ObserveShed() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.totals.JobsShed++
 }
 
-// ObserveTrace accumulates one traced schedule run's per-kind decision
-// counters into the daemon-wide totals.
-func (m *Metrics) ObserveTrace(counts map[string]uint64) {
-	m.tracedRuns.Add(1)
-	m.traceMu.Lock()
-	defer m.traceMu.Unlock()
-	for kind, n := range counts {
-		m.traceCounts[kind] += n
+// observeNode accumulates one one-node schedule run into the totals: its
+// inline trace block (nil when untraced) and its fault, SLO and predictor
+// outcomes. Per-class SLO counters merge by class name, predictor members
+// by member name across hot-swaps, with the latest end-of-run weight.
+func (m *Metrics) observeNode(run hetsched.Metrics, tb *TraceBlock) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := &m.totals
+	t.observeTrace(tb)
+	if run.FaultInjected {
+		t.FaultedRuns++
+		t.FaultEvents += int64(run.FaultEvents)
+		t.JobsRedispatched += int64(run.JobsRedispatched)
+	}
+	if run.DeadlinesTotal > 0 {
+		t.SLORuns++
+		t.SLODeadlines += int64(run.DeadlinesTotal)
+		t.SLOMisses += int64(run.DeadlineMisses)
+		t.SLOMigrations += int64(run.SLOMigrations)
+		for name, n := range run.ClassDeadlines {
+			c := t.SLOClasses[name]
+			c.Deadlines += n
+			c.Misses += run.ClassDeadlineMisses[name]
+			if c.Deadlines > 0 {
+				c.MissRate = float64(c.Misses) / float64(c.Deadlines)
+			}
+			t.SLOClasses[name] = c
+		}
+	}
+	if ps := run.Predictor; ps != nil && ps.Predictions > 0 {
+		t.PredictorRuns++
+		if t.Predictor == nil {
+			t.Predictor = &PredictorWire{}
+		}
+		p := t.Predictor
+		p.Name = ps.Name
+		p.Predictions += int64(ps.Predictions)
+		p.Hits += int64(ps.Hits)
+		p.RegretNJ += ps.RegretNJ
+		p.HitRate = float64(p.Hits) / float64(p.Predictions)
+		for _, mem := range ps.Members {
+			i := slices.IndexFunc(p.Members, func(w PredictorMemberWire) bool { return w.Name == mem.Name })
+			if i < 0 {
+				i = len(p.Members)
+				p.Members = append(p.Members, PredictorMemberWire{Name: mem.Name})
+			}
+			c := &p.Members[i]
+			c.Weight = mem.Weight
+			c.Predictions += int64(mem.Predictions)
+			c.Hits += int64(mem.Hits)
+			c.RegretNJ += mem.RegretNJ
+			if c.Predictions > 0 {
+				c.HitRate = float64(c.Hits) / float64(c.Predictions)
+			}
+		}
 	}
 }
 
-// ObserveCluster accumulates one cluster run's routing outcome into the
-// daemon-wide totals: the steal count plus each node's routed jobs, steal
-// flows, peak backlog (a high-water mark, not a sum) and attributed energy.
-func (m *Metrics) ObserveCluster(res *hetsched.ClusterResult) {
-	m.clusterRuns.Add(1)
-	m.clusterSteals.Add(int64(res.Steals))
-	m.clusterMu.Lock()
-	defer m.clusterMu.Unlock()
+// observeCluster accumulates one cluster run into the totals: its inline
+// trace block (nil when untraced), the steal count plus each node index's
+// routed jobs, steal flows, peak backlog (a high-water mark, not a sum)
+// and attributed energy.
+func (m *Metrics) observeCluster(res *hetsched.ClusterResult, tb *TraceBlock) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := &m.totals
+	t.observeTrace(tb)
+	t.ClusterRuns++
+	t.ClusterSteals += int64(res.Steals)
 	for _, nr := range res.Nodes {
-		c, ok := m.clusterNodes[nr.Node]
-		if !ok {
-			c = &ClusterNodeCounters{}
-			m.clusterNodes[nr.Node] = c
-		}
+		key := strconv.Itoa(nr.Node)
+		c := t.ClusterNodes[key]
 		c.Jobs += int64(nr.JobsRouted)
 		c.StolenIn += int64(nr.StolenIn)
 		c.StolenOut += int64(nr.StolenOut)
-		if int64(nr.MaxPending) > c.MaxPending {
-			c.MaxPending = int64(nr.MaxPending)
-		}
+		c.MaxPending = max(c.MaxPending, int64(nr.MaxPending))
 		c.TotalEnergyNJ += nr.Metrics.TotalEnergy()
+		t.ClusterNodes[key] = c
 	}
 }
 
-// ObserveSLO accumulates one deadline-bearing schedule run's SLO outcome
-// into the daemon-wide totals, merging per-class counters by class name.
-func (m *Metrics) ObserveSLO(deadlines, misses, migrations int, classTotals, classMisses map[string]int) {
-	m.sloMu.Lock()
-	defer m.sloMu.Unlock()
-	m.sloRuns++
-	m.sloDeadlines += int64(deadlines)
-	m.sloMisses += int64(misses)
-	m.sloMigrations += int64(migrations)
-	for name, n := range classTotals {
-		m.sloClassTotals[name] += int64(n)
-	}
-	for name, n := range classMisses {
-		m.sloClassMisses[name] += int64(n)
-	}
-}
-
-// SLOCounters returns the cumulative SLO totals and a per-class counter map
-// (nil until a deadline-bearing run has completed).
-func (m *Metrics) SLOCounters() (runs, deadlines, misses, migrations int64, classes map[string]ClassSLOWire) {
-	m.sloMu.Lock()
-	defer m.sloMu.Unlock()
-	runs, deadlines, misses, migrations = m.sloRuns, m.sloDeadlines, m.sloMisses, m.sloMigrations
-	if len(m.sloClassTotals) == 0 {
-		return runs, deadlines, misses, migrations, nil
-	}
-	classes = make(map[string]ClassSLOWire, len(m.sloClassTotals))
-	for name, n := range m.sloClassTotals {
-		w := ClassSLOWire{Deadlines: int(n), Misses: int(m.sloClassMisses[name])}
-		if w.Deadlines > 0 {
-			w.MissRate = float64(w.Misses) / float64(w.Deadlines)
-		}
-		classes[name] = w
-	}
-	return runs, deadlines, misses, migrations, classes
-}
-
-// ObservePredictor accumulates one schedule run's predictor scorecard
-// (Metrics.Predictor) into the daemon-wide totals.
-func (m *Metrics) ObservePredictor(ps *hetsched.PredictorStats) {
-	if ps == nil || ps.Predictions == 0 {
+// observeTrace accumulates a traced run's per-kind decision counters.
+func (t *Snapshot) observeTrace(tb *TraceBlock) {
+	if tb == nil {
 		return
 	}
-	m.predMu.Lock()
-	defer m.predMu.Unlock()
-	m.predRuns++
-	m.predName = ps.Name
-	m.predTotals.Predictions += int64(ps.Predictions)
-	m.predTotals.Hits += int64(ps.Hits)
-	m.predTotals.RegretNJ += ps.RegretNJ
-	for _, mem := range ps.Members {
-		c, ok := m.predMembers[mem.Name]
-		if !ok {
-			c = &PredictorMemberWire{Name: mem.Name}
-			m.predMembers[mem.Name] = c
-			m.predOrder = append(m.predOrder, mem.Name)
-		}
-		c.Weight = mem.Weight // end-of-run weight; latest run wins
-		c.Predictions += int64(mem.Predictions)
-		c.Hits += int64(mem.Hits)
-		c.RegretNJ += mem.RegretNJ
+	t.TracedRuns++
+	for kind, n := range tb.Counts {
+		t.TraceDecisions[kind] += n
 	}
 }
 
-// ObservePredictorSwap counts one successful POST /v1/predictor hot-swap.
-func (m *Metrics) ObservePredictorSwap() { m.predictorSwaps.Add(1) }
+// observeSwap counts one successful POST /v1/predictor hot-swap.
+func (m *Metrics) observeSwap() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.totals.PredictorSwaps++
+}
 
-// PredictorSwaps reports the successful hot-swap count.
-func (m *Metrics) PredictorSwaps() int64 { return m.predictorSwaps.Load() }
+// predictorCounters returns the hot-swap count and a copy of the cumulative
+// predictor scorecard (nil until a predictor-bearing run has completed).
+func (m *Metrics) predictorCounters() (int64, *PredictorWire) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.totals.PredictorSwaps, m.totals.predictorCopy()
+}
 
-// PredictorTotals returns the cumulative predictor scorecard, or nil if no
-// predictor-bearing run has completed yet.
-func (m *Metrics) PredictorTotals() *PredictorWire {
-	m.predMu.Lock()
-	defer m.predMu.Unlock()
-	if m.predRuns == 0 {
+// clusterCounters returns the cumulative cluster run/steal totals and a
+// copy of the per-node counters.
+func (m *Metrics) clusterCounters() (runs, steals int64, nodes map[string]ClusterNodeCounters) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.totals.ClusterRuns, m.totals.ClusterSteals, maps.Clone(m.totals.ClusterNodes)
+}
+
+// predictorCopy deep-copies the predictor scorecard.
+func (t *Snapshot) predictorCopy() *PredictorWire {
+	if t.Predictor == nil {
 		return nil
 	}
-	w := &PredictorWire{
-		Name:        m.predName,
-		Predictions: m.predTotals.Predictions,
-		Hits:        m.predTotals.Hits,
-		RegretNJ:    m.predTotals.RegretNJ,
-	}
-	if w.Predictions > 0 {
-		w.HitRate = float64(w.Hits) / float64(w.Predictions)
-	}
-	for _, name := range m.predOrder {
-		c := *m.predMembers[name]
-		if c.Predictions > 0 {
-			c.HitRate = float64(c.Hits) / float64(c.Predictions)
-		}
-		w.Members = append(w.Members, c)
-	}
-	return w
-}
-
-// ClusterCounters returns the cumulative cluster run/steal totals and a
-// copy of the per-node counters keyed by node index ("0", "1", ...).
-func (m *Metrics) ClusterCounters() (runs, steals int64, nodes map[string]ClusterNodeCounters) {
-	runs = m.clusterRuns.Load()
-	steals = m.clusterSteals.Load()
-	m.clusterMu.Lock()
-	defer m.clusterMu.Unlock()
-	if len(m.clusterNodes) == 0 {
-		return runs, steals, nil
-	}
-	nodes = make(map[string]ClusterNodeCounters, len(m.clusterNodes))
-	for i, c := range m.clusterNodes {
-		nodes[strconv.Itoa(i)] = *c
-	}
-	return runs, steals, nodes
+	p := *t.Predictor
+	p.Members = slices.Clone(p.Members)
+	return &p
 }
 
 // ObserveService records one compute job's end-to-end service time and
@@ -284,7 +212,14 @@ func (m *Metrics) ClusterCounters() (runs, steals int64, nodes map[string]Cluste
 func (m *Metrics) ObserveService(endpoint string, total, queueWait time.Duration, failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.series(endpoint, int64(len(m.lat))*7919+1)
+	s, ok := m.lat[endpoint]
+	if !ok {
+		seed := int64(len(m.lat))*7919 + 1
+		res, _ := stats.NewReservoir(latencyReservoirCap, seed)
+		qw, _ := stats.NewReservoir(latencyReservoirCap, seed+1)
+		s = &latencySeries{res: res, queueWait: qw}
+		m.lat[endpoint] = s
+	}
 	s.count++
 	if failed {
 		s.errors++
@@ -360,56 +295,17 @@ type Snapshot struct {
 	Endpoints map[string]EndpointSnapshot `json:"endpoints"`
 }
 
-// Snapshot captures the current counters and percentile estimates.
+// Snapshot captures the current counters and percentile estimates. Every
+// counter Metrics owns is copied under one hold of its lock; the pool
+// gauges and tier counters are the pool's and the tier's own.
 func (m *Metrics) Snapshot() Snapshot {
-	snap := Snapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		Requests:      m.requests.Load(),
-		Status2xx:     m.responses[2].Load(),
-		Status4xx:     m.responses[4].Load(),
-		Status5xx:     m.responses[5].Load(),
-
-		FaultedRuns:      m.faultedRuns.Load(),
-		FaultEvents:      m.faultEvents.Load(),
-		JobsRedispatched: m.jobsRedispatched.Load(),
-
-		TracedRuns: m.tracedRuns.Load(),
-
-		JobsShed: m.shed.Load(),
-
-		Endpoints: map[string]EndpointSnapshot{},
-	}
-	if m.tier != nil {
-		ts := m.tier.Stats()
-		snap.Characterization = &ts
-	}
-	m.traceMu.Lock()
-	if len(m.traceCounts) > 0 {
-		snap.TraceDecisions = make(map[string]uint64, len(m.traceCounts))
-		for kind, n := range m.traceCounts {
-			snap.TraceDecisions[kind] = n
-		}
-	}
-	m.traceMu.Unlock()
-	snap.ClusterRuns, snap.ClusterSteals, snap.ClusterNodes = m.ClusterCounters()
-	snap.SLORuns, snap.SLODeadlines, snap.SLOMisses, snap.SLOMigrations, snap.SLOClasses = m.SLOCounters()
-	snap.PredictorSwaps = m.PredictorSwaps()
-	snap.Predictor = m.PredictorTotals()
-	m.predMu.Lock()
-	snap.PredictorRuns = m.predRuns
-	m.predMu.Unlock()
-	if m.pool != nil {
-		snap.Workers = m.pool.Workers()
-		snap.WorkersBusy = m.pool.Busy()
-		snap.QueueDepth = m.pool.QueueDepth()
-		snap.QueueCap = m.pool.QueueCapacity()
-		snap.JobsAccepted = m.pool.submitted.Load()
-		snap.JobsRejected = m.pool.rejected.Load()
-		snap.JobsCanceled = m.pool.canceled.Load()
-		snap.JobPanics = m.pool.panics.Load()
-	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	snap := m.totals
+	snap.TraceDecisions = maps.Clone(snap.TraceDecisions)
+	snap.ClusterNodes = maps.Clone(snap.ClusterNodes)
+	snap.SLOClasses = maps.Clone(snap.SLOClasses)
+	snap.Predictor = m.totals.predictorCopy()
+	snap.Endpoints = make(map[string]EndpointSnapshot, len(m.lat))
 	for name, s := range m.lat {
 		qs, err := s.res.Quantiles(0.50, 0.95, 0.99)
 		if err != nil {
@@ -427,6 +323,23 @@ func (m *Metrics) Snapshot() Snapshot {
 			P99Ms:        qs[2],
 			QueueWaitP95: qw,
 		}
+	}
+	m.mu.Unlock()
+
+	snap.UptimeSeconds = time.Since(m.start).Seconds()
+	if m.tier != nil {
+		ts := m.tier.Stats()
+		snap.Characterization = &ts
+	}
+	if m.pool != nil {
+		snap.Workers = m.pool.Workers()
+		snap.WorkersBusy = m.pool.Busy()
+		snap.QueueDepth = m.pool.QueueDepth()
+		snap.QueueCap = m.pool.QueueCapacity()
+		snap.JobsAccepted = m.pool.submitted.Load()
+		snap.JobsRejected = m.pool.rejected.Load()
+		snap.JobsCanceled = m.pool.canceled.Load()
+		snap.JobPanics = m.pool.panics.Load()
 	}
 	return snap
 }

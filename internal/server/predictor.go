@@ -18,12 +18,8 @@ import (
 // response for one System snapshot.
 func (s *Server) predictorState(sys *hetsched.System) PredictorStateResponse {
 	spec := sys.PredictorSpec()
-	resp := PredictorStateResponse{
-		Spec:       spec.String(),
-		Online:     spec.Online(),
-		Swaps:      s.met.PredictorSwaps(),
-		Cumulative: s.met.PredictorTotals(),
-	}
+	resp := PredictorStateResponse{Spec: spec.String(), Online: spec.Online()}
+	resp.Swaps, resp.Cumulative = s.met.predictorCounters()
 	if rep, ok := sys.Pred.(core.PredictorReporter); ok {
 		snap := rep.PredictorSnapshot()
 		for _, m := range snap.Members {
@@ -77,7 +73,7 @@ func (s *Server) handlePredictorSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sys.Store(next)
-	s.met.ObservePredictorSwap()
+	s.met.observeSwap()
 	s.cfg.Logger.Printf("msg=predictor-swapped from=%s to=%s",
 		cur.PredictorName(), next.PredictorName())
 	writeJSON(w, http.StatusOK, s.predictorState(next))
