@@ -294,8 +294,9 @@ func (s *Server) handleClusterScheduleBatch(w http.ResponseWriter, r *http.Reque
 }
 
 // checkBatch validates what both batch endpoints share — the batch size,
-// then every row — and returns a run drawing its workload from the batch
-// plan, admitted at the highest priority the request or any row asserts.
+// every row, then the request-level priority — and returns a run drawing
+// its workload from the batch plan, admitted at the highest priority the
+// request or any row asserts.
 func (s *Server) checkBatch(system string, utilization float64, priority int, rows []BatchJob) (*scheduleRun, error) {
 	if len(rows) < 1 || len(rows) > s.cfg.MaxArrivals {
 		return nil, fmt.Errorf("batch of %d jobs out of range [1, %d]", len(rows), s.cfg.MaxArrivals)
@@ -303,6 +304,9 @@ func (s *Server) checkBatch(system string, utilization float64, priority int, ro
 	plan, err := planBatch(rows)
 	if err != nil {
 		return nil, err
+	}
+	if priority < 0 {
+		return nil, errNegativePriority
 	}
 	for _, j := range rows {
 		priority = max(priority, j.Priority)

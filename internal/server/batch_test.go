@@ -394,3 +394,26 @@ func TestBatchFaultCounters(t *testing.T) {
 			snap.FaultedRuns, snap.FaultEvents)
 	}
 }
+
+// TestBatchNegativePriority checks both batch endpoints reject a negative
+// request-level priority with 400, as /v1/schedule does, instead of
+// shedding it with a 429 whose Retry-After no retry could satisfy.
+func TestBatchNegativePriority(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/schedule/batch", "/v1/cluster/schedule/batch"} {
+		resp, body := postJSON(t, ts.URL+path, `{"priority": -1, "jobs": [{"kernel": "a2time", "priority": -1}]}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, body %s, want 400", path, resp.StatusCode, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Errorf("%s: Retry-After %q on a request no retry can fix", path, ra)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Code != codeBadRequest || er.Error != "negative priority" {
+			t.Errorf("%s: envelope %s, want bad_request \"negative priority\"", path, body)
+		}
+	}
+	if shed := s.met.Snapshot().JobsShed; shed != 0 {
+		t.Errorf("jobs_shed = %d, want 0", shed)
+	}
+}

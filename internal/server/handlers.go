@@ -329,6 +329,10 @@ func (s *Server) checkRun(system string, arrivals *int, utilization float64) err
 	return nil
 }
 
+// errNegativePriority rejects a negative request-level admission priority:
+// admission would shed it even on an idle daemon, so no retry could help.
+var errNegativePriority = errors.New("negative priority")
+
 // checkGenerated validates what the two generated-workload endpoints share
 // after their own fields — the fault plan, the kernel mix, the admission
 // priority, then the ?trace= switch — and returns the run's fault plan (a
@@ -347,7 +351,7 @@ func checkGenerated(r *http.Request, faults *FaultSpec, kernels []string, priori
 		}
 	}
 	if priority < 0 {
-		return plan, false, errors.New("negative priority")
+		return plan, false, errNegativePriority
 	}
 	traced, err := traceQuery(r)
 	return plan, traced, err
