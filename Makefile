@@ -100,7 +100,8 @@ cover-check: cover
 
 # Short fuzz pass over the untrusted-input parsers: cache-config specs, the
 # text assembler, binary memory traces, -faults plan specs, CSV traces,
-# -predictor ensemble specs, and -scenario workload specs.
+# -predictor ensemble specs and -scenario workload specs; then the daemon's
+# four schedule endpoints on the wire (2xx or 4xx JSON, never 5xx or panic).
 fuzz:
 	$(GO) test ./internal/cache -fuzz FuzzParseConfig -fuzztime 20s
 	$(GO) test ./internal/isa -fuzz FuzzAssemble -fuzztime 20s
@@ -109,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzTraceFile -fuzztime 20s
 	$(GO) test . -run=NONE -fuzz FuzzParsePredictorSpec -fuzztime 20s
 	$(GO) test ./internal/scenario -run=NONE -fuzz FuzzParseScenarioSpec -fuzztime 20s
+	$(GO) test ./internal/server -run=NONE -fuzz FuzzScheduleEndpoints -fuzztime 20s
 
 # Net line delta of the non-test Go files between BASE and the working tree
 # (tracked and staged files), from git diff --numstat:

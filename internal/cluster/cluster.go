@@ -311,7 +311,7 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %v", i, err)
+			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 	}
 

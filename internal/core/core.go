@@ -332,6 +332,7 @@ type Simulator struct {
 	// Fault injection (nil unless Cfg.Faults is enabled).
 	inj           *fault.Injector
 	recoveredDown uint64 // downtime of completed outages, for MTTR
+	stalledKills  int    // executions killed since the last completion
 
 	// Outcome-feedback accounting (see feedback.go): the run's prequential
 	// predictor scorecard and the per-app regret memo behind it.
@@ -633,6 +634,7 @@ func (s *Simulator) completeDue() error {
 			s.metrics.TurnaroundCycles += c.busyUntil - job.ArrivalCycle
 			s.metrics.Turnarounds = append(s.metrics.Turnarounds, c.busyUntil-job.ArrivalCycle)
 			s.metrics.Completed++
+			s.stalledKills = 0
 			s.metrics.PerAppRuns[job.AppID]++
 			if job.Deadlined() {
 				s.metrics.DeadlinesTotal++

@@ -21,12 +21,24 @@ package core
 // found.
 
 import (
+	"errors"
 	"fmt"
 
 	"hetsched/internal/cache"
 	"hetsched/internal/fault"
 	"hetsched/internal/stats"
 )
+
+// maxStalledKills bounds the executions faults may kill in a row with no
+// job completing in between. A plan whose crashes come faster than jobs can
+// run kills forever and the run never ends; a plan that lets even one
+// attempt in 150 finish (a transient MTTF a fifth of the job length) stays
+// far from the bound.
+const maxStalledKills = 10000
+
+// ErrNoProgress reports a run abandoned after maxStalledKills executions
+// were killed in a row: the fault plan leaves no job a window to complete.
+var ErrNoProgress = errors.New("core: the fault plan leaves no job a window to complete")
 
 // applyFaultsDue consumes and applies every fault event due at the current
 // simulation time, in the injector's deterministic (cycle, core, kind)
@@ -126,6 +138,9 @@ func (s *Simulator) killExecution(c *SimCore) error {
 	s.queue = append(s.queue, job)
 	s.traceEnqueue(job)
 	s.metrics.JobsRedispatched++
+	if s.stalledKills++; s.stalledKills >= maxStalledKills {
+		return fmt.Errorf("%w (%d executions killed since the last completion)", ErrNoProgress, s.stalledKills)
+	}
 	return nil
 }
 

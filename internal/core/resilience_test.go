@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -272,6 +273,27 @@ func TestAllCoresDeadErrors(t *testing.T) {
 	_, err = sim.Run(jobs)
 	if err == nil || !strings.Contains(err.Error(), "all cores permanently failed") {
 		t.Fatalf("whole-machine loss returned %v", err)
+	}
+}
+
+// TestNoProgressErrors: a plan whose transient crashes come far faster than
+// any job can run must end the run with ErrNoProgress instead of killing
+// and re-queueing forever.
+func TestNoProgressErrors(t *testing.T) {
+	db := testDB(t)
+	jobs := testJobs(t, db, 20, 0.7, 3)
+	cfg := DefaultSimConfig()
+	cfg.Faults = fault.Plan{Seed: 3, TransientMTTF: 1000, RecoveryCycles: 1}
+	sim, err := NewSimulator(db, energy.NewDefault(), BasePolicy{}, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.Run(jobs)
+	if !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("livelocked plan returned %v", err)
+	}
+	if m.JobsRedispatched < maxStalledKills {
+		t.Errorf("gave up after %d kills, want at least %d", m.JobsRedispatched, maxStalledKills)
 	}
 }
 

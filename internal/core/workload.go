@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -226,6 +227,10 @@ func HorizonForUtilization(db *characterize.DB, appIDs []int, arrivals, cores in
 	horizon := mean * float64(arrivals) / float64(cores) / util
 	if horizon < 1 {
 		horizon = 1
+	}
+	if horizon > math.MaxInt64 {
+		// Arrival times are drawn as int64 cycle counts.
+		return 0, fmt.Errorf("core: utilization %v spreads %d arrivals beyond the int64 cycle range", util, arrivals)
 	}
 	return uint64(horizon), nil
 }

@@ -124,6 +124,9 @@ func TestHorizonForUtilization(t *testing.T) {
 	if _, err := HorizonForUtilization(db, ids, 1000, 4, 0); err == nil {
 		t.Error("zero utilization accepted")
 	}
+	if _, err := HorizonForUtilization(db, ids, 1000, 4, 1e-300); err == nil {
+		t.Error("a horizon past the int64 cycle range accepted")
+	}
 	if _, err := HorizonForUtilization(db, ids, 1000, 0, 0.5); err == nil {
 		t.Error("zero cores accepted")
 	}

@@ -115,7 +115,7 @@ func Run(k Kernel, p Params, sink vm.MemSink) (vm.Counters, error) {
 	}
 	ctr, err := machine.Run(prog, 200_000_000)
 	if err != nil {
-		return ctr, fmt.Errorf("eembc: %s run: %v", k.Name, err)
+		return ctr, fmt.Errorf("eembc: %s run: %w", k.Name, err)
 	}
 	return ctr, nil
 }

@@ -126,14 +126,14 @@ func summarizeCluster(nodes []hetsched.SystemSpec, res *hetsched.ClusterResult) 
 // handleClusterStatus serves GET /v1/cluster/status: the daemon's default
 // topology and the cumulative cluster counters.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	runs, steals, nodes := s.met.clusterCounters()
+	met := s.met.Snapshot()
 	writeJSON(w, http.StatusOK, ClusterStatusResponse{
 		Nodes:        hetsched.FormatClusterSpec(s.cfg.ClusterNodes),
 		NodeCount:    len(s.cfg.ClusterNodes),
 		Cores:        clusterCores(s.cfg.ClusterNodes),
 		Scorer:       s.cfg.ClusterScorer.String(),
-		ClusterRuns:  runs,
-		Steals:       steals,
-		NodeCounters: nodes,
+		ClusterRuns:  met.ClusterRuns,
+		Steals:       met.ClusterSteals,
+		NodeCounters: met.ClusterNodes,
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"hetsched/internal/cache"
 	"hetsched/internal/core"
 	"hetsched/internal/trace"
+	"hetsched/internal/vm"
 )
 
 // maxInlineTraceEvents caps the per-run recorder behind ?trace=1 (and so
@@ -99,7 +100,6 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 		s.met.ObserveService(endpoint, time.Since(start), wait, err != nil)
 	}
 
-	var bad badRequestError
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, v)
@@ -120,8 +120,10 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 			"request exceeded the %s service timeout", s.cfg.RequestTimeout)
 	case errors.Is(err, context.Canceled):
 		writeError(w, statusClientClosedRequest, codeClientClosed, "client closed request")
-	case errors.As(err, &bad):
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", bad.Error())
+	case errors.As(err, new(badRequestError)), errors.Is(err, core.ErrNoProgress), errors.As(err, new(vm.ErrBudget)):
+		// The payload's doing: a bad field, a fault plan that kills jobs
+		// faster than they run, or a kernel variant too long to execute.
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
 	default:
 		writeError(w, http.StatusInternalServerError, codeInternal, "%s", err)
 	}
@@ -279,11 +281,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		return &scheduleRun{
 			system: req.System, priority: req.Priority, cost: cost, traced: traced, sim: sim,
-			generate: func(sys *hetsched.System) ([]hetsched.Job, error) {
-				var (
-					jobs []hetsched.Job
-					err  error
-				)
+			generate: func(sys *hetsched.System) (jobs []hetsched.Job, err error) {
 				switch {
 				case !scenario.IsZero():
 					jobs, err = sys.ScenarioWorkload(scenario, req.Arrivals, req.Utilization, req.Seed)
@@ -353,20 +351,13 @@ func checkGenerated(r *http.Request, faults *FaultSpec, kernels []string, priori
 	if priority < 0 {
 		return plan, false, errNegativePriority
 	}
-	traced, err := traceQuery(r)
-	return plan, traced, err
-}
-
-// traceQuery parses the ?trace= switch of the generated-workload
-// endpoints.
-func traceQuery(r *http.Request) (bool, error) {
 	switch v := r.URL.Query().Get("trace"); v {
 	case "", "0", "false":
-		return false, nil
+		return plan, false, nil
 	case "1", "true":
-		return true, nil
+		return plan, true, nil
 	default:
-		return false, fmt.Errorf("trace=%q not in {0, 1, true, false}", v)
+		return plan, false, fmt.Errorf("trace=%q not in {0, 1, true, false}", v)
 	}
 }
 
@@ -414,7 +405,10 @@ func (s *Server) runSchedule(ctx context.Context, run *scheduleRun) (any, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rec := inlineRecorder(run.traced)
+	var rec *hetsched.TraceRecorder // the bounded recorder behind ?trace=1
+	if run.traced {
+		rec = hetsched.NewTraceRing(maxInlineTraceEvents)
+	}
 	if nodes == nil {
 		run.sim.Trace = rec
 		m, err := sys.RunOnDBContext(ctx, db, run.system, jobs, run.sim)
@@ -436,15 +430,6 @@ func (s *Server) runSchedule(ctx context.Context, run *scheduleRun) (any, error)
 		s.met.observeCluster(res, out.cluster.Trace)
 	}
 	return run.respond(out), nil
-}
-
-// inlineRecorder returns the bounded per-run recorder behind ?trace=1, or
-// nil (tracing off) for an untraced run.
-func inlineRecorder(traced bool) *hetsched.TraceRecorder {
-	if !traced {
-		return nil
-	}
-	return hetsched.NewTraceRing(maxInlineTraceEvents)
 }
 
 // publishTrace copies a traced run's events into the daemon-wide ring and

@@ -181,32 +181,6 @@ func (m *Metrics) observeSwap() {
 	m.totals.PredictorSwaps++
 }
 
-// predictorCounters returns the hot-swap count and a copy of the cumulative
-// predictor scorecard (nil until a predictor-bearing run has completed).
-func (m *Metrics) predictorCounters() (int64, *PredictorWire) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totals.PredictorSwaps, m.totals.predictorCopy()
-}
-
-// clusterCounters returns the cumulative cluster run/steal totals and a
-// copy of the per-node counters.
-func (m *Metrics) clusterCounters() (runs, steals int64, nodes map[string]ClusterNodeCounters) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totals.ClusterRuns, m.totals.ClusterSteals, maps.Clone(m.totals.ClusterNodes)
-}
-
-// predictorCopy deep-copies the predictor scorecard.
-func (t *Snapshot) predictorCopy() *PredictorWire {
-	if t.Predictor == nil {
-		return nil
-	}
-	p := *t.Predictor
-	p.Members = slices.Clone(p.Members)
-	return &p
-}
-
 // ObserveService records one compute job's end-to-end service time and
 // queue wait for an endpoint; failed marks jobs that returned an error.
 func (m *Metrics) ObserveService(endpoint string, total, queueWait time.Duration, failed bool) {
@@ -261,7 +235,8 @@ type Snapshot struct {
 	// cache, computes) for the batch endpoints; absent until a tier exists.
 	Characterization *characterize.TierStats `json:"characterization,omitempty"`
 
-	// Fault-injection totals across all faulted schedule runs.
+	// Fault-injection totals across all faulted one-node runs, single and
+	// batch; cluster runs feed only the cluster totals.
 	FaultedRuns      int64 `json:"faulted_runs"`
 	FaultEvents      int64 `json:"fault_events"`
 	JobsRedispatched int64 `json:"jobs_redispatched"`
@@ -271,8 +246,8 @@ type Snapshot struct {
 	TracedRuns     int64             `json:"traced_runs"`
 	TraceDecisions map[string]uint64 `json:"trace_decisions,omitempty"`
 
-	// Cluster-dispatch totals across all /v1/cluster/schedule runs; the
-	// per-node map is keyed by node index.
+	// Cluster-dispatch totals across all cluster runs, single and batch;
+	// the per-node map is keyed by node index.
 	ClusterRuns   int64                          `json:"cluster_runs"`
 	ClusterSteals int64                          `json:"cluster_steals"`
 	ClusterNodes  map[string]ClusterNodeCounters `json:"cluster_nodes,omitempty"`
@@ -286,7 +261,7 @@ type Snapshot struct {
 	SLOClasses    map[string]ClassSLOWire `json:"slo_classes,omitempty"`
 
 	// Predictor-quality totals: per-predictor (and per-ensemble-member)
-	// hit rate and cumulative energy regret across all schedule runs,
+	// hit rate and cumulative energy regret across all one-node runs,
 	// plus the hot-swap count.
 	PredictorRuns  int64          `json:"predictor_runs"`
 	PredictorSwaps int64          `json:"predictor_swaps"`
@@ -304,7 +279,11 @@ func (m *Metrics) Snapshot() Snapshot {
 	snap.TraceDecisions = maps.Clone(snap.TraceDecisions)
 	snap.ClusterNodes = maps.Clone(snap.ClusterNodes)
 	snap.SLOClasses = maps.Clone(snap.SLOClasses)
-	snap.Predictor = m.totals.predictorCopy()
+	if p := m.totals.Predictor; p != nil {
+		c := *p
+		c.Members = slices.Clone(p.Members)
+		snap.Predictor = &c
+	}
 	snap.Endpoints = make(map[string]EndpointSnapshot, len(m.lat))
 	for name, s := range m.lat {
 		qs, err := s.res.Quantiles(0.50, 0.95, 0.99)

@@ -18,20 +18,16 @@ import (
 // response for one System snapshot.
 func (s *Server) predictorState(sys *hetsched.System) PredictorStateResponse {
 	spec := sys.PredictorSpec()
-	resp := PredictorStateResponse{Spec: spec.String(), Online: spec.Online()}
-	resp.Swaps, resp.Cumulative = s.met.predictorCounters()
+	met := s.met.Snapshot()
+	resp := PredictorStateResponse{
+		Spec:       spec.String(),
+		Online:     spec.Online(),
+		Swaps:      met.PredictorSwaps,
+		Cumulative: met.Predictor,
+	}
 	if rep, ok := sys.Pred.(core.PredictorReporter); ok {
 		snap := rep.PredictorSnapshot()
-		for _, m := range snap.Members {
-			resp.Members = append(resp.Members, PredictorMemberWire{
-				Name:        m.Name,
-				Weight:      m.Weight,
-				Predictions: int64(m.Predictions),
-				Hits:        int64(m.Hits),
-				HitRate:     m.HitRate(),
-				RegretNJ:    m.RegretNJ,
-			})
-		}
+		resp.Members = predictorWire(&snap).Members
 	} else {
 		// Single legacy predictors have no member decomposition: one row.
 		resp.Members = []PredictorMemberWire{{Name: spec.String(), Weight: 1}}

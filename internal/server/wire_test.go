@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -121,7 +123,7 @@ var wireCases = []wireCase{
 func (c wireCase) request() *http.Request {
 	target := scheduleEndpoints[c.endpoint]
 	if c.trace != "" {
-		target += "?trace=" + c.trace
+		target += "?" + url.Values{"trace": {c.trace}}.Encode()
 	}
 	return httptest.NewRequest(http.MethodPost, target, strings.NewReader(c.body))
 }
@@ -166,6 +168,65 @@ func TestScheduleWireGolden(t *testing.T) {
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("line %d drifted from golden.\ngot:  %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// fuzzServer is the once-per-process server FuzzScheduleEndpoints drives;
+// its small arrivals cap keeps every accepted run short.
+var (
+	fuzzOnce   sync.Once
+	fuzzServer *Server
+	fuzzErr    error
+)
+
+// FuzzScheduleEndpoints serves arbitrary bodies and ?trace= values to the
+// four schedule endpoints. Whatever the payload, the answer is a 2xx or
+// 4xx with a JSON body: a 5xx would blame the server for a bad request,
+// and a panic would take the daemon down. Seeded from wireCases.
+func FuzzScheduleEndpoints(f *testing.F) {
+	for _, c := range wireCases {
+		f.Add(uint8(c.endpoint), c.trace, []byte(c.body))
+	}
+	f.Fuzz(func(t *testing.T, endpoint uint8, trace string, body []byte) {
+		fuzzOnce.Do(func() {
+			fuzzServer, fuzzErr = New(testSystem(t), quietConfig(Config{Workers: 2, MaxArrivals: 64}))
+		})
+		if fuzzErr != nil {
+			t.Fatal(fuzzErr)
+		}
+		c := wireCase{endpoint: int(endpoint) % len(scheduleEndpoints), trace: trace, body: string(body)}
+		rec := httptest.NewRecorder()
+		fuzzServer.Handler().ServeHTTP(rec, c.request())
+		if class := rec.Code / 100; class != 2 && class != 4 {
+			t.Fatalf("%s: status %d, body %s", scheduleEndpoints[c.endpoint], rec.Code, rec.Body.Bytes())
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s: status %d with a non-JSON body %q", scheduleEndpoints[c.endpoint], rec.Code, rec.Body.Bytes())
+		}
+	})
+}
+
+// TestPayloadFailuresAreBadRequests pins the answers to payloads that once
+// failed as 5xx or hung: a utilization so low the arrival horizon overflows
+// the cycle clock, a fault plan that kills jobs faster than they can run,
+// and a batch row whose kernel variant runs past the instruction budget.
+func TestPayloadFailuresAreBadRequests(t *testing.T) {
+	s, err := New(testSystem(t), quietConfig(Config{Workers: 2, MaxArrivals: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []wireCase{
+		{"horizon overflow", 0, "", `{"arrivals":20,"utilization":1e-300}`},
+		{"cluster horizon overflow", 2, "", `{"arrivals":20,"utilization":1e-300}`},
+		{"no progress", 0, "", `{"arrivals":20,"faults":{"seed":3,"transient_mttf_cycles":1000,"recovery_cycles":1}}`},
+		{"cluster no progress", 2, "", `{"nodes":"2*quad","arrivals":20,"faults":{"seed":3,"transient_mttf_cycles":1000,"recovery_cycles":1}}`},
+		{"over budget", 1, "", `{"jobs":[{"kernel":"tblook"},{"kernel":"tblook","scale":16,"iterations":1024}]}`},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, c.request())
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, body %s, want 400", c.name, rec.Code, rec.Body.Bytes())
 		}
 	}
 }
