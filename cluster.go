@@ -65,7 +65,7 @@ func ScorerNames() []string { return cluster.ScorerNames() }
 // RunCluster schedules jobs across a multi-node cluster: the two-level
 // dispatcher routes every arrival through the filter/score pipeline, then
 // each node runs the named per-node system over its share. A ClusterConfig
-// whose Faults/Trace are unset inherits the System's defaults, mirroring
+// whose Sim.Faults/Trace are unset inherits the System's defaults, mirroring
 // RunSystem.
 func (s *System) RunCluster(cfg ClusterConfig, jobs []Job) (*ClusterResult, error) {
 	return s.RunClusterContext(context.Background(), cfg, jobs)
@@ -85,8 +85,8 @@ func (s *System) RunClusterOnDBContext(ctx context.Context, db *DB, cfg ClusterC
 	if db == nil {
 		return nil, fmt.Errorf("hetsched: nil characterization DB")
 	}
-	if !cfg.Faults.Enabled() && s.faults.Enabled() {
-		cfg.Faults = s.faults
+	if !cfg.Sim.Faults.Enabled() && s.faults.Enabled() {
+		cfg.Sim.Faults = s.faults
 	}
 	if cfg.Trace == nil {
 		cfg.Trace = s.tracer

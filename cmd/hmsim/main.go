@@ -15,7 +15,8 @@
 // given multi-node topology by the two-level dispatcher (internal/cluster)
 // and each node runs the proposed system; the report is the per-node
 // routing table plus cluster totals. -timeline prints the merged
-// cross-node schedule, -trace captures the dispatcher's route/steal audit.
+// cross-node schedule, -trace captures the dispatcher's route/steal audit
+// followed by every node's own decisions.
 //
 // -faults injects a deterministic fault plan (transient/permanent core
 // crashes, stuck reconfigurations, profiling-counter noise) into every
@@ -191,7 +192,7 @@ func runScenario(sys *hetsched.System, sp hetsched.ScenarioSpec,
 // runCluster is hmsim's cluster mode: route the workload across the given
 // topology with the two-level dispatcher, simulate every node, and print
 // the per-node routing table (plus, on request, the merged timeline and
-// the dispatcher's route/steal trace).
+// the cluster trace: route/steal decisions, then each node's events).
 func runCluster(sys *hetsched.System, spec string, scorer hetsched.ScorerKind,
 	noSteal bool, cfg hetsched.ExperimentConfig, timeline int, traceFile string) error {
 	nodes, err := hetsched.ParseClusterSpec(spec)
@@ -206,7 +207,7 @@ func runCluster(sys *hetsched.System, spec string, scorer hetsched.ScorerKind,
 		Nodes:           nodes,
 		Scorer:          scorer,
 		DisableStealing: noSteal,
-		RecordSchedule:  timeline > 0,
+		Sim:             hetsched.SimConfig{RecordSchedule: timeline > 0},
 	}
 	var rec *hetsched.TraceRecorder
 	if traceFile != "" {

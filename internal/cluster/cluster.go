@@ -17,10 +17,12 @@
 // totals at any worker count — the same determinism contract as
 // internal/sweep.
 //
-// Fault isolation mirrors real fleets: every node derives its own fault
-// seed from the cluster plan via splitmix64, so node 3 crashing is
-// independent of node 7, while scripted plans apply verbatim to every node
-// (reproducible degradation drills). The dispatcher consults
+// A one-node cluster skips the dispatcher and keeps the fault plan's seed:
+// it is the bare simulator, events and all. On more nodes, fault isolation
+// mirrors real fleets: every node derives its own fault seed from the
+// cluster plan via splitmix64, so node 3 crashing is independent of node 7,
+// while scripted plans apply verbatim to every node (reproducible
+// degradation drills). The dispatcher consults
 // fault.PermanentDeaths — the pure timeline, not the stateful injector — so
 // its surviving-core filter agrees exactly with what each node will suffer.
 package cluster
@@ -63,17 +65,17 @@ type Config struct {
 	// Workers bounds the node-simulation pool (0 = GOMAXPROCS). The count
 	// never changes results.
 	Workers int
-	// Faults is the cluster-level fault plan. Stochastic plans derive an
-	// independent per-node seed (splitmix64 over the plan seed and node
-	// index); scripted plans replay verbatim on every node.
-	Faults fault.Plan
+	// Sim is the node template every node copies. The node specs own
+	// CoreSizesKB, CoreFreqs, ReconfigCycles and ProfilingCycles, and Trace
+	// below owns Trace: the template leaves them unset. On more than one
+	// node a stochastic fault plan derives an independent seed per node
+	// (see nodeFaults); a scripted plan replays verbatim on every node.
+	Sim core.SimConfig
 	// Trace records the dispatcher's route/steal decisions (KindRoute /
-	// KindSteal, stamped system "cluster"). Node-local decisions are not
-	// recorded — the cluster trace is the routing audit. Nil disables.
+	// KindSteal, stamped system "cluster"), then every node's own
+	// simulation events in node order, each tagged with its Node. Nil
+	// disables.
 	Trace *trace.Recorder
-	// RecordSchedule captures every node's execution timeline in its
-	// Metrics.Schedule.
-	RecordSchedule bool
 }
 
 // NodeResult is one node's share of a cluster run.
@@ -142,23 +144,16 @@ func (r *Result) TurnaroundPercentile(p float64) uint64 {
 
 // Cluster runs one cluster configuration over explicit workloads. It is
 // immutable after New and safe for sequential reuse; each Run builds fresh
-// dispatcher and simulator state. Traced runs share the recorder, so do not
-// run one traced Cluster concurrently with itself.
+// dispatcher and simulator state. Traced runs share the recorder (nodes
+// record into Forks merged after the pool), so do not run one traced
+// Cluster concurrently with itself.
 type Cluster struct {
 	db   *characterize.DB
 	em   *energy.Model
 	pred core.Predictor
 	cfg  Config
 
-	system    string
 	needsPred bool
-	// effSizes is each node's effective per-core size list after the
-	// system's core-size mapping ("base" flattens every core to 8 KB) —
-	// the sizes the dispatcher's affinity filter must see.
-	effSizes [][]int
-	// deaths is each node's permanent-loss timeline under its derived
-	// fault plan, sorted by cycle.
-	deaths [][]fault.Event
 }
 
 // New validates and assembles a cluster.
@@ -187,7 +182,11 @@ func New(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config)
 	if cfg.StealThreshold == 0 {
 		cfg.StealThreshold = DefaultStealThreshold
 	}
-	if err := cfg.Faults.Validate(); err != nil {
+	if sim := cfg.Sim; len(sim.CoreSizesKB) > 0 || len(sim.CoreFreqs) > 0 || sim.ReconfigCycles != 0 ||
+		sim.ProfilingCycles != 0 || sim.Trace != nil {
+		return nil, fmt.Errorf("cluster: the Sim template sets a field the node specs or Config.Trace own")
+	}
+	if err := cfg.Sim.Faults.Validate(); err != nil {
 		return nil, err
 	}
 	_, needsPred, err := core.NewPolicy(cfg.System)
@@ -197,13 +196,11 @@ func New(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config)
 	if needsPred && pred == nil {
 		return nil, fmt.Errorf("cluster: system %q requires a predictor", cfg.System)
 	}
-	c := &Cluster{db: db, em: em, pred: pred, cfg: cfg, system: cfg.System, needsPred: needsPred}
+	c := &Cluster{db: db, em: em, pred: pred, cfg: cfg, needsPred: needsPred}
 	for i, spec := range cfg.Nodes {
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %v", i, err)
 		}
-		c.effSizes = append(c.effSizes, core.CoreSizesFor(cfg.System, spec.CoreSizesKB))
-		c.deaths = append(c.deaths, nodeFaultPlan(cfg.Faults, i).PermanentDeaths(spec.Cores()))
 	}
 	return c, nil
 }
@@ -221,11 +218,13 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// nodeFaultPlan derives node's private fault plan: stochastic plans get an
-// independent splitmix64-derived seed per node; scripted plans and the
-// disabled zero plan pass through verbatim.
-func nodeFaultPlan(base fault.Plan, node int) fault.Plan {
-	if !base.Enabled() || len(base.Script) > 0 {
+// nodeFaults derives node's private fault plan: on a multi-node cluster a
+// stochastic plan gets an independent splitmix64-derived seed per node; a
+// scripted plan, the disabled zero plan and a one-node cluster's plan pass
+// through verbatim.
+func (c *Cluster) nodeFaults(node int) fault.Plan {
+	base := c.cfg.Sim.Faults
+	if len(c.cfg.Nodes) == 1 || !base.Enabled() || len(base.Script) > 0 {
 		return base
 	}
 	seed := base.Seed
@@ -258,25 +257,34 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 			return nil, fmt.Errorf("cluster: jobs not sorted by arrival (job %d)", i)
 		}
 	}
-	d := c.newDispatch()
-	if err := d.route(jobs); err != nil {
-		return nil, err
+	res := &Result{System: c.cfg.System, Scorer: c.cfg.Scorer, Jobs: len(jobs), Nodes: make([]NodeResult, len(c.cfg.Nodes))}
+	// One node needs no dispatch: it simulates the workload exactly as
+	// given, which makes it the bare simulator.
+	shares := [][]core.Job{jobs}
+	if len(res.Nodes) > 1 {
+		d := c.newDispatch()
+		if err := d.route(jobs); err != nil {
+			return nil, err
+		}
+		res.Steals = d.steals
+		shares = make([][]core.Job, len(d.nodes))
+		for i, ns := range d.nodes {
+			sort.Slice(ns.jobs, func(a, b int) bool {
+				if ns.jobs[a].ArrivalCycle != ns.jobs[b].ArrivalCycle {
+					return ns.jobs[a].ArrivalCycle < ns.jobs[b].ArrivalCycle
+				}
+				return ns.jobs[a].Index < ns.jobs[b].Index
+			})
+			shares[i] = ns.jobs
+			res.Nodes[i] = NodeResult{StolenIn: ns.stolenIn, StolenOut: ns.stolenOut, MaxPending: ns.maxPending}
+		}
 	}
-
-	res := &Result{System: c.system, Scorer: c.cfg.Scorer, Jobs: len(jobs), Steals: d.steals}
-	res.Nodes = make([]NodeResult, len(c.cfg.Nodes))
+	recs := make([]*trace.Recorder, len(res.Nodes)) // node-local: a Recorder is single-threaded
 	for i := range res.Nodes {
-		ns := d.nodes[i]
-		sort.Slice(ns.jobs, func(a, b int) bool {
-			if ns.jobs[a].ArrivalCycle != ns.jobs[b].ArrivalCycle {
-				return ns.jobs[a].ArrivalCycle < ns.jobs[b].ArrivalCycle
-			}
-			return ns.jobs[a].Index < ns.jobs[b].Index
-		})
-		res.Nodes[i] = NodeResult{
-			Node: i, Spec: c.cfg.Nodes[i], JobsRouted: len(ns.jobs),
-			StolenIn: ns.stolenIn, StolenOut: ns.stolenOut, MaxPending: ns.maxPending,
-			Metrics: core.Metrics{System: c.system},
+		nr := &res.Nodes[i]
+		nr.Node, nr.Spec, nr.JobsRouted, nr.Metrics = i, c.cfg.Nodes[i], len(shares[i]), core.Metrics{System: c.cfg.System}
+		if c.cfg.Trace != nil && len(shares[i]) > 0 {
+			recs[i] = c.cfg.Trace.Fork()
 		}
 	}
 
@@ -286,9 +294,7 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(res.Nodes) {
-		workers = len(res.Nodes)
-	}
+	workers = min(workers, len(res.Nodes))
 	errs := make([]error, len(res.Nodes))
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -297,13 +303,12 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				m, err := c.runNode(ctx, i, d.nodes[i].jobs)
-				res.Nodes[i].Metrics, errs[i] = m, err
+				res.Nodes[i].Metrics, errs[i] = c.runNode(ctx, i, shares[i], recs[i])
 			}
 		}()
 	}
-	for i := range res.Nodes {
-		if len(d.nodes[i].jobs) > 0 {
+	for i, share := range shares {
+		if len(share) > 0 {
 			work <- i
 		}
 	}
@@ -313,6 +318,9 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
+	}
+	for i, rec := range recs {
+		c.cfg.Trace.Merge(rec, i)
 	}
 
 	for i := range res.Nodes {
@@ -331,9 +339,10 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 	return res, nil
 }
 
-// runNode simulates one node over its routed share of the workload.
-func (c *Cluster) runNode(ctx context.Context, node int, jobs []core.Job) (core.Metrics, error) {
-	pol, needsPred, err := core.NewPolicy(c.system)
+// runNode simulates one node over its share of the workload, recording
+// into rec (nil when untraced).
+func (c *Cluster) runNode(ctx context.Context, node int, jobs []core.Job, rec *trace.Recorder) (core.Metrics, error) {
+	pol, needsPred, err := core.NewPolicy(c.cfg.System)
 	if err != nil {
 		return core.Metrics{}, err
 	}
@@ -341,10 +350,12 @@ func (c *Cluster) runNode(ctx context.Context, node int, jobs []core.Job) (core.
 	if needsPred {
 		pred = c.pred
 	}
-	sim := c.cfg.Nodes[node].SimConfig()
-	sim.CoreSizesKB = core.CoreSizesFor(c.system, sim.CoreSizesKB)
-	sim.RecordSchedule = c.cfg.RecordSchedule
-	sim.Faults = nodeFaultPlan(c.cfg.Faults, node)
+	spec := c.cfg.Nodes[node].SimConfig()
+	sim := c.cfg.Sim
+	sim.CoreSizesKB = core.CoreSizesFor(c.cfg.System, spec.CoreSizesKB)
+	sim.ReconfigCycles, sim.ProfilingCycles = spec.ReconfigCycles, spec.ProfilingCycles
+	sim.Faults = c.nodeFaults(node)
+	sim.Trace = rec
 	s, err := core.NewSimulator(c.db, c.em, pol, pred, sim)
 	if err != nil {
 		return core.Metrics{}, err

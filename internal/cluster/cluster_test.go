@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,50 +125,114 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(db, em, nil, Config{Nodes: quad, System: "base", StealThreshold: -1}); err == nil {
 		t.Error("negative steal threshold accepted")
 	}
+	for _, sim := range []core.SimConfig{
+		{CoreSizesKB: []int{8}}, {CoreFreqs: []float64{1}}, {ReconfigCycles: 1}, {ProfilingCycles: 1},
+		{Trace: trace.NewRecorder()}, {Faults: fault.Plan{CounterNoise: 2}},
+	} {
+		if _, err := New(db, em, nil, Config{Nodes: quad, System: "base", Sim: sim}); err == nil {
+			t.Errorf("node template %+v accepted", sim)
+		}
+	}
 	if _, err := New(db, em, nil, Config{Nodes: quad, System: "base"}); err != nil {
 		t.Errorf("predictor-free base cluster rejected: %v", err)
 	}
 }
 
 // TestSingleNodeEquivalence pins the two-level scheduler's degenerate
-// case: a one-node cluster must reproduce the bare simulator bit for bit —
-// routing adds nothing, stealing never fires, the node sees the identical
-// workload.
+// case: a one-node cluster is the bare simulator, metric for metric and
+// trace event for trace event — no dispatch, no stealing, the fault plan's
+// seed verbatim — on every system, scheduling mode and fault plan, and it
+// fails with the simulator's own error when every core dies.
 func TestSingleNodeEquivalence(t *testing.T) {
 	db := testDB(t)
 	em := energy.NewDefault()
-	pred := core.OraclePredictor{DB: db}
-	jobs := testJobs(t, db, 300, 4, 0.8, 11)
+	plain := testJobs(t, db, 200, 4, 0.8, 11)
+	prioritized := append([]core.Job(nil), plain...)
+	core.AssignPriorities(prioritized, 4, 12)
+	deadlined := append([]core.Job(nil), plain...)
+	if err := core.AssignDeadlines(deadlined, db, 3); err != nil {
+		t.Fatal(err)
+	}
+	tied := append([]core.Job(nil), plain...)
+	for i := range tied {
+		tied[i].ArrivalCycle = tied[i/3*3].ArrivalCycle // runs of three equal arrivals
+	}
+	var allDead []fault.Event
+	for c := 0; c < 4; c++ {
+		allDead = append(allDead, fault.Event{Cycle: 1, Core: c, Kind: fault.CrashPermanent})
+	}
+	crashes := fault.Plan{Seed: 9, TransientMTTF: 5_000_000, RecoveryCycles: 20_000, PermanentMTTF: 20_000_000}
 
-	c := newTestCluster(t, db, Config{Nodes: []core.SystemSpec{core.DefaultSystemSpec()}})
-	res, err := c.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		name, system string
+		jobs         []core.Job
+		sim          core.SimConfig
+		fails        bool
 	}
+	var rows []row
+	for _, system := range core.SystemNames() {
+		for _, mode := range []row{
+			{name: "plain", jobs: plain},
+			{name: "priority", jobs: prioritized, sim: core.SimConfig{PriorityScheduling: true, Preemptive: true}},
+			{name: "slo", jobs: deadlined, sim: core.SimConfig{SLOAware: true}},
+		} {
+			for _, plan := range []fault.Plan{{}, crashes} {
+				mode.sim.Faults = plan
+				rows = append(rows, row{fmt.Sprintf("%s/%s/faults=%t", system, mode.name, plan.Enabled()), system, mode.jobs, mode.sim, false})
+			}
+		}
+	}
+	rows = append(rows,
+		row{"proposed/equal-arrivals", "proposed", tied, core.SimConfig{}, false},
+		row{"proposed/all-cores-dead", "proposed", plain, core.SimConfig{Faults: fault.Plan{Script: allDead}}, true})
 
-	pol, _, err := core.NewPolicy("proposed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := core.NewSimulator(db, em, pol, pred, core.DefaultSystemSpec().SimConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sim.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			rec := trace.NewRecorder()
+			c := newTestCluster(t, db, Config{Nodes: []core.SystemSpec{core.DefaultSystemSpec()}, System: r.system, Sim: r.sim, Trace: rec})
+			res, err := c.Run(r.jobs)
 
-	if !reflect.DeepEqual(res.Nodes[0].Metrics, want) {
-		t.Errorf("single-node cluster metrics differ from bare simulator:\n got %+v\nwant %+v",
-			res.Nodes[0].Metrics, want)
-	}
-	if res.Steals != 0 {
-		t.Errorf("single-node cluster stole %d times", res.Steals)
-	}
-	if res.Completed != want.Completed || res.TotalEnergyNJ() != want.TotalEnergy() {
-		t.Errorf("aggregates diverge: %d/%f vs %d/%f",
-			res.Completed, res.TotalEnergyNJ(), want.Completed, want.TotalEnergy())
+			pol, needsPred, perr := core.NewPolicy(r.system)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			var pred core.Predictor
+			if needsPred {
+				pred = core.OraclePredictor{DB: db}
+			}
+			wantRec := trace.NewRecorder()
+			node := core.DefaultSimConfig()
+			sim := r.sim
+			sim.CoreSizesKB = core.CoreSizesFor(r.system, node.CoreSizesKB)
+			sim.ReconfigCycles, sim.ProfilingCycles = node.ReconfigCycles, node.ProfilingCycles
+			sim.Trace = wantRec
+			s, serr := core.NewSimulator(db, em, pol, pred, sim)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			want, werr := s.Run(r.jobs)
+			if r.fails || werr != nil || err != nil {
+				if werr == nil || err == nil || err.Error() != "cluster: node 0: "+werr.Error() {
+					t.Fatalf("cluster error %v, simulator error %v", err, werr)
+				}
+				return
+			}
+
+			if !reflect.DeepEqual(res.Nodes[0].Metrics, want) {
+				t.Errorf("metrics differ from the bare simulator:\n got %+v\nwant %+v", res.Nodes[0].Metrics, want)
+			}
+			if got, want := rec.Events(), wantRec.Events(); !reflect.DeepEqual(got, want) {
+				t.Errorf("trace differs from the bare simulator (%d vs %d events)", len(got), len(want))
+			}
+			if nr := res.Nodes[0]; res.Steals != 0 || nr.MaxPending != 0 || nr.JobsRouted != len(r.jobs) {
+				t.Errorf("dispatch ran: %d steals, max pending %d, %d/%d jobs routed",
+					res.Steals, nr.MaxPending, nr.JobsRouted, len(r.jobs))
+			}
+			if res.Completed != want.Completed || res.TotalEnergyNJ() != want.TotalEnergy() {
+				t.Errorf("aggregates diverge: %d/%f vs %d/%f",
+					res.Completed, res.TotalEnergyNJ(), want.Completed, want.TotalEnergy())
+			}
+		})
 	}
 }
 
@@ -179,7 +244,7 @@ func runMixed(t testing.TB, db *characterize.DB, jobs []core.Job, workers int) (
 	c := newTestCluster(t, db, Config{
 		Nodes:   mustNodes(t, "8*quad;4*4x8;4*2,2,4,8"),
 		Workers: workers,
-		Faults:  fault.Plan{Seed: 3, TransientMTTF: 20_000_000, PermanentMTTF: 80_000_000},
+		Sim:     core.SimConfig{Faults: fault.Plan{Seed: 3, TransientMTTF: 20_000_000, PermanentMTTF: 80_000_000}},
 		Trace:   rec,
 	})
 	res, err := c.Run(jobs)
@@ -191,7 +256,8 @@ func runMixed(t testing.TB, db *characterize.DB, jobs []core.Job, workers int) (
 
 // TestClusterDeterministicAcrossWorkers is the determinism contract: a
 // fixed seed produces bit-identical per-node metrics, energy totals,
-// placements and route/steal traces at any worker count.
+// placements and traces (route/steal plus every node's own events) at any
+// worker count.
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	db := testDB(t)
 	jobs := testJobs(t, db, 600, 72, 0.8, 5)
@@ -321,19 +387,19 @@ func TestBalanceScorerCompletes(t *testing.T) {
 	}
 }
 
-// TestUnschedulableCluster pins the failure mode: a scripted plan that
-// kills every core leaves arrivals unroutable, and the dispatcher reports
-// it instead of looping.
+// TestUnschedulableCluster pins the dispatcher's failure mode: a scripted
+// plan that kills every core of both nodes leaves arrivals unroutable, and
+// the dispatcher reports it instead of looping.
 func TestUnschedulableCluster(t *testing.T) {
 	db := testDB(t)
-	jobs := testJobs(t, db, 20, 4, 0.8, 1)
+	jobs := testJobs(t, db, 20, 8, 0.8, 1)
 	var script []fault.Event
 	for core := 0; core < 4; core++ {
 		script = append(script, fault.Event{Cycle: 1, Core: core, Kind: fault.CrashPermanent})
 	}
 	c := newTestCluster(t, db, Config{
-		Nodes:  []core.SystemSpec{core.DefaultSystemSpec()},
-		Faults: fault.Plan{Script: script},
+		Nodes: mustNodes(t, "2*quad"),
+		Sim:   core.SimConfig{Faults: fault.Plan{Script: script}},
 	})
 	_, err := c.Run(jobs)
 	if err == nil || !strings.Contains(err.Error(), "surviving core") {
@@ -357,10 +423,13 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestNodeFaultSeedsIndependent pins per-node fault isolation: distinct
-// nodes draw distinct permanent-death timelines from one cluster plan.
+// nodes draw distinct permanent-death timelines from one cluster plan,
+// while a one-node cluster keeps the plan's seed.
 func TestNodeFaultSeedsIndependent(t *testing.T) {
+	db := testDB(t)
 	base := fault.Plan{Seed: 5, PermanentMTTF: 1_000_000}
-	p0, p1 := nodeFaultPlan(base, 0), nodeFaultPlan(base, 1)
+	c := newTestCluster(t, db, Config{Nodes: mustNodes(t, "2*quad"), Sim: core.SimConfig{Faults: base}})
+	p0, p1 := c.nodeFaults(0), c.nodeFaults(1)
 	if p0.Seed == p1.Seed {
 		t.Fatal("node plans share a seed")
 	}
@@ -368,9 +437,14 @@ func TestNodeFaultSeedsIndependent(t *testing.T) {
 	if reflect.DeepEqual(d0, d1) {
 		t.Errorf("node death timelines identical: %v", d0)
 	}
+	one := newTestCluster(t, db, Config{Nodes: mustNodes(t, "quad"), Sim: core.SimConfig{Faults: base}})
+	if !reflect.DeepEqual(one.nodeFaults(0), base) {
+		t.Error("one-node cluster derived a fault seed")
+	}
 	// Scripted plans replay verbatim on every node.
 	script := fault.Plan{Script: []fault.Event{{Cycle: 9, Core: 0, Kind: fault.CrashTransient}}}
-	if !reflect.DeepEqual(nodeFaultPlan(script, 3), script) {
+	c = newTestCluster(t, db, Config{Nodes: mustNodes(t, "4*quad"), Sim: core.SimConfig{Faults: script}})
+	if !reflect.DeepEqual(c.nodeFaults(3), script) {
 		t.Error("scripted plan mutated per node")
 	}
 }

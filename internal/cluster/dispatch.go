@@ -134,12 +134,14 @@ func (c *Cluster) newDispatch() *dispatch {
 		sizeNJ:    map[[2]int]float64{},
 	}
 	for i, spec := range c.cfg.Nodes {
+		// The dispatcher sees each node's effective core sizes ("base"
+		// flattens every core to 8 KB) and its permanent-loss timeline.
 		ns := &nodeState{
-			sizes:  c.effSizes[i],
+			sizes:  core.CoreSizesFor(c.cfg.System, spec.CoreSizesKB),
 			deadAt: make([]uint64, spec.Cores()),
 			freeAt: make([]uint64, spec.Cores()),
 		}
-		for _, ev := range c.deaths[i] {
+		for _, ev := range c.nodeFaults(i).PermanentDeaths(spec.Cores()) {
 			if ev.Core >= 0 && ev.Core < len(ns.deadAt) {
 				ns.deadAt[ev.Core] = ev.Cycle
 			}

@@ -383,13 +383,7 @@ func NewSimulator(db *characterize.DB, em *energy.Model, pol Policy, pred Predic
 		}
 	}
 	for i, size := range cfg.CoreSizesKB {
-		ok := false
-		for _, known := range cache.Sizes() {
-			if size == known {
-				ok = true
-			}
-		}
-		if !ok {
+		if !designSpaceSize(size) {
 			return nil, fmt.Errorf("core: core %d size %dKB not in design space", i, size)
 		}
 		s.cores = append(s.cores, &SimCore{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,14 +98,11 @@ func ParseSystemSpec(s string) (SystemSpec, error) {
 	return spec, nil
 }
 
-func designSpaceSize(kb int) bool {
-	for _, s := range cache.Sizes() {
-		if s == kb {
-			return true
-		}
-	}
-	return false
-}
+// designSizes is the Table 1 size axis, built once: Validate and
+// NewSimulator check every core against it.
+var designSizes = cache.Sizes()
+
+func designSpaceSize(kb int) bool { return slices.Contains(designSizes, kb) }
 
 // Validate reports whether the spec describes a machine the simulator
 // accepts: at least one core, at most MaxSpecCores, every size in the

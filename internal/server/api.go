@@ -4,7 +4,10 @@ package server
 // contract documented in DESIGN.md; unknown request fields are rejected so
 // client typos fail loudly instead of silently using defaults.
 
-import "hetsched/internal/characterize"
+import (
+	"hetsched/internal/characterize"
+	"hetsched/internal/trace"
+)
 
 // PredictRequest asks the trained predictor for one kernel's best cache
 // size.
@@ -226,25 +229,10 @@ type TraceBlock struct {
 	Entries []TraceEventWire  `json:"entries"`
 }
 
-// TraceEventWire is the wire form of one trace event (see internal/trace
-// for the field semantics; ints are -1 when not applicable).
-type TraceEventWire struct {
-	Seq         uint64  `json:"seq"`
-	Cycle       uint64  `json:"cycle"`
-	Kind        string  `json:"kind"`
-	System      string  `json:"system,omitempty"`
-	Job         int     `json:"job"`
-	App         int     `json:"app"`
-	Core        int     `json:"core"`
-	Config      string  `json:"config,omitempty"`
-	Start       uint64  `json:"start,omitempty"`
-	SizeKB      int     `json:"size_kb,omitempty"`
-	EnergyNJ    float64 `json:"energy_nj,omitempty"`
-	AltEnergyNJ float64 `json:"alt_energy_nj,omitempty"`
-	Accepted    bool    `json:"accepted,omitempty"`
-	Profiling   bool    `json:"profiling,omitempty"`
-	Detail      string  `json:"detail,omitempty"`
-}
+// TraceEventWire is the wire form of one trace event: the event itself,
+// its kind by name (see internal/trace for the field semantics; ints are -1
+// when not applicable, and node is omitted outside a cluster's nodes 1+).
+type TraceEventWire = trace.Event
 
 // DebugTraceResponse is the /debug/trace ring-buffer dump (default JSON
 // format; ?format=csv and ?format=chrome stream the flat and Perfetto

@@ -225,31 +225,35 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		if err := s.checkRun(req.System, nil, req.Utilization); err != nil {
 			return nil, err
 		}
-		run, err := s.checkBatch(req.System, req.Utilization, req.Priority, req.Jobs)
+		run, err := s.checkBatch(req.Utilization, req.Priority, req.Jobs)
 		if err != nil {
 			return nil, err
 		}
-		run.sim.RecordSchedule = true
+		sim := hetsched.SimConfig{RecordSchedule: true}
 		for _, ri := range run.plan.valid {
 			if req.Jobs[ri].Priority != 0 {
-				run.sim.PriorityScheduling = true
-				run.sim.Preemptive = req.Preemptive
+				sim.PriorityScheduling = true
+				sim.Preemptive = req.Preemptive
 				break
 			}
 		}
+		run.cluster = hetsched.ClusterConfig{Nodes: oneNode, System: req.System, Sim: sim}
 		run.respond = func(o runOutcome) any {
-			fillPlacements(run.plan.results, o.jobs, o.simToReq, o.schedule)
+			node := o.node(req.System)
+			if o.res != nil {
+				fillPlacements(run.plan.results, o.jobs, o.simToReq, o.res.Nodes[0].Metrics.Schedule)
+			}
 			return BatchScheduleResponse{
-				System:           o.node.System,
+				System:           node.System,
 				Jobs:             len(req.Jobs),
 				Scheduled:        len(run.plan.valid),
 				Rejected:         len(req.Jobs) - len(run.plan.valid),
-				Completed:        o.node.Completed,
-				MakespanCycles:   o.node.MakespanCycles,
-				TurnaroundP50:    o.node.TurnaroundP50,
-				TurnaroundP95:    o.node.TurnaroundP95,
-				TurnaroundP99:    o.node.TurnaroundP99,
-				TotalEnergyNJ:    o.node.TotalEnergyNJ,
+				Completed:        node.Completed,
+				MakespanCycles:   node.MakespanCycles,
+				TurnaroundP50:    node.TurnaroundP50,
+				TurnaroundP95:    node.TurnaroundP95,
+				TurnaroundP99:    node.TurnaroundP99,
+				TotalEnergyNJ:    node.TotalEnergyNJ,
 				Characterization: o.wire,
 				Results:          run.plan.results,
 			}
@@ -270,14 +274,14 @@ func (s *Server) handleClusterScheduleBatch(w http.ResponseWriter, r *http.Reque
 		if err != nil {
 			return nil, err
 		}
-		run, err := s.checkBatch(req.System, req.Utilization, req.Priority, req.Jobs)
+		run, err := s.checkBatch(req.Utilization, req.Priority, req.Jobs)
 		if err != nil {
 			return nil, err
 		}
-		run.cluster = cfg
+		run.cluster, run.clustered = cfg, true
 		run.respond = func(o runOutcome) any {
 			resp := BatchClusterScheduleResponse{
-				ClusterScheduleResponse: o.cluster,
+				ClusterScheduleResponse: summarizeCluster(cfg, o),
 				Scheduled:               len(run.plan.valid),
 				Rejected:                len(req.Jobs) - len(run.plan.valid),
 				Characterization:        o.wire,
@@ -297,7 +301,7 @@ func (s *Server) handleClusterScheduleBatch(w http.ResponseWriter, r *http.Reque
 // every row, then the request-level priority — and returns a run drawing
 // its workload from the batch plan, admitted at the highest priority the
 // request or any row asserts.
-func (s *Server) checkBatch(system string, utilization float64, priority int, rows []BatchJob) (*scheduleRun, error) {
+func (s *Server) checkBatch(utilization float64, priority int, rows []BatchJob) (*scheduleRun, error) {
 	if len(rows) < 1 || len(rows) > s.cfg.MaxArrivals {
 		return nil, fmt.Errorf("batch of %d jobs out of range [1, %d]", len(rows), s.cfg.MaxArrivals)
 	}
@@ -312,7 +316,7 @@ func (s *Server) checkBatch(system string, utilization float64, priority int, ro
 		priority = max(priority, j.Priority)
 	}
 	return &scheduleRun{
-		system: system, priority: priority, cost: len(rows),
+		priority: priority, cost: len(rows),
 		rows: rows, plan: plan, utilization: utilization,
 	}, nil
 }

@@ -363,9 +363,10 @@ func TestBatchClusterSchedule(t *testing.T) {
 	}
 }
 
-// TestBatchFaultCounters runs a batch on a daemon whose System carries a
-// default fault plan: the batch run is fault-injected like a /v1/schedule
-// run, so it must feed the same fault counters.
+// TestBatchFaultCounters runs a batch and a cluster run, each on a daemon
+// whose System carries a default fault plan: both runs are fault-injected
+// like a /v1/schedule run, so every node simulation must feed the same
+// fault and predictor counters.
 func TestBatchFaultCounters(t *testing.T) {
 	plan, err := hetsched.ParseFaultPlan("mttf=200000,recover=5000,seed=3")
 	if err != nil {
@@ -375,23 +376,35 @@ func TestBatchFaultCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sys, quietConfig(Config{Workers: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	resp, body := postJSON(t, ts.URL+"/v1/schedule/batch", `{"jobs": [
-		{"kernel": "tblook"}, {"kernel": "a2time"}, {"kernel": "aifftr"}, {"kernel": "tblook"},
-		{"kernel": "a2time"}, {"kernel": "aifftr"}, {"kernel": "tblook"}, {"kernel": "a2time"}
-	]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d, body %s", resp.StatusCode, body)
-	}
-	if snap := s.met.Snapshot(); snap.FaultedRuns != 1 || snap.FaultEvents == 0 {
-		t.Errorf("after one faulted batch: faulted_runs = %d, fault_events = %d; want 1 and > 0",
-			snap.FaultedRuns, snap.FaultEvents)
+	for _, c := range []struct {
+		path, body string
+		nodes      int64 // node simulations the run makes
+	}{
+		{"/v1/schedule/batch", `{"jobs": [
+			{"kernel": "tblook"}, {"kernel": "a2time"}, {"kernel": "aifftr"}, {"kernel": "tblook"},
+			{"kernel": "a2time"}, {"kernel": "aifftr"}, {"kernel": "tblook"}, {"kernel": "a2time"}
+		]}`, 1},
+		{"/v1/cluster/schedule", `{"nodes": "2*quad", "arrivals": 40, "seed": 3}`, 2},
+	} {
+		s, err := New(sys, quietConfig(Config{Workers: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		ts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", c.path, resp.StatusCode, body)
+		}
+		snap := s.met.Snapshot()
+		if snap.FaultedRuns != c.nodes || snap.FaultEvents == 0 {
+			t.Errorf("%s: faulted_runs = %d, fault_events = %d; want %d and > 0",
+				c.path, snap.FaultedRuns, snap.FaultEvents, c.nodes)
+		}
+		if snap.PredictorRuns != c.nodes || snap.Predictor == nil || snap.Predictor.Predictions == 0 {
+			t.Errorf("%s: predictor_runs = %d, predictor = %+v; want %d runs with predictions",
+				c.path, snap.PredictorRuns, snap.Predictor, c.nodes)
+		}
 	}
 }
 

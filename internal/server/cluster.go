@@ -26,15 +26,15 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		var traced bool
-		if cfg.Faults, traced, err = checkGenerated(r, req.Faults, req.Kernels, req.Priority); err != nil {
+		if cfg.Sim.Faults, traced, err = checkGenerated(r, req.Faults, req.Kernels, req.Priority); err != nil {
 			return nil, err
 		}
 		return &scheduleRun{
-			system: req.System, priority: req.Priority, cost: req.Arrivals, traced: traced, cluster: cfg,
+			priority: req.Priority, cost: req.Arrivals, traced: traced, cluster: cfg, clustered: true,
 			generate: func(sys *hetsched.System) ([]hetsched.Job, error) {
 				return sys.ClusterWorkload(cfg.Nodes, req.Kernels, req.Arrivals, req.Utilization, req.Seed)
 			},
-			respond: func(o runOutcome) any { return o.cluster },
+			respond: func(o runOutcome) any { return summarizeCluster(cfg, o) },
 		}, nil
 	})
 }
@@ -81,14 +81,19 @@ func clusterCores(nodes []hetsched.SystemSpec) int {
 	return cores
 }
 
-// summarizeCluster projects a ClusterResult onto the wire schema.
-func summarizeCluster(nodes []hetsched.SystemSpec, res *hetsched.ClusterResult) ClusterScheduleResponse {
+// summarizeCluster projects a cluster run's outcome onto the wire schema;
+// a batch with no valid row reports only the topology.
+func summarizeCluster(cfg hetsched.ClusterConfig, o runOutcome) ClusterScheduleResponse {
+	res := o.res
+	if res == nil {
+		res = &hetsched.ClusterResult{}
+	}
 	resp := ClusterScheduleResponse{
-		System:    res.System,
-		Scorer:    res.Scorer.String(),
-		Nodes:     hetsched.FormatClusterSpec(nodes),
-		NodeCount: len(res.Nodes),
-		Cores:     res.Cores(),
+		System:    cfg.System,
+		Scorer:    cfg.Scorer.String(),
+		Nodes:     hetsched.FormatClusterSpec(cfg.Nodes),
+		NodeCount: len(cfg.Nodes),
+		Cores:     clusterCores(cfg.Nodes),
 		Jobs:      res.Jobs,
 		Completed: res.Completed,
 		Steals:    res.Steals,
@@ -105,6 +110,8 @@ func summarizeCluster(nodes []hetsched.SystemSpec, res *hetsched.ClusterResult) 
 		StaticEnergyNJ:    res.StaticEnergyNJ,
 		CoreEnergyNJ:      res.CoreEnergyNJ,
 		ProfilingEnergyNJ: res.ProfilingEnergyNJ,
+
+		Trace: o.trace,
 	}
 	for _, nr := range res.Nodes {
 		resp.PerNode = append(resp.PerNode, ClusterNodeWire{

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"hetsched"
 )
 
 // TestClusterScheduleEndpoint runs a mixed-shape cluster through the wire
@@ -90,7 +92,9 @@ func TestClusterScheduleValidation(t *testing.T) {
 }
 
 // TestClusterScheduleTrace asserts ?trace=1 inlines the dispatcher's
-// route/steal audit: one route decision per job, all stamped "cluster".
+// route/steal audit — one route decision per job, stamped "cluster" — then
+// every node's own events in node order, each job's on the node it was
+// finally sent to.
 func TestClusterScheduleTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -109,13 +113,25 @@ func TestClusterScheduleTrace(t *testing.T) {
 	if got, want := cr.Trace.Counts["route"], uint64(cr.Jobs); got != want {
 		t.Errorf("route decisions = %d, want %d", got, want)
 	}
+	routed := int(cr.Trace.Counts["route"] + cr.Trace.Counts["steal"])
+	owner := map[int]int{}
 	for i, e := range cr.Trace.Entries {
-		if e.System != "cluster" {
-			t.Fatalf("entry %d not stamped cluster: %+v", i, e)
+		if i < routed {
+			if e.System != "cluster" || (e.Kind != hetsched.TraceKindRoute && e.Kind != hetsched.TraceKindSteal) {
+				t.Fatalf("entry %d is not a dispatcher decision: %+v", i, e)
+			}
+			owner[e.Job] = e.Core // a steal overrides the route
+			continue
 		}
-		if e.Kind != "route" && e.Kind != "steal" {
-			t.Fatalf("entry %d unexpected kind %q", i, e.Kind)
+		if e.System != "proposed" || e.Node < cr.Trace.Entries[i-1].Node {
+			t.Fatalf("entry %d is not a node-local event in node order: %+v", i, e)
 		}
+		if e.Job >= 0 && owner[e.Job] != e.Node {
+			t.Fatalf("entry %d: job %d on node %d, routed to node %d", i, e.Job, e.Node, owner[e.Job])
+		}
+	}
+	if len(cr.Trace.Entries) == routed {
+		t.Error("no node-local events")
 	}
 
 	// An untraced run must omit the block.

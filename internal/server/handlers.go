@@ -168,16 +168,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // The four schedule endpoints share one pipeline: decode → check → admit →
-// pool → (workload source × topology) → observe → summarize. A handler
+// pool → workload source → cluster run → observe → summarize. A handler
 // keeps only its request type, its defaults, its check order and the shape
 // of its response; runSchedule is the one place that branches, on where
-// the jobs come from (a generator or a batch plan) and on what runs them
-// (one node or the cluster dispatcher).
+// the jobs come from (a generator or a batch plan). Every run is a cluster
+// run: the single-node endpoints run one default node, which the cluster
+// simulates as the bare simulator.
 
 // scheduleRun is one checked schedule request on its way from the handler
 // through admission and the worker pool to the run step.
 type scheduleRun struct {
-	system   string
 	priority int // admission priority
 	cost     int // admission cost: the jobs the request asks to simulate
 	traced   bool
@@ -190,27 +190,41 @@ type scheduleRun struct {
 	plan        *batchPlan
 	utilization float64
 
-	// The topology: one node under sim, or the cluster dispatcher under
-	// cluster when it names nodes.
-	sim     hetsched.SimConfig
-	cluster hetsched.ClusterConfig
+	// cluster is the topology and node template the jobs run on;
+	// clustered marks a cluster endpoint's run, which also feeds the
+	// cluster counters.
+	cluster   hetsched.ClusterConfig
+	clustered bool
 
 	// respond projects the run's outcome onto the endpoint's response.
 	respond func(runOutcome) any
 }
 
-// runOutcome is the summarized run an endpoint's respond projects: node
-// for a one-node run, cluster for a cluster run, and for a batch source
-// the characterization counts plus the simulated jobs, each one's request
-// row and the placement timeline.
+// runOutcome is the run an endpoint's respond projects: the cluster result
+// (nil for a batch with no valid row) and its inline trace block, plus for
+// a batch source the characterization counts and the simulated jobs with
+// each one's request row.
 type runOutcome struct {
-	node     ScheduleResponse
-	cluster  ClusterScheduleResponse
+	res      *hetsched.ClusterResult
+	trace    *TraceBlock
 	wire     BatchCharacterizationWire
 	jobs     []hetsched.Job
 	simToReq []int
-	schedule []core.PlacementEvent
 }
+
+// node summarizes a single-node run: its one node's metrics.
+func (o runOutcome) node(system string) ScheduleResponse {
+	if o.res == nil {
+		return ScheduleResponse{System: system}
+	}
+	resp := summarize(o.res.Nodes[0].Metrics)
+	resp.Trace = o.trace
+	return resp
+}
+
+// oneNode is the single-node endpoints' topology: one Figure 1 node,
+// shared read-only by every run.
+var oneNode = []hetsched.SystemSpec{hetsched.DefaultSystemSpec()}
 
 // serveSchedule is the request half of the pipeline: decode the body over
 // req (which carries the endpoint's defaults), answer the first error of
@@ -280,7 +294,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			sim.Preemptive = req.Preemptive
 		}
 		return &scheduleRun{
-			system: req.System, priority: req.Priority, cost: cost, traced: traced, sim: sim,
+			priority: req.Priority, cost: cost, traced: traced,
+			cluster: hetsched.ClusterConfig{Nodes: oneNode, System: req.System, Sim: sim},
 			generate: func(sys *hetsched.System) (jobs []hetsched.Job, err error) {
 				switch {
 				case !scenario.IsZero():
@@ -302,8 +317,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 				return jobs, err
 			},
 			respond: func(o runOutcome) any {
-				o.node.Scenario = scenario.String()
-				return o.node
+				resp := o.node(req.System)
+				resp.Scenario = scenario.String()
+				return resp
 			},
 		}, nil
 	})
@@ -362,12 +378,11 @@ func checkGenerated(r *http.Request, faults *FaultSpec, kernels []string, priori
 }
 
 // runSchedule is the pipeline's run step, on a worker: draw the jobs from
-// the run's source, run them on its topology, then publish the trace,
-// observe and summarize once per topology. The context is checked between
-// stages; a single simulation is not interruptible mid-run.
+// the run's source, run them on its cluster, then publish the trace and
+// observe. The context is checked between stages; a single simulation is
+// not interruptible mid-run.
 func (s *Server) runSchedule(ctx context.Context, run *scheduleRun) (any, error) {
 	sys := s.system() // one snapshot: a concurrent hot-swap never splits this run
-	nodes := run.cluster.Nodes
 	db := sys.Eval
 	var (
 		out  runOutcome
@@ -382,22 +397,10 @@ func (s *Server) runSchedule(ctx context.Context, run *scheduleRun) (any, error)
 		if db, out.wire, err = s.characterizeBatch(ctx, run.plan); err != nil {
 			return nil, err
 		}
-		cores := len(core.DefaultSimConfig().CoreSizesKB)
-		if nodes != nil {
-			cores = clusterCores(nodes)
-		}
 		if len(run.plan.valid) == 0 {
-			out.node.System = run.system
-			out.cluster = ClusterScheduleResponse{
-				System:    run.system,
-				Scorer:    run.cluster.Scorer.String(),
-				Nodes:     hetsched.FormatClusterSpec(nodes),
-				NodeCount: len(nodes),
-				Cores:     cores,
-			}
 			return run.respond(out), nil
 		}
-		if jobs, out.simToReq, err = batchJobs(run.rows, run.plan, db, run.utilization, cores); err != nil {
+		if jobs, out.simToReq, err = batchJobs(run.rows, run.plan, db, run.utilization, clusterCores(run.cluster.Nodes)); err != nil {
 			return nil, err
 		}
 		out.jobs = jobs
@@ -405,30 +408,14 @@ func (s *Server) runSchedule(ctx context.Context, run *scheduleRun) (any, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var rec *hetsched.TraceRecorder // the bounded recorder behind ?trace=1
-	if run.traced {
-		rec = hetsched.NewTraceRing(maxInlineTraceEvents)
+	if run.traced { // the bounded recorder behind ?trace=1
+		run.cluster.Trace = hetsched.NewTraceRing(maxInlineTraceEvents)
 	}
-	if nodes == nil {
-		run.sim.Trace = rec
-		m, err := sys.RunOnDBContext(ctx, db, run.system, jobs, run.sim)
-		if err != nil {
-			return nil, err
-		}
-		out.node = summarize(m)
-		out.node.Trace = s.publishTrace(rec)
-		out.schedule = m.Schedule
-		s.met.observeNode(m, out.node.Trace)
-	} else {
-		run.cluster.Trace = rec
-		res, err := sys.RunClusterOnDBContext(ctx, db, run.cluster, jobs)
-		if err != nil {
-			return nil, err
-		}
-		out.cluster = summarizeCluster(nodes, res)
-		out.cluster.Trace = s.publishTrace(rec)
-		s.met.observeCluster(res, out.cluster.Trace)
+	if out.res, err = sys.RunClusterOnDBContext(ctx, db, run.cluster, jobs); err != nil {
+		return nil, err
 	}
+	out.trace = s.publishTrace(run.cluster.Trace)
+	s.met.observe(out.res, out.trace, run.clustered)
 	return run.respond(out), nil
 }
 
@@ -445,7 +432,7 @@ func (s *Server) publishTrace(rec *hetsched.TraceRecorder) *TraceBlock {
 		Events:  len(evs),
 		Dropped: rec.Dropped(),
 		Counts:  traceCounts(rec.Count),
-		Entries: wireEvents(evs),
+		Entries: evs,
 	}
 }
 
@@ -461,31 +448,6 @@ func traceCounts(count func(trace.Kind) uint64) map[string]uint64 {
 	return m
 }
 
-// wireEvents projects trace events onto the JSON wire schema.
-func wireEvents(evs []trace.Event) []TraceEventWire {
-	out := make([]TraceEventWire, len(evs))
-	for i, e := range evs {
-		out[i] = TraceEventWire{
-			Seq:         e.Seq,
-			Cycle:       e.Cycle,
-			Kind:        e.Kind.String(),
-			System:      e.System,
-			Job:         e.Job,
-			App:         e.App,
-			Core:        e.Core,
-			Config:      e.Config,
-			Start:       e.Start,
-			SizeKB:      e.SizeKB,
-			EnergyNJ:    e.EnergyNJ,
-			AltEnergyNJ: e.AltEnergyNJ,
-			Accepted:    e.Accepted,
-			Profiling:   e.Profiling,
-			Detail:      e.Detail,
-		}
-	}
-	return out
-}
-
 // handleDebugTrace serves GET /debug/trace: the daemon-wide ring of traced
 // schedule runs, as JSON (default), ?format=csv, or ?format=chrome
 // (Perfetto-loadable).
@@ -497,7 +459,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 			Events:  len(evs),
 			Dropped: s.ring.Dropped(),
 			Counts:  traceCounts(s.ring.Count),
-			Entries: wireEvents(evs),
+			Entries: evs,
 		})
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")

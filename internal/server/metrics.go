@@ -82,15 +82,45 @@ func (m *Metrics) ObserveShed() {
 	m.totals.JobsShed++
 }
 
-// observeNode accumulates one one-node schedule run into the totals: its
-// inline trace block (nil when untraced) and its fault, SLO and predictor
-// outcomes. Per-class SLO counters merge by class name, predictor members
-// by member name across hot-swaps, with the latest end-of-run weight.
-func (m *Metrics) observeNode(run hetsched.Metrics, tb *TraceBlock) {
+// observe accumulates one schedule run into the totals: its inline trace
+// block (nil when untraced) and every node simulation's fault, SLO and
+// predictor outcomes; a cluster endpoint's run (clustered) also adds its
+// steal count plus each node index's routed jobs, steal flows, peak
+// backlog (a high-water mark, not a sum) and attributed energy.
+func (m *Metrics) observe(res *hetsched.ClusterResult, tb *TraceBlock, clustered bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := &m.totals
-	t.observeTrace(tb)
+	if tb != nil {
+		t.TracedRuns++
+		for kind, n := range tb.Counts {
+			t.TraceDecisions[kind] += n
+		}
+	}
+	if clustered {
+		t.ClusterRuns++
+		t.ClusterSteals += int64(res.Steals)
+	}
+	for _, nr := range res.Nodes {
+		t.observeNode(nr.Metrics)
+		if !clustered {
+			continue
+		}
+		key := strconv.Itoa(nr.Node)
+		c := t.ClusterNodes[key]
+		c.Jobs += int64(nr.JobsRouted)
+		c.StolenIn += int64(nr.StolenIn)
+		c.StolenOut += int64(nr.StolenOut)
+		c.MaxPending = max(c.MaxPending, int64(nr.MaxPending))
+		c.TotalEnergyNJ += nr.Metrics.TotalEnergy()
+		t.ClusterNodes[key] = c
+	}
+}
+
+// observeNode accumulates one node simulation's fault, SLO and predictor
+// outcomes. Per-class SLO counters merge by class name, predictor members
+// by member name across hot-swaps, with the latest end-of-run weight.
+func (t *Snapshot) observeNode(run hetsched.Metrics) {
 	if run.FaultInjected {
 		t.FaultedRuns++
 		t.FaultEvents += int64(run.FaultEvents)
@@ -137,40 +167,6 @@ func (m *Metrics) observeNode(run hetsched.Metrics, tb *TraceBlock) {
 				c.HitRate = float64(c.Hits) / float64(c.Predictions)
 			}
 		}
-	}
-}
-
-// observeCluster accumulates one cluster run into the totals: its inline
-// trace block (nil when untraced), the steal count plus each node index's
-// routed jobs, steal flows, peak backlog (a high-water mark, not a sum)
-// and attributed energy.
-func (m *Metrics) observeCluster(res *hetsched.ClusterResult, tb *TraceBlock) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := &m.totals
-	t.observeTrace(tb)
-	t.ClusterRuns++
-	t.ClusterSteals += int64(res.Steals)
-	for _, nr := range res.Nodes {
-		key := strconv.Itoa(nr.Node)
-		c := t.ClusterNodes[key]
-		c.Jobs += int64(nr.JobsRouted)
-		c.StolenIn += int64(nr.StolenIn)
-		c.StolenOut += int64(nr.StolenOut)
-		c.MaxPending = max(c.MaxPending, int64(nr.MaxPending))
-		c.TotalEnergyNJ += nr.Metrics.TotalEnergy()
-		t.ClusterNodes[key] = c
-	}
-}
-
-// observeTrace accumulates a traced run's per-kind decision counters.
-func (t *Snapshot) observeTrace(tb *TraceBlock) {
-	if tb == nil {
-		return
-	}
-	t.TracedRuns++
-	for kind, n := range tb.Counts {
-		t.TraceDecisions[kind] += n
 	}
 }
 
@@ -235,8 +231,8 @@ type Snapshot struct {
 	// cache, computes) for the batch endpoints; absent until a tier exists.
 	Characterization *characterize.TierStats `json:"characterization,omitempty"`
 
-	// Fault-injection totals across all faulted one-node runs, single and
-	// batch; cluster runs feed only the cluster totals.
+	// Fault-injection totals across all faulted node simulations, on
+	// every schedule endpoint.
 	FaultedRuns      int64 `json:"faulted_runs"`
 	FaultEvents      int64 `json:"fault_events"`
 	JobsRedispatched int64 `json:"jobs_redispatched"`
@@ -246,8 +242,8 @@ type Snapshot struct {
 	TracedRuns     int64             `json:"traced_runs"`
 	TraceDecisions map[string]uint64 `json:"trace_decisions,omitempty"`
 
-	// Cluster-dispatch totals across all cluster runs, single and batch;
-	// the per-node map is keyed by node index.
+	// Cluster-dispatch totals across the cluster endpoints' runs, single
+	// and batch; the per-node map is keyed by node index.
 	ClusterRuns   int64                          `json:"cluster_runs"`
 	ClusterSteals int64                          `json:"cluster_steals"`
 	ClusterNodes  map[string]ClusterNodeCounters `json:"cluster_nodes,omitempty"`
@@ -261,7 +257,7 @@ type Snapshot struct {
 	SLOClasses    map[string]ClassSLOWire `json:"slo_classes,omitempty"`
 
 	// Predictor-quality totals: per-predictor (and per-ensemble-member)
-	// hit rate and cumulative energy regret across all one-node runs,
+	// hit rate and cumulative energy regret across all node simulations,
 	// plus the hot-swap count.
 	PredictorRuns  int64          `json:"predictor_runs"`
 	PredictorSwaps int64          `json:"predictor_swaps"`

@@ -6,8 +6,8 @@ import (
 	"hetsched"
 )
 
-// TestMetricsSnapshotConsistent feeds identical cluster, traced and
-// predictor runs from one goroutine while the test goroutine takes
+// TestMetricsSnapshotConsistent feeds identical traced cluster-endpoint and
+// single-node predictor runs from one goroutine while the test goroutine takes
 // snapshots: each snapshot must hold every observed run whole, so each
 // cumulative counter is its per-run amount times its run count.
 func TestMetricsSnapshotConsistent(t *testing.T) {
@@ -15,14 +15,16 @@ func TestMetricsSnapshotConsistent(t *testing.T) {
 	m := NewMetrics(nil)
 	res := &hetsched.ClusterResult{Nodes: []hetsched.ClusterNodeResult{{Node: 0, JobsRouted: k}}}
 	tb := &TraceBlock{Counts: map[string]uint64{"dispatch": c}}
-	run := hetsched.Metrics{Predictor: &hetsched.PredictorStats{Name: "oracle", Predictions: p, Hits: p}}
+	node := &hetsched.ClusterResult{Nodes: []hetsched.ClusterNodeResult{{Metrics: hetsched.Metrics{
+		Predictor: &hetsched.PredictorStats{Name: "oracle", Predictions: p, Hits: p},
+	}}}}
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 2000; i++ {
-			m.observeCluster(res, tb)
-			m.observeNode(run, tb)
+			m.observe(res, tb, true)
+			m.observe(node, tb, false)
 		}
 	}()
 	for finished := false; !finished; {

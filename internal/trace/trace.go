@@ -93,6 +93,15 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// MarshalText implements encoding.TextMarshaler: a kind travels by name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler via ParseKind.
+func (k *Kind) UnmarshalText(text []byte) (err error) {
+	*k, err = ParseKind(string(text))
+	return err
+}
+
 // Kinds returns every event kind in canonical order — the deterministic
 // iteration order for counters and metric export.
 func Kinds() []Kind {
@@ -118,41 +127,45 @@ func ParseKind(s string) (Kind, error) {
 // hold -1 (Job/App/Core) or 0, unused strings are empty.
 type Event struct {
 	// Seq is the recording-order sequence number assigned by the Recorder.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// Cycle is the simulated time of the event (for interval kinds, the
 	// interval end).
-	Cycle uint64
+	Cycle uint64 `json:"cycle"`
 	// Kind classifies the event.
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// System names the simulated system that emitted the event ("base",
 	// "proposed", ...).
-	System string
+	System string `json:"system,omitempty"`
 	// Job is the workload job index (-1 when not job-bound).
-	Job int
+	Job int `json:"job"`
 	// App is the application ID (-1 when not app-bound).
-	App int
+	App int `json:"app"`
 	// Core is the core ID (-1 when not core-bound).
-	Core int
+	Core int `json:"core"`
 	// Config is the cache configuration in the paper's notation
 	// ("8KB_4W_64B"; empty when not applicable).
-	Config string
+	Config string `json:"config,omitempty"`
 	// Start is the interval start for profile/kill/complete events.
-	Start uint64
+	Start uint64 `json:"start,omitempty"`
 	// SizeKB is the predicted best cache size (predict events).
-	SizeKB int
+	SizeKB int `json:"size_kb,omitempty"`
 	// EnergyNJ is the kind's primary energy quantity in nanojoules.
-	EnergyNJ float64
+	EnergyNJ float64 `json:"energy_nj,omitempty"`
 	// AltEnergyNJ is the comparison energy (stall events: the migration
 	// candidate's execution energy).
-	AltEnergyNJ float64
+	AltEnergyNJ float64 `json:"alt_energy_nj,omitempty"`
 	// Accepted reports the decision outcome: a tuning step that improved
 	// the best, or a stall decision that chose to stall.
-	Accepted bool
+	Accepted bool `json:"accepted,omitempty"`
 	// Profiling marks dispatch/complete events of profiling runs.
-	Profiling bool
+	Profiling bool `json:"profiling,omitempty"`
 	// Detail carries kind-specific diagnostics (prediction features and
 	// votes, fault kind names).
-	Detail string
+	Detail string `json:"detail,omitempty"`
+	// Node is the cluster node a node-local event came from (0 on a bare
+	// simulator run, and on the dispatcher's route/steal events, whose
+	// Core names the node).
+	Node int `json:"node,omitempty"`
 }
 
 // Recorder accumulates events for one simulation run. It is NOT
@@ -203,6 +216,30 @@ func (r *Recorder) Record(e Event) {
 		return
 	}
 	r.events = append(r.events, e)
+}
+
+// Fork returns an empty recorder with r's retention bound, for a sub-run
+// recorded on its own goroutine and merged back with Merge.
+func (r *Recorder) Fork() *Recorder { return &Recorder{limit: r.limit} }
+
+// Merge re-records a finished Fork of r, tagging its events with node, as
+// if they had been recorded into r directly: sequence numbers, evictions
+// and per-kind counts continue over src's whole recording, the events it
+// evicted included. A nil src merges nothing.
+func (r *Recorder) Merge(src *Recorder, node int) {
+	if src == nil {
+		return
+	}
+	counts := r.counts
+	r.seq += src.dropped
+	r.dropped += src.dropped
+	for _, e := range src.Events() {
+		e.Node = node
+		r.Record(e)
+	}
+	for k, n := range src.counts {
+		r.counts[k] = counts[k] + n
+	}
 }
 
 // Len reports how many events are retained.

@@ -93,6 +93,52 @@ func TestRingKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestForkMerge pins Merge's contract: recording a prefix into a ring and
+// merging Forks of it holds exactly what recording everything into the
+// ring directly would — sequence numbers, evictions, per-kind counts —
+// with each merged event tagged by its node.
+func TestForkMerge(t *testing.T) {
+	evs := sampleEvents()
+	for _, capacity := range []int{0, 3, 5, 100} {
+		direct, merged := NewRing(capacity), NewRing(capacity)
+		if capacity == 0 {
+			direct, merged = NewRecorder(), NewRecorder()
+		}
+		for _, e := range evs[:2] {
+			direct.Record(e)
+			merged.Record(e)
+		}
+		for node, part := range [][]Event{evs[2:9], nil, evs[9:]} {
+			fork := merged.Fork()
+			for _, e := range part {
+				direct.Record(e)
+				fork.Record(e)
+			}
+			merged.Merge(fork, node)
+			merged.Merge(nil, node)
+		}
+		want, got := direct.Events(), merged.Events()
+		for i := range got {
+			if got[i].Node != 0 && got[i].Node != 2 {
+				t.Fatalf("capacity %d: event %d tagged node %d", capacity, i, got[i].Node)
+			}
+			if got[i].Seq >= 9 != (got[i].Node == 2) {
+				t.Errorf("capacity %d: event seq %d tagged node %d", capacity, got[i].Seq, got[i].Node)
+			}
+			got[i].Node = 0
+		}
+		if !reflect.DeepEqual(got, want) || merged.Dropped() != direct.Dropped() {
+			t.Errorf("capacity %d: merged %v (dropped %d), direct %v (dropped %d)",
+				capacity, got, merged.Dropped(), want, direct.Dropped())
+		}
+		for _, k := range Kinds() {
+			if merged.Count(k) != direct.Count(k) {
+				t.Errorf("capacity %d: Count(%v) merged %d, direct %d", capacity, k, merged.Count(k), direct.Count(k))
+			}
+		}
+	}
+}
+
 func TestSharedRingMerge(t *testing.T) {
 	g := NewSharedRing(100)
 	g.Append(sampleEvents()[:4])

@@ -220,7 +220,7 @@ func FormatCluster(res *ClusterResult) string {
 }
 
 // FormatClusterSchedule renders the first maxEvents entries of the merged
-// cluster execution timeline (ClusterConfig.RecordSchedule): every node's
+// cluster execution timeline (ClusterConfig.Sim.RecordSchedule): every node's
 // recorded placements interleaved chronologically with node-qualified core
 // names ("n3/core1").
 func FormatClusterSchedule(s *System, res *ClusterResult, maxEvents int) string {
