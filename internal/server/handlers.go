@@ -68,14 +68,15 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 }
 
 // decodeStrict parses the body into v, rejecting unknown fields and
-// trailing garbage.
+// trailing garbage. Decoder.More reports false before a stray ']' or '}',
+// so the end of the body is checked with Token, which must find EOF.
 func decodeStrict(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("bad request body: trailing data")
 	}
 	return nil

@@ -117,6 +117,9 @@ var wireCases = []wireCase{
 	{"cluster-batch/trailing-data", 3, "", `{"jobs":[{"kernel":"tblook"}]}x`},
 	{"cluster-batch/two-errors-utilization-threshold", 3, "", `{"utilization":2,"steal_threshold":-1,"jobs":[{"kernel":"tblook"}]}`},
 	{"cluster-batch/two-errors-threshold-empty", 3, "", `{"steal_threshold":-1,"jobs":[]}`},
+
+	{"schedule/trailing-bracket", 0, "", `{"arrivals":20}]`},
+	{"batch/trailing-brace", 1, "", `{"jobs":[{"kernel":"tblook"}]}}`},
 }
 
 // request builds the case's HTTP request.
