@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,9 @@ var (
 	ErrQueueFull = errors.New("server: job queue full")
 	// ErrDraining rejects submissions after shutdown began (HTTP 503).
 	ErrDraining = errors.New("server: shutting down, not accepting work")
+	// errJobPanic answers a job that panicked (HTTP 500); its value and
+	// stack go to the pool's logger, never to the client.
+	errJobPanic = errors.New("server: internal error")
 )
 
 // taskResult carries a finished job back to its submitter.
@@ -48,6 +52,7 @@ type task struct {
 type Pool struct {
 	tasks   chan *task
 	workers int
+	logger  *log.Logger // receives each recovered panic with its stack
 
 	// mu guards the draining flag against the tasks-channel close: Submit
 	// sends under RLock, Drain closes under Lock, so a send can never hit a
@@ -65,8 +70,9 @@ type Pool struct {
 	panics    atomic.Int64 // jobs that panicked (recovered)
 }
 
-// NewPool starts workers goroutines behind a queue of the given depth.
-func NewPool(workers, depth int) (*Pool, error) {
+// NewPool starts workers goroutines behind a queue of the given depth;
+// logger receives the stack of any job that panics.
+func NewPool(workers, depth int, logger *log.Logger) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("server: %d workers < 1", workers)
 	}
@@ -76,6 +82,7 @@ func NewPool(workers, depth int) (*Pool, error) {
 	p := &Pool{
 		tasks:   make(chan *task, depth),
 		workers: workers,
+		logger:  logger,
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -141,13 +148,14 @@ func (p *Pool) worker() {
 	}
 }
 
-// run executes one task, converting a panic into an error so a malformed
+// run executes one task, converting a panic into errJobPanic so a malformed
 // request cannot take the daemon down.
 func (p *Pool) run(t *task) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.panics.Add(1)
-			err = fmt.Errorf("server: job panic: %v\n%s", r, debug.Stack())
+			p.logger.Printf("msg=job-panic panic=%q\n%s", fmt.Sprint(r), debug.Stack())
+			err = errJobPanic
 		}
 	}()
 	return t.fn(t.ctx)

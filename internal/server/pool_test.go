@@ -1,8 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +28,7 @@ func blockingJob(release <-chan struct{}) (fn func(context.Context) (any, error)
 }
 
 func TestPoolRunsJobs(t *testing.T) {
-	p, err := NewPool(2, 4)
+	p, err := NewPool(2, 4, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +42,7 @@ func TestPoolRunsJobs(t *testing.T) {
 }
 
 func TestPoolQueueFull(t *testing.T) {
-	p, err := NewPool(1, 1)
+	p, err := NewPool(1, 1, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,7 @@ func TestPoolQueueFull(t *testing.T) {
 }
 
 func TestPoolCanceledWhileQueuedNeverRuns(t *testing.T) {
-	p, err := NewPool(1, 4)
+	p, err := NewPool(1, 4, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +114,7 @@ func TestPoolCanceledWhileQueuedNeverRuns(t *testing.T) {
 }
 
 func TestPoolDrainFinishesQueuedWork(t *testing.T) {
-	p, err := NewPool(2, 8)
+	p, err := NewPool(2, 8, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +148,11 @@ func TestPoolDrainFinishesQueuedWork(t *testing.T) {
 	}
 }
 
+// quietLog discards the pool's panic log.
+var quietLog = log.New(io.Discard, "", 0)
+
 func TestPoolRecoverPanic(t *testing.T) {
-	p, err := NewPool(1, 1)
+	p, err := NewPool(1, 1, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestPoolRecoverPanic(t *testing.T) {
 	_, _, err = p.Submit(context.Background(), func(context.Context) (any, error) {
 		panic("boom")
 	})
-	if err == nil || p.panics.Load() != 1 {
+	if !errors.Is(err, errJobPanic) || p.panics.Load() != 1 {
 		t.Fatalf("panic job: err=%v panics=%d", err, p.panics.Load())
 	}
 	// The worker must have survived.
@@ -172,4 +182,32 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition never held")
+}
+
+// TestJobPanicBody checks a panicking job's answer: 500 internal with a
+// fixed message that carries no Go stack, while the stack goes to the
+// server's log and job_panics counts the panic.
+func TestJobPanicBody(t *testing.T) {
+	var logged bytes.Buffer
+	s, err := New(testSystem(t), Config{Workers: 1, Logger: log.New(&logged, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.pool.Drain(context.Background())
+	rec := httptest.NewRecorder()
+	s.serveJob(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", nil), "schedule",
+		func(context.Context) (any, error) { panic("boom") })
+	var er ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusInternalServerError || er.Code != codeInternal {
+		t.Fatalf("status %d, body %s; want 500 internal", rec.Code, rec.Body.Bytes())
+	}
+	if body := rec.Body.String(); strings.Contains(body, "goroutine ") || strings.Contains(body, ".go:") {
+		t.Errorf("500 body carries the Go stack: %s", body)
+	}
+	if log := logged.String(); !strings.Contains(log, "boom") || !strings.Contains(log, "goroutine ") {
+		t.Errorf("panic and stack missing from the log: %q", log)
+	}
+	if n := s.met.Snapshot().JobPanics; n != 1 {
+		t.Errorf("job_panics = %d, want 1", n)
+	}
 }

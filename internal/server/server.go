@@ -146,7 +146,7 @@ func New(sys *hetsched.System, cfg Config) (*Server, error) {
 	if cfg.Workers < 1 || cfg.Workers > 256 {
 		return nil, fmt.Errorf("server: %d workers out of range [1, 256]", cfg.Workers)
 	}
-	pool, err := NewPool(cfg.Workers, cfg.QueueDepth)
+	pool, err := NewPool(cfg.Workers, cfg.QueueDepth, cfg.Logger)
 	if err != nil {
 		return nil, err
 	}
