@@ -71,7 +71,7 @@ type Pool struct {
 }
 
 // NewPool starts workers goroutines behind a queue of the given depth;
-// logger receives the stack of any job that panics.
+// logger, which must not be nil, receives the stack of any job that panics.
 func NewPool(workers, depth int, logger *log.Logger) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("server: %d workers < 1", workers)
