@@ -231,7 +231,7 @@ type TraceBlock struct {
 
 // TraceEventWire is the wire form of one trace event: the event itself,
 // its kind by name (see internal/trace for the field semantics; ints are -1
-// when not applicable, and node is omitted outside a cluster's nodes 1+).
+// when not applicable, and node, the cluster node, is omitted when 0).
 type TraceEventWire = trace.Event
 
 // DebugTraceResponse is the /debug/trace ring-buffer dump (default JSON
