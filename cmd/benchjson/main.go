@@ -9,18 +9,21 @@
 //	benchjson -compare BENCH_core.json fresh.json -tolerance 0.15
 //
 // Compare mode matches benchmarks by package and name, prints a per-benchmark
-// ns/op delta table, and exits nonzero when any matched benchmark slowed by
-// more than the tolerance (a fraction; 0.15 means +15%) or a baseline
-// benchmark disappeared from the fresh run. New benchmarks absent from the
-// baseline are reported but never fail the gate.
+// ns/op and allocs/op delta table, and exits nonzero when any matched
+// benchmark slowed by more than the tolerance (a fraction; 0.15 means +15%),
+// allocated more than its baseline allows (see allocSlack), or disappeared
+// from the fresh run. New benchmarks absent from the baseline are reported
+// but never fail the gate.
 //
 // The parser understands the standard benchmark line
 //
 //	BenchmarkL1Access/direct-8   5000000   250.0 ns/op   0 B/op   0 allocs/op
 //
 // plus the goos/goarch/pkg/cpu context lines; every other line (PASS, ok,
-// test chatter) is ignored. Custom b.ReportMetric units are carried
-// through into the metrics map.
+// test chatter) is ignored. The trailing -GOMAXPROCS suffix ("-8" above) is
+// dropped, so rows recorded at different core counts match; a sub-benchmark
+// name must therefore not itself end in a dash and digits. Custom
+// b.ReportMetric units are carried through into the metrics map.
 package main
 
 import (
@@ -35,8 +38,8 @@ import (
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
-	// Name is the full benchmark name including sub-benchmark path and the
-	// trailing -GOMAXPROCS suffix, e.g. "BenchmarkL1Access/direct-8".
+	// Name is the full benchmark name including sub-benchmark path, without
+	// the trailing -GOMAXPROCS suffix, e.g. "BenchmarkL1Access/direct".
 	Name string `json:"name"`
 	// Package is the import path from the preceding "pkg:" line, when seen.
 	Package    string  `json:"package,omitempty"`
@@ -127,7 +130,7 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: f[0], Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
+	b := Benchmark{Name: trimProcs(f[0]), Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
 	pairs := 0
 	for i := 2; i+1 < len(f); {
 		v, err := strconv.ParseFloat(f[i], 64)
@@ -155,6 +158,29 @@ func parseBenchLine(line string) (Benchmark, bool) {
 		return Benchmark{}, false
 	}
 	return b, true
+}
+
+// trimProcs drops the -GOMAXPROCS suffix go test appends to a benchmark
+// name when GOMAXPROCS > 1: a final dash followed only by digits.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// allocSlack is how many allocs/op a benchmark may exceed its baseline by:
+// 1% of the baseline, but at least 2, the run-to-run wobble of the
+// HTTP-serving benchmark. Every other row allocates exactly the same
+// count on every run, so a rise beyond the slack is a real regression.
+func allocSlack(base int64) int64 {
+	return max(2, base/100)
 }
 
 // compareMain implements `benchjson -compare old.json new.json
@@ -214,14 +240,14 @@ func compareMain(args []string) int {
 	}
 	seen := map[key]bool{}
 
-	fmt.Printf("%-58s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Printf("%-58s %14s %14s %8s %10s %10s\n", "benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs")
 	failed := 0
 	for _, ob := range oldRep.Benchmarks {
 		k := key{ob.Package, ob.Name}
 		seen[k] = true
 		nb, ok := fresh[k]
 		if !ok {
-			fmt.Printf("%-58s %14.0f %14s %8s  MISSING\n", ob.Name, ob.NsPerOp, "-", "-")
+			fmt.Printf("%-58s %14.0f %14s %8s %10d %10s  MISSING\n", ob.Name, ob.NsPerOp, "-", "-", ob.AllocsPerOp, "-")
 			failed++
 			continue
 		}
@@ -231,21 +257,28 @@ func compareMain(args []string) int {
 		}
 		status := ""
 		if delta > tol {
-			status = "  REGRESSION"
+			status += "  REGRESSION"
+		}
+		// Allocations are gated only where both runs measured them
+		// (-benchmem; -1 means absent).
+		if ob.AllocsPerOp >= 0 && nb.AllocsPerOp > ob.AllocsPerOp+allocSlack(ob.AllocsPerOp) {
+			status += "  ALLOCS"
+		}
+		if status != "" {
 			failed++
 		}
-		fmt.Printf("%-58s %14.0f %14.0f %+7.1f%%%s\n", ob.Name, ob.NsPerOp, nb.NsPerOp, delta*100, status)
+		fmt.Printf("%-58s %14.0f %14.0f %+7.1f%% %10d %10d%s\n", ob.Name, ob.NsPerOp, nb.NsPerOp, delta*100, ob.AllocsPerOp, nb.AllocsPerOp, status)
 	}
 	for _, nb := range newRep.Benchmarks {
 		if k := (key{nb.Package, nb.Name}); !seen[k] {
-			fmt.Printf("%-58s %14s %14.0f %8s  new\n", nb.Name, "-", nb.NsPerOp, "-")
+			fmt.Printf("%-58s %14s %14.0f %8s %10s %10d  new\n", nb.Name, "-", nb.NsPerOp, "-", "-", nb.AllocsPerOp)
 		}
 	}
 	if failed > 0 {
-		fmt.Printf("FAIL: %d benchmark(s) regressed beyond %.0f%% or went missing\n", failed, tol*100)
+		fmt.Printf("FAIL: %d benchmark(s) slowed beyond %.0f%%, allocated beyond the slack, or went missing\n", failed, tol*100)
 		return 1
 	}
-	fmt.Printf("OK: all matched benchmarks within %.0f%% of baseline\n", tol*100)
+	fmt.Printf("OK: all matched benchmarks within %.0f%% of baseline ns/op and within the allocs/op slack\n", tol*100)
 	return 0
 }
 

@@ -33,7 +33,7 @@ func TestParse(t *testing.T) {
 	}
 
 	b := rep.Benchmarks[0]
-	if b.Name != "BenchmarkL1Access/direct-8" || b.Package != "hetsched/internal/cache" {
+	if b.Name != "BenchmarkL1Access/direct" || b.Package != "hetsched/internal/cache" {
 		t.Errorf("first benchmark misparsed: %+v", b)
 	}
 	if b.Iterations != 5000000 || b.NsPerOp != 250.5 || b.BytesPerOp != 0 || b.AllocsPerOp != 0 {
@@ -159,5 +159,66 @@ func TestCompareMain(t *testing.T) {
 		if got := compareMain(c.args); got != c.want {
 			t.Errorf("%s: compareMain(%v) = %d, want %d", c.name, c.args, got, c.want)
 		}
+	}
+}
+
+// TestParseStripsProcsSuffix pins the GOMAXPROCS rule: only a final dash
+// followed by digits is dropped, so a row parses to the same name at any
+// core count, while dashes inside sub-benchmark names survive.
+func TestParseStripsProcsSuffix(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"BenchmarkL1Access-8", "BenchmarkL1Access"},
+		{"BenchmarkL1Access", "BenchmarkL1Access"},
+		{"BenchmarkL1Access/4KB-2way-64B-16", "BenchmarkL1Access/4KB-2way-64B"},
+		{"BenchmarkL1Access/4KB-2way-64B", "BenchmarkL1Access/4KB-2way-64B"},
+		{"BenchmarkCharacterizeWorkers/workers=2-2", "BenchmarkCharacterizeWorkers/workers=2"},
+		{"BenchmarkTrailingDash-", "BenchmarkTrailingDash-"},
+	} {
+		rep, err := parse(bufio.NewScanner(strings.NewReader(c.in + " 10 5 ns/op\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != c.want {
+			t.Errorf("%q parsed as %+v, want name %q", c.in, rep.Benchmarks, c.want)
+		}
+	}
+}
+
+// TestCompareAllocGate covers the allocation ratchet: a row may exceed its
+// baseline allocs/op by max(2, 1% of the baseline) and no more, fewer
+// allocations never fail, and rows without -benchmem columns are not
+// gated.
+func TestCompareAllocGate(t *testing.T) {
+	row := func(name string, allocs int64) Benchmark {
+		return Benchmark{Name: name, Package: "p", Iterations: 1, NsPerOp: 100, AllocsPerOp: allocs}
+	}
+	old := writeReport(t, "old.json", []Benchmark{row("BenchmarkSmall", 10), row("BenchmarkLarge", 1000), row("BenchmarkZero", 0)})
+	cases := []struct {
+		name         string
+		small, large int64
+		zero         int64
+		want         int
+	}{
+		{"unchanged", 10, 1000, 0, 0},
+		{"fewer allocations", 5, 900, 0, 0},
+		{"small row at the floor slack", 12, 1000, 0, 0},
+		{"small row past the floor slack", 13, 1000, 0, 1},
+		{"large row at 1%", 10, 1010, 0, 0},
+		{"large row past 1%", 10, 1011, 0, 1},
+		{"zero row within the floor", 10, 1000, 2, 0},
+		{"zero row starts allocating", 10, 1000, 3, 1},
+	}
+	for _, c := range cases {
+		fresh := writeReport(t, "fresh.json", []Benchmark{row("BenchmarkSmall", c.small), row("BenchmarkLarge", c.large), row("BenchmarkZero", c.zero)})
+		if got := compareMain([]string{old, fresh}); got != c.want {
+			t.Errorf("%s: compareMain = %d, want %d", c.name, got, c.want)
+		}
+	}
+
+	// A baseline without -benchmem columns gates on ns/op only.
+	noMem := writeReport(t, "nomem.json", []Benchmark{row("BenchmarkSmall", -1)})
+	fresh := writeReport(t, "fresh.json", []Benchmark{row("BenchmarkSmall", 500)})
+	if got := compareMain([]string{noMem, fresh}); got != 0 {
+		t.Errorf("baseline without allocs: compareMain = %d, want 0", got)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"hetsched/internal/ann"
@@ -153,8 +154,9 @@ func ParseFaultPlan(s string) (FaultPlan, error) { return fault.ParseSpec(s) }
 // distributed arrivals on the Figure 1 quad-core machine.
 func DefaultExperimentConfig() ExperimentConfig { return core.DefaultExperimentConfig() }
 
-// DesignSpace returns the 18 cache configurations of Table 1.
-func DesignSpace() []CacheConfig { return cache.DesignSpace() }
+// DesignSpace returns a fresh copy of the 18 cache configurations of
+// Table 1, which the caller may modify.
+func DesignSpace() []CacheConfig { return slices.Clone(cache.DesignSpace()) }
 
 // BaseConfig is the profiling/base configuration 8KB_4W_64B.
 func BaseConfig() CacheConfig { return cache.BaseConfig }

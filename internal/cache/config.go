@@ -7,7 +7,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -142,10 +142,28 @@ func maxWaysForSize(sizeKB int) int {
 	}
 }
 
-// DesignSpace returns the complete 18-configuration design space of Table 1,
-// ordered by size, then associativity, then line size (smallest first, the
-// exploration order the tuning heuristic relies on).
-func DesignSpace() []Config {
+// table is Table 1, built once per process and ordered by size, then
+// associativity, then line size (smallest first, the exploration order the
+// tuning heuristic relies on). The accessors below hand out read-only
+// views of it, so a scheduling decision never rebuilds the design space.
+var table = buildTable()
+
+// sizeClass is one cache size's slice of table: its configurations (a
+// contiguous run of table, cap == len) and its distinct associativities
+// in ascending order.
+type sizeClass struct {
+	sizeKB  int
+	configs []Config
+	assocs  []int
+}
+
+// classes indexes table by size, ascending; sizes lists the same sizes.
+var (
+	classes = buildClasses(table)
+	sizes   = classSizes(classes)
+)
+
+func buildTable() []Config {
 	var out []Config
 	for _, size := range sizesKB {
 		for _, w := range waysSet {
@@ -157,58 +175,95 @@ func DesignSpace() []Config {
 			}
 		}
 	}
+	return slices.Clip(out)
+}
+
+// buildClasses splits the size-ordered table into per-size runs. Within a
+// run the ways are ascending, so distinct associativities are the points
+// where the ways change.
+func buildClasses(t []Config) []sizeClass {
+	var out []sizeClass
+	for start := 0; start < len(t); {
+		end := start
+		var assocs []int
+		for ; end < len(t) && t[end].SizeKB == t[start].SizeKB; end++ {
+			if n := len(assocs); n == 0 || assocs[n-1] != t[end].Ways {
+				assocs = append(assocs, t[end].Ways)
+			}
+		}
+		out = append(out, sizeClass{
+			sizeKB:  t[start].SizeKB,
+			configs: t[start:end:end],
+			assocs:  slices.Clip(assocs),
+		})
+		start = end
+	}
 	return out
 }
 
-// ConfigsForSize returns the subset of the design space offered by a core
-// whose fixed cache size is sizeKB, ordered smallest-associativity and
-// smallest-line first.
-func ConfigsForSize(sizeKB int) []Config {
-	var out []Config
-	for _, c := range DesignSpace() {
-		if c.SizeKB == sizeKB {
-			out = append(out, c)
-		}
+func classSizes(cs []sizeClass) []int {
+	out := make([]int, len(cs))
+	for i, c := range cs {
+		out[i] = c.sizeKB
 	}
 	return out
+}
+
+// classOf returns the size class of sizeKB, or nil outside Table 1.
+func classOf(sizeKB int) *sizeClass {
+	for i := range classes {
+		if classes[i].sizeKB == sizeKB {
+			return &classes[i]
+		}
+	}
+	return nil
+}
+
+// DesignSpace returns the complete 18-configuration design space of Table 1,
+// ordered by size, then associativity, then line size (smallest first, the
+// exploration order the tuning heuristic relies on).
+//
+// The result is the package's shared table: callers must not modify its
+// elements. Its capacity equals its length, so an append copies.
+func DesignSpace() []Config { return table }
+
+// ConfigsForSize returns the subset of the design space offered by a core
+// whose fixed cache size is sizeKB, ordered smallest-associativity and
+// smallest-line first, or nil for a size outside Table 1.
+//
+// The result is a read-only view of the shared table (see DesignSpace).
+func ConfigsForSize(sizeKB int) []Config {
+	if c := classOf(sizeKB); c != nil {
+		return c.configs
+	}
+	return nil
 }
 
 // Sizes returns the distinct cache sizes (KB) present in the design space in
 // ascending order.
-func Sizes() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range DesignSpace() {
-		if !seen[c.SizeKB] {
-			seen[c.SizeKB] = true
-			out = append(out, c.SizeKB)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+//
+// The result is shared and read-only: callers must not modify it. Its
+// capacity equals its length, so an append copies.
+func Sizes() []int { return sizes }
 
 // Associativities returns the candidate associativities for a given size in
-// ascending order (the tuning heuristic's exploration order).
+// ascending order (the tuning heuristic's exploration order), or nil for a
+// size outside Table 1.
+//
+// The result is shared and read-only: callers must not modify it. Its
+// capacity equals its length, so an append copies.
 func Associativities(sizeKB int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range ConfigsForSize(sizeKB) {
-		if !seen[c.Ways] {
-			seen[c.Ways] = true
-			out = append(out, c.Ways)
-		}
+	if c := classOf(sizeKB); c != nil {
+		return c.assocs
 	}
-	sort.Ints(out)
-	return out
+	return nil
 }
 
 // LineSizes returns the candidate line sizes in ascending order.
-func LineSizes() []int {
-	out := make([]int, len(lineSizes))
-	copy(out, lineSizes)
-	return out
-}
+//
+// The result is shared and read-only: callers must not modify it. Its
+// capacity equals its length, so an append copies.
+func LineSizes() []int { return lineSizes }
 
 // CoreSizesKB is the Figure 1 core subsetting: Core 1 through Core 4 offer
 // fixed cache sizes of 2, 4, 8 and 8 KB respectively. Index is core ID.

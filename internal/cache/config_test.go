@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -192,5 +193,43 @@ func TestGeometryInvariant(t *testing.T) {
 			t.Errorf("%s: sets*ways*line = %d, want %d",
 				c, c.Sets()*c.Ways*c.LineBytes, c.SizeBytes())
 		}
+	}
+}
+
+// TestSharedViewsAppendSafe pins the read-only contract's safety net:
+// every shared design-space view has capacity equal to its length, so a
+// caller's append copies instead of writing into the package tables.
+func TestSharedViewsAppendSafe(t *testing.T) {
+	space := slices.Clone(DesignSpace())
+	sizes := slices.Clone(Sizes())
+	lines := slices.Clone(LineSizes())
+	cfgs := map[int][]Config{}
+	assocs := map[int][]int{}
+	for _, s := range sizes {
+		cfgs[s] = slices.Clone(ConfigsForSize(s))
+		assocs[s] = slices.Clone(Associativities(s))
+	}
+
+	junk := Config{SizeKB: 64, Ways: 8, LineBytes: 128}
+	_ = append(DesignSpace(), junk)
+	_ = append(Sizes(), 64)
+	_ = append(LineSizes(), 128)
+	for _, s := range sizes {
+		// ConfigsForSize(2) ends where the 4 KB run begins: an in-place
+		// append would overwrite 4KB_1W_16B.
+		_ = append(ConfigsForSize(s), junk)
+		_ = append(Associativities(s), 8)
+	}
+
+	if !slices.Equal(DesignSpace(), space) || !slices.Equal(Sizes(), sizes) || !slices.Equal(LineSizes(), lines) {
+		t.Fatalf("an append wrote into the shared tables: %v %v %v", DesignSpace(), Sizes(), LineSizes())
+	}
+	for _, s := range sizes {
+		if !slices.Equal(ConfigsForSize(s), cfgs[s]) || !slices.Equal(Associativities(s), assocs[s]) {
+			t.Errorf("size %d views changed: %v %v", s, ConfigsForSize(s), Associativities(s))
+		}
+	}
+	if ConfigsForSize(3) != nil || Associativities(3) != nil {
+		t.Errorf("size outside Table 1: %v %v, want nil", ConfigsForSize(3), Associativities(3))
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"hetsched/internal/core"
 	"hetsched/internal/trace"
@@ -16,11 +17,19 @@ const unroutable = ^uint64(0)
 // deliberately cheap and state-independent of the node's real simulation —
 // the global tier routes on estimates, the local policy decides placements.
 type nodeState struct {
-	sizes  []int    // effective per-core cache sizes
-	deadAt []uint64 // per-core permanent-death cycle (0 = never)
-	freeAt []uint64 // estimated busy-until per core
-	queue  []core.Job
-	jobs   []core.Job // final assignment, in estimated start order
+	sizes   []int    // effective per-core cache sizes
+	deadAt  []uint64 // per-core permanent-death cycle (0 = never)
+	freeAt  []uint64 // estimated busy-until per core
+	queue   []core.Job
+	backlog uint64     // summed estimates of queue, kept in step with it
+	jobs    []core.Job // final assignment, in estimated start order
+
+	// The surviving cores change only at a permanent death, all known in
+	// advance, so their count and distinct sizes are computed once per
+	// interval between deaths: valid for t in [aliveFrom, aliveUntil).
+	alive                 int
+	classes               []int // distinct surviving sizes, ascending
+	aliveFrom, aliveUntil uint64
 
 	maxPending          int
 	stolenIn, stolenOut int
@@ -51,29 +60,40 @@ func (ns *nodeState) idleAt(t uint64) bool {
 
 // hasAliveSize reports whether a core of the given size survives at t.
 func (ns *nodeState) hasAliveSize(sizeKB int, t uint64) bool {
-	for i, s := range ns.sizes {
-		if s == sizeKB && ns.aliveAt(i, t) {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ns.aliveSizeClasses(t), sizeKB)
 }
 
 // aliveSizeClasses returns the distinct surviving sizes at t, ascending.
+// The slice is the node's cache: valid until the next call, read-only.
 func (ns *nodeState) aliveSizeClasses(t uint64) []int {
-	var out []int
+	ns.refreshAlive(t)
+	return ns.classes
+}
+
+// aliveCount returns how many cores survive at t.
+func (ns *nodeState) aliveCount(t uint64) int {
+	ns.refreshAlive(t)
+	return ns.alive
+}
+
+// refreshAlive recomputes the surviving-core summary when t leaves the
+// interval it was computed for: at the node's next permanent death, or
+// (never on the dispatcher's forward clock) before its start.
+func (ns *nodeState) refreshAlive(t uint64) {
+	if t >= ns.aliveFrom && t < ns.aliveUntil {
+		return
+	}
+	out := ns.classes[:0]
+	alive, until := 0, uint64(unroutable)
 	for i, s := range ns.sizes {
+		if d := ns.deadAt[i]; d > t && d < until {
+			until = d
+		}
 		if !ns.aliveAt(i, t) {
 			continue
 		}
-		dup := false
-		for _, have := range out {
-			if have == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		alive++
+		if !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}
@@ -83,14 +103,23 @@ func (ns *nodeState) aliveSizeClasses(t uint64) []int {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	return out
+	ns.alive, ns.classes, ns.aliveFrom, ns.aliveUntil = alive, out, t, until
+}
+
+// enqueue appends a routed job to the node's backlog.
+func (ns *nodeState) enqueue(job core.Job, est func(app int) uint64) {
+	ns.queue = append(ns.queue, job)
+	ns.backlog += est(job.AppID)
 }
 
 // start begins the queue head on the earliest-free surviving core,
 // recording the job as finally assigned. Caller guarantees idleAt(t).
 func (ns *nodeState) start(t uint64, est func(app int) uint64) {
 	job := ns.queue[0]
-	ns.queue = ns.queue[1:]
+	// Shift rather than reslice: the queue keeps its backing array, so
+	// enqueue stops allocating once it has held the node's deepest backlog.
+	ns.queue = ns.queue[:copy(ns.queue, ns.queue[1:])]
+	ns.backlog -= est(job.AppID)
 	best := -1
 	for i := range ns.freeAt {
 		if !ns.aliveAt(i, t) {
@@ -124,6 +153,8 @@ type dispatch struct {
 	estCycles map[int]uint64 // per-app best-config execution estimate
 	predSize  map[int]int    // per-app predicted best size
 	sizeNJ    map[[2]int]float64
+
+	cands, affine []int // routeOne's reused candidate buffers
 }
 
 func (c *Cluster) newDispatch() *dispatch {
@@ -223,13 +254,8 @@ func (d *dispatch) energyOn(ns *nodeState, app int, t uint64) float64 {
 // wait estimates how long a job routed to the node at t would queue: the
 // gap until a surviving core frees, plus the backlog spread over the
 // surviving cores.
-func (ns *nodeState) wait(t uint64, est func(app int) uint64) uint64 {
-	alive := 0
-	for i := range ns.freeAt {
-		if ns.aliveAt(i, t) {
-			alive++
-		}
-	}
+func (ns *nodeState) wait(t uint64) uint64 {
+	alive := ns.aliveCount(t)
 	if alive == 0 {
 		return unroutable
 	}
@@ -237,23 +263,19 @@ func (ns *nodeState) wait(t uint64, est func(app int) uint64) uint64 {
 	if ef := ns.earliestFree(t); ef > t {
 		w = ef - t
 	}
-	var backlog uint64
-	for _, j := range ns.queue {
-		backlog += est(j.AppID)
-	}
-	return w + backlog/uint64(alive)
+	return w + ns.backlog/uint64(alive)
 }
 
 // score ranks one candidate node (lower wins).
 func (d *dispatch) score(ns *nodeState, job core.Job, t uint64) float64 {
 	switch d.c.cfg.Scorer {
 	case ScoreBalance:
-		return float64(ns.wait(t, d.est))
+		return float64(ns.wait(t))
 	case ScoreEnergy:
 		return d.energyOn(ns, job.AppID, t)
 	default: // ScoreHybrid
 		e := d.energyOn(ns, job.AppID, t)
-		w := ns.wait(t, d.est)
+		w := ns.wait(t)
 		exec := d.est(job.AppID)
 		penalty := 1 + float64(w)/float64(exec)
 		return e * penalty
@@ -282,9 +304,9 @@ func (d *dispatch) route(jobs []core.Job) error {
 // winner.
 func (d *dispatch) routeOne(job core.Job, t uint64) error {
 	// Filter 1: capacity — at least one surviving core.
-	var cands []int
+	cands := d.cands[:0]
 	for i, ns := range d.nodes {
-		if ns.earliestFree(t) != unroutable {
+		if ns.aliveCount(t) > 0 {
 			cands = append(cands, i)
 		}
 	}
@@ -295,12 +317,13 @@ func (d *dispatch) routeOne(job core.Job, t uint64) error {
 	// size. Never filter to zero: fall back to the capacity set.
 	want := d.predicted(job.AppID)
 	relaxed := false
-	var affine []int
+	affine := d.affine[:0]
 	for _, i := range cands {
 		if d.nodes[i].hasAliveSize(want, t) {
 			affine = append(affine, i)
 		}
 	}
+	d.cands, d.affine = cands, affine
 	if len(affine) > 0 {
 		cands = affine
 	} else {
@@ -322,7 +345,7 @@ func (d *dispatch) routeOne(job core.Job, t uint64) error {
 	}
 
 	ns := d.nodes[winner]
-	ns.queue = append(ns.queue, job)
+	ns.enqueue(job, d.est)
 	if len(ns.queue) > ns.maxPending {
 		ns.maxPending = len(ns.queue)
 	}
@@ -359,7 +382,7 @@ func (d *dispatch) stealPass(t uint64) {
 			if len(ns.queue) == 0 {
 				continue
 			}
-			evacuate := ns.earliestFree(t) == unroutable
+			evacuate := ns.aliveCount(t) == 0
 			if !evacuate && len(ns.queue) <= d.c.cfg.StealThreshold {
 				continue
 			}
@@ -383,10 +406,11 @@ func (d *dispatch) stealPass(t uint64) {
 		vs, ts := d.nodes[victim], d.nodes[thief]
 		job := vs.queue[len(vs.queue)-1]
 		vs.queue = vs.queue[:len(vs.queue)-1]
+		vs.backlog -= d.est(job.AppID)
 		vs.stolenOut++
 		ts.stolenIn++
 		d.steals++
-		ts.queue = append(ts.queue, job)
+		ts.enqueue(job, d.est)
 		ts.advance(t, d.est)
 		if tr := d.c.cfg.Trace; tr != nil {
 			tr.Record(trace.Event{

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hetsched/internal/cache"
@@ -15,7 +16,9 @@ import (
 )
 
 // Predictor is the best-cache-size predictor interface the scheduler
-// consumes; satisfied by ann.SizePredictor and by the test oracles.
+// consumes; satisfied by ann.SizePredictor and by the test oracles. One
+// without a feedback hook must be a pure function of its features (see
+// the purity contract in predictorapi.go).
 type Predictor interface {
 	PredictSizeKB(f stats.Features) (int, error)
 }
@@ -325,6 +328,8 @@ type Simulator struct {
 	Cfg    SimConfig
 
 	cores   []*SimCore
+	bySize  []sizeCores // CoresOfSize's index, one entry per size present
+	idleBuf []*SimCore  // IdleCores' reused result
 	now     uint64
 	queue   []*Job
 	metrics Metrics
@@ -392,6 +397,8 @@ func NewSimulator(db *characterize.DB, em *energy.Model, pol Policy, pred Predic
 			Config: cache.Config{SizeKB: size, Ways: 1, LineBytes: 16},
 		})
 	}
+	s.bySize = indexBySize(s.cores)
+	s.idleBuf = make([]*SimCore, 0, len(s.cores))
 	s.metrics.System = pol.Name()
 	s.metrics.ExploredPerApp = map[int]int{}
 	s.metrics.PerAppEnergy = map[int]float64{}
@@ -413,34 +420,75 @@ func (s *Simulator) Now() uint64 { return s.now }
 // Cores returns the simulated cores.
 func (s *Simulator) Cores() []*SimCore { return s.cores }
 
-// IdleCores returns the currently idle cores in ID order.
+// IdleCores returns the currently idle cores in ID order. The slice is a
+// buffer the simulator reuses: it is valid only until the next IdleCores
+// call, and callers must not modify it.
 func (s *Simulator) IdleCores() []*SimCore {
-	var out []*SimCore
+	out := s.idleBuf[:0]
 	for _, c := range s.cores {
 		if c.Idle(s.now) {
 			out = append(out, c)
 		}
 	}
+	s.idleBuf = out
 	return out
 }
 
-// CoresOfSize returns cores with the given cache size in ID order.
-func (s *Simulator) CoresOfSize(sizeKB int) []*SimCore {
-	var out []*SimCore
+// anyIdle reports whether some core is idle, without building a slice.
+func (s *Simulator) anyIdle() bool {
 	for _, c := range s.cores {
-		if c.SizeKB == sizeKB {
-			out = append(out, c)
+		if c.Idle(s.now) {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-// ProfilingCores returns the profiling-capable cores (the 8 KB cores;
-// Core 4 — the highest-ID one — is primary, Core 3 secondary). With
-// SingleProfilingCore set, only the primary is returned. Permanently dead
+// sizeCores is one cache size's cores in ID order, dead ones included.
+type sizeCores struct {
+	sizeKB int
+	cores  []*SimCore
+}
+
+// indexBySize groups cores by cache size, sizes in order of first
+// appearance; each group's capacity equals its length.
+func indexBySize(cores []*SimCore) []sizeCores {
+	var idx []sizeCores
+	for _, c := range cores {
+		i := 0
+		for i < len(idx) && idx[i].sizeKB != c.SizeKB {
+			i++
+		}
+		if i == len(idx) {
+			idx = append(idx, sizeCores{sizeKB: c.SizeKB})
+		}
+		idx[i].cores = append(idx[i].cores, c)
+	}
+	for i := range idx {
+		idx[i].cores = slices.Clip(idx[i].cores)
+	}
+	return idx
+}
+
+// CoresOfSize returns cores with the given cache size in ID order,
+// permanently dead ones included. The slice is an index built once in
+// NewSimulator and shared across calls: callers must not modify it.
+func (s *Simulator) CoresOfSize(sizeKB int) []*SimCore {
+	for _, g := range s.bySize {
+		if g.sizeKB == sizeKB {
+			return g.cores
+		}
+	}
+	return nil
+}
+
+// idleProfilingCore returns the idle profiling-capable core a profiling
+// run starts on, or nil. The profiling-capable cores are the 8 KB cores,
+// tried primary first: Core 4 — the highest-ID one — then Core 3. With
+// SingleProfilingCore set, only the primary is eligible. Permanently dead
 // cores are excluded; if every base-size core is gone, profiling degrades
 // to the largest surviving size (see profilingConfigFor).
-func (s *Simulator) ProfilingCores() []*SimCore {
+func (s *Simulator) idleProfilingCore() *SimCore {
 	size := cache.BaseConfig.SizeKB
 	// The machine may lack base-size cores either because permanent faults
 	// killed them or because the configured SystemSpec shape never had any
@@ -453,16 +501,20 @@ func (s *Simulator) ProfilingCores() []*SimCore {
 			}
 		}
 	}
-	var out []*SimCore
-	for i := len(s.cores) - 1; i >= 0; i-- {
-		if s.cores[i].SizeKB == size && !s.cores[i].dead {
-			out = append(out, s.cores[i])
-			if s.Cfg.SingleProfilingCore {
-				break
-			}
+	cores := s.CoresOfSize(size)
+	for i := len(cores) - 1; i >= 0; i-- {
+		c := cores[i]
+		if c.dead {
+			continue
+		}
+		if c.Idle(s.now) {
+			return c
+		}
+		if s.Cfg.SingleProfilingCore {
+			break
 		}
 	}
-	return out
+	return nil
 }
 
 // Record fetches the characterization record behind a job.
@@ -684,7 +736,7 @@ func (s *Simulator) schedulePass() error {
 			}
 		}
 		if !d.Place {
-			if len(s.IdleCores()) > 0 {
+			if s.anyIdle() {
 				s.metrics.StallDecisions++
 			} else {
 				s.metrics.ResourceStalls++
@@ -800,6 +852,9 @@ func (s *Simulator) RunContext(ctx context.Context, jobs []Job) (Metrics, error)
 		return Metrics{}, fmt.Errorf("core: empty workload")
 	}
 	s.metrics.Jobs = len(jobs)
+	// The run's private copies of the jobs, which the queue points into
+	// (preemption updates a job's remaining share in place).
+	pending := slices.Clone(jobs)
 	next := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -856,9 +911,9 @@ func (s *Simulator) RunContext(ctx context.Context, jobs []Job) (Metrics, error)
 			return s.metrics, err
 		}
 		for next < len(jobs) && jobs[next].ArrivalCycle <= s.now {
-			j := jobs[next]
-			s.queue = append(s.queue, &j)
-			s.traceEnqueue(&j)
+			j := &pending[next]
+			s.queue = append(s.queue, j)
+			s.traceEnqueue(j)
 			next++
 		}
 		if err := s.schedulePass(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"hetsched/internal/cache"
 	"hetsched/internal/characterize"
 	"hetsched/internal/energy"
+	"hetsched/internal/profile"
 	"hetsched/internal/stats"
 )
 
@@ -284,5 +285,20 @@ func BenchmarkProposedSimulation(b *testing.B) {
 		if _, err := sim.Run(jobs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDesignByNameMatchesExploredOrder pins the tie-break order of the
+// explored-best scans: designByName lists Table 1 in exactly the order
+// profile.Entry.ExploredConfigs returns a fully explored application.
+func TestDesignByNameMatchesExploredOrder(t *testing.T) {
+	e := profile.NewTable().Ensure(0)
+	for _, cfg := range cache.DesignSpace() {
+		if err := e.RecordExecution(cfg, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.ExploredConfigs(); !reflect.DeepEqual(designByName, got) {
+		t.Errorf("designByName %v, ExploredConfigs %v", designByName, got)
 	}
 }

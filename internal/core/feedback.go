@@ -6,8 +6,9 @@ package core
 // the predictor learns online — feed the observed energy regret back and
 // refresh the stored prediction. Fixed predictors (ANN bag, oracle,
 // mlbase baselines) implement none of the feedback interfaces; for them
-// this path only accumulates Metrics.Predictor and changes no scheduling
-// decision, keeping every legacy run bit-identical.
+// this path only accumulates Metrics.Predictor, scoring the prediction the
+// profiling table already holds, and changes no scheduling decision,
+// keeping every legacy run bit-identical.
 
 import (
 	"hetsched/internal/cache"
@@ -60,9 +61,17 @@ func (s *Simulator) observeOutcome(job *Job, rec *characterize.Record, cfg cache
 
 	// Score the pre-feedback prediction: what the predictor says *now*,
 	// before seeing this outcome — proper online (prequential) accounting.
-	predicted, err := s.Pred.PredictSizeKB(f)
-	if err != nil {
-		return err
+	// A fixed predictor is a pure function of its features (see Predictor),
+	// so what it says now is the prediction the table stored from the same
+	// features; only an online predictor is asked again.
+	predicted := entry.PredictedSizeKB
+	online := false
+	switch s.Pred.(type) {
+	case RegretObserver, FeedbackPredictor:
+		online = true
+		if predicted, err = s.Pred.PredictSizeKB(f); err != nil {
+			return err
+		}
 	}
 	s.predStats.Predictions++
 	if predicted == bestKB {
@@ -73,17 +82,14 @@ func (s *Simulator) observeOutcome(job *Job, rec *characterize.Record, cfg cache
 	// Feed the outcome back. RegretObserver gets the full per-size regret
 	// profile (what multiplicative-weights updates need); the simpler
 	// Observe hook gets the chosen/best pair and the observed energy.
-	online := false
+	if !online {
+		return nil
+	}
 	switch p := s.Pred.(type) {
 	case RegretObserver:
 		p.ObserveRegret(f, cfg.SizeKB, bestKB, regret, energyNJ)
-		online = true
 	case FeedbackPredictor:
 		p.Observe(f, cfg.SizeKB, bestKB, energyNJ)
-		online = true
-	}
-	if !online {
-		return nil
 	}
 	// The predictor changed: re-predict and refresh the stored prediction
 	// so subsequent placements of this application act on what was learned.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"hetsched/internal/cache"
 )
@@ -108,10 +110,8 @@ func profilingDecision(s *Simulator, appID int) (Decision, bool) {
 			return Decision{}, false
 		}
 	}
-	for _, c := range s.ProfilingCores() {
-		if c.Idle(s.Now()) {
-			return Decision{Place: true, CoreID: c.ID, Config: profilingConfigFor(c), Profiling: true}, true
-		}
+	if c := s.idleProfilingCore(); c != nil {
+		return Decision{Place: true, CoreID: c.ID, Config: profilingConfigFor(c), Profiling: true}, true
 	}
 	return Decision{}, false
 }
@@ -208,19 +208,43 @@ func (OptimalPolicy) Decide(s *Simulator, job *Job) (Decision, error) {
 	return Decision{Place: true, CoreID: fallback.ID, Config: fallbackCfg}, nil
 }
 
-// exploredBest returns the lowest-energy configuration among those the app
-// has executed in so far.
-func exploredBest(s *Simulator, appID int) (cache.Config, error) {
+// designByName is Table 1 in the order of profile.Entry.ExploredConfigs
+// (by String()), so the explored-best scans below break energy ties the
+// same way without collecting and sorting the explored set per call. Every
+// recorded execution is a Table 1 configuration: the simulator records
+// only configurations its characterization record holds.
+var designByName = func() []cache.Config {
+	out := slices.Clone(cache.DesignSpace())
+	slices.SortFunc(out, func(a, b cache.Config) int { return strings.Compare(a.String(), b.String()) })
+	return out
+}()
+
+// bestExplored returns the lowest-energy configuration among those the app
+// has executed in so far, restricted to one cache size unless sizeKB is 0.
+func bestExplored(s *Simulator, appID, sizeKB int) (cache.Config, float64, bool) {
 	entry := s.Table.Ensure(appID)
 	var best cache.Config
 	bestE := 0.0
 	found := false
-	for _, cfg := range entry.ExploredConfigs() {
-		ci, _ := entry.Execution(cfg)
+	for _, cfg := range designByName {
+		if sizeKB != 0 && cfg.SizeKB != sizeKB {
+			continue
+		}
+		ci, ok := entry.Execution(cfg)
+		if !ok {
+			continue
+		}
 		if !found || ci.Energy < bestE {
 			best, bestE, found = cfg, ci.Energy, true
 		}
 	}
+	return best, bestE, found
+}
+
+// exploredBest returns the lowest-energy configuration among those the app
+// has executed in so far.
+func exploredBest(s *Simulator, appID int) (cache.Config, error) {
+	best, _, found := bestExplored(s, appID, 0)
 	if !found {
 		return cache.Config{}, fmt.Errorf("core: app %d has no explored configs", appID)
 	}
@@ -229,19 +253,7 @@ func exploredBest(s *Simulator, appID int) (cache.Config, error) {
 
 // exploredBestForSize restricts exploredBest to one core size.
 func exploredBestForSize(s *Simulator, appID, sizeKB int) (cache.Config, float64, error) {
-	entry := s.Table.Ensure(appID)
-	var best cache.Config
-	bestE := 0.0
-	found := false
-	for _, cfg := range entry.ExploredConfigs() {
-		if cfg.SizeKB != sizeKB {
-			continue
-		}
-		ci, _ := entry.Execution(cfg)
-		if !found || ci.Energy < bestE {
-			best, bestE, found = cfg, ci.Energy, true
-		}
-	}
+	best, bestE, found := bestExplored(s, appID, sizeKB)
 	if !found {
 		return cache.Config{}, 0, fmt.Errorf("core: app %d has no explored configs of %dKB", appID, sizeKB)
 	}

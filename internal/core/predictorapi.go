@@ -7,6 +7,15 @@ package core
 // detects each capability with a type assertion, so the original
 // fixed-predictor kinds (ANN bag, oracle, mlbase baselines) run
 // bit-identically to before.
+//
+// Purity contract: a Predictor that implements neither FeedbackPredictor
+// nor RegretObserver must be a pure function of its features — the same
+// stats.Features always give the same size (or the same error). The
+// simulator relies on it: it asks such a predictor once per profiled
+// application, stores the answer in the profiling table (Section IV.B),
+// and scores every later completion against that stored answer instead of
+// asking again. A predictor whose answers drift must implement one of the
+// feedback interfaces, which restores the per-completion re-prediction.
 
 import "hetsched/internal/stats"
 

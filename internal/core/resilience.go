@@ -169,8 +169,8 @@ func (s *Simulator) finishFaultAccounting() {
 // sizeAlive reports whether any core of the given size survives (is not
 // permanently dead).
 func (s *Simulator) sizeAlive(sizeKB int) bool {
-	for _, c := range s.cores {
-		if c.SizeKB == sizeKB && !c.dead {
+	for _, c := range s.CoresOfSize(sizeKB) {
+		if !c.dead {
 			return true
 		}
 	}

@@ -374,3 +374,52 @@ func TestFaultedExperimentAllSystems(t *testing.T) {
 		t.Error("base and proposed fault timelines diverge")
 	}
 }
+
+// TestCoresOfSizeIndexUnderPermanentLoss pins the by-size index built in
+// NewSimulator: after a run in which permanent faults killed cores of an
+// interleaved machine, CoresOfSize still equals a linear scan of Cores()
+// in ID order — dead cores included — and IdleCores matches a scan too.
+func TestCoresOfSizeIndexUnderPermanentLoss(t *testing.T) {
+	db := testDB(t)
+	jobs := testJobs(t, db, 300, 0.7, 5)
+	cfg := DefaultSimConfig()
+	cfg.CoreSizesKB = []int{8, 2, 4, 8, 2, 4, 4}
+	cfg.Faults = fault.Plan{Script: []fault.Event{
+		{Cycle: 1, Core: 1, Kind: fault.CrashPermanent},
+		{Cycle: 2_000_000, Core: 3, Kind: fault.CrashPermanent},
+	}}
+	sim, err := NewSimulator(db, energy.NewDefault(), ProposedPolicy{}, OraclePredictor{DB: db}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	dead := 0
+	for _, size := range []int{2, 4, 8, 16} {
+		var want []*SimCore
+		for _, c := range sim.Cores() {
+			if c.SizeKB == size {
+				want = append(want, c)
+				if c.Dead() {
+					dead++
+				}
+			}
+		}
+		if got := sim.CoresOfSize(size); !reflect.DeepEqual(got, want) {
+			t.Errorf("CoresOfSize(%d) = %v, want %v", size, got, want)
+		}
+	}
+	if dead != 2 {
+		t.Errorf("%d dead cores in the index, want both killed cores", dead)
+	}
+	var idle []*SimCore
+	for _, c := range sim.Cores() {
+		if c.Idle(sim.Now()) {
+			idle = append(idle, c)
+		}
+	}
+	if got := sim.IdleCores(); !reflect.DeepEqual(got, idle) || sim.anyIdle() != (len(idle) > 0) {
+		t.Errorf("IdleCores() = %v (any %v), want %v", got, sim.anyIdle(), idle)
+	}
+}

@@ -286,8 +286,9 @@ func (e *Ensemble) renormalize() {
 }
 
 // Fork implements core.ForkingPredictor: a fresh ensemble at the initial
-// weights, with learning members reset and static members shared. Each
-// simulation run learns its own trajectory; the original is not mutated.
+// weights, with learning members reset and static members sharing their
+// trained model behind a per-fork ballot memo. Each simulation run learns
+// its own trajectory; the original is not mutated.
 func (e *Ensemble) Fork() core.Predictor {
 	members := make([]Member, len(e.members))
 	for i, m := range e.members {

@@ -38,19 +38,24 @@ type Learner interface {
 	Learn(f stats.Features, bestKB int)
 }
 
-// forkable is the internal per-run-state capability: stateful members hand
-// each ensemble fork a fresh private copy. Static members (shared trained
-// models, read-only) do not implement it and are shared across forks.
+// forkable is the internal per-run-state capability: members hand each
+// ensemble fork a fresh private copy. Learning members reset their state;
+// Static members share their trained model and start an empty memo.
 type forkable interface {
 	fork() Member
 }
 
 // Static adapts a fixed trained predictor (ANN bag, oracle, mlbase
-// baselines) into an ensemble Member. It never learns and is shared,
-// not copied, across ensemble forks.
+// baselines) into an ensemble Member. It never learns. The shared trained
+// predictor is never copied; each ensemble fork gets its own Static over
+// it that memoizes ballots by features, which is exact because a fixed
+// predictor is a pure function of its features (core's purity contract).
+// The instance Wrap returns keeps no memo, so it stays read-only and safe
+// for concurrent use.
 type Static struct {
 	name string
 	p    core.Predictor
+	memo map[stats.Features]ballot // per-fork; nil on the shared original
 }
 
 // Wrap names a fixed predictor as an ensemble member.
@@ -61,11 +66,31 @@ func Wrap(name string, p core.Predictor) *Static {
 // Name implements Member.
 func (s *Static) Name() string { return s.name }
 
+// fork implements forkable: a view of the same trained predictor with an
+// empty private memo.
+func (s *Static) fork() Member {
+	return &Static{name: s.name, p: s.p, memo: map[stats.Features]ballot{}}
+}
+
 // Predict implements Member. Predictors that expose per-member votes (the
 // ANN bag) report the plurality fraction of their internal vote as
 // confidence; everything else votes with full confidence and lets the
-// ensemble weights do the discounting.
+// ensemble weights do the discounting. Errors are not memoized.
 func (s *Static) Predict(f stats.Features) (int, float64, error) {
+	if b, ok := s.memo[f]; ok {
+		return b.sizeKB, b.conf, nil
+	}
+	size, conf, err := s.predict(f)
+	if err != nil {
+		return 0, 0, err
+	}
+	if s.memo != nil {
+		s.memo[f] = ballot{sizeKB: size, conf: conf, ok: true}
+	}
+	return size, conf, nil
+}
+
+func (s *Static) predict(f stats.Features) (int, float64, error) {
 	size, err := s.p.PredictSizeKB(f)
 	if err != nil {
 		return 0, 0, err
