@@ -28,11 +28,11 @@ lint: vet
 test:
 	$(GO) test ./...
 
-# Every package with a worker pool or parallel fan-out runs under the race
-# detector: the daemon's queue/shutdown paths, the stats sketch behind its
-# metrics, the parallel characterization engine and its disk cache, the
-# sweep grid, the ensemble trainer/vote, the online predictor ensemble,
-# and the cluster's per-node simulation pool. The scenario package rides
+# Every package with a worker pool, parallel fan-out or shared memo runs
+# under the race detector: the daemon's queue/shutdown paths, the stats
+# sketch behind its metrics, the parallel characterization engine and its
+# disk cache, the sweep grid, the ensemble trainer and the ANN bag's memo,
+# the online predictor ensemble, and the cluster's per-node simulation pool. The scenario package rides
 # along so its generators' determinism contract holds under the detector.
 # The root-package run pins the ensemble's worker-count-invariant
 # determinism under the detector.
@@ -53,10 +53,11 @@ bench:
 # simulator vs per-config replay, characterization at 1-8 workers and on the
 # stream and replay engines, structured trace recording for the replay
 # engine, kernel execution, one proposed-system simulation, ANN forward
-# pass, the cluster dispatcher's routing pass, and the daemon's warm batch
-# serving path) as committed JSON, for before/after comparison across PRs.
+# pass, one bag prediction cold and memoized, the cluster dispatcher's
+# routing pass, and the daemon's warm batch serving path) as committed JSON,
+# for before/after comparison across PRs.
 bench-baseline:
-	$(GO) test -run=NONE -bench='BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict' \
+	$(GO) test -run=NONE -bench='BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict|BenchmarkSizePredict' \
 		-benchmem ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/ \
 		| $(GO) run ./cmd/benchjson > BENCH_core.json
 	@echo wrote BENCH_core.json
@@ -69,7 +70,7 @@ bench-baseline:
 BENCH_TOLERANCE ?= 0.40
 
 bench-gate:
-	$(GO) test -run=NONE -bench='BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict' \
+	$(GO) test -run=NONE -bench='BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict|BenchmarkSizePredict' \
 		-benchmem ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/ \
 		| $(GO) run ./cmd/benchjson > bench-fresh.json
 	$(GO) run ./cmd/benchjson -compare BENCH_core.json bench-fresh.json -tolerance $(BENCH_TOLERANCE)

@@ -121,6 +121,8 @@ func BenchmarkFig3ANNPrediction(b *testing.B) {
 		degraded += chosen.Energy.Total
 		optimal += r.BestConfig().Energy.Total
 	}
+	// The bag memoizes its answers, so the timed loop measures a memo hit;
+	// BenchmarkSizePredict in internal/ann times the member pass itself.
 	features := db.Records[0].Features
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

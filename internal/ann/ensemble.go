@@ -114,83 +114,45 @@ func TrainEnsemble(train, val Dataset, cfg EnsembleConfig) (*Ensemble, error) {
 	return ens, nil
 }
 
-// parallelVoteMin is the ensemble size below which the vote stays serial:
-// forward passes through the paper's tiny {10, 18, 5, 1} topology are so
-// cheap that goroutine fan-out only pays off once a few dozen members
-// amortize it (the paper's 30-member ensemble qualifies).
-const parallelVoteMin = 16
-
-// Predict averages member outputs. Members ≥ parallelVoteMin vote in
-// parallel; the per-member outputs are always reduced in member order, so
-// the result is bit-identical to a serial vote on any machine.
+// Predict averages member outputs.
 func (e *Ensemble) Predict(x []float64) ([]float64, error) {
-	if len(e.Nets) == 0 {
-		return nil, fmt.Errorf("ann: empty ensemble")
-	}
-	out := make([]float64, e.Nets[0].OutputDim())
-	ys, err := e.memberVotes(x)
+	ys, err := e.memberOutputs(x)
 	if err != nil {
 		return nil, err
 	}
+	return mean(ys), nil
+}
+
+// memberOutputs runs every member's forward pass, in member order.
+func (e *Ensemble) memberOutputs(x []float64) ([][]float64, error) {
+	if len(e.Nets) == 0 {
+		return nil, fmt.Errorf("ann: empty ensemble")
+	}
+	ys := make([][]float64, len(e.Nets))
+	for m, n := range e.Nets {
+		y, err := n.Forward(x)
+		if err != nil {
+			return nil, err
+		}
+		ys[m] = y
+	}
+	return ys, nil
+}
+
+// mean averages a non-empty set of member outputs. It sums in member order
+// and then scales, so every caller gets the same bits for the same outputs.
+func mean(ys [][]float64) []float64 {
+	out := make([]float64, len(ys[0]))
 	for _, y := range ys {
 		for o, v := range y {
 			out[o] += v
 		}
 	}
-	inv := 1.0 / float64(len(e.Nets))
+	inv := 1.0 / float64(len(ys))
 	for o := range out {
 		out[o] *= inv
 	}
-	return out, nil
-}
-
-// memberVotes runs every member's forward pass, fanning across CPUs when
-// the ensemble is large enough to amortize the goroutines. The slice is
-// indexed by member, so any reduction over it is order-deterministic.
-func (e *Ensemble) memberVotes(x []float64) ([][]float64, error) {
-	ys := make([][]float64, len(e.Nets))
-	workers := runtime.GOMAXPROCS(0)
-	if len(e.Nets) < parallelVoteMin || workers < 2 {
-		for m, n := range e.Nets {
-			y, err := n.Forward(x)
-			if err != nil {
-				return nil, err
-			}
-			ys[m] = y
-		}
-		return ys, nil
-	}
-	if workers > 4 {
-		workers = 4 // a handful of chunks already hides the latency
-	}
-	errs := make([]error, workers)
-	chunk := (len(e.Nets) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(e.Nets))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for m := lo; m < hi; m++ {
-				y, err := e.Nets[m].Forward(x)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				ys[m] = y
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ys, nil
+	return out
 }
 
 // MSE evaluates the ensemble's mean squared error over a dataset.

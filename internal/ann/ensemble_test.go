@@ -2,7 +2,6 @@ package ann
 
 import (
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -51,45 +50,6 @@ func TestTrainEnsembleWorkerDeterminism(t *testing.T) {
 	}
 	if a[0] != b[0] {
 		t.Fatalf("worker count changed the trained ensemble: %v vs %v", a[0], b[0])
-	}
-}
-
-// TestParallelVoteBitIdentical forces both memberVotes paths — serial
-// (GOMAXPROCS=1) and chunked-parallel (GOMAXPROCS=4, members ≥
-// parallelVoteMin) — over the same ensemble and requires bit-equal output.
-func TestParallelVoteBitIdentical(t *testing.T) {
-	ds := voteDataset(30)
-	ens, err := TrainEnsemble(ds, Dataset{}, EnsembleConfig{
-		Members: parallelVoteMin + 4,
-		Sizes:   []int{2, 4, 1},
-		Train:   TrainConfig{Epochs: 15, LearningRate: 0.05, BatchSize: 8},
-		Seed:    11,
-		Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prev := runtime.GOMAXPROCS(1) // serial gate: workers < 2
-	serialOut := make([]float64, len(ds.X))
-	for i, x := range ds.X {
-		y, err := ens.Predict(x)
-		if err != nil {
-			runtime.GOMAXPROCS(prev)
-			t.Fatal(err)
-		}
-		serialOut[i] = y[0]
-	}
-	runtime.GOMAXPROCS(4) // parallel gate: members ≥ parallelVoteMin, workers ≥ 2
-	defer runtime.GOMAXPROCS(prev)
-	for i, x := range ds.X {
-		y, err := ens.Predict(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if y[0] != serialOut[i] {
-			t.Fatalf("sample %d: parallel vote %v != serial vote %v", i, y[0], serialOut[i])
-		}
 	}
 }
 

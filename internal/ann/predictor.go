@@ -2,11 +2,13 @@ package ann
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"hetsched/internal/characterize"
 	"hetsched/internal/stats"
@@ -18,24 +20,112 @@ func sizeToTarget(sizeKB int) float64 {
 	return math.Log2(float64(sizeKB)) - 2
 }
 
+// sizesKB are the design-space sizes a network output decodes to,
+// ascending; sizeIndex indexes them.
+var sizesKB = [...]int{2, 4, 8}
+
 // targetToSize decodes a network output to the nearest design-space size.
-func targetToSize(y float64) int {
+func targetToSize(y float64) int { return sizesKB[sizeIndex(y)] }
+
+// sizeIndex buckets a network output to its sizesKB index.
+func sizeIndex(y float64) int {
 	switch {
 	case y < -0.5:
-		return 2
+		return 0
 	case y < 0.5:
-		return 4
+		return 1
 	default:
-		return 8
+		return 2
 	}
 }
 
 // SizePredictor is the trained best-cache-size (best-core) predictor: a
 // bagged ANN ensemble plus the feature normalizer fitted on its training
 // pool.
+//
+// A SizePredictor memoizes its answers: PredictSizeKB and MemberVotes run
+// the bag once per distinct feature vector and answer every repeat from the
+// memo. This is exact because the bag is a pure function of its features.
+// A SizePredictor is safe for concurrent use. It must not be copied after
+// first use (go vet's copylocks check reports copies), and Ens and Norm
+// must not be mutated after the first prediction: the memo would go on
+// answering for the old bag.
 type SizePredictor struct {
 	Ens  *Ensemble
 	Norm *stats.Normalizer
+
+	mu    sync.Mutex
+	memo  map[stats.Features]*answer
+	evals atomic.Int64 // bag evaluations (memo misses), for tests
+}
+
+// memoCap bounds the memo. The features of /v1/predict bodies and of
+// noise-perturbed counters are unbounded, so a full memo is dropped rather
+// than grown; 4096 entries take about 1 MB.
+const memoCap = 4096
+
+// answer is one bag evaluation: the predicted size and the per-size member
+// votes, both from one member pass. Its fields are set before wg is done
+// and only read after.
+type answer struct {
+	wg     sync.WaitGroup
+	sizeKB int
+	votes  [len(sizesKB)]int // indexed like sizesKB
+	err    error
+}
+
+// errNoAnswer is what callers waiting on an evaluation that panicked get.
+var errNoAnswer = errors.New("ann: the bag evaluation for these features panicked")
+
+// answer returns the bag's answer for f, evaluating the bag only when f is
+// not in the memo. Concurrent first callers of one f share one evaluation.
+// A failed evaluation leaves the memo, so errors are never memoized.
+func (p *SizePredictor) answer(f stats.Features) *answer {
+	p.mu.Lock()
+	a, hit := p.memo[f]
+	if !hit {
+		if p.memo == nil || len(p.memo) >= memoCap {
+			p.memo = make(map[stats.Features]*answer)
+		}
+		a = &answer{err: errNoAnswer}
+		a.wg.Add(1)
+		p.memo[f] = a
+	}
+	p.mu.Unlock()
+	if hit {
+		a.wg.Wait()
+		return a
+	}
+	defer func() {
+		if a.err != nil {
+			p.mu.Lock()
+			if p.memo[f] == a {
+				delete(p.memo, f)
+			}
+			p.mu.Unlock()
+		}
+		a.wg.Done()
+	}()
+	p.evals.Add(1)
+	a.sizeKB, a.votes, a.err = p.evaluate(f)
+	return a
+}
+
+// evaluate runs the bag on f. One member pass yields both the size
+// Ensemble.Predict's average decodes to and the member votes.
+func (p *SizePredictor) evaluate(f stats.Features) (sizeKB int, votes [len(sizesKB)]int, err error) {
+	x, err := p.Norm.Apply(f.Select())
+	if err != nil {
+		return 0, votes, err
+	}
+	ys, err := p.Ens.memberOutputs(x)
+	if err != nil {
+		return 0, votes, err
+	}
+	for _, y := range ys {
+		votes[sizeIndex(y[0])]++
+	}
+	return targetToSize(mean(ys)[0]), votes, nil
 }
 
 // PredictorConfig controls TrainSizePredictor.
@@ -159,15 +249,8 @@ func (p *SizePredictor) accuracy(d Dataset) float64 {
 // PredictSizeKB predicts the best cache size for an application's raw
 // profiling features.
 func (p *SizePredictor) PredictSizeKB(f stats.Features) (int, error) {
-	x, err := p.Norm.Apply(f.Select())
-	if err != nil {
-		return 0, err
-	}
-	out, err := p.Ens.Predict(x)
-	if err != nil {
-		return 0, err
-	}
-	return targetToSize(out[0]), nil
+	a := p.answer(f)
+	return a.sizeKB, a.err
 }
 
 // MemberVotes reports, for an application's raw profiling features, how
@@ -175,20 +258,17 @@ func (p *SizePredictor) PredictSizeKB(f stats.Features) (int, error) {
 // This is the decision-audit view behind PredictSizeKB: the prediction
 // itself averages the member outputs, so the plurality size here can
 // differ from the predicted size when members straddle a bucket boundary.
-// The counting reduction is order-independent, so the result is identical
-// at any vote parallelism.
+// The map is the caller's own.
 func (p *SizePredictor) MemberVotes(f stats.Features) (map[int]int, error) {
-	x, err := p.Norm.Apply(f.Select())
-	if err != nil {
-		return nil, err
+	a := p.answer(f)
+	if a.err != nil {
+		return nil, a.err
 	}
-	ys, err := p.Ens.memberVotes(x)
-	if err != nil {
-		return nil, err
-	}
-	votes := make(map[int]int)
-	for _, y := range ys {
-		votes[targetToSize(y[0])]++
+	votes := make(map[int]int, len(sizesKB))
+	for i, n := range a.votes {
+		if n > 0 {
+			votes[sizesKB[i]] = n
+		}
 	}
 	return votes, nil
 }

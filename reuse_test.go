@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"hetsched/internal/ann"
 	"hetsched/internal/cache"
 	"hetsched/internal/core"
 	"hetsched/internal/stats"
@@ -32,11 +33,30 @@ type feedbackShim struct{ core.Predictor }
 
 func (feedbackShim) Observe(stats.Features, int, int, float64) {}
 
+// uncachedBag answers every call from a fresh predictor over the same bag,
+// so every call evaluates the bag: the memo's reference.
+type uncachedBag struct{ p *ann.SizePredictor }
+
+func (u uncachedBag) fresh() *ann.SizePredictor {
+	return &ann.SizePredictor{Ens: u.p.Ens, Norm: u.p.Norm}
+}
+
+func (u uncachedBag) PredictSizeKB(f stats.Features) (int, error) {
+	return u.fresh().PredictSizeKB(f)
+}
+
+func (u uncachedBag) MemberVotes(f stats.Features) (map[int]int, error) {
+	return u.fresh().MemberVotes(f)
+}
+
 // TestFixedPredictionReuseIsExact pins the profiling-table reuse: with the
 // trained ANN bag, the simulator asks a fixed predictor once per profiled
 // application, and the run is bit-identical to one that re-predicts at
 // every completion, the predictor scorecard included. Covered with and
-// without faults (counter noise perturbs the profiled features).
+// without faults (counter noise perturbs the profiled features). The
+// cluster cases pin the bag's own memo, which answers every node after the
+// first to ask: a multi-node run, traced, is bit-identical to one whose bag
+// evaluates every call.
 func TestFixedPredictionReuseIsExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the ANN; skipped in -short")
@@ -88,6 +108,56 @@ func TestFixedPredictionReuseIsExact(t *testing.T) {
 			}
 			if !reflect.DeepEqual(reused, repredicted) {
 				t.Errorf("stored-prediction run differs from the re-predicting run:\nreused %+v\nrepredicted %+v", reused.Predictor, repredicted.Predictor)
+			}
+		})
+	}
+
+	bag, ok := sys.Pred.(*ann.SizePredictor)
+	if !ok {
+		t.Fatalf("default predictor is %T, want the ANN bag", sys.Pred)
+	}
+	nodes, err := ParseClusterSpec("3*quad;2*4x8;1*16x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := ParseFaultPlan("noise=0.05,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterJobs, err := sys.ClusterWorkload(nodes, nil, 1500, 0.9, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		faults FaultPlan
+	}{
+		{"cluster", FaultPlan{}},
+		{"cluster-noisy", noisy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(p Predictor) (*ClusterResult, []TraceEvent) {
+				withPred := *sys
+				withPred.Pred = p
+				rec := NewTraceRecorder()
+				res, err := withPred.RunCluster(ClusterConfig{
+					Nodes: nodes, Workers: 3, Sim: SimConfig{Faults: tc.faults}, Trace: rec,
+				}, clusterJobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, rec.Events()
+			}
+			memoized, memoEvents := run(&ann.SizePredictor{Ens: bag.Ens, Norm: bag.Norm})
+			evaluated, evalEvents := run(uncachedBag{bag})
+			if !reflect.DeepEqual(memoized, evaluated) {
+				t.Errorf("memoized cluster run differs from the evaluate-every-call run")
+			}
+			if !reflect.DeepEqual(memoEvents, evalEvents) {
+				t.Errorf("memoized cluster trace (%d events) differs from the evaluate-every-call trace (%d)", len(memoEvents), len(evalEvents))
+			}
+			if len(memoEvents) == 0 {
+				t.Error("the traced cluster run recorded nothing")
 			}
 		})
 	}
