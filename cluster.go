@@ -6,7 +6,6 @@ import (
 
 	"hetsched/internal/cluster"
 	"hetsched/internal/core"
-	"hetsched/internal/eembc"
 	"hetsched/internal/trace"
 )
 
@@ -104,32 +103,5 @@ func (s *System) RunClusterOnDBContext(ctx context.Context, db *DB, cfg ClusterC
 // list weights the application mix by name (repeat a name to weight it);
 // empty draws uniformly over the whole suite.
 func (s *System) ClusterWorkload(nodes []SystemSpec, kernels []string, arrivals int, utilization float64, seed int64) ([]Job, error) {
-	ids := core.AllAppIDs(s.Eval)
-	if len(kernels) > 0 {
-		ids = ids[:0]
-		for _, name := range kernels {
-			rec, err := s.Eval.Find(name, eembc.DefaultParams())
-			if err != nil {
-				return nil, err
-			}
-			ids = append(ids, rec.ID)
-		}
-	}
-	cores := 0
-	for _, spec := range nodes {
-		cores += spec.Cores()
-	}
-	if cores == 0 {
-		cores = len(core.DefaultSimConfig().CoreSizesKB)
-	}
-	horizon, err := core.HorizonForUtilization(s.Eval, ids, arrivals, cores, utilization)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateWorkload(core.WorkloadConfig{
-		Arrivals:      arrivals,
-		AppIDs:        ids,
-		HorizonCycles: horizon,
-		Seed:          seed,
-	})
+	return s.generate(uniformSpec, kernels, nodes, arrivals, utilization, seed)
 }

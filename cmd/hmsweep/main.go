@@ -4,17 +4,22 @@
 //
 // Usage:
 //
-//	hmsweep [-arrivals 1500] [-utils 0.5,0.75,0.9] [-models uniform,poisson,bursty]
+//	hmsweep [-arrivals 1500] [-utils 0.5,0.75,0.9] [-models uniform,poisson,bursty,diurnal,closed]
 //	        [-systems base,optimal,sat,energy-centric,proposed]
 //	        [-predictor ann] [-engine stream] [-seed 1] [-j N] [-cache-dir auto]
 //	        [-faults mttf=5e6,recover=1e5,seed=1] [-trace cell.json]
 //	        [-scenario "poisson:rate=0.9,jobs=5000;slo=deadline:slack=1.5"] > sweep.csv
 //
-// -scenario replaces the arrival-model dimension with a workload scenario:
-// the spec's source generates every cell's jobs, the SLO layer (classes,
-// deadlines) arms the deadline-aware scheduler, and five deadline/SLO
-// columns are appended to the CSV. Without -scenario the CSV is emitted
-// byte-for-byte as before.
+// -models names the arrival processes to sweep; each is a scenario source
+// (internal/scenario) at its default parameters, and its name fills the
+// arrival_model column. The default uniform is the paper's stream.
+//
+// -scenario replaces the arrival-model axis with one full workload
+// scenario: the spec's source generates every cell's jobs, its jobs= and
+// rate= pin the arrival count and the single utilization, and an SLO
+// section (classes, deadlines) arms the deadline-aware scheduler and
+// appends five deadline/SLO columns to the CSV. Without an SLO section the
+// CSV keeps the default columns.
 //
 // -faults injects one deterministic fault plan into every grid cell (the
 // data behind degradation-versus-load plots); faulted sweeps append fault
@@ -22,7 +27,7 @@
 // byte-for-byte.
 //
 // -trace re-runs the sweep's first grid cell (first utilization, first
-// model, first system) with the decision-audit recorder attached and writes
+// scenario, first system) with the decision-audit recorder attached and writes
 // the event stream to the named file (.json = Chrome/Perfetto, else CSV).
 // The re-run reuses the cell's own deterministic workload seed, so the
 // trace explains exactly the first CSV row; the parallel sweep itself runs
@@ -46,7 +51,7 @@ import (
 	"strings"
 
 	"hetsched"
-	"hetsched/internal/core"
+	"hetsched/internal/scenario"
 	"hetsched/internal/sweep"
 )
 
@@ -61,7 +66,7 @@ func main() {
 func run() error {
 	arrivals := flag.Int("arrivals", 1500, "arrivals per experiment")
 	utilsFlag := flag.String("utils", "0.5,0.75,0.9", "comma-separated utilizations")
-	modelsFlag := flag.String("models", "uniform", "comma-separated arrival models (uniform|poisson|bursty)")
+	modelsFlag := flag.String("models", "uniform", "comma-separated arrival models (uniform|poisson|bursty|diurnal|closed)")
 	systemsFlag := flag.String("systems", "base,optimal,energy-centric,proposed", "comma-separated systems")
 	spec := hetsched.DefaultPredictorSpec()
 	flag.TextVar(&spec, "predictor", hetsched.DefaultPredictorSpec(),
@@ -82,7 +87,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	models, err := parseModels(*modelsFlag)
+	scenarios, err := parseModels(*modelsFlag)
 	if err != nil {
 		return err
 	}
@@ -115,7 +120,7 @@ func run() error {
 	swCfg := sweep.Config{
 		Arrivals:     *arrivals,
 		Utilizations: utils,
-		Models:       models,
+		Scenarios:    scenarios,
 		Systems:      strings.Split(*systemsFlag, ","),
 		Seed:         *seed,
 		Workers:      *jobs,
@@ -123,7 +128,7 @@ func run() error {
 	swCfg.Sim.Faults = faults
 	if !scenarioSpec.IsZero() {
 		fmt.Fprintf(os.Stderr, "scenario sweep: %s\n", scenarioSpec)
-		swCfg.Scenario = &scenarioSpec
+		swCfg.Scenarios = []scenario.Spec{scenarioSpec}
 	}
 	points, err := sweep.Run(sys.Eval, sys.Energy, sys.Pred, swCfg)
 	// A grid-point failure must not discard finished work: flush every
@@ -143,7 +148,7 @@ func run() error {
 	return nil
 }
 
-// traceFirstCell re-runs the sweep's first (utilization, model, system)
+// traceFirstCell re-runs the sweep's first (utilization, scenario, system)
 // cell as a 1x1x1 sub-grid with the decision-audit recorder attached. The
 // sub-grid derives the identical cell seed (indices 0,0), so the traced run
 // is the first CSV row, event for event.
@@ -151,7 +156,7 @@ func traceFirstCell(sys *hetsched.System, swCfg sweep.Config, path string) error
 	rec := hetsched.NewTraceRecorder()
 	cellCfg := swCfg
 	cellCfg.Utilizations = swCfg.Utilizations[:1]
-	cellCfg.Models = swCfg.Models[:1]
+	cellCfg.Scenarios = swCfg.Scenarios[:1]
 	cellCfg.Systems = swCfg.Systems[:1]
 	cellCfg.Workers = 1
 	cellCfg.Sim.Trace = rec
@@ -161,8 +166,8 @@ func traceFirstCell(sys *hetsched.System, swCfg sweep.Config, path string) error
 	if err := hetsched.WriteTraceFile(path, rec.Events()); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d trace events for cell (util=%v, model=%s, system=%s) to %s\n",
-		rec.Len(), cellCfg.Utilizations[0], cellCfg.Models[0], cellCfg.Systems[0], path)
+	fmt.Fprintf(os.Stderr, "wrote %d trace events for cell (util=%v, scenario=%s, system=%s) to %s\n",
+		rec.Len(), cellCfg.Utilizations[0], cellCfg.Scenarios[0], cellCfg.Systems[0], path)
 	return nil
 }
 
@@ -178,19 +183,16 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-func parseModels(s string) ([]core.ArrivalModel, error) {
-	var out []core.ArrivalModel
+// parseModels parses the -models list: each name is a bare scenario
+// source.
+func parseModels(s string) ([]scenario.Spec, error) {
+	var out []scenario.Spec
 	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "uniform":
-			out = append(out, core.ArrivalUniform)
-		case "poisson":
-			out = append(out, core.ArrivalPoisson)
-		case "bursty":
-			out = append(out, core.ArrivalBursty)
-		default:
+		sp, err := scenario.Parse(strings.TrimSpace(part))
+		if err != nil || sp.IsZero() || sp.String() != sp.Source {
 			return nil, fmt.Errorf("unknown arrival model %q", part)
 		}
+		out = append(out, sp)
 	}
 	return out, nil
 }

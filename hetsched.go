@@ -496,18 +496,7 @@ func (s *System) predictorFor(db *DB) Predictor {
 // Workload generates the paper-style uniform arrival stream over the whole
 // suite at the given utilization.
 func (s *System) Workload(arrivals int, utilization float64, seed int64) ([]Job, error) {
-	ids := core.AllAppIDs(s.Eval)
-	cores := len(core.DefaultSimConfig().CoreSizesKB)
-	horizon, err := core.HorizonForUtilization(s.Eval, ids, arrivals, cores, utilization)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateWorkload(core.WorkloadConfig{
-		Arrivals:      arrivals,
-		AppIDs:        ids,
-		HorizonCycles: horizon,
-		Seed:          seed,
-	})
+	return s.generate(uniformSpec, nil, nil, arrivals, utilization, seed)
 }
 
 // WeightedWorkload generates an arrival stream whose application mix is
@@ -518,25 +507,7 @@ func (s *System) WeightedWorkload(kernels []string, arrivals int, utilization fl
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("hetsched: empty kernel mix")
 	}
-	ids := make([]int, 0, len(kernels))
-	for _, name := range kernels {
-		rec, err := s.Eval.Find(name, eembc.DefaultParams())
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, rec.ID)
-	}
-	cores := len(core.DefaultSimConfig().CoreSizesKB)
-	horizon, err := core.HorizonForUtilization(s.Eval, ids, arrivals, cores, utilization)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateWorkload(core.WorkloadConfig{
-		Arrivals:      arrivals,
-		AppIDs:        ids,
-		HorizonCycles: horizon,
-		Seed:          seed,
-	})
+	return s.generate(uniformSpec, kernels, nil, arrivals, utilization, seed)
 }
 
 // AssignPriorities gives jobs uniform random priorities in [0, levels) —

@@ -71,36 +71,6 @@ func (j *Job) remaining() float64 {
 	return j.remainingFrac
 }
 
-// ArrivalModel selects the arrival process.
-type ArrivalModel int
-
-// Arrival processes.
-const (
-	// ArrivalUniform draws i.i.d. uniform arrival times over the horizon —
-	// the paper's "5000 uniform distribution arrival times".
-	ArrivalUniform ArrivalModel = iota
-	// ArrivalPoisson uses exponential inter-arrival times at the rate
-	// implied by Arrivals/HorizonCycles (a memoryless open system).
-	ArrivalPoisson
-	// ArrivalBursty alternates high-rate bursts and quiet gaps (4x / 0.25x
-	// the mean rate over horizon/16-long phases) — the stress case for
-	// stall decisions.
-	ArrivalBursty
-)
-
-// String names the model.
-func (m ArrivalModel) String() string {
-	switch m {
-	case ArrivalUniform:
-		return "uniform"
-	case ArrivalPoisson:
-		return "poisson"
-	case ArrivalBursty:
-		return "bursty"
-	}
-	return fmt.Sprintf("arrival(%d)", int(m))
-}
-
 // WorkloadConfig controls workload generation. The paper creates 5000
 // uniformly distributed arrivals over the full EEMBC suite.
 type WorkloadConfig struct {
@@ -110,8 +80,6 @@ type WorkloadConfig struct {
 	AppIDs []int
 	// HorizonCycles spreads arrivals over [0, HorizonCycles).
 	HorizonCycles uint64
-	// Model selects the arrival process (default ArrivalUniform).
-	Model ArrivalModel
 	// Seed drives the draws.
 	Seed int64
 }
@@ -130,64 +98,30 @@ func (c WorkloadConfig) Validate() error {
 	return nil
 }
 
-// GenerateWorkload draws jobs under the configured arrival process with
-// uniformly chosen applications, sorted by arrival time.
+// GenerateWorkload draws the paper's stream: i.i.d. uniform arrival times
+// over the horizon with uniformly chosen applications, sorted by arrival
+// time. Every other arrival process is a scenario source
+// (internal/scenario), whose uniform source delegates here.
 func GenerateWorkload(cfg WorkloadConfig) ([]Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var arrivals []uint64
-	switch cfg.Model {
-	case ArrivalUniform:
-		// Draw (app, arrival) pairs interleaved — the original stream
-		// layout, kept bit-identical so seeded experiments stay stable.
-		jobs := make([]Job, cfg.Arrivals)
-		for i := range jobs {
-			jobs[i] = Job{
-				AppID:        cfg.AppIDs[rng.Intn(len(cfg.AppIDs))],
-				ArrivalCycle: uint64(rng.Int63n(int64(cfg.HorizonCycles))),
-			}
-		}
-		return finishWorkload(jobs), nil
-	case ArrivalPoisson:
-		mean := float64(cfg.HorizonCycles) / float64(cfg.Arrivals)
-		at := 0.0
-		for len(arrivals) < cfg.Arrivals {
-			at += rng.ExpFloat64() * mean
-			arrivals = append(arrivals, uint64(at))
-		}
-	case ArrivalBursty:
-		// Alternate burst (4x rate) and quiet (0.25x rate) phases of
-		// horizon/16 cycles each; within a phase, Poisson arrivals.
-		baseMean := float64(cfg.HorizonCycles) / float64(cfg.Arrivals)
-		phaseLen := float64(cfg.HorizonCycles) / 16
-		at := 0.0
-		for len(arrivals) < cfg.Arrivals {
-			phase := int(at / phaseLen)
-			mean := baseMean / 4
-			if phase%2 == 1 {
-				mean = baseMean * 4
-			}
-			at += rng.ExpFloat64() * mean
-			arrivals = append(arrivals, uint64(at))
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown arrival model %d", cfg.Model)
-	}
-
+	// Draw (app, arrival) pairs interleaved — the original stream layout,
+	// kept bit-identical so seeded experiments stay stable.
 	jobs := make([]Job, cfg.Arrivals)
 	for i := range jobs {
 		jobs[i] = Job{
 			AppID:        cfg.AppIDs[rng.Intn(len(cfg.AppIDs))],
-			ArrivalCycle: arrivals[i],
+			ArrivalCycle: uint64(rng.Int63n(int64(cfg.HorizonCycles))),
 		}
 	}
-	return finishWorkload(jobs), nil
+	return FinishWorkload(jobs), nil
 }
 
-// finishWorkload sorts by arrival and assigns indices.
-func finishWorkload(jobs []Job) []Job {
+// FinishWorkload sorts jobs by (arrival, app) and assigns their indices —
+// the ordering contract every generated or replayed workload shares.
+func FinishWorkload(jobs []Job) []Job {
 	sort.Slice(jobs, func(i, j int) bool {
 		if jobs[i].ArrivalCycle != jobs[j].ArrivalCycle {
 			return jobs[i].ArrivalCycle < jobs[j].ArrivalCycle

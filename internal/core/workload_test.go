@@ -138,78 +138,50 @@ func TestHorizonForUtilization(t *testing.T) {
 	}
 }
 
+// Core owns one arrival process (the paper's uniform stream) and the
+// ordering contract every other arrival source hands its jobs through:
+// FinishWorkload sorts by (arrival, app) and assigns indices.
 func TestArrivalModels(t *testing.T) {
-	base := WorkloadConfig{
+	cfg := WorkloadConfig{
 		Arrivals:      2000,
 		AppIDs:        []int{0, 1, 2},
 		HorizonCycles: 10_000_000,
 		Seed:          5,
 	}
-	for _, model := range []ArrivalModel{ArrivalUniform, ArrivalPoisson, ArrivalBursty} {
-		cfg := base
-		cfg.Model = model
-		jobs, err := GenerateWorkload(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", model, err)
-		}
-		if len(jobs) != cfg.Arrivals {
-			t.Fatalf("%v: %d jobs", model, len(jobs))
-		}
-		for i := 1; i < len(jobs); i++ {
-			if jobs[i-1].ArrivalCycle > jobs[i].ArrivalCycle {
-				t.Fatalf("%v: not sorted", model)
-			}
-		}
-		if model.String() == "" {
-			t.Errorf("unnamed model %d", model)
+	jobs, err := GenerateWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != cfg.Arrivals {
+		t.Fatalf("uniform: %d jobs", len(jobs))
+	}
+	for i := 1; i < len(jobs); i++ {
+		if jobs[i-1].ArrivalCycle > jobs[i].ArrivalCycle {
+			t.Fatal("uniform: not sorted")
 		}
 	}
-	bad := base
-	bad.Model = ArrivalModel(99)
-	if _, err := GenerateWorkload(bad); err == nil {
-		t.Error("unknown arrival model accepted")
-	}
-}
 
-// Burstiness check: the bursty model's inter-arrival variance must exceed
-// the Poisson model's (coefficient of variation > 1), and Poisson's must
-// exceed none-at-all.
-func TestBurstyHasHigherVariance(t *testing.T) {
-	cv := func(model ArrivalModel) float64 {
-		jobs, err := GenerateWorkload(WorkloadConfig{
-			Arrivals: 4000, AppIDs: []int{0}, HorizonCycles: 40_000_000,
-			Model: model, Seed: 6,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gaps []float64
-		for i := 1; i < len(jobs); i++ {
-			gaps = append(gaps, float64(jobs[i].ArrivalCycle-jobs[i-1].ArrivalCycle))
-		}
-		mean, varr := 0.0, 0.0
-		for _, g := range gaps {
-			mean += g
-		}
-		mean /= float64(len(gaps))
-		for _, g := range gaps {
-			varr += (g - mean) * (g - mean)
-		}
-		varr /= float64(len(gaps))
-		if mean == 0 {
-			return 0
-		}
-		return varr / (mean * mean) // squared coefficient of variation
+	// A hand-built stream, as a non-uniform source or a replayed trace
+	// produces it: out of order, with an arrival tie broken by app.
+	raw := []Job{
+		{AppID: 2, ArrivalCycle: 300},
+		{AppID: 1, ArrivalCycle: 100},
+		{AppID: 0, ArrivalCycle: 300},
+		{AppID: 4, ArrivalCycle: 0},
 	}
-	poisson := cv(ArrivalPoisson)
-	bursty := cv(ArrivalBursty)
-	t.Logf("squared CV: poisson %.2f, bursty %.2f", poisson, bursty)
-	// Poisson: CV^2 ~ 1. Bursty must be clearly above.
-	if poisson < 0.7 || poisson > 1.4 {
-		t.Errorf("poisson squared CV %.2f far from 1", poisson)
+	got := FinishWorkload(raw)
+	want := []struct {
+		app     int
+		arrival uint64
+	}{{4, 0}, {1, 100}, {0, 300}, {2, 300}}
+	if len(got) != len(want) {
+		t.Fatalf("finished %d jobs, want %d", len(got), len(want))
 	}
-	if bursty < 1.5*poisson {
-		t.Errorf("bursty squared CV %.2f not clearly above poisson %.2f", bursty, poisson)
+	for i, w := range want {
+		if got[i].Index != i || got[i].AppID != w.app || got[i].ArrivalCycle != w.arrival {
+			t.Errorf("job %d = {index %d, app %d, arrival %d}, want {index %d, app %d, arrival %d}",
+				i, got[i].Index, got[i].AppID, got[i].ArrivalCycle, i, w.app, w.arrival)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ func FromTrace(events []trace.Event) ([]core.Job, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("scenario: trace has no enqueue events to replay")
 	}
-	return finish(jobs), nil
+	return core.FinishWorkload(jobs), nil
 }
 
 // ReadTraceWorkload reads a trace CSV file and replays it into a workload.

@@ -10,6 +10,7 @@ import (
 
 	"hetsched/internal/characterize"
 	"hetsched/internal/core"
+	"hetsched/internal/eembc"
 )
 
 // sloSeedSalt decorrelates the SLO class-assignment stream from the
@@ -23,8 +24,9 @@ type Params struct {
 	// DB is the characterization database (service-time estimates,
 	// deadline scaling).
 	DB *characterize.DB
-	// AppIDs is the application population; nil means the whole DB.
-	AppIDs []int
+	// Kernels is the application mix by kernel name (default
+	// parameters), repeated to weight a kernel; nil means the whole DB.
+	Kernels []string
 	// Arrivals is the job count unless the spec pins jobs=.
 	Arrivals int
 	// Cores sizes the horizon (default 4, the paper's quad-core).
@@ -50,9 +52,9 @@ func (sp Spec) Generate(p Params) ([]core.Job, error) {
 	if p.DB == nil {
 		return nil, fmt.Errorf("scenario: nil characterization DB")
 	}
-	appIDs := p.AppIDs
-	if len(appIDs) == 0 {
-		appIDs = core.AllAppIDs(p.DB)
+	appIDs, err := p.population()
+	if err != nil {
+		return nil, err
 	}
 	n := p.Arrivals
 	if sp.Jobs > 0 {
@@ -70,18 +72,17 @@ func (sp Spec) Generate(p Params) ([]core.Job, error) {
 	var jobs []core.Job
 	switch sp.Source {
 	case "replay":
-		var err error
 		jobs, err = ReadTraceWorkload(sp.Path)
 		if err != nil {
 			return nil, err
 		}
 		if sp.Jobs > 0 && sp.Jobs < len(jobs) {
-			jobs = finish(jobs[:sp.Jobs])
+			jobs = core.FinishWorkload(jobs[:sp.Jobs])
 		}
 	case "uniform":
-		if n < 1 {
-			return nil, fmt.Errorf("scenario: %d arrivals", n)
-		}
+		// The arrival count is left to core.GenerateWorkload's
+		// validation, so a bad utilization is reported first, in the
+		// facade's long-standing error order.
 		horizon, err := core.HorizonForUtilization(p.DB, appIDs, n, cores, util)
 		if err != nil {
 			return nil, err
@@ -90,7 +91,6 @@ func (sp Spec) Generate(p Params) ([]core.Job, error) {
 			Arrivals:      n,
 			AppIDs:        appIDs,
 			HorizonCycles: horizon,
-			Model:         core.ArrivalUniform,
 			Seed:          p.Seed,
 		})
 		if err != nil {
@@ -110,7 +110,7 @@ func (sp Spec) Generate(p Params) ([]core.Job, error) {
 		for i := range jobs {
 			jobs[i] = core.Job{AppID: apps[i], ArrivalCycle: arrivals[i]}
 		}
-		jobs = finish(jobs)
+		jobs = core.FinishWorkload(jobs)
 	default: // poisson, bursty, diurnal
 		if n < 1 {
 			return nil, fmt.Errorf("scenario: %d arrivals", n)
@@ -131,13 +131,30 @@ func (sp Spec) Generate(p Params) ([]core.Job, error) {
 				ArrivalCycle: arrivals[i],
 			}
 		}
-		jobs = finish(jobs)
+		jobs = core.FinishWorkload(jobs)
 	}
 
 	if err := sp.ApplySLO(jobs, p.DB, p.Seed); err != nil {
 		return nil, err
 	}
 	return jobs, nil
+}
+
+// population resolves the kernel mix to application IDs in list order
+// (a repeated name weights its kernel); no mix is the whole DB.
+func (p Params) population() ([]int, error) {
+	if len(p.Kernels) == 0 {
+		return core.AllAppIDs(p.DB), nil
+	}
+	ids := make([]int, len(p.Kernels))
+	for i, name := range p.Kernels {
+		rec, err := p.DB.Find(name, eembc.DefaultParams())
+		if err != nil {
+			return nil, err
+		}
+		ids[i] = rec.ID
+	}
+	return ids, nil
 }
 
 // serviceTimes returns a best-config cycle lookup over the population.
@@ -151,22 +168,6 @@ func serviceTimes(db *characterize.DB, appIDs []int) (func(int) uint64, error) {
 		m[id] = rec.BestConfig().Cycles
 	}
 	return func(id int) uint64 { return m[id] }, nil
-}
-
-// finish sorts by (arrival, app) and assigns indices — the same ordering
-// contract core.finishWorkload establishes, so scenario workloads are
-// interchangeable with legacy ones everywhere downstream.
-func finish(jobs []core.Job) []core.Job {
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].ArrivalCycle != jobs[j].ArrivalCycle {
-			return jobs[i].ArrivalCycle < jobs[j].ArrivalCycle
-		}
-		return jobs[i].AppID < jobs[j].AppID
-	})
-	for i := range jobs {
-		jobs[i].Index = i
-	}
-	return jobs
 }
 
 // ApplySLO stamps the SLO layer onto a finished job stream: each job is

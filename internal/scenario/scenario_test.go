@@ -7,6 +7,7 @@ import (
 
 	"hetsched/internal/characterize"
 	"hetsched/internal/core"
+	"hetsched/internal/eembc"
 )
 
 func testDB(t testing.TB) *characterize.DB {
@@ -110,8 +111,7 @@ func TestUniformMatchesLegacyGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy, err := core.GenerateWorkload(core.WorkloadConfig{
-		Arrivals: n, AppIDs: appIDs, HorizonCycles: horizon,
-		Model: core.ArrivalUniform, Seed: 42,
+		Arrivals: n, AppIDs: appIDs, HorizonCycles: horizon, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +123,97 @@ func TestUniformMatchesLegacyGenerator(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, legacy) {
 		t.Error("scenario uniform diverges from core.GenerateWorkload")
+	}
+}
+
+// TestKernelMix checks the weighted kernel mix: the uniform source over a
+// mix is core.GenerateWorkload over the mix's application IDs in list
+// order (a repeated name weights its kernel), every source draws only
+// from the mix, and an unknown name is an error.
+func TestKernelMix(t *testing.T) {
+	db := testDB(t)
+	mix := []string{"a2time", "a2time", "a2time", "matrix"}
+	var ids []int
+	for _, name := range mix {
+		rec, err := db.Find(name, eembc.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	horizon, err := core.HorizonForUtilization(db, ids, 300, 4, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := core.GenerateWorkload(core.WorkloadConfig{
+		Arrivals: 300, AppIDs: ids, HorizonCycles: horizon, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MustParse("uniform").Generate(Params{DB: db, Kernels: mix, Arrivals: 300, Cores: 4, Utilization: 0.7, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, legacy) {
+		t.Error("uniform over a kernel mix diverges from core.GenerateWorkload over its IDs")
+	}
+	for _, s := range openSpecs {
+		p := testParams(db, 4)
+		p.Kernels = mix
+		jobs, err := MustParse(s).Generate(p)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		for _, j := range jobs {
+			if j.AppID != ids[0] && j.AppID != ids[3] {
+				t.Fatalf("%s: app %d outside the mix", s, j.AppID)
+			}
+		}
+	}
+	p := testParams(db, 1)
+	p.Kernels = []string{"nosuch"}
+	if _, err := MustParse("uniform").Generate(p); err == nil {
+		t.Error("unknown kernel accepted")
+	}
+}
+
+// TestBurstyHasHigherVariance pins the burstiness of the arrival
+// processes on a one-application stream: poisson inter-arrival gaps have
+// a squared coefficient of variation near 1, and the bursty MMPP's is
+// clearly above it.
+func TestBurstyHasHigherVariance(t *testing.T) {
+	db := testDB(t)
+	cv := func(source string, seed int64) float64 {
+		jobs, err := MustParse(source).Generate(Params{
+			DB: db, Kernels: []string{"a2time"}, Arrivals: 4000, Cores: 4, Utilization: 0.8, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gaps := make([]float64, len(jobs)-1)
+		mean := 0.0
+		for i := range gaps {
+			gaps[i] = float64(jobs[i+1].ArrivalCycle - jobs[i].ArrivalCycle)
+			mean += gaps[i]
+		}
+		mean /= float64(len(gaps))
+		varr := 0.0
+		for _, g := range gaps {
+			varr += (g - mean) * (g - mean)
+		}
+		varr /= float64(len(gaps))
+		return varr / (mean * mean) // squared coefficient of variation
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		poisson, bursty := cv("poisson", seed), cv("bursty", seed)
+		t.Logf("seed %d squared CV: poisson %.2f, bursty %.2f", seed, poisson, bursty)
+		if poisson < 0.7 || poisson > 1.4 {
+			t.Errorf("seed %d: poisson squared CV %.2f far from 1", seed, poisson)
+		}
+		if bursty < 1.5*poisson {
+			t.Errorf("seed %d: bursty squared CV %.2f not clearly above poisson %.2f", seed, bursty, poisson)
+		}
 	}
 }
 

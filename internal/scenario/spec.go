@@ -10,7 +10,9 @@
 // stream seeded by the caller, so a fixed (spec, seed) produces the
 // identical workload at any worker count — the same invariance the sweep
 // grid and the trace recorder guarantee. The uniform source delegates to
-// the legacy core generator and reproduces its stream bit-identically.
+// core.GenerateWorkload, the paper's stream, and reproduces it
+// bit-identically; every other synthetic stream in the repository comes
+// from this package.
 package scenario
 
 import (

@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"hetsched"
+	"hetsched/internal/scenario"
 )
 
 // handleClusterSchedule serves POST /v1/cluster/schedule: one workload
@@ -31,10 +32,8 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		return &scheduleRun{
 			priority: req.Priority, cost: req.Arrivals, traced: traced, cluster: cfg, clustered: true,
-			generate: func(sys *hetsched.System) ([]hetsched.Job, error) {
-				return sys.ClusterWorkload(cfg.Nodes, req.Kernels, req.Arrivals, req.Utilization, req.Seed)
-			},
-			respond: func(o runOutcome) any { return summarizeCluster(cfg, o) },
+			generate: generated(hetsched.ScenarioSpec{}, req.Kernels, cfg.Nodes, req.Arrivals, req.Utilization, req.Seed),
+			respond:  func(o runOutcome) any { return summarizeCluster(cfg, o) },
 		}, nil
 	})
 }
@@ -70,6 +69,26 @@ func (s *Server) checkCluster(nodesSpec, scorerName, system string, arrivals *in
 		return cfg, errors.New("negative steal_threshold")
 	}
 	return cfg, nil
+}
+
+// generated is the generated endpoints' workload source: one draw of the
+// request's scenario (the paper's uniform stream when it has none) over its
+// kernel mix (none is the whole suite), sized for the topology's cores.
+func generated(sp hetsched.ScenarioSpec, kernels []string, nodes []hetsched.SystemSpec,
+	arrivals int, utilization float64, seed int64) func(*hetsched.System) ([]hetsched.Job, error) {
+	if sp.IsZero() {
+		sp = scenario.Spec{Source: "uniform"}
+	}
+	return func(sys *hetsched.System) ([]hetsched.Job, error) {
+		return sp.Generate(scenario.Params{
+			DB:          sys.Eval,
+			Kernels:     kernels,
+			Arrivals:    arrivals,
+			Cores:       clusterCores(nodes),
+			Utilization: utilization,
+			Seed:        seed,
+		})
+	}
 }
 
 // clusterCores is a topology's total core count.

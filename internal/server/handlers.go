@@ -294,18 +294,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			sim.PriorityScheduling = true
 			sim.Preemptive = req.Preemptive
 		}
+		draw := generated(scenario, req.Kernels, oneNode, req.Arrivals, req.Utilization, req.Seed)
 		return &scheduleRun{
 			priority: req.Priority, cost: cost, traced: traced,
 			cluster: hetsched.ClusterConfig{Nodes: oneNode, System: req.System, Sim: sim},
-			generate: func(sys *hetsched.System) (jobs []hetsched.Job, err error) {
-				switch {
-				case !scenario.IsZero():
-					jobs, err = sys.ScenarioWorkload(scenario, req.Arrivals, req.Utilization, req.Seed)
-				case len(req.Kernels) > 0:
-					jobs, err = sys.WeightedWorkload(req.Kernels, req.Arrivals, req.Utilization, req.Seed)
-				default:
-					jobs, err = sys.Workload(req.Arrivals, req.Utilization, req.Seed)
-				}
+			generate: func(sys *hetsched.System) ([]hetsched.Job, error) {
+				jobs, err := draw(sys)
 				if err != nil {
 					return nil, err
 				}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"hetsched/internal/core"
+	"hetsched/internal/scenario"
 )
 
 // TestParallelSweepDeterminism is the tentpole invariant for the sweep
@@ -14,7 +14,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	base := Config{
 		Arrivals:     250,
 		Utilizations: []float64{0.5, 0.9},
-		Models:       []core.ArrivalModel{core.ArrivalUniform, core.ArrivalPoisson},
+		Scenarios:    []scenario.Spec{scenario.MustParse("uniform"), scenario.MustParse("poisson")},
 		Systems:      []string{"base", "sat", "proposed"},
 		Seed:         11,
 	}

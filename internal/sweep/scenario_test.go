@@ -22,7 +22,7 @@ func scenarioConfig(workers int) Config {
 		Systems:      []string{"base", "proposed"},
 		Seed:         1,
 		Workers:      workers,
-		Scenario:     &sp,
+		Scenarios:    []scenario.Spec{sp},
 	}
 }
 
@@ -67,8 +67,8 @@ func TestScenarioSweepCSVGolden(t *testing.T) {
 		}
 	}
 	for i, p := range points {
-		if p.Scenario != "poisson" {
-			t.Errorf("point %d scenario %q, want poisson", i, p.Scenario)
+		if p.Scenario.Source != "poisson" {
+			t.Errorf("point %d scenario %q, want poisson", i, p.Scenario.Source)
 		}
 		if p.Metrics.Completed != 200 {
 			t.Errorf("point %d completed %d; jobs=200 override ignored", i, p.Metrics.Completed)
@@ -88,7 +88,7 @@ func TestScenarioRateCollapsesUtilizations(t *testing.T) {
 	sp := scenario.MustParse("poisson:rate=0.9,jobs=150;slo=deadline:slack=1.5")
 	points, err := Run(db, em, pred, Config{
 		Arrivals: 999, Utilizations: []float64{0.5, 0.7, 0.9},
-		Systems: []string{"base", "proposed"}, Seed: 1, Scenario: &sp,
+		Systems: []string{"base", "proposed"}, Seed: 1, Scenarios: []scenario.Spec{sp},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,5 +152,68 @@ func TestLegacyCSVFreeOfScenarioColumns(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "uniform") {
 		t.Error("legacy CSV lost the arrival-model column")
+	}
+}
+
+// TestMultiScenarioGrid checks a grid over several specs: one row per
+// (utilization, scenario, system) in grid order with each spec's source
+// in the arrival_model column, the deadline/SLO columns iff some spec has
+// an SLO section, and jobs=/rate= rejected once the grid has more than
+// one spec.
+func TestMultiScenarioGrid(t *testing.T) {
+	db, em, pred := setup(t)
+	render := func(specs ...string) (string, error) {
+		cfg := Config{
+			Arrivals: 120, Utilizations: []float64{0.6, 0.9},
+			Systems: []string{"base", "proposed"}, Seed: 2, Workers: 2,
+		}
+		for _, s := range specs {
+			cfg.Scenarios = append(cfg.Scenarios, scenario.MustParse(s))
+		}
+		points, err := Run(db, em, pred, cfg)
+		if err != nil {
+			return "", err
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, points); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), nil
+	}
+
+	plain, err := render("uniform", "bursty", "closed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(plain), "\n")
+	if len(lines) != 1+2*3*2 {
+		t.Fatalf("CSV has %d lines, want %d", len(lines), 1+2*3*2)
+	}
+	if strings.Contains(lines[0], "deadlines") {
+		t.Errorf("SLO-free grid has deadline columns: %s", lines[0])
+	}
+	for i, line := range lines[1:] {
+		want := []string{"uniform", "bursty", "closed"}[i/2%3]
+		if got := strings.Split(line, ",")[1]; got != want {
+			t.Errorf("row %d arrival_model %q, want %q", i, got, want)
+		}
+	}
+
+	mixed, err := render("uniform", "poisson;slo=deadline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rest, _ := strings.Cut(mixed, "\n")
+	if !strings.HasSuffix(header, ",deadlines,deadline_misses,miss_rate_pct,slo_migrations,p999_cycles") {
+		t.Errorf("grid with an SLO spec lacks the deadline columns: %s", header)
+	}
+	if !strings.HasPrefix(rest, "0.60,uniform,base,") {
+		t.Errorf("first row not the first cell: %s", rest)
+	}
+
+	for _, pinned := range []string{"poisson:jobs=50", "poisson:rate=0.7"} {
+		if _, err := render("uniform", pinned); err == nil {
+			t.Errorf("multi-spec grid accepted %s", pinned)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package sweep runs grids of scheduling experiments — across offered
-// load, arrival model and system — and renders the results as CSV. It is
-// the engine behind cmd/hmsweep and the load-sensitivity ablations.
+// load, workload scenario and system — and renders the results as CSV. It
+// is the engine behind cmd/hmsweep and the load-sensitivity ablations.
 //
 // The grid is embarrassingly parallel and Run exploits that: every
-// (utilization, model, system) cell simulates on its own goroutine under a
+// (utilization, scenario, system) cell simulates on its own goroutine under a
 // bounded worker pool, each cell's workload derives from its own
 // deterministic per-cell seed, and results land in pre-assigned slots — so
 // the output is point-for-point identical for any worker count, including
@@ -28,14 +28,20 @@ type Config struct {
 	Arrivals int
 	// Utilizations to sweep (default {0.5, 0.75, 0.9}).
 	Utilizations []float64
-	// Models to sweep (default {ArrivalUniform}).
-	Models []core.ArrivalModel
+	// Scenarios is the workload axis (default {uniform}, the paper's
+	// stream): every cell generates its jobs from the spec's source with
+	// the cell's utilization as offered load, and a spec's SLO section
+	// arms the deadline-aware simulator features and the deadline/SLO
+	// CSV columns. A single spec's jobs= overrides Arrivals and its rate=
+	// collapses Utilizations to that value; a grid of several specs
+	// rejects both.
+	Scenarios []scenario.Spec
 	// Systems to run at each grid point (default core.SystemNames minus
 	// the ablation variant). "base" must be included for savings columns.
 	Systems []string
 	// Sim shapes the machine (default Figure 1 quad-core).
 	Sim core.SimConfig
-	// Seed drives workload generation. Each (utilization, model) cell
+	// Seed drives workload generation. Each (utilization, scenario) cell
 	// derives its own workload seed from it (see cellSeed), so cells are
 	// statistically independent yet fully reproducible.
 	Seed int64
@@ -43,24 +49,17 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); 1 runs the grid serially. The worker count
 	// never changes the output.
 	Workers int
-	// Scenario, when non-nil, replaces the arrival-model dimension: every
-	// cell generates its workload from the scenario's source (with the
-	// cell's utilization as offered load unless rate= pins it), the SLO
-	// layer arms the deadline-aware simulator features, and WriteCSV
-	// appends deadline/SLO columns. The scenario's jobs= overrides
-	// Arrivals; rate= collapses Utilizations to a single value.
-	Scenario *scenario.Spec
 }
 
-func (c *Config) fillDefaults() {
+func (c *Config) fillDefaults() error {
 	if c.Arrivals == 0 {
 		c.Arrivals = 1500
 	}
 	if len(c.Utilizations) == 0 {
 		c.Utilizations = []float64{0.5, 0.75, 0.9}
 	}
-	if len(c.Models) == 0 {
-		c.Models = []core.ArrivalModel{core.ArrivalUniform}
+	if len(c.Scenarios) == 0 {
+		c.Scenarios = []scenario.Spec{{Source: "uniform"}}
 	}
 	if len(c.Systems) == 0 {
 		c.Systems = []string{"base", "optimal", "energy-centric", "proposed"}
@@ -81,40 +80,41 @@ func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Scenario != nil {
-		if c.Scenario.Jobs > 0 {
-			c.Arrivals = c.Scenario.Jobs
+	// A single spec's jobs= and rate= reshape the grid; across several
+	// specs they would leave the cells incomparable.
+	for _, sp := range c.Scenarios {
+		if len(c.Scenarios) > 1 && (sp.Jobs > 0 || sp.Rate > 0) {
+			return fmt.Errorf("sweep: scenario %s pins jobs= or rate=, which only a single-scenario grid accepts", sp)
 		}
-		if c.Scenario.Rate > 0 {
-			c.Utilizations = []float64{c.Scenario.Rate}
+		if sp.Jobs > 0 {
+			c.Arrivals = sp.Jobs
 		}
-		// The scenario source replaces the model dimension entirely.
-		c.Models = []core.ArrivalModel{core.ArrivalUniform}
-		c.Scenario.ApplySim(&c.Sim)
+		if sp.Rate > 0 {
+			c.Utilizations = []float64{sp.Rate}
+		}
 	}
+	return nil
 }
 
 // Point is one grid cell's outcome.
 type Point struct {
 	Utilization float64
-	Model       core.ArrivalModel
-	System      string
-	// Scenario names the scenario source when the sweep ran one ("" for
-	// legacy arrival-model sweeps); it replaces the arrival_model CSV
-	// column value.
-	Scenario string
+	// Scenario is the cell's workload spec; its source name is the
+	// arrival_model CSV column.
+	Scenario scenario.Spec
+	System   string
 	Metrics  core.Metrics
 	// SavingVsBasePct is the total-energy saving against the base system
 	// at the same grid point (0 for the base row itself).
 	SavingVsBasePct float64
 }
 
-// cellSeed derives the workload seed for one (utilization, model) cell
+// cellSeed derives the workload seed for one (utilization, scenario) cell
 // from the sweep seed: a SplitMix64-style mix so neighbouring cells are
 // decorrelated. Both the serial and parallel paths use it, which is what
 // makes parallel output byte-identical to serial.
-func cellSeed(seed int64, utilIdx, modelIdx int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(utilIdx*31+modelIdx+1)
+func cellSeed(seed int64, utilIdx, scenarioIdx int) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(utilIdx*31+scenarioIdx+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
@@ -129,55 +129,34 @@ func cellSeed(seed int64, utilIdx, modelIdx int) int64 {
 // first error in grid order — so callers (cmd/hmsweep) can flush the rows
 // they have instead of losing the whole run.
 func Run(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config) ([]Point, error) {
-	cfg.fillDefaults()
+	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
+	}
 	if db == nil || em == nil {
 		return nil, fmt.Errorf("sweep: nil DB or energy model")
 	}
-	appIDs := core.AllAppIDs(db)
 
-	// Stage 1 (serial, cheap): derive each (utilization, model) cell's
-	// workload. Horizon and generation are O(arrivals); the simulations
-	// behind them are the expensive part.
+	// Stage 1 (serial, cheap): generate each (utilization, scenario)
+	// cell's workload. Generation is O(arrivals); the simulations behind
+	// it are the expensive part.
 	type cell struct {
-		util  float64
-		model core.ArrivalModel
-		jobs  []core.Job
-		err   error
+		util float64
+		spec scenario.Spec
+		jobs []core.Job
+		err  error
 	}
-	cells := make([]cell, 0, len(cfg.Utilizations)*len(cfg.Models))
-	if cfg.Scenario != nil {
-		// Scenario sweep: the arrival process comes from the spec, the
-		// grid's utilization axis is the offered load, and the same
-		// per-cell SplitMix64 seed keeps parallel output byte-identical
-		// to serial.
-		for ui, util := range cfg.Utilizations {
-			c := cell{util: util, model: cfg.Models[0]}
-			c.jobs, c.err = cfg.Scenario.Generate(scenario.Params{
+	cells := make([]cell, 0, len(cfg.Utilizations)*len(cfg.Scenarios))
+	for ui, util := range cfg.Utilizations {
+		for si, sp := range cfg.Scenarios {
+			c := cell{util: util, spec: sp}
+			c.jobs, c.err = sp.Generate(scenario.Params{
 				DB:          db,
-				AppIDs:      appIDs,
 				Arrivals:    cfg.Arrivals,
 				Cores:       len(cfg.Sim.CoreSizesKB),
 				Utilization: util,
-				Seed:        cellSeed(cfg.Seed, ui, 0),
+				Seed:        cellSeed(cfg.Seed, ui, si),
 			})
 			cells = append(cells, c)
-		}
-	} else {
-		for ui, util := range cfg.Utilizations {
-			horizon, herr := core.HorizonForUtilization(db, appIDs, cfg.Arrivals, len(cfg.Sim.CoreSizesKB), util)
-			for mi, model := range cfg.Models {
-				c := cell{util: util, model: model, err: herr}
-				if herr == nil {
-					c.jobs, c.err = core.GenerateWorkload(core.WorkloadConfig{
-						Arrivals:      cfg.Arrivals,
-						AppIDs:        appIDs,
-						HorizonCycles: horizon,
-						Model:         model,
-						Seed:          cellSeed(cfg.Seed, ui, mi),
-					})
-				}
-				cells = append(cells, c)
-			}
 		}
 	}
 
@@ -201,7 +180,7 @@ func Run(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config)
 					errs[slot] = cells[ci].err
 					return
 				}
-				metrics[slot], errs[slot] = runCell(db, em, pred, cfg, name, cells[ci].jobs)
+				metrics[slot], errs[slot] = runCell(db, em, pred, cfg, cells[ci].spec, name, cells[ci].jobs)
 			}(ci, si, name)
 		}
 	}
@@ -230,12 +209,9 @@ func Run(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config)
 			m := metrics[ci*nSys+si]
 			pt := Point{
 				Utilization: c.util,
-				Model:       c.model,
+				Scenario:    c.spec,
 				System:      name,
 				Metrics:     m,
-			}
-			if cfg.Scenario != nil {
-				pt.Scenario = cfg.Scenario.Source
 			}
 			if name == "base" {
 				baseTotal = m.TotalEnergy()
@@ -249,8 +225,9 @@ func Run(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config)
 	return points, firstErr
 }
 
-// runCell simulates one named system over one cell's workload.
-func runCell(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config, name string, jobs []core.Job) (core.Metrics, error) {
+// runCell simulates one named system over one cell's workload, with the
+// simulator features the cell's scenario needs armed.
+func runCell(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config, sp scenario.Spec, name string, jobs []core.Job) (core.Metrics, error) {
 	pol, needsPred, err := core.NewPolicy(name)
 	if err != nil {
 		return core.Metrics{}, err
@@ -263,6 +240,7 @@ func runCell(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Con
 		p = pred
 	}
 	sc := cfg.Sim
+	sp.ApplySim(&sc)
 	sc.CoreSizesKB = core.CoreSizesFor(name, cfg.Sim.CoreSizesKB)
 	sim, err := core.NewSimulator(db, em, pol, p, sc)
 	if err != nil {
@@ -271,19 +249,19 @@ func runCell(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Con
 	return sim.Run(jobs)
 }
 
-// WriteCSV renders the points with a header row. A fault-free,
-// scenario-free sweep emits the legacy columns byte-for-byte; if any point
-// ran under an enabled fault plan, five degradation columns are appended,
-// and if any point ran a scenario, five deadline/SLO columns follow (the
-// arrival_model column then carries the scenario source name).
+// WriteCSV renders the points with a header row; the arrival_model column
+// carries each point's scenario source name. A fault-free, SLO-free sweep
+// emits the legacy columns byte-for-byte; if any point ran under an
+// enabled fault plan, five degradation columns are appended, and if any
+// point's scenario has an SLO section, five deadline/SLO columns follow.
 func WriteCSV(w io.Writer, points []Point) error {
-	faulted, scenarioed := false, false
+	faulted, sloed := false, false
 	for _, p := range points {
 		if p.Metrics.FaultInjected {
 			faulted = true
 		}
-		if p.Scenario != "" {
-			scenarioed = true
+		if p.Scenario.SLO.Enabled {
+			sloed = true
 		}
 	}
 	header := "utilization,arrival_model,system,total_nj,idle_nj,dynamic_nj," +
@@ -291,7 +269,7 @@ func WriteCSV(w io.Writer, points []Point) error {
 	if faulted {
 		header += ",fault_events,redispatched,downtime_cycles,mttr_cycles,fault_nj"
 	}
-	if scenarioed {
+	if sloed {
 		header += ",deadlines,deadline_misses,miss_rate_pct,slo_migrations,p999_cycles"
 	}
 	if _, err := fmt.Fprintln(w, header); err != nil {
@@ -299,12 +277,8 @@ func WriteCSV(w io.Writer, points []Point) error {
 	}
 	for _, p := range points {
 		m := p.Metrics
-		model := p.Model.String()
-		if p.Scenario != "" {
-			model = p.Scenario
-		}
 		row := fmt.Sprintf("%.2f,%s,%s,%.0f,%.0f,%.0f,%d,%d,%d,%d,%d,%.2f",
-			p.Utilization, model, p.System,
+			p.Utilization, p.Scenario.Source, p.System,
 			m.TotalEnergy(), m.IdleEnergy, m.DynamicEnergy,
 			m.TurnaroundCycles,
 			m.TurnaroundPercentile(50), m.TurnaroundPercentile(99),
@@ -313,7 +287,7 @@ func WriteCSV(w io.Writer, points []Point) error {
 			row += fmt.Sprintf(",%d,%d,%d,%d,%.0f",
 				m.FaultEvents, m.JobsRedispatched, m.CoreDowntimeCycles, m.MTTRCycles, m.FaultEnergyNJ)
 		}
-		if scenarioed {
+		if sloed {
 			row += fmt.Sprintf(",%d,%d,%.2f,%d,%d",
 				m.DeadlinesTotal, m.DeadlineMisses, 100*m.MissRate(),
 				m.SLOMigrations, m.TurnaroundPercentile(99.9))

@@ -10,6 +10,7 @@ import (
 	"hetsched/internal/core"
 	"hetsched/internal/energy"
 	"hetsched/internal/fault"
+	"hetsched/internal/scenario"
 )
 
 func setup(t testing.TB) (*characterize.DB, *energy.Model, core.Predictor) {
@@ -26,7 +27,7 @@ func TestRunGridShape(t *testing.T) {
 	cfg := Config{
 		Arrivals:     300,
 		Utilizations: []float64{0.5, 0.9},
-		Models:       []core.ArrivalModel{core.ArrivalUniform, core.ArrivalPoisson},
+		Scenarios:    []scenario.Spec{scenario.MustParse("uniform"), scenario.MustParse("poisson")},
 		Systems:      []string{"base", "proposed"},
 		Seed:         3,
 	}
@@ -39,14 +40,14 @@ func TestRunGridShape(t *testing.T) {
 	}
 	for _, p := range points {
 		if p.Metrics.Completed != cfg.Arrivals {
-			t.Errorf("%s u=%.2f %s: completed %d", p.System, p.Utilization, p.Model, p.Metrics.Completed)
+			t.Errorf("%s u=%.2f %s: completed %d", p.System, p.Utilization, p.Scenario, p.Metrics.Completed)
 		}
 		if p.System == "base" && p.SavingVsBasePct != 0 {
 			t.Errorf("base row has nonzero saving %.2f", p.SavingVsBasePct)
 		}
 		if p.System == "proposed" && p.SavingVsBasePct <= 0 {
 			t.Errorf("proposed saving %.2f at u=%.2f %s; should beat base",
-				p.SavingVsBasePct, p.Utilization, p.Model)
+				p.SavingVsBasePct, p.Utilization, p.Scenario)
 		}
 	}
 }

@@ -4,10 +4,7 @@ package hetsched
 // workload generation, and load-shape helper, re-exported alongside the
 // other -flag types (see PredictorSpec for the idiom).
 
-import (
-	"hetsched/internal/core"
-	"hetsched/internal/scenario"
-)
+import "hetsched/internal/scenario"
 
 // ScenarioSpec is a parsed workload scenario: an arrival process
 // (uniform | poisson | bursty | diurnal | closed | replay) with its
@@ -46,10 +43,26 @@ func ScenarioArrivalFractions(sp ScenarioSpec, n int, seed int64) ([]float64, er
 // ScenarioSpec.ApplySim, which arms SimConfig.SLOAware (and priority
 // scheduling when classes are present).
 func (s *System) ScenarioWorkload(sp ScenarioSpec, arrivals int, utilization float64, seed int64) ([]Job, error) {
+	return s.generate(sp, nil, nil, arrivals, utilization, seed)
+}
+
+// uniformSpec is the paper's arrival stream as a scenario.
+var uniformSpec = ScenarioSpec{Source: "uniform"}
+
+// generate is the facade's one workload generator: sp over the system's
+// evaluation DB, drawing from the kernel mix (nil is the whole suite),
+// with the horizon sized for the nodes' total cores (none is one Figure 1
+// node).
+func (s *System) generate(sp ScenarioSpec, kernels []string, nodes []SystemSpec, arrivals int, utilization float64, seed int64) ([]Job, error) {
+	cores := 0
+	for _, spec := range nodes {
+		cores += spec.Cores()
+	}
 	return sp.Generate(scenario.Params{
 		DB:          s.Eval,
+		Kernels:     kernels,
 		Arrivals:    arrivals,
-		Cores:       len(core.DefaultSimConfig().CoreSizesKB),
+		Cores:       cores,
 		Utilization: utilization,
 		Seed:        seed,
 	})
