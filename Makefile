@@ -54,11 +54,15 @@ bench:
 # stream and replay engines, structured trace recording for the replay
 # engine, kernel execution, one proposed-system simulation, ANN forward
 # pass, one bag prediction cold and memoized, the cluster dispatcher's
-# routing pass, and the daemon's warm batch serving path) as committed JSON,
-# for before/after comparison across PRs.
+# routing pass on 16 and 64 nodes, and the daemon's warm batch serving path) as committed JSON,
+# for before/after comparison across PRs. bench-gate reruns the same list,
+# so a row added to BENCH_RE or BENCH_PKGS lands in both targets.
+BENCH_RE = BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict|BenchmarkSizePredict
+BENCH_PKGS = ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/
+
 bench-baseline:
-	$(GO) test -run=NONE -bench='BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict|BenchmarkSizePredict' \
-		-benchmem ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/ \
+	$(GO) test -run=NONE -bench='$(BENCH_RE)' \
+		-benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson > BENCH_core.json
 	@echo wrote BENCH_core.json
 
@@ -70,8 +74,8 @@ bench-baseline:
 BENCH_TOLERANCE ?= 0.40
 
 bench-gate:
-	$(GO) test -run=NONE -bench='BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict|BenchmarkSizePredict' \
-		-benchmem ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/ \
+	$(GO) test -run=NONE -bench='$(BENCH_RE)' \
+		-benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson > bench-fresh.json
 	$(GO) run ./cmd/benchjson -compare BENCH_core.json bench-fresh.json -tolerance $(BENCH_TOLERANCE)
 

@@ -70,8 +70,8 @@ func (s *System) RunCluster(cfg ClusterConfig, jobs []Job) (*ClusterResult, erro
 	return s.RunClusterContext(context.Background(), cfg, jobs)
 }
 
-// RunClusterContext is RunCluster honoring cancellation at every
-// node-simulation boundary.
+// RunClusterContext is RunCluster honoring cancellation while routing
+// and at every node-simulation boundary.
 func (s *System) RunClusterContext(ctx context.Context, cfg ClusterConfig, jobs []Job) (*ClusterResult, error) {
 	return s.RunClusterOnDBContext(ctx, s.Eval, cfg, jobs)
 }

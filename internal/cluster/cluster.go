@@ -246,8 +246,9 @@ func (c *Cluster) Run(jobs []core.Job) (*Result, error) {
 	return c.RunContext(context.Background(), jobs)
 }
 
-// RunContext is Run honoring cancellation at every node-simulation
-// dispatch boundary.
+// RunContext is Run honoring cancellation while routing (every 256
+// arrivals and every drain step) and at every node-simulation dispatch
+// boundary.
 func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("cluster: empty workload")
@@ -263,7 +264,7 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 	shares := [][]core.Job{jobs}
 	if len(res.Nodes) > 1 {
 		d := c.newDispatch()
-		if err := d.route(jobs); err != nil {
+		if err := d.route(ctx, jobs); err != nil {
 			return nil, err
 		}
 		res.Steals = d.steals

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -458,7 +459,28 @@ func BenchmarkClusterDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := c.newDispatch()
-		if err := d.route(jobs); err != nil {
+		if err := d.route(context.Background(), jobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusterDispatch64 routes at perfbench's cluster scale: 5000
+// jobs at utilization 0.9 over its 64-node topology. Every arrival visits
+// every node, so this is where per-visit routing cost shows.
+func BenchmarkClusterDispatch64(b *testing.B) {
+	db := testDB(b)
+	nodes := mustNodes(b, "32*quad;16*4x8;16*16x2")
+	cores := 0
+	for _, n := range nodes {
+		cores += n.Cores()
+	}
+	jobs := testJobs(b, db, 5000, cores, 0.9, 7)
+	c := newTestCluster(b, db, Config{Nodes: nodes})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := c.newDispatch()
+		if err := d.route(context.Background(), jobs); err != nil {
 			b.Fatal(err)
 		}
 	}

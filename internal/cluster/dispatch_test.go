@@ -1,49 +1,104 @@
 package cluster
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
+	"hetsched/internal/cache"
 	"hetsched/internal/core"
 	"hetsched/internal/fault"
+	"hetsched/internal/trace"
 )
 
-// TestAliveSummaryCache checks the per-node surviving-core cache against
-// a from-scratch scan at every cycle around each death, including a
-// backwards step the forward-only dispatcher never takes.
+// scanAlive returns the node's distinct surviving sizes at t, ascending,
+// and its surviving-core count, from the cores alone.
+func scanAlive(sizes []int, deadAt []uint64, t uint64) ([]int, int) {
+	var classes []int
+	alive := 0
+	for i, s := range sizes {
+		if deadAt[i] == 0 || deadAt[i] > t {
+			alive++
+			if !slices.Contains(classes, s) {
+				classes = append(classes, s)
+			}
+		}
+	}
+	slices.Sort(classes)
+	return classes, alive
+}
+
+// scanEarliestFree returns the smallest busy-until among the cores alive
+// at t and the first core holding it (unroutable, -1 when none survive).
+func scanEarliestFree(deadAt, freeAt []uint64, t uint64) (uint64, int) {
+	ef, at := uint64(unroutable), -1
+	for i, f := range freeAt {
+		if (deadAt[i] == 0 || deadAt[i] > t) && f < ef {
+			ef, at = f, i
+		}
+	}
+	return ef, at
+}
+
+// scanLadder picks the size the fallback ladder chooses for a prediction
+// of want among the surviving classes: the largest at or below it, else
+// the smallest (0 when none survive).
+func scanLadder(classes []int, want int) int {
+	if len(classes) == 0 {
+		return 0
+	}
+	chosen := classes[0]
+	for _, s := range classes {
+		if s <= want {
+			chosen = s
+		}
+	}
+	return chosen
+}
+
+// TestAliveSummaryCache checks the per-node surviving-core cache — the
+// count, the size mask, the fallback ladder and the earliest-free core —
+// against a from-scratch scan at every cycle around each death, including
+// a backwards step the forward-only dispatcher never takes.
 func TestAliveSummaryCache(t *testing.T) {
 	ns := &nodeState{
 		sizes:  []int{8, 2, 4, 8, 2},
 		deadAt: []uint64{0, 100, 50, 300, 100},
-		freeAt: make([]uint64, 5),
+		freeAt: []uint64{90, 20, 10, 40, 20},
+		ladder: make([]uint8, len(cache.Sizes())+1),
 	}
-	scan := func(t uint64) ([]int, int) {
-		var classes []int
-		alive := 0
-		for i, s := range ns.sizes {
-			if ns.deadAt[i] == 0 || ns.deadAt[i] > t {
-				alive++
-				if !slices.Contains(classes, s) {
-					classes = append(classes, s)
+	sizes := cache.Sizes()
+	for _, at := range []uint64{0, 49, 50, 51, 99, 100, 101, 299, 300, 1000, 60, 0, 400} {
+		classes, alive := scanAlive(ns.sizes, ns.deadAt, at)
+		if got := ns.aliveCount(at); got != alive {
+			t.Errorf("t=%d: alive %d, want %d", at, got, alive)
+		}
+		for k, size := range sizes {
+			if got, want := ns.sizeMask&(1<<k) != 0, slices.Contains(classes, size); got != want {
+				t.Errorf("t=%d: size %d in mask = %v, want %v", at, size, got, want)
+			}
+		}
+		if alive > 0 {
+			for _, want := range []int{0, 1, 2, 3, 4, 6, 8, 16} {
+				rank := 0
+				for k, s := range sizes {
+					if s <= want {
+						rank = k + 1
+					}
+				}
+				if got, exp := sizes[ns.ladder[rank]], scanLadder(classes, want); got != exp {
+					t.Errorf("t=%d: ladder for %d KB picks %d, want %d", at, want, got, exp)
 				}
 			}
 		}
-		slices.Sort(classes)
-		return classes, alive
-	}
-	for _, at := range []uint64{0, 49, 50, 51, 99, 100, 101, 299, 300, 1000, 60, 0, 400} {
-		wantClasses, wantAlive := scan(at)
-		if got := ns.aliveSizeClasses(at); !slices.Equal(got, wantClasses) {
-			t.Errorf("t=%d: classes %v, want %v", at, got, wantClasses)
-		}
-		if got := ns.aliveCount(at); got != wantAlive {
-			t.Errorf("t=%d: alive %d, want %d", at, got, wantAlive)
-		}
-		for _, size := range []int{2, 4, 8} {
-			if got, want := ns.hasAliveSize(size, at), slices.Contains(wantClasses, size); got != want {
-				t.Errorf("t=%d: hasAliveSize(%d) = %v, want %v", at, size, got, want)
-			}
+		ns.refresh(at)
+		if ef, core := scanEarliestFree(ns.deadAt, ns.freeAt, at); ns.ef != ef || ns.efCore != core {
+			t.Errorf("t=%d: earliest free %d on core %d, want %d on core %d", at, ns.ef, ns.efCore, ef, core)
 		}
 	}
 }
@@ -51,6 +106,8 @@ func TestAliveSummaryCache(t *testing.T) {
 // TestBacklogBalances routes a faulted, stealing workload and checks the
 // running backlog sums stay equal to a re-sum of each queue at every
 // arrival boundary, ending at zero once the drain empties every queue.
+// At every arrival it also checks each node's cached earliest-free cycle
+// and wait against a scan of its cores.
 func TestBacklogBalances(t *testing.T) {
 	db := testDB(t)
 	jobs := testJobs(t, db, 600, 36, 0.9, 3)
@@ -71,18 +128,37 @@ func TestBacklogBalances(t *testing.T) {
 			}
 		}
 	}
+	checkWait := func(at uint64) {
+		t.Helper()
+		for i, ns := range d.nodes {
+			ns.refresh(at)
+			ef, _ := scanEarliestFree(ns.deadAt, ns.freeAt, at)
+			if ns.ef != ef {
+				t.Fatalf("t=%d: node %d earliest free %d, scan %d", at, i, ns.ef, ef)
+			}
+			_, alive := scanAlive(ns.sizes, ns.deadAt, at)
+			if alive == 0 {
+				continue
+			}
+			if got, want := ns.wait(at), max(ef, at)-at+ns.backlog/uint64(alive); got != want {
+				t.Fatalf("t=%d: node %d wait %d, scan %d", at, i, got, want)
+			}
+		}
+	}
 	for _, job := range jobs {
 		for _, ns := range d.nodes {
 			ns.advance(job.ArrivalCycle, d.est)
 		}
 		d.stealPass(job.ArrivalCycle)
 		check("after steal pass")
+		checkWait(job.ArrivalCycle)
 		if err := d.routeOne(job, job.ArrivalCycle); err != nil {
 			t.Fatal(err)
 		}
 		check("after route")
+		checkWait(job.ArrivalCycle)
 	}
-	if err := d.drain(jobs[len(jobs)-1].ArrivalCycle); err != nil {
+	if err := d.drain(context.Background(), jobs[len(jobs)-1].ArrivalCycle); err != nil {
 		t.Fatal(err)
 	}
 	check("after drain")
@@ -90,15 +166,350 @@ func TestBacklogBalances(t *testing.T) {
 		t.Error("no steals; the workload does not exercise the steal path")
 	}
 
-	// The step-by-step walk above is route itself, so a fresh dispatch
-	// assigns every job identically.
+	// The step-by-step walk above is route itself (route merely skips
+	// the no-op advances and steal passes), so a fresh dispatch assigns
+	// every job identically.
 	again := c.newDispatch()
-	if err := again.route(jobs); err != nil {
+	if err := again.route(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	for i := range d.nodes {
 		if !reflect.DeepEqual(d.nodes[i].jobs, again.nodes[i].jobs) {
 			t.Fatalf("node %d assignment differs between the walk and route", i)
 		}
+	}
+}
+
+// TestRouteHonorsCancellation: a cancelled context stops a traced run in
+// the route pass, before most arrivals are routed.
+func TestRouteHonorsCancellation(t *testing.T) {
+	db := testDB(t)
+	jobs := testJobs(t, db, 2000, 36, 0.9, 3)
+	rec := trace.NewRecorder()
+	c := newTestCluster(t, db, Config{Nodes: mustNodes(t, "4*quad;2*4x8;2*16x2"), Trace: rec})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.RunContext(ctx, jobs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext on a cancelled context: %v, want context.Canceled", err)
+	}
+	routes := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindRoute {
+			routes++
+		}
+	}
+	if routes >= ctxCheckEvery {
+		t.Errorf("%d route events after cancellation, want fewer than %d", routes, ctxCheckEvery)
+	}
+}
+
+// refNode is the reference router's view of one node: its cores and its
+// queue, with every summary rescanned on demand.
+type refNode struct {
+	sizes          []int
+	deadAt, freeAt []uint64
+	queue, jobs    []core.Job
+}
+
+// refRoute is one routing decision as the trace reports it.
+type refRoute struct {
+	job, node, cands int
+	relaxed          bool
+	scoreBits        uint64
+}
+
+// refSteal is one steal as the trace reports it.
+type refSteal struct{ job, thief, victim int }
+
+// refRouter routes from scratch: no summaries, no per-app tables, no
+// skipped passes. Every survivor count, earliest-free core, wait, chosen
+// size and energy is recomputed from the cores and the DB on every call.
+type refRouter struct {
+	c      *Cluster
+	nodes  []*refNode
+	routes []refRoute
+	steals []refSteal
+}
+
+func newRefRouter(c *Cluster) *refRouter {
+	r := &refRouter{c: c}
+	for i, spec := range c.cfg.Nodes {
+		n := &refNode{
+			sizes:  core.CoreSizesFor(c.cfg.System, spec.CoreSizesKB),
+			deadAt: make([]uint64, spec.Cores()),
+			freeAt: make([]uint64, spec.Cores()),
+		}
+		for _, ev := range c.nodeFaults(i).PermanentDeaths(spec.Cores()) {
+			n.deadAt[ev.Core] = ev.Cycle
+		}
+		r.nodes = append(r.nodes, n)
+	}
+	return r
+}
+
+func (r *refRouter) est(app int) uint64 {
+	if rec, err := r.c.db.Record(app); err == nil && rec.BestConfig().Cycles > 0 {
+		return rec.BestConfig().Cycles
+	}
+	return 1
+}
+
+func (r *refRouter) want(app int) int {
+	rec, err := r.c.db.Record(app)
+	if err != nil {
+		return 0
+	}
+	size := rec.BestSizeKB()
+	if r.c.needsPred && r.c.pred != nil {
+		if p, err := r.c.pred.PredictSizeKB(rec.Features); err == nil {
+			size = p
+		}
+	}
+	return size
+}
+
+func (r *refRouter) wait(n *refNode, t uint64) uint64 {
+	_, alive := scanAlive(n.sizes, n.deadAt, t)
+	if alive == 0 {
+		return unroutable
+	}
+	var backlog uint64
+	for _, j := range n.queue {
+		backlog += r.est(j.AppID)
+	}
+	ef, _ := scanEarliestFree(n.deadAt, n.freeAt, t)
+	w := uint64(0)
+	if ef > t {
+		w = ef - t
+	}
+	return w + backlog/uint64(alive)
+}
+
+func (r *refRouter) energy(n *refNode, app int, t uint64) float64 {
+	classes, _ := scanAlive(n.sizes, n.deadAt, t)
+	rec, err := r.c.db.Record(app)
+	if len(classes) == 0 || err != nil {
+		return 0
+	}
+	cr, err := rec.BestConfigForSize(scanLadder(classes, r.want(app)))
+	if err != nil {
+		return 0
+	}
+	return cr.Energy.Total
+}
+
+func (r *refRouter) score(n *refNode, job core.Job, t uint64) float64 {
+	switch r.c.cfg.Scorer {
+	case ScoreBalance:
+		return float64(r.wait(n, t))
+	case ScoreEnergy:
+		return r.energy(n, job.AppID, t)
+	default:
+		e := r.energy(n, job.AppID, t)
+		penalty := 1 + float64(r.wait(n, t))/float64(r.est(job.AppID))
+		return e * penalty
+	}
+}
+
+func (r *refRouter) advance(n *refNode, t uint64) {
+	for len(n.queue) > 0 {
+		ef, i := scanEarliestFree(n.deadAt, n.freeAt, t)
+		if i < 0 || ef > t {
+			return
+		}
+		job := n.queue[0]
+		n.queue = n.queue[1:]
+		n.freeAt[i] = max(ef, job.ArrivalCycle) + r.est(job.AppID)
+		n.jobs = append(n.jobs, job)
+	}
+}
+
+func (r *refRouter) stealPass(t uint64) {
+	if r.c.cfg.DisableStealing {
+		return
+	}
+	for {
+		victim := -1
+		for i, n := range r.nodes {
+			_, alive := scanAlive(n.sizes, n.deadAt, t)
+			if len(n.queue) == 0 || alive > 0 && len(n.queue) <= r.c.cfg.StealThreshold {
+				continue
+			}
+			if victim < 0 || len(n.queue) > len(r.nodes[victim].queue) {
+				victim = i
+			}
+		}
+		if victim < 0 {
+			return
+		}
+		thief := -1
+		for i, n := range r.nodes {
+			ef, _ := scanEarliestFree(n.deadAt, n.freeAt, t)
+			if i != victim && len(n.queue) == 0 && ef != unroutable && ef <= t {
+				thief = i
+				break
+			}
+		}
+		if thief < 0 {
+			return
+		}
+		vn := r.nodes[victim]
+		job := vn.queue[len(vn.queue)-1]
+		vn.queue = vn.queue[:len(vn.queue)-1]
+		r.nodes[thief].queue = append(r.nodes[thief].queue, job)
+		r.advance(r.nodes[thief], t)
+		r.steals = append(r.steals, refSteal{job.Index, thief, victim})
+	}
+}
+
+func (r *refRouter) routeOne(job core.Job, t uint64) error {
+	var capacity, affine []int
+	want := r.want(job.AppID)
+	for i, n := range r.nodes {
+		classes, alive := scanAlive(n.sizes, n.deadAt, t)
+		if alive == 0 {
+			continue
+		}
+		capacity = append(capacity, i)
+		if slices.Contains(classes, want) {
+			affine = append(affine, i)
+		}
+	}
+	if len(capacity) == 0 {
+		return fmt.Errorf("cluster: job %d: no node has a surviving core at cycle %d", job.Index, t)
+	}
+	cands, relaxed := affine, len(affine) == 0
+	if relaxed {
+		cands = capacity
+	}
+	winner, best := cands[0], 0.0
+	if r.c.cfg.Scorer == ScoreRoundRobin {
+		winner = cands[job.Index%len(cands)]
+	} else {
+		best = r.score(r.nodes[winner], job, t)
+		for _, i := range cands[1:] {
+			if s := r.score(r.nodes[i], job, t); s < best {
+				winner, best = i, s
+			}
+		}
+	}
+	r.nodes[winner].queue = append(r.nodes[winner].queue, job)
+	r.advance(r.nodes[winner], t)
+	r.routes = append(r.routes, refRoute{job.Index, winner, len(cands), relaxed, math.Float64bits(best)})
+	return nil
+}
+
+func (r *refRouter) route(jobs []core.Job) error {
+	var t uint64
+	for _, job := range jobs {
+		t = job.ArrivalCycle
+		for _, n := range r.nodes {
+			r.advance(n, t)
+		}
+		r.stealPass(t)
+		if err := r.routeOne(job, t); err != nil {
+			return err
+		}
+	}
+	for {
+		for _, n := range r.nodes {
+			r.advance(n, t)
+		}
+		r.stealPass(t)
+		pending, next := 0, uint64(unroutable)
+		for _, n := range r.nodes {
+			pending += len(n.queue)
+			for i, at := range n.freeAt {
+				if at > t && at < next && (n.deadAt[i] == 0 || n.deadAt[i] > at) {
+					next = at
+				}
+			}
+		}
+		if pending == 0 {
+			return nil
+		}
+		if next == unroutable {
+			return fmt.Errorf("cluster: %d queued jobs unschedulable (no surviving cores)", pending)
+		}
+		t = next
+	}
+}
+
+// TestDispatchMatchesReference routes each scorer, with and without
+// stealing, on both per-node views ("proposed" keeps the declared sizes,
+// "base" flattens every core to 8 KB), with no faults and with a plan in
+// which the one quad node loses every core mid-run (so its backlog is
+// evacuated) while the six-core nodes fall back to their 8 KB cores. The
+// cached dispatcher must make every decision the from-scratch reference
+// makes: the winner, the relaxed flag, the candidate count and the score
+// bits of each route, every steal, and each node's final jobs.
+func TestDispatchMatchesReference(t *testing.T) {
+	db := testDB(t)
+	nodes := mustNodes(t, "quad;2*16x2;2*2x2,2x4,2x8;6x8")
+	jobs := testJobs(t, db, 500, 54, 0.95, 5)
+	death := jobs[len(jobs)/3].ArrivalCycle
+	var script []fault.Event
+	for core := 0; core < 4; core++ {
+		script = append(script, fault.Event{Cycle: death + uint64(core)*1000, Core: core, Kind: fault.CrashPermanent})
+	}
+	plans := map[string]fault.Plan{"none": {}, "death": {Script: script}}
+	evacuated := false
+	for _, system := range []string{"proposed", "base"} {
+		for _, plan := range []string{"none", "death"} {
+			for scorer := ScorerKind(0); scorer < scorerCount; scorer++ {
+				for _, noSteal := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/%s/nosteal=%v", system, plan, scorer, noSteal)
+					rec := trace.NewRecorder()
+					c := newTestCluster(t, db, Config{
+						Nodes: nodes, System: system, Scorer: scorer, DisableStealing: noSteal,
+						Sim: core.SimConfig{Faults: plans[plan]}, Trace: rec,
+					})
+					d := c.newDispatch()
+					err := d.route(context.Background(), jobs)
+					ref := newRefRouter(c)
+					refErr := ref.route(jobs)
+					if fmt.Sprint(err) != fmt.Sprint(refErr) {
+						t.Fatalf("%s: route error %v, reference %v", name, err, refErr)
+					}
+					var routes []refRoute
+					var steals []refSteal
+					for _, ev := range rec.Events() {
+						switch ev.Kind {
+						case trace.KindRoute:
+							var k, n int
+							if _, err := fmt.Sscanf(strings.Fields(ev.Detail)[1], "cand=%d/%d", &k, &n); err != nil {
+								t.Fatalf("%s: route detail %q: %v", name, ev.Detail, err)
+							}
+							routes = append(routes, refRoute{ev.Job, ev.Core, k,
+								strings.HasSuffix(ev.Detail, " relaxed"), math.Float64bits(ev.EnergyNJ)})
+						case trace.KindSteal:
+							steals = append(steals, refSteal{ev.Job, ev.Core, int(ev.Start)})
+						}
+					}
+					if len(routes) != len(ref.routes) {
+						t.Fatalf("%s: %d routes, reference %d", name, len(routes), len(ref.routes))
+					}
+					for i := range routes {
+						if routes[i] != ref.routes[i] {
+							t.Fatalf("%s: route %d = %+v, reference %+v", name, i, routes[i], ref.routes[i])
+						}
+					}
+					if !slices.Equal(steals, ref.steals) || d.steals != len(ref.steals) {
+						t.Fatalf("%s: %d steals differ from the reference's %d", name, d.steals, len(ref.steals))
+					}
+					for i, ns := range d.nodes {
+						if !slices.Equal(ns.jobs, ref.nodes[i].jobs) {
+							t.Fatalf("%s: node %d final jobs differ from the reference", name, i)
+						}
+					}
+					if plan == "death" && !noSteal && d.nodes[0].stolenOut > 0 {
+						evacuated = true
+					}
+				}
+			}
+		}
+	}
+	if !evacuated {
+		t.Error("no run evacuated the dead quad node")
 	}
 }
