@@ -120,7 +120,21 @@ var wireCases = []wireCase{
 
 	{"schedule/trailing-bracket", 0, "", `{"arrivals":20}]`},
 	{"batch/trailing-brace", 1, "", `{"jobs":[{"kernel":"tblook"}]}}`},
+
+	// The legacy priority/deadline fields, each alone, and preemptive on a
+	// class scenario: the request shapes the spec translation must keep.
+	{"schedule/deadline-slack", 0, "", `{"arrivals":40,"seed":6,"utilization":1.2,"deadline_slack":1.5}`},
+	{"schedule/priority-levels", 0, "", `{"arrivals":40,"seed":7,"utilization":1.3,"priority_levels":4}`},
+	{"schedule/priority-levels-one", 0, "", `{"arrivals":30,"seed":8,"utilization":1.2,"priority_levels":1}`},
+	{"schedule/scenario-preemptive", 0, "", `{"seed":4,"utilization":1.3,"preemptive":true,"scenario":"poisson:jobs=80;slo=deadline:slack=1.5,classes=hi@0.3"}`},
+	{"cluster-batch/priorities", 3, "", `{"nodes":"quad","jobs":[` + batchPriorityRows + `]}`},
 }
+
+// batchPriorityRows are twelve simultaneous arrivals, every third one at
+// priority 5: enough contention on one quad-core node that the queue
+// order the priorities set shows in the schedule.
+var batchPriorityRows = strings.TrimSuffix(strings.Repeat(
+	`{"kernel":"tblook","arrival_cycle":0},{"kernel":"a2time","arrival_cycle":0},{"kernel":"aifftr","arrival_cycle":0,"priority":5},`, 4), ",")
 
 // request builds the case's HTTP request.
 func (c wireCase) request() *http.Request {
