@@ -36,11 +36,12 @@ test:
 # along so its generators' determinism contract holds under the detector.
 # The root-package run pins the ensemble's worker-count-invariant
 # determinism under the detector.
+# RACE_FLAGS adds go test flags (CI passes -short).
+RACE_FLAGS ?=
+
 test-race:
-	$(GO) test -race ./internal/server/... ./internal/stats/... \
-		./internal/characterize/... ./internal/sweep/... ./internal/ann/... \
-		./internal/cluster/... ./internal/predict/... ./internal/scenario/...
-	$(GO) test -race -run 'TestEnsembleDeterminism' .
+	$(GO) test $(strip $(RACE_FLAGS) -race) ./internal/server/... ./internal/stats/... ./internal/characterize/... ./internal/sweep/... ./internal/ann/... ./internal/cluster/... ./internal/predict/... ./internal/scenario/...
+	$(GO) test $(strip $(RACE_FLAGS) -race) -run 'TestEnsembleDeterminism' .
 
 test-short:
 	$(GO) test -short ./...
@@ -107,15 +108,19 @@ cover-check: cover
 # text assembler, binary memory traces, -faults plan specs, CSV traces,
 # -predictor ensemble specs and -scenario workload specs; then the daemon's
 # four schedule endpoints on the wire (2xx or 4xx JSON, never 5xx or panic).
+# Each line runs its fuzzer alone (-run='^$'); CI runs
+# `make fuzz FUZZTIME=10s`.
+FUZZTIME ?= 20s
+
 fuzz:
-	$(GO) test ./internal/cache -fuzz FuzzParseConfig -fuzztime 20s
-	$(GO) test ./internal/isa -fuzz FuzzAssemble -fuzztime 20s
-	$(GO) test ./internal/vm -fuzz FuzzLoadTrace -fuzztime 20s
-	$(GO) test ./internal/fault -fuzz FuzzParseSpec -fuzztime 20s
-	$(GO) test ./internal/trace -fuzz FuzzTraceFile -fuzztime 20s
-	$(GO) test . -run=NONE -fuzz FuzzParsePredictorSpec -fuzztime 20s
-	$(GO) test ./internal/scenario -run=NONE -fuzz FuzzParseScenarioSpec -fuzztime 20s
-	$(GO) test ./internal/server -run=NONE -fuzz FuzzScheduleEndpoints -fuzztime 20s
+	$(GO) test ./internal/cache -run='^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/isa -run='^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vm -run='^$$' -fuzz FuzzLoadTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault -run='^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run='^$$' -fuzz FuzzTraceFile -fuzztime $(FUZZTIME)
+	$(GO) test . -run='^$$' -fuzz FuzzParsePredictorSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scenario -run='^$$' -fuzz FuzzParseScenarioSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run='^$$' -fuzz FuzzScheduleEndpoints -fuzztime $(FUZZTIME)
 
 # Net line delta of the non-test Go files between BASE and the working tree
 # (tracked and staged files), from git diff --numstat:

@@ -510,20 +510,6 @@ func (s *System) WeightedWorkload(kernels []string, arrivals int, utilization fl
 	return s.generate(uniformSpec, kernels, nil, arrivals, utilization, seed)
 }
 
-// AssignPriorities gives jobs uniform random priorities in [0, levels) —
-// the future-work real-time extension. Enable SimConfig.PriorityScheduling
-// (and optionally Preemptive) to act on them.
-func (s *System) AssignPriorities(jobs []Job, levels int, seed int64) {
-	core.AssignPriorities(jobs, levels, seed)
-}
-
-// AssignDeadlines sets each job's deadline to arrival + slack × its
-// best-configuration execution time. Misses are reported in
-// Metrics.DeadlineMisses.
-func (s *System) AssignDeadlines(jobs []Job, slack float64) error {
-	return core.AssignDeadlines(jobs, s.Eval, slack)
-}
-
 // TuneKernel walks the Figure 5 tuning heuristic for one benchmark on a
 // core of the given cache size, returning the configurations explored (in
 // order) and the heuristic's final best configuration.

@@ -207,11 +207,10 @@ func TestEadvAblationChangesBehaviour(t *testing.T) {
 // fills in the default machine.
 func TestRunSystemPreservesRealtimeFlags(t *testing.T) {
 	sys := oracleSystem(t)
-	jobs, err := sys.Workload(500, 1.3, 9)
+	jobs, err := sys.ScenarioWorkload(MustParseScenarioSpec("uniform;prio=uniform:3"), 500, 1.3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.AssignPriorities(jobs, 3, 4)
 	m, err := sys.RunSystem("proposed", jobs, SimConfig{
 		PriorityScheduling: true,
 		Preemptive:         true,
@@ -224,33 +223,6 @@ func TestRunSystemPreservesRealtimeFlags(t *testing.T) {
 	}
 	if m.Completed != len(jobs) {
 		t.Errorf("completed %d of %d", m.Completed, len(jobs))
-	}
-}
-
-func TestAssignHelpers(t *testing.T) {
-	sys := oracleSystem(t)
-	jobs, err := sys.Workload(100, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.AssignPriorities(jobs, 4, 1)
-	if err := sys.AssignDeadlines(jobs, 5); err != nil {
-		t.Fatal(err)
-	}
-	hasPriority, hasDeadline := false, true
-	for _, j := range jobs {
-		if j.Priority > 0 {
-			hasPriority = true
-		}
-		if j.DeadlineCycle == 0 {
-			hasDeadline = false
-		}
-	}
-	if !hasPriority || !hasDeadline {
-		t.Error("assign helpers did not annotate jobs")
-	}
-	if err := sys.AssignDeadlines(jobs, -1); err == nil {
-		t.Error("negative slack accepted")
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,11 +149,17 @@ func TestSingleNodeEquivalence(t *testing.T) {
 	db := testDB(t)
 	em := energy.NewDefault()
 	plain := testJobs(t, db, 200, 4, 0.8, 11)
+	// Priorities in [0, 4) and deadlines at 3x each job's best case.
 	prioritized := append([]core.Job(nil), plain...)
-	core.AssignPriorities(prioritized, 4, 12)
 	deadlined := append([]core.Job(nil), plain...)
-	if err := core.AssignDeadlines(deadlined, db, 3); err != nil {
-		t.Fatal(err)
+	r := rand.New(rand.NewSource(12))
+	for i := range plain {
+		prioritized[i].Priority = r.Intn(4)
+		rec, err := db.Record(plain[i].AppID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadlined[i].SetDeadline(plain[i].ArrivalCycle + 3*rec.BestConfig().Cycles)
 	}
 	tied := append([]core.Job(nil), plain...)
 	for i := range tied {

@@ -2,51 +2,15 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hetsched/internal/cache"
-	"hetsched/internal/characterize"
 )
 
 // This file implements the paper's future-work extension (Section VIII):
 // priorities, deadlines and preemption. The baseline experiments assume
 // "no form of preemption or priority" (Section V); everything here is
-// opt-in via SimConfig.PriorityScheduling / SimConfig.Preemptive and the
-// workload helpers below.
-
-// AssignPriorities gives each job a uniform random priority in
-// [0, levels), deterministically from seed. levels < 2 clears priorities.
-func AssignPriorities(jobs []Job, levels int, seed int64) {
-	if levels < 2 {
-		for i := range jobs {
-			jobs[i].Priority = 0
-		}
-		return
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := range jobs {
-		jobs[i].Priority = rng.Intn(levels)
-	}
-}
-
-// AssignDeadlines sets each job's absolute deadline to its arrival plus
-// slack times its best-configuration execution time — the usual synthetic
-// real-time workload construction. slack <= 1 makes most deadlines
-// unmeetable under any contention; typical values are 2–8.
-func AssignDeadlines(jobs []Job, db *characterize.DB, slack float64) error {
-	if slack <= 0 {
-		return fmt.Errorf("core: deadline slack %v must be positive", slack)
-	}
-	for i := range jobs {
-		rec, err := db.Record(jobs[i].AppID)
-		if err != nil {
-			return err
-		}
-		jobs[i].SetDeadline(jobs[i].ArrivalCycle +
-			uint64(slack*float64(rec.BestConfig().Cycles)))
-	}
-	return nil
-}
+// opt-in via SimConfig.PriorityScheduling / SimConfig.Preemptive; the
+// scenario spec (internal/scenario) stamps the priorities and deadlines.
 
 // MissRate returns deadline misses over deadline-carrying completions.
 func (m Metrics) MissRate() float64 {
@@ -54,6 +18,14 @@ func (m Metrics) MissRate() float64 {
 		return 0
 	}
 	return float64(m.DeadlineMisses) / float64(m.DeadlinesTotal)
+}
+
+// ClassMissRate is MissRate restricted to one SLO class's jobs.
+func (m Metrics) ClassMissRate(class string) float64 {
+	if m.ClassDeadlines[class] == 0 {
+		return 0
+	}
+	return float64(m.ClassDeadlineMisses[class]) / float64(m.ClassDeadlines[class])
 }
 
 // ----------------------------------------------------------------------

@@ -1,22 +1,40 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"hetsched/internal/energy"
 )
 
+// rtJobs is a test workload with priorities drawn from [0, levels) and,
+// for slack > 0, deadlines at arrival + slack × best-config cycles: the
+// stamping the scenario spec's prio= and slo= terms do, which this
+// package's tests cannot import.
 func rtJobs(t testing.TB, n int, util float64, levels int, slack float64) []Job {
 	t.Helper()
 	db := testDB(t)
 	jobs := testJobs(t, db, n, util, 21)
-	AssignPriorities(jobs, levels, 77)
-	if slack > 0 {
-		if err := AssignDeadlines(jobs, db, slack); err != nil {
+	drawPriorities(jobs, levels, 77)
+	for i := range jobs {
+		rec, err := db.Record(jobs[i].AppID)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if slack > 0 {
+			jobs[i].SetDeadline(jobs[i].ArrivalCycle + uint64(slack*float64(rec.BestConfig().Cycles)))
 		}
 	}
 	return jobs
+}
+
+// drawPriorities gives each job a uniform random priority in [0, levels)
+// from seed.
+func drawPriorities(jobs []Job, levels int, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	for i := range jobs {
+		jobs[i].Priority = r.Intn(levels)
+	}
 }
 
 func runRT(t testing.TB, pol Policy, pred Predictor, jobs []Job, cfg SimConfig) Metrics {
@@ -31,56 +49,6 @@ func runRT(t testing.TB, pol Policy, pred Predictor, jobs []Job, cfg SimConfig) 
 		t.Fatal(err)
 	}
 	return m
-}
-
-func TestAssignPriorities(t *testing.T) {
-	jobs := make([]Job, 200)
-	AssignPriorities(jobs, 3, 5)
-	seen := map[int]bool{}
-	for _, j := range jobs {
-		if j.Priority < 0 || j.Priority > 2 {
-			t.Fatalf("priority %d out of range", j.Priority)
-		}
-		seen[j.Priority] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("only %d priority levels drawn", len(seen))
-	}
-	// Determinism.
-	again := make([]Job, 200)
-	AssignPriorities(again, 3, 5)
-	for i := range jobs {
-		if jobs[i].Priority != again[i].Priority {
-			t.Fatal("priorities not deterministic")
-		}
-	}
-	// levels < 2 clears.
-	AssignPriorities(jobs, 1, 5)
-	for _, j := range jobs {
-		if j.Priority != 0 {
-			t.Fatal("priorities not cleared")
-		}
-	}
-}
-
-func TestAssignDeadlines(t *testing.T) {
-	db := testDB(t)
-	jobs := testJobs(t, db, 50, 0.5, 3)
-	if err := AssignDeadlines(jobs, db, 4); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if j.DeadlineCycle <= j.ArrivalCycle {
-			t.Fatalf("deadline %d not after arrival %d", j.DeadlineCycle, j.ArrivalCycle)
-		}
-	}
-	if err := AssignDeadlines(jobs, db, 0); err == nil {
-		t.Error("zero slack accepted")
-	}
-	bad := []Job{{AppID: 999}}
-	if err := AssignDeadlines(bad, db, 2); err == nil {
-		t.Error("unknown app accepted")
-	}
 }
 
 func TestDeadlineAccounting(t *testing.T) {
@@ -201,7 +169,7 @@ func TestPreemptionHelpsDeadlines(t *testing.T) {
 	db := testDB(t)
 	jobs := testJobs(t, db, 600, 1.1, 31)
 	// High-priority jobs get tight deadlines; low-priority jobs none.
-	AssignPriorities(jobs, 2, 3)
+	drawPriorities(jobs, 2, 3)
 	for i := range jobs {
 		if jobs[i].Priority == 1 {
 			rec, err := db.Record(jobs[i].AppID)

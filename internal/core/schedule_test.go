@@ -75,7 +75,7 @@ func TestScheduleRecorderCapturesEveryExecution(t *testing.T) {
 func TestScheduleRecordsPreemptions(t *testing.T) {
 	db := testDB(t)
 	jobs := testJobs(t, db, 400, 1.3, 28)
-	AssignPriorities(jobs, 3, 5)
+	drawPriorities(jobs, 3, 5)
 	cfg := SimConfig{
 		CoreSizesKB:        BaseCoreSizes(4),
 		PriorityScheduling: true,

@@ -6,6 +6,7 @@ package scenario
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"hetsched/internal/characterize"
@@ -16,6 +17,12 @@ import (
 // sloSeedSalt decorrelates the SLO class-assignment stream from the
 // arrival/app stream of the same seed.
 const sloSeedSalt = 0x5105_0f05_a4a4_a4a4
+
+// prioSeedOffset seeds the prio=uniform:N draw, the package's one math/rand
+// stream: job i gets the i-th rand.New(rand.NewSource(seed+1)).Intn(N). It
+// is the draw the daemon's legacy priority_levels field has always made, so
+// a request translated into the spec answers byte-identically.
+const prioSeedOffset = 1
 
 // Params bundles the workload-shaping inputs Generate needs beyond the
 // spec itself. Spec fields override their Params counterparts: Rate beats
@@ -40,8 +47,9 @@ type Params struct {
 
 // Generate materializes the scenario into a reproducible job stream:
 // arrivals from the spec's source, apps drawn uniformly (open systems) or
-// per-client (closed), and the SLO layer applied on top. The uniform
-// source reproduces core.GenerateWorkload's legacy stream bit-identically.
+// per-client (closed), the SLO layer applied on top, then the prio draw.
+// The uniform source reproduces core.GenerateWorkload's legacy stream
+// bit-identically.
 func (sp Spec) Generate(p Params) ([]core.Job, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -137,6 +145,12 @@ func (sp Spec) Generate(p Params) ([]core.Job, error) {
 	if err := sp.ApplySLO(jobs, p.DB, p.Seed); err != nil {
 		return nil, err
 	}
+	if sp.PrioLevels > 0 {
+		r := rand.New(rand.NewSource(p.Seed + prioSeedOffset))
+		for i := range jobs {
+			jobs[i].Priority = r.Intn(sp.PrioLevels)
+		}
+	}
 	return jobs, nil
 }
 
@@ -208,13 +222,12 @@ func (sp Spec) ApplySLO(jobs []core.Job, db *characterize.DB, seed int64) error 
 
 // ApplySim arms the simulator features the scenario needs: the SLO-aware
 // stall-vs-migrate rule when an SLO section is present, and priority
-// scheduling when the SLO defines classes.
+// scheduling when the spec sets priorities (SLO classes or prio=).
 func (sp Spec) ApplySim(sim *core.SimConfig) {
-	if !sp.SLO.Enabled {
-		return
+	if sp.SLO.Enabled {
+		sim.SLOAware = true
 	}
-	sim.SLOAware = true
-	if len(sp.SLO.Classes) > 0 {
+	if len(sp.SLO.Classes) > 0 || sp.PrioLevels > 0 {
 		sim.PriorityScheduling = true
 	}
 }

@@ -313,6 +313,11 @@ func TestApplySim(t *testing.T) {
 	if !cfg2.SLOAware || !cfg2.PriorityScheduling {
 		t.Errorf("classes: SLOAware=%v PriorityScheduling=%v", cfg2.SLOAware, cfg2.PriorityScheduling)
 	}
+	var cfg3 core.SimConfig
+	MustParse("poisson;prio=uniform:1").ApplySim(&cfg3)
+	if cfg3.SLOAware || !cfg3.PriorityScheduling {
+		t.Errorf("prio: SLOAware=%v PriorityScheduling=%v", cfg3.SLOAware, cfg3.PriorityScheduling)
+	}
 }
 
 // TestArrivalFractions checks the load-generator shape export: n values,

@@ -1,10 +1,16 @@
 // Package scenario is the workload-scenario engine: pluggable deterministic
 // arrival processes (uniform, poisson, bursty MMPP, diurnal, closed-loop),
 // an SLO layer assigning job classes with priorities and per-class deadline
-// slack, and a replay source that reconstructs a workload from a recorded
-// decision-audit trace — all behind one compact spec grammar:
+// slack, a uniform random priority draw, and a replay source that
+// reconstructs a workload from a recorded decision-audit trace — all behind
+// one compact spec grammar:
 //
 //	poisson:rate=0.8,jobs=5000;slo=deadline:slack=2.0,classes=hi@0.2
+//	uniform;prio=uniform:3;slo=deadline:slack=2
+//
+// The spec is the only thing that stamps priorities and deadlines on a job
+// stream: prio=uniform:N gives every job a uniform random priority in
+// [0, N), and classes= gives each class its own; the two are exclusive.
 //
 // Determinism contract: every generator draws from its own SplitMix64
 // stream seeded by the caller, so a fixed (spec, seed) produces the
@@ -61,8 +67,8 @@ type SLO struct {
 }
 
 // Spec is one parsed scenario: an arrival source with its parameters plus
-// the optional SLO layer. The zero value is "no scenario" (IsZero); unset
-// numeric fields are zero and default at generation time.
+// the optional prio draw and SLO layer. The zero value is "no scenario"
+// (IsZero); unset numeric fields are zero and default at generation time.
 type Spec struct {
 	// Source names the arrival process or workload source.
 	Source string
@@ -87,6 +93,11 @@ type Spec struct {
 
 	// Path is the replay source's trace CSV file.
 	Path string
+
+	// PrioLevels > 0 gives each job a uniform random priority in
+	// [0, PrioLevels) (the prio=uniform:N section) and arms priority
+	// scheduling; 1 arms it with every job at priority 0.
+	PrioLevels int
 
 	SLO SLO
 }
@@ -186,6 +197,12 @@ func (sp Spec) Validate() error {
 	if sp.Think < 0 || sp.Think > 1e6 {
 		return fmt.Errorf("scenario: think %v out of range", sp.Think)
 	}
+	if sp.PrioLevels < 0 {
+		return fmt.Errorf("scenario: prio levels %d negative", sp.PrioLevels)
+	}
+	if sp.PrioLevels > 0 && len(sp.SLO.Classes) > 0 {
+		return fmt.Errorf("scenario: prio= and classes= both set priorities; use one")
+	}
 	if !sp.SLO.Enabled {
 		if sp.SLO.Slack != 0 || len(sp.SLO.Classes) != 0 {
 			return fmt.Errorf("scenario: SLO parameters without slo=deadline")
@@ -221,7 +238,7 @@ func (sp Spec) Validate() error {
 
 // Parse parses the scenario grammar:
 //
-//	<source>[:k=v,...][;slo=deadline[:slack=<f>[,classes=<name@frac[@slack]>+...]]]
+//	<source>[:k=v,...][;prio=uniform:<N>][;slo=deadline[:slack=<f>[,classes=<name@frac[@slack]>+...]]]
 //
 // The empty string parses to the zero "no scenario" spec. See the package
 // doc for the full vocabulary.
@@ -235,14 +252,19 @@ func Parse(s string) (Spec, error) {
 		return Spec{}, err
 	}
 	for _, sec := range sections[1:] {
-		key, val, ok := strings.Cut(sec, "=")
-		if !ok || key != "slo" {
-			return Spec{}, fmt.Errorf("scenario: unknown section %q (want slo=...)", sec)
+		key, val, _ := strings.Cut(sec, "=")
+		var err error
+		switch {
+		case key == "slo" && sp.SLO.Enabled, key == "prio" && sp.PrioLevels > 0:
+			err = fmt.Errorf("scenario: duplicate %s section", key)
+		case key == "slo":
+			err = parseSLO(val, &sp.SLO)
+		case key == "prio":
+			sp.PrioLevels, err = parsePrio(val)
+		default:
+			err = fmt.Errorf("scenario: unknown section %q (want slo=... or prio=...)", sec)
 		}
-		if sp.SLO.Enabled {
-			return Spec{}, fmt.Errorf("scenario: duplicate slo section")
-		}
-		if err := parseSLO(val, &sp.SLO); err != nil {
+		if err != nil {
 			return Spec{}, err
 		}
 	}
@@ -387,6 +409,19 @@ func parseSLO(s string, slo *SLO) error {
 	return nil
 }
 
+// parsePrio parses the prio section's value, uniform:<N> with N >= 1.
+func parsePrio(s string) (int, error) {
+	kind, levels, _ := strings.Cut(s, ":")
+	if kind != "uniform" {
+		return 0, fmt.Errorf("scenario: unknown prio kind %q (want uniform:<levels>)", kind)
+	}
+	n, err := strconv.Atoi(levels)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("scenario: prio: bad levels %q (want an integer >= 1)", levels)
+	}
+	return n, nil
+}
+
 func parseClass(s string) (Class, error) {
 	fields := strings.Split(s, "@")
 	if len(fields) < 2 || len(fields) > 3 {
@@ -454,6 +489,9 @@ func (sp Spec) String() string {
 	if len(params) > 0 {
 		b.WriteByte(':')
 		b.WriteString(strings.Join(params, ","))
+	}
+	if sp.PrioLevels > 0 {
+		b.WriteString(";prio=uniform:" + strconv.Itoa(sp.PrioLevels))
 	}
 	if sp.SLO.Enabled {
 		b.WriteString(";slo=deadline")

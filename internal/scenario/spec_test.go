@@ -26,6 +26,11 @@ func TestParseValid(t *testing.T) {
 				Classes: []Class{{Name: "hi", Frac: 0.2}, {Name: "lo", Frac: 0.3, Slack: 4}},
 			}},
 		},
+		{"uniform;prio=uniform:3", Spec{Source: "uniform", PrioLevels: 3}},
+		{
+			"poisson;slo=deadline:slack=2;prio=uniform:1",
+			Spec{Source: "poisson", PrioLevels: 1, SLO: SLO{Enabled: true, Slack: 2}},
+		},
 	}
 	for _, tc := range cases {
 		got, err := Parse(tc.in)
@@ -41,31 +46,38 @@ func TestParseValid(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"laplace",                                    // unknown source
-		"poisson:",                                   // empty parameter list
-		"poisson:rate",                               // no value
-		"poisson:rate=",                              // empty value
-		"poisson:rate=-1",                            // non-positive rate
-		"poisson:rate=9",                             // rate above cap
-		"poisson:rate=0.5,rate=0.6",                  // duplicate key
-		"poisson:burst=2",                            // bursty-only param on poisson
-		"poisson:jobs=0",                             // jobs < 1
-		"bursty:burst=0.2,quiet=0.8",                 // burst <= quiet
-		"diurnal:amp=1.0",                            // amp out of [0,1)
-		"closed:clients=0",                           // clients < 1
-		"replay",                                     // replay without file=
-		"replay:file=t.csv,rate=0.5",                 // replay has no rate
-		"uniform:file=t.csv",                         // file= outside replay
-		"uniform;slo=latency",                        // unknown slo kind
-		"uniform;slo=deadline:slack=0",               // non-positive slack
-		"uniform;slo=deadline;slo=deadline",          // duplicate slo section
-		"uniform;qos=deadline",                       // unknown section
-		"uniform;slo=deadline:classes=hi@0.6+hi@0.2", // duplicate class
-		"uniform;slo=deadline:classes=default@0.5",   // reserved name
-		"uniform;slo=deadline:classes=a@0.7+b@0.7",   // fractions sum > 1
-		"uniform;slo=deadline:classes=hi@0",          // zero fraction
-		"uniform;slo=deadline:classes=hi",            // missing fraction
-		"uniform;slo=deadline:classes=h i@0.5",       // bad charset
+		"laplace",                                            // unknown source
+		"poisson:",                                           // empty parameter list
+		"poisson:rate",                                       // no value
+		"poisson:rate=",                                      // empty value
+		"poisson:rate=-1",                                    // non-positive rate
+		"poisson:rate=9",                                     // rate above cap
+		"poisson:rate=0.5,rate=0.6",                          // duplicate key
+		"poisson:burst=2",                                    // bursty-only param on poisson
+		"poisson:jobs=0",                                     // jobs < 1
+		"bursty:burst=0.2,quiet=0.8",                         // burst <= quiet
+		"diurnal:amp=1.0",                                    // amp out of [0,1)
+		"closed:clients=0",                                   // clients < 1
+		"replay",                                             // replay without file=
+		"replay:file=t.csv,rate=0.5",                         // replay has no rate
+		"uniform:file=t.csv",                                 // file= outside replay
+		"uniform;slo=latency",                                // unknown slo kind
+		"uniform;slo=deadline:slack=0",                       // non-positive slack
+		"uniform;slo=deadline;slo=deadline",                  // duplicate slo section
+		"uniform;qos=deadline",                               // unknown section
+		"uniform;slo=deadline:classes=hi@0.6+hi@0.2",         // duplicate class
+		"uniform;slo=deadline:classes=default@0.5",           // reserved name
+		"uniform;slo=deadline:classes=a@0.7+b@0.7",           // fractions sum > 1
+		"uniform;slo=deadline:classes=hi@0",                  // zero fraction
+		"uniform;slo=deadline:classes=hi",                    // missing fraction
+		"uniform;slo=deadline:classes=h i@0.5",               // bad charset
+		"uniform;prio=uniform:0",                             // zero levels
+		"uniform;prio=uniform:-2",                            // negative levels
+		"uniform;prio=uniform:x",                             // non-integer levels
+		"uniform;prio=uniform",                               // no levels
+		"uniform;prio=normal:3",                              // unknown prio kind
+		"uniform;prio=uniform:2;prio=uniform:3",              // duplicate prio section
+		"uniform;prio=uniform:2;slo=deadline:classes=hi@0.2", // prio with classes
 	}
 	for _, in := range cases {
 		if _, err := Parse(in); err == nil {
@@ -84,6 +96,7 @@ func TestStringRoundTrip(t *testing.T) {
 		"diurnal:amp=0.5,periods=2;slo=deadline",
 		"closed:clients=16,think=0.5",
 		"replay:file=trace.csv;slo=deadline:slack=3",
+		"uniform;prio=uniform:3;slo=deadline:slack=2",
 	}
 	for _, in := range cases {
 		sp := MustParse(in)
@@ -143,6 +156,9 @@ func FuzzParseScenarioSpec(f *testing.F) {
 		"uniform;slo=deadline:classes=a@0.2+b@0.3@1.5",
 		"poisson:rate=1e-3",
 		"bursty:burst=1e300,quiet=1",
+		"uniform;prio=uniform:3",
+		"poisson:rate=0.8;slo=deadline:slack=2;prio=uniform:1",
+		"closed;prio=uniform:7;slo=deadline",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -110,12 +110,20 @@ type ScheduleRequest struct {
 	Kernels []string `json:"kernels,omitempty"`
 	// PriorityLevels > 0 assigns uniform random priorities in [0, levels)
 	// and enables priority scheduling.
+	//
+	// Deprecated: a request without Scenario runs as the scenario
+	// "uniform;prio=uniform:<levels>"; send that instead.
 	PriorityLevels int `json:"priority_levels,omitempty"`
-	// Preemptive additionally lets high-priority arrivals preempt (only
-	// meaningful with PriorityLevels > 0).
+	// Preemptive additionally lets high-priority arrivals preempt whenever
+	// the run schedules by priority (PriorityLevels > 0, or a scenario with
+	// prio= or SLO classes).
 	Preemptive bool `json:"preemptive,omitempty"`
 	// DeadlineSlack > 0 assigns each job a deadline of arrival +
 	// slack × best-config execution time; misses are reported.
+	//
+	// Deprecated: a request without Scenario runs as the scenario
+	// "uniform;slo=deadline:slack=<slack>", which also arms the SLO-aware
+	// rule; send that instead.
 	DeadlineSlack float64 `json:"deadline_slack,omitempty"`
 	// Scenario, when non-empty, generates the workload from a scenario
 	// spec ("bursty:rate=1.2;slo=deadline:slack=1.5,classes=hi@0.2")

@@ -225,19 +225,12 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		if err := s.checkRun(req.System, nil, req.Utilization); err != nil {
 			return nil, err
 		}
-		run, err := s.checkBatch(req.Utilization, req.Priority, req.Jobs)
+		cfg := hetsched.ClusterConfig{Nodes: oneNode, System: req.System, Sim: hetsched.SimConfig{RecordSchedule: true}}
+		run, err := s.checkBatch(cfg, req.Utilization, req.Priority, req.Jobs)
 		if err != nil {
 			return nil, err
 		}
-		sim := hetsched.SimConfig{RecordSchedule: true}
-		for _, ri := range run.plan.valid {
-			if req.Jobs[ri].Priority != 0 {
-				sim.PriorityScheduling = true
-				sim.Preemptive = req.Preemptive
-				break
-			}
-		}
-		run.cluster = hetsched.ClusterConfig{Nodes: oneNode, System: req.System, Sim: sim}
+		run.cluster.Sim.Preemptive = req.Preemptive && run.cluster.Sim.PriorityScheduling
 		run.respond = func(o runOutcome) any {
 			node := o.node(req.System)
 			if o.res != nil {
@@ -274,11 +267,11 @@ func (s *Server) handleClusterScheduleBatch(w http.ResponseWriter, r *http.Reque
 		if err != nil {
 			return nil, err
 		}
-		run, err := s.checkBatch(req.Utilization, req.Priority, req.Jobs)
+		run, err := s.checkBatch(cfg, req.Utilization, req.Priority, req.Jobs)
 		if err != nil {
 			return nil, err
 		}
-		run.cluster, run.clustered = cfg, true
+		run.clustered = true
 		run.respond = func(o runOutcome) any {
 			resp := BatchClusterScheduleResponse{
 				ClusterScheduleResponse: summarizeCluster(cfg, o),
@@ -298,10 +291,12 @@ func (s *Server) handleClusterScheduleBatch(w http.ResponseWriter, r *http.Reque
 }
 
 // checkBatch validates what both batch endpoints share — the batch size,
-// every row, then the request-level priority — and returns a run drawing
-// its workload from the batch plan, admitted at the highest priority the
-// request or any row asserts.
-func (s *Server) checkBatch(utilization float64, priority int, rows []BatchJob) (*scheduleRun, error) {
+// every row, then the request-level priority — and returns a run of
+// cluster drawing its workload from the batch plan, admitted at the
+// highest priority the request or any row asserts. Any valid row with a
+// non-zero priority arms priority scheduling, so the row priorities order
+// the queue on either endpoint.
+func (s *Server) checkBatch(cluster hetsched.ClusterConfig, utilization float64, priority int, rows []BatchJob) (*scheduleRun, error) {
 	if len(rows) < 1 || len(rows) > s.cfg.MaxArrivals {
 		return nil, fmt.Errorf("batch of %d jobs out of range [1, %d]", len(rows), s.cfg.MaxArrivals)
 	}
@@ -315,8 +310,14 @@ func (s *Server) checkBatch(utilization float64, priority int, rows []BatchJob) 
 	for _, j := range rows {
 		priority = max(priority, j.Priority)
 	}
+	for _, ri := range plan.valid {
+		if rows[ri].Priority != 0 {
+			cluster.Sim.PriorityScheduling = true
+			break
+		}
+	}
 	return &scheduleRun{
-		priority: priority, cost: len(rows),
+		priority: priority, cost: len(rows), cluster: cluster,
 		rows: rows, plan: plan, utilization: utilization,
 	}, nil
 }

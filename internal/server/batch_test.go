@@ -430,3 +430,38 @@ func TestBatchNegativePriority(t *testing.T) {
 		t.Errorf("jobs_shed = %d, want 0", shed)
 	}
 }
+
+// TestClusterBatchHonorsRowPriorities pins that row priorities order the
+// queue on the cluster batch endpoint as they do on /v1/schedule/batch: a
+// one-node cluster batch matches the single-node batch on makespan, energy
+// and turnaround, and the priorities change its answer.
+func TestClusterBatchHonorsRowPriorities(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	post := func(url, body string) ScheduleResponse {
+		t.Helper()
+		resp, raw := postJSON(t, ts.URL+url, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", url, resp.StatusCode, raw)
+		}
+		var sr ScheduleResponse
+		if err := json.Unmarshal(raw, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	single := post("/v1/schedule/batch", `{"jobs":[`+batchPriorityRows+`]}`)
+	cluster := post("/v1/cluster/schedule/batch", `{"nodes":"quad","jobs":[`+batchPriorityRows+`]}`)
+	if single.MakespanCycles == 0 {
+		t.Fatalf("single-node batch ran nothing: %+v", single)
+	}
+	if single.MakespanCycles != cluster.MakespanCycles || single.TotalEnergyNJ != cluster.TotalEnergyNJ ||
+		single.TurnaroundP50 != cluster.TurnaroundP50 || single.TurnaroundP95 != cluster.TurnaroundP95 ||
+		single.TurnaroundP99 != cluster.TurnaroundP99 {
+		t.Errorf("cluster batch %+v differs from single-node batch %+v", cluster, single)
+	}
+	unprioritized := post("/v1/cluster/schedule/batch",
+		`{"nodes":"quad","jobs":[`+strings.ReplaceAll(batchPriorityRows, `,"priority":5`, "")+`]}`)
+	if unprioritized.TurnaroundP50 == cluster.TurnaroundP50 && unprioritized.TotalEnergyNJ == cluster.TotalEnergyNJ {
+		t.Error("row priorities left the cluster batch unchanged")
+	}
+}

@@ -32,7 +32,7 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		return &scheduleRun{
 			priority: req.Priority, cost: req.Arrivals, traced: traced, cluster: cfg, clustered: true,
-			generate: generated(hetsched.ScenarioSpec{}, req.Kernels, cfg.Nodes, req.Arrivals, req.Utilization, req.Seed),
+			generate: generated(scenario.Spec{Source: "uniform"}, req.Kernels, cfg.Nodes, req.Arrivals, req.Utilization, req.Seed),
 			respond:  func(o runOutcome) any { return summarizeCluster(cfg, o) },
 		}, nil
 	})
@@ -72,13 +72,10 @@ func (s *Server) checkCluster(nodesSpec, scorerName, system string, arrivals *in
 }
 
 // generated is the generated endpoints' workload source: one draw of the
-// request's scenario (the paper's uniform stream when it has none) over its
-// kernel mix (none is the whole suite), sized for the topology's cores.
+// request's scenario over its kernel mix (none is the whole suite), sized
+// for the topology's cores.
 func generated(sp hetsched.ScenarioSpec, kernels []string, nodes []hetsched.SystemSpec,
 	arrivals int, utilization float64, seed int64) func(*hetsched.System) ([]hetsched.Job, error) {
-	if sp.IsZero() {
-		sp = scenario.Spec{Source: "uniform"}
-	}
 	return func(sys *hetsched.System) ([]hetsched.Job, error) {
 		return sp.Generate(scenario.Params{
 			DB:          sys.Eval,

@@ -288,29 +288,18 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		sim := hetsched.SimConfig{Faults: faults}
-		scenario.ApplySim(&sim)
-		if req.PriorityLevels > 0 {
-			sim.PriorityScheduling = true
-			sim.Preemptive = req.Preemptive
+		spec := scenario
+		if spec.IsZero() { // the deprecated fields, as the spec they stand for
+			spec = hetsched.ScenarioSpec{Source: "uniform", PrioLevels: req.PriorityLevels,
+				SLO: hetsched.ScenarioSLO{Enabled: req.DeadlineSlack > 0, Slack: req.DeadlineSlack}}
 		}
-		draw := generated(scenario, req.Kernels, oneNode, req.Arrivals, req.Utilization, req.Seed)
+		sim := hetsched.SimConfig{Faults: faults}
+		spec.ApplySim(&sim)
+		sim.Preemptive = req.Preemptive && sim.PriorityScheduling
 		return &scheduleRun{
 			priority: req.Priority, cost: cost, traced: traced,
-			cluster: hetsched.ClusterConfig{Nodes: oneNode, System: req.System, Sim: sim},
-			generate: func(sys *hetsched.System) ([]hetsched.Job, error) {
-				jobs, err := draw(sys)
-				if err != nil {
-					return nil, err
-				}
-				if req.PriorityLevels > 0 {
-					sys.AssignPriorities(jobs, req.PriorityLevels, req.Seed+1)
-				}
-				if req.DeadlineSlack > 0 {
-					err = sys.AssignDeadlines(jobs, req.DeadlineSlack)
-				}
-				return jobs, err
-			},
+			cluster:  hetsched.ClusterConfig{Nodes: oneNode, System: req.System, Sim: sim},
+			generate: generated(spec, req.Kernels, oneNode, req.Arrivals, req.Utilization, req.Seed),
 			respond: func(o runOutcome) any {
 				resp := o.node(req.System)
 				resp.Scenario = scenario.String()
@@ -487,12 +476,7 @@ func summarize(m hetsched.Metrics) ScheduleResponse {
 	if len(m.ClassDeadlines) > 0 {
 		classes = make(map[string]ClassSLOWire, len(m.ClassDeadlines))
 		for name, n := range m.ClassDeadlines {
-			miss := m.ClassDeadlineMisses[name]
-			rate := 0.0
-			if n > 0 {
-				rate = float64(miss) / float64(n)
-			}
-			classes[name] = ClassSLOWire{Deadlines: n, Misses: miss, MissRate: rate}
+			classes[name] = ClassSLOWire{Deadlines: n, Misses: m.ClassDeadlineMisses[name], MissRate: m.ClassMissRate(name)}
 		}
 	}
 	return ScheduleResponse{

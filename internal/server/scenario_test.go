@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -151,5 +152,37 @@ func TestScheduleScenarioValidation(t *testing.T) {
 	}
 	if sr.Scenario != "" || sr.Classes != nil {
 		t.Errorf("legacy response grew a scenario block: %+v", sr)
+	}
+}
+
+// TestLegacyFieldsAreTheirSpec pins the translation of the deprecated
+// priority_levels/deadline_slack fields: a request carrying them answers
+// exactly as the same request spelling their spec in scenario, apart from
+// the scenario echo, which stays the request's own.
+func TestLegacyFieldsAreTheirSpec(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for legacy, spec := range map[string]string{
+		`"priority_levels":3,"deadline_slack":2`: "uniform;prio=uniform:3;slo=deadline:slack=2",
+		`"priority_levels":1`:                    "uniform;prio=uniform:1",
+		`"deadline_slack":1.5`:                   "uniform;slo=deadline:slack=1.5",
+	} {
+		var got [2]ScheduleResponse
+		for i, fields := range []string{legacy, `"scenario":"` + spec + `"`} {
+			resp, body := postJSON(t, ts.URL+"/v1/schedule",
+				`{"arrivals":40,"seed":5,"utilization":1.2,"preemptive":true,`+fields+`}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d, body %s", fields, resp.StatusCode, body)
+			}
+			if err := json.Unmarshal(body, &got[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got[0].Scenario != "" || got[1].Scenario != spec {
+			t.Errorf("%s: scenario echoes %q and %q, want \"\" and %q", legacy, got[0].Scenario, got[1].Scenario, spec)
+		}
+		got[1].Scenario = ""
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Errorf("%s answers differently from %s:\n%+v\n%+v", legacy, spec, got[0], got[1])
+		}
 	}
 }

@@ -64,8 +64,10 @@ const (
 	// KindRoute is a cluster dispatcher decision: job Job was routed to
 	// node Core (the node index rides the core field at cluster level);
 	// SizeKB is the predicted best size used for affinity, EnergyNJ the
-	// winning node's score, and Detail the scorer plus per-node filter
-	// verdicts.
+	// winning node's score, and Detail "scorer=<name> cand=<k>/<n>": k of
+	// the n nodes were candidates, those with a surviving core of the
+	// predicted size; " relaxed" is appended when no node had one and the
+	// k candidates are the nodes with any surviving core.
 	KindRoute
 	// KindSteal is one cross-node work-steal: job Job moved from the
 	// victim node (Start holds its index) to the thief node Core.

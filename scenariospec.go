@@ -8,12 +8,14 @@ import "hetsched/internal/scenario"
 
 // ScenarioSpec is a parsed workload scenario: an arrival process
 // (uniform | poisson | bursty | diurnal | closed | replay) with its
-// parameters plus an optional SLO layer of deadline slack and job classes.
+// parameters, an optional uniform random priority draw, and an optional
+// SLO layer of deadline slack and job classes.
 // It implements flag.Value and encoding.TextMarshaler/TextUnmarshaler, so
 // it drops into flag sets and JSON configs; the zero value means "no
 // scenario". Grammar:
 //
 //	poisson:rate=0.8,jobs=5000;slo=deadline:slack=2.0,classes=hi@0.2
+//	uniform;prio=uniform:3;slo=deadline:slack=2
 type ScenarioSpec = scenario.Spec
 
 // ScenarioSLO is a spec's service-level section.
@@ -38,10 +40,10 @@ func ScenarioArrivalFractions(sp ScenarioSpec, n int, seed int64) ([]float64, er
 
 // ScenarioWorkload materializes a scenario into a reproducible job stream
 // over the system's characterization DB: arrivals from the spec's source,
-// SLO classes/priorities/deadlines applied on top. The spec's rate= and
-// jobs= override utilization and arrivals. Pair with
+// SLO classes/priorities/deadlines and the prio= draw applied on top. The
+// spec's rate= and jobs= override utilization and arrivals. Pair with
 // ScenarioSpec.ApplySim, which arms SimConfig.SLOAware (and priority
-// scheduling when classes are present).
+// scheduling when the spec sets priorities: classes or prio=).
 func (s *System) ScenarioWorkload(sp ScenarioSpec, arrivals int, utilization float64, seed int64) ([]Job, error) {
 	return s.generate(sp, nil, nil, arrivals, utilization, seed)
 }
