@@ -33,14 +33,15 @@ test:
 # sketch behind its metrics, the parallel characterization engine and its
 # disk cache, the sweep grid, the ensemble trainer and the ANN bag's memo,
 # the online predictor ensemble, and the cluster's per-node simulation pool. The scenario package rides
-# along so its generators' determinism contract holds under the detector.
+# along so its generators' determinism contract holds under the detector,
+# and the simulator package so its skip-vs-rescan differential test does.
 # The root-package run pins the ensemble's worker-count-invariant
 # determinism under the detector.
 # RACE_FLAGS adds go test flags (CI passes -short).
 RACE_FLAGS ?=
 
 test-race:
-	$(GO) test $(strip $(RACE_FLAGS) -race) ./internal/server/... ./internal/stats/... ./internal/characterize/... ./internal/sweep/... ./internal/ann/... ./internal/cluster/... ./internal/predict/... ./internal/scenario/...
+	$(GO) test $(strip $(RACE_FLAGS) -race) ./internal/server/... ./internal/stats/... ./internal/characterize/... ./internal/sweep/... ./internal/ann/... ./internal/cluster/... ./internal/predict/... ./internal/scenario/... ./internal/core/...
 	$(GO) test $(strip $(RACE_FLAGS) -race) -run 'TestEnsembleDeterminism' .
 
 test-short:
@@ -53,12 +54,13 @@ bench:
 # Snapshot the hot-path microbenchmarks (L1 access, the one-pass multi-config
 # simulator vs per-config replay, characterization at 1-8 workers and on the
 # stream and replay engines, structured trace recording for the replay
-# engine, kernel execution, one proposed-system simulation, ANN forward
-# pass, one bag prediction cold and memoized, the cluster dispatcher's
+# engine, kernel execution, one proposed-system simulation, one optimal
+# simulation under a stochastic fault plan, ANN forward pass and backprop
+# step, one bag prediction cold and memoized, the cluster dispatcher's
 # routing pass on 16 and 64 nodes, and the daemon's warm batch serving path) as committed JSON,
 # for before/after comparison across PRs. bench-gate reruns the same list,
 # so a row added to BENCH_RE or BENCH_PKGS lands in both targets.
-BENCH_RE = BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkForward|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict|BenchmarkSizePredict
+BENCH_RE = BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkFaultedSimulation|BenchmarkForward|BenchmarkBackpropStep|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict|BenchmarkSizePredict
 BENCH_PKGS = ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/
 
 bench-baseline:

@@ -137,20 +137,44 @@ func (n *Network) Forward(x []float64) ([]float64, error) {
 	if len(x) != n.InputDim() {
 		return nil, fmt.Errorf("ann: input dim %d, want %d", len(x), n.InputDim())
 	}
-	acts, _ := n.forward(x)
-	return acts[len(acts)-1], nil
+	return n.forward(x, newWorkspace(n)), nil
 }
 
-// forward returns per-layer activations (index 0 = input) and
-// pre-activations (index l-1 for layer l).
-func (n *Network) forward(x []float64) (acts [][]float64, pre [][]float64) {
-	acts = make([][]float64, len(n.Layers)+1)
-	pre = make([][]float64, len(n.Layers))
-	acts[0] = x
+// workspace is the scratch one forward/backward pass writes into: per-layer
+// pre-activations, activations and deltas sized from the network's Sizes.
+// Train holds one for the whole call, so its epochs allocate nothing.
+type workspace struct {
+	acts  [][]float64 // acts[0] is the input; acts[l+1] is layer l's output
+	pre   [][]float64 // pre[l] is layer l's pre-activation
+	delta [][]float64 // delta[l] is dL/dz at layer l
+}
+
+// newWorkspace sizes a workspace for n: two allocations, one for the
+// per-layer slice headers and one backing array for every buffer.
+func newWorkspace(n *Network) *workspace {
+	L := len(n.Layers)
+	width := 0
+	for _, layer := range n.Layers {
+		width += len(layer.B)
+	}
+	rows := make([][]float64, 3*L+1)
+	ws := &workspace{acts: rows[:L+1], pre: rows[L+1 : 2*L+1], delta: rows[2*L+1:]}
+	buf := make([]float64, 3*width)
+	for l, layer := range n.Layers {
+		k := len(layer.B)
+		ws.pre[l], ws.acts[l+1], ws.delta[l] = buf[:k:k], buf[k:2*k:2*k], buf[2*k:3*k:3*k]
+		buf = buf[3*k:]
+	}
+	return ws
+}
+
+// forward evaluates the network on x into ws and returns the output
+// layer's activations, which alias ws.
+func (n *Network) forward(x []float64, ws *workspace) []float64 {
+	ws.acts[0] = x
 	cur := x
 	for l, layer := range n.Layers {
-		z := make([]float64, len(layer.B))
-		a := make([]float64, len(layer.B))
+		z, a := ws.pre[l], ws.acts[l+1]
 		for o := range layer.W {
 			s := layer.B[o]
 			row := layer.W[o]
@@ -160,11 +184,9 @@ func (n *Network) forward(x []float64) (acts [][]float64, pre [][]float64) {
 			z[o] = s
 			a[o] = layer.Act.apply(s)
 		}
-		pre[l] = z
-		acts[l+1] = a
 		cur = a
 	}
-	return acts, pre
+	return cur
 }
 
 // grads mirrors the network's weight/bias shapes.
@@ -202,14 +224,14 @@ func (g *grads) zero() {
 }
 
 // backprop accumulates MSE-loss gradients for one (x, y) pair into g and
-// returns the sample's squared error.
-func (n *Network) backprop(x, y []float64, g *grads) float64 {
-	acts, pre := n.forward(x)
-	out := acts[len(acts)-1]
+// returns the sample's squared error. The passes run in ws.
+func (n *Network) backprop(x, y []float64, g *grads, ws *workspace) float64 {
+	out := n.forward(x, ws)
+	acts, pre := ws.acts, ws.pre
 	last := len(n.Layers) - 1
 
 	// delta at output: dL/dz = (out - y) * act'(z), L = 1/2 Σ (out-y)^2.
-	delta := make([]float64, len(out))
+	delta := ws.delta[last]
 	var loss float64
 	for o := range out {
 		diff := out[o] - y[o]
@@ -230,7 +252,7 @@ func (n *Network) backprop(x, y []float64, g *grads) float64 {
 			break
 		}
 		// Propagate delta to the previous layer.
-		prev := make([]float64, len(acts[l]))
+		prev := ws.delta[l-1]
 		for i := range prev {
 			var s float64
 			for o := range n.Layers[l].W {
@@ -276,4 +298,15 @@ func (n *Network) Clone() *Network {
 		c.Layers = append(c.Layers, nl)
 	}
 	return c
+}
+
+// copyWeights overwrites n's weights and biases with src's; both networks
+// must share one topology.
+func (n *Network) copyWeights(src *Network) {
+	for l := range n.Layers {
+		for o := range n.Layers[l].W {
+			copy(n.Layers[l].W[o], src.Layers[l].W[o])
+		}
+		copy(n.Layers[l].B, src.Layers[l].B)
+	}
 }

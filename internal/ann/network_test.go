@@ -87,7 +87,7 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 	x := []float64{0.3, -0.8, 0.5}
 	y := []float64{0.2, -0.4}
 	g := newGrads(n)
-	n.backprop(x, y, g)
+	n.backprop(x, y, g, newWorkspace(n))
 
 	loss := func() float64 {
 		out, _ := n.Forward(x)
@@ -325,10 +325,12 @@ func BenchmarkBackpropStep(b *testing.B) {
 	y := []float64{0.5}
 	g := newGrads(n)
 	vel := newGrads(n)
+	ws := newWorkspace(n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.zero()
-		n.backprop(x, y, g)
+		n.backprop(x, y, g, ws)
 		n.step(g, vel, 0.02, 0.9, 1)
 	}
 }

@@ -75,12 +75,17 @@ func MSE(n *Network, d Dataset) (float64, error) {
 	if d.Len() == 0 {
 		return 0, fmt.Errorf("ann: MSE over empty dataset")
 	}
+	return mse(n, d, newWorkspace(n))
+}
+
+// mse is MSE over a non-empty dataset, with every forward pass run in ws.
+func mse(n *Network, d Dataset, ws *workspace) (float64, error) {
 	var total float64
 	for i := range d.X {
-		out, err := n.Forward(d.X[i])
-		if err != nil {
-			return 0, err
+		if len(d.X[i]) != n.InputDim() {
+			return 0, fmt.Errorf("ann: input dim %d, want %d", len(d.X[i]), n.InputDim())
 		}
+		out := n.forward(d.X[i], ws)
 		for o := range out {
 			diff := out[o] - d.Y[i][o]
 			total += diff * diff
@@ -133,7 +138,9 @@ type TrainResult struct {
 }
 
 // Train fits the network to train, early-stopping on val (if non-empty).
-// The network is left holding the best-validation weights.
+// The network is left holding the best-validation weights. Every buffer is
+// sized once per call: the passes run in one workspace and an improving
+// epoch copies its weights into one preallocated network.
 func Train(n *Network, train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 	if err := train.Validate(); err != nil {
 		return TrainResult{}, err
@@ -148,10 +155,14 @@ func Train(n *Network, train, val Dataset, cfg TrainConfig) (TrainResult, error)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := newGrads(n)
 	vel := newGrads(n)
+	ws := newWorkspace(n)
 
 	useVal := val.Len() > 0
 	bestVal := math.Inf(1)
 	var best *Network
+	if useVal {
+		best = n.Clone()
+	}
 	bestEpoch := 0
 	sinceBest := 0
 
@@ -170,21 +181,21 @@ func Train(n *Network, train, val Dataset, cfg TrainConfig) (TrainResult, error)
 			}
 			g.zero()
 			for _, idx := range order[start:end] {
-				epochLoss += n.backprop(train.X[idx], train.Y[idx], g)
+				epochLoss += n.backprop(train.X[idx], train.Y[idx], g, ws)
 			}
 			n.step(g, vel, cfg.LearningRate, cfg.Momentum, end-start)
 		}
 		res.Epochs = epoch
 		res.TrainMSE = 2 * epochLoss / float64(train.Len())
 		if useVal {
-			v, err := MSE(n, val)
+			v, err := mse(n, val, ws)
 			if err != nil {
 				return res, err
 			}
 			res.ValMSE = v
 			if v < bestVal-1e-12 {
 				bestVal = v
-				best = n.Clone()
+				best.copyWeights(n)
 				bestEpoch = epoch
 				sinceBest = 0
 			} else {
@@ -195,8 +206,8 @@ func Train(n *Network, train, val Dataset, cfg TrainConfig) (TrainResult, error)
 			}
 		}
 	}
-	if useVal && best != nil {
-		n.Layers = best.Layers
+	if bestEpoch > 0 {
+		n.copyWeights(best)
 		res.ValMSE = bestVal
 		res.BestEpoch = bestEpoch
 	}

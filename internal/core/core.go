@@ -346,6 +346,11 @@ type Simulator struct {
 
 	// Decision-audit recorder (nil unless Cfg.Trace is set; see trace.go).
 	tr *trace.Recorder
+
+	// Rule B's per-pass memo (see stallRules): passes counts scheduling
+	// passes and stalledIn[app] is the last pass in which app stalled.
+	passes    uint64
+	stalledIn []uint64
 }
 
 // NewSimulator validates and assembles a simulator.
@@ -707,6 +712,28 @@ func (s *Simulator) completeDue() error {
 	return nil
 }
 
+// stallRules are the guarantees a built-in policy gives about its stalls.
+// Each lets schedulePass skip Decide calls whose answer cannot change
+// within one pass; the skipped jobs are counted exactly as a call would
+// have counted them.
+type stallRules uint8
+
+const (
+	// stallWhenBusy (Rule A): with no idle core, Decide stalls every job
+	// without side effects or trace events. Only a placement changes
+	// idleness within a pass, so once the pass sees no idle core the rest
+	// of the queue stalls as resource stalls.
+	stallWhenBusy stallRules = 1 << iota
+	// stallPerApp (Rule B): Decide depends on the job's AppID and the
+	// machine alone, and a stall stays a stall while cores only fill up.
+	// Once an app stalls in a pass, its later jobs in that pass stall too.
+	stallPerApp
+)
+
+// stallSkipper is the unexported opt-in of the built-in policies. Other
+// policies, and every Preemptive run, take the full rescan.
+type stallSkipper interface{ stallRules() stallRules }
+
 // schedulePass scans the ready queue, placing every job the policy accepts.
 // The scan order is FIFO (the paper) or priority-then-FIFO when
 // PriorityScheduling is set. Jobs that stall stay in the queue in order
@@ -720,8 +747,31 @@ func (s *Simulator) schedulePass() error {
 	if s.Cfg.PriorityScheduling {
 		sortByPriority(s.queue)
 	}
+	var rules stallRules
+	if sk, ok := s.Policy.(stallSkipper); ok && !s.Cfg.Preemptive {
+		rules = sk.stallRules()
+	}
+	if rules&stallPerApp != 0 {
+		s.passes++
+		if len(s.stalledIn) < len(s.DB.Records) {
+			s.stalledIn = make([]uint64, len(s.DB.Records))
+		}
+	}
+	idle := s.anyIdle()
 	remaining := s.queue[:0]
-	for _, job := range s.queue {
+	for i, job := range s.queue {
+		if !idle && rules&stallWhenBusy != 0 {
+			rest := s.queue[i:]
+			s.metrics.ResourceStalls += len(rest)
+			remaining = append(remaining, rest...)
+			break
+		}
+		perApp := rules&stallPerApp != 0 && job.AppID >= 0 && job.AppID < len(s.stalledIn)
+		if perApp && s.stalledIn[job.AppID] == s.passes {
+			s.countStall(idle)
+			remaining = append(remaining, job)
+			continue
+		}
 		d, err := s.Policy.Decide(s, job)
 		if err != nil {
 			return fmt.Errorf("core: %s deciding job %d (app %d): %v", s.Policy.Name(), job.Index, job.AppID, err)
@@ -732,14 +782,14 @@ func (s *Simulator) schedulePass() error {
 				return err
 			}
 			if placed {
+				idle = s.anyIdle()
 				continue
 			}
 		}
 		if !d.Place {
-			if s.anyIdle() {
-				s.metrics.StallDecisions++
-			} else {
-				s.metrics.ResourceStalls++
+			s.countStall(idle)
+			if perApp {
+				s.stalledIn[job.AppID] = s.passes
 			}
 			remaining = append(remaining, job)
 			continue
@@ -753,9 +803,20 @@ func (s *Simulator) schedulePass() error {
 		if d.SLOForced {
 			s.cores[d.CoreID].sloForced = true
 		}
+		idle = s.anyIdle()
 	}
 	s.queue = remaining
 	return nil
+}
+
+// countStall counts one stalled job: a deliberate stall while some core
+// idles, a resource stall otherwise.
+func (s *Simulator) countStall(idle bool) {
+	if idle {
+		s.metrics.StallDecisions++
+	} else {
+		s.metrics.ResourceStalls++
+	}
 }
 
 // tryPreempt displaces a running lower-priority job with the stalled job

@@ -288,6 +288,29 @@ func BenchmarkProposedSimulation(b *testing.B) {
 	}
 }
 
+// BenchmarkFaultedSimulation runs the optimal system under crashPlan: the
+// queue backs up behind crashed cores, so every event's scheduling pass
+// meets a long queue.
+func BenchmarkFaultedSimulation(b *testing.B) {
+	db, err := characterize.Default()
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := testJobs(b, db, 500, 0.9, 1)
+	cfg := DefaultSimConfig()
+	cfg.Faults = crashPlan
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim, err := NewSimulator(db, energy.NewDefault(), OptimalPolicy{}, nil, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(jobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestDesignByNameMatchesExploredOrder pins the tie-break order of the
 // explored-best scans: designByName lists Table 1 in exactly the order
 // profile.Entry.ExploredConfigs returns a fully explored application.

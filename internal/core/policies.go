@@ -29,6 +29,8 @@ func BaseCoreSizes(n int) []int {
 	return sizes
 }
 
+func (BasePolicy) stallRules() stallRules { return stallWhenBusy | stallPerApp }
+
 // Decide implements Policy.
 func (BasePolicy) Decide(s *Simulator, job *Job) (Decision, error) {
 	idle := s.IdleCores()
@@ -162,6 +164,8 @@ type OptimalPolicy struct{}
 // Name implements Policy.
 func (OptimalPolicy) Name() string { return "optimal" }
 
+func (OptimalPolicy) stallRules() stallRules { return stallWhenBusy | stallPerApp }
+
 // Decide implements Policy.
 func (OptimalPolicy) Decide(s *Simulator, job *Job) (Decision, error) {
 	entry := s.Table.Ensure(job.AppID)
@@ -277,6 +281,8 @@ type EnergyCentricPolicy struct{}
 // Name implements Policy.
 func (EnergyCentricPolicy) Name() string { return "energy-centric" }
 
+func (EnergyCentricPolicy) stallRules() stallRules { return stallWhenBusy | stallPerApp }
+
 // Decide implements Policy.
 func (EnergyCentricPolicy) Decide(s *Simulator, job *Job) (Decision, error) {
 	if s.Pred == nil {
@@ -337,6 +343,10 @@ func (p ProposedPolicy) Name() string {
 	}
 	return "proposed"
 }
+
+// stallRules leaves out Rule B: a proposed stall with idle cores depends on
+// the job's deadline (the SLO override) and emits a per-job stall event.
+func (ProposedPolicy) stallRules() stallRules { return stallWhenBusy }
 
 // Decide implements Policy.
 func (p ProposedPolicy) Decide(s *Simulator, job *Job) (Decision, error) {

@@ -37,6 +37,8 @@ func satBestSize(s *Simulator, appID int) (int, bool) {
 	return best, true
 }
 
+func (SaTPolicy) stallRules() stallRules { return stallWhenBusy | stallPerApp }
+
 // Decide implements Policy.
 func (SaTPolicy) Decide(s *Simulator, job *Job) (Decision, error) {
 	entry := s.Table.Ensure(job.AppID)

@@ -34,7 +34,7 @@ type Job struct {
 	DeadlineCycle uint64
 	// HasDeadline marks the job as deadline-carrying explicitly, so a
 	// computed deadline that lands exactly on cycle 0 is not silently
-	// dropped. SetDeadline/ClearDeadline keep it consistent.
+	// dropped. SetDeadline keeps it consistent.
 	HasDeadline bool
 	// Class is the job's scenario SLO class name ("" outside scenario
 	// runs); per-class deadline accounting keys Metrics.ClassDeadlines.
@@ -50,12 +50,6 @@ type Job struct {
 func (j *Job) SetDeadline(cycle uint64) {
 	j.DeadlineCycle = cycle
 	j.HasDeadline = true
-}
-
-// ClearDeadline removes the job's deadline entirely.
-func (j *Job) ClearDeadline() {
-	j.DeadlineCycle = 0
-	j.HasDeadline = false
 }
 
 // Deadlined reports whether the job carries a deadline: the explicit bit,
