@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-short test-race bench bench-baseline bench-gate profile cover cover-check fuzz loc-delta reproduce serve loadtest sweep clean
+.PHONY: all check build vet lint test test-short test-race examples bench bench-baseline bench-gate profile cover cover-check fuzz loc-delta reproduce serve loadtest sweep clean
 
 all: check
 
@@ -46,6 +46,14 @@ test-race:
 
 test-short:
 	$(GO) test -short ./...
+
+# Build and run every example program (stdout discarded); the first one
+# that exits non-zero fails the target.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null; \
+	done
 
 # Regenerate every paper table/figure plus the ablations and extensions.
 bench:

@@ -100,8 +100,8 @@ func (s *System) RunClusterOnDBContext(ctx context.Context, db *DB, cfg ClusterC
 // ClusterWorkload generates the paper-style arrival stream sized for a
 // whole cluster: the utilization target spreads arrivals over the
 // cluster's total core count, not a single node's. A non-empty kernels
-// list weights the application mix by name (repeat a name to weight it);
-// empty draws uniformly over the whole suite.
+// list is the spec's mix= (repeat a name to weight it); empty draws
+// uniformly over the whole suite.
 func (s *System) ClusterWorkload(nodes []SystemSpec, kernels []string, arrivals int, utilization float64, seed int64) ([]Job, error) {
-	return s.generate(uniformSpec, kernels, nodes, arrivals, utilization, seed)
+	return s.generate(ScenarioSpec{Source: "uniform", Mix: kernels}, nodes, arrivals, utilization, seed)
 }

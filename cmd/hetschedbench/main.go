@@ -12,8 +12,9 @@
 // pool, with 429s counted as correct backpressure rather than failures.
 //
 // -cluster switches the target to POST /v1/cluster/schedule, routing each
-// request's workload across the given multi-node topology; the report then
-// also shows the daemon's cumulative cluster run/steal counters.
+// request's workload (a -scenario one too) across the given multi-node
+// topology; the report then also shows the daemon's cumulative cluster
+// run/steal counters.
 //
 // -batch N switches to the batch serving path (POST /v1/schedule/batch, or
 // the cluster variant with -cluster): each request carries N explicit jobs,
@@ -80,7 +81,7 @@ func run() error {
 	maxErrors := flag.Float64("max-errors", 0, "tolerated failed-request fraction in [0, 1) before a non-zero exit")
 	var scenarioSpec hetsched.ScenarioSpec
 	flag.TextVar(&scenarioSpec, "scenario", hetsched.ScenarioSpec{},
-		"workload scenario each request schedules (e.g. bursty:rate=1.2;slo=deadline:slack=1.5); /v1/schedule only")
+		"workload scenario each request schedules (e.g. bursty:rate=1.2;mix=a2time*3+matrix;slo=deadline:slack=1.5); not with -batch")
 	spread := flag.Duration("spread", 0, "pace request launches over this wall-clock window using the scenario's arrival shape (0 = fire at full speed)")
 	flag.Parse()
 
@@ -96,8 +97,8 @@ func run() error {
 	if *maxErrors < 0 || *maxErrors >= 1 {
 		return fmt.Errorf("-max-errors %v out of range [0, 1)", *maxErrors)
 	}
-	if !scenarioSpec.IsZero() && (*batch > 0 || *cluster != "") {
-		return fmt.Errorf("-scenario applies to /v1/schedule only (not -batch or -cluster)")
+	if !scenarioSpec.IsZero() && *batch > 0 {
+		return fmt.Errorf("-scenario applies to the generated endpoints only (not -batch)")
 	}
 
 	// The launch schedule: with -spread, request i fires at launchAt[i]

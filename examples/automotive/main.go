@@ -26,19 +26,12 @@ func main() {
 	}
 
 	// Weight by repetition: crank-synchronous tasks fire most often.
-	mix := []string{
-		"a2time", "a2time", "a2time",
-		"ttsprk", "ttsprk", "ttsprk",
-		"puwmod", "puwmod",
-		"rspeed", "rspeed",
-		"aifirf", "iirflt",
-		"canrdr", "tblook",
-	}
-	jobs, err := sys.WeightedWorkload(mix, 2000, 0.7, 7)
+	mix := hetsched.MustParseScenarioSpec("uniform;mix=a2time*3+ttsprk*3+puwmod*2+rspeed*2+aifirf+iirflt+canrdr+tblook")
+	jobs, err := sys.ScenarioWorkload(mix, 2000, 0.7, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("automotive mix: %d arrivals over %d task types\n\n", len(jobs), len(mix))
+	fmt.Printf("automotive mix: %d arrivals over %d task types\n\n", len(jobs), len(mix.Mix))
 
 	for _, name := range []string{"base", "proposed"} {
 		m, err := sys.RunSystem(name, jobs, hetsched.SimConfig{})

@@ -101,12 +101,7 @@ func run() error {
 		Arrivals:    600,
 		Utilization: 0.9,
 		Seed:        7,
-		Kernels: []string{
-			"tblook", "tblook", "tblook",
-			"a2time", "a2time",
-			"canrdr",
-			"rspeed",
-		},
+		Scenario:    "uniform;mix=tblook*3+a2time*2+canrdr+rspeed",
 	}
 	var m server.ScheduleResponse
 	if err := post("/v1/schedule", mix, &m); err != nil {

@@ -496,18 +496,7 @@ func (s *System) predictorFor(db *DB) Predictor {
 // Workload generates the paper-style uniform arrival stream over the whole
 // suite at the given utilization.
 func (s *System) Workload(arrivals int, utilization float64, seed int64) ([]Job, error) {
-	return s.generate(uniformSpec, nil, nil, arrivals, utilization, seed)
-}
-
-// WeightedWorkload generates an arrival stream whose application mix is
-// given by kernel name (repeat a name to weight it), spread uniformly at
-// the requested utilization — the knob domain examples use to model, e.g.,
-// an engine-management-heavy automotive mix.
-func (s *System) WeightedWorkload(kernels []string, arrivals int, utilization float64, seed int64) ([]Job, error) {
-	if len(kernels) == 0 {
-		return nil, fmt.Errorf("hetsched: empty kernel mix")
-	}
-	return s.generate(uniformSpec, kernels, nil, arrivals, utilization, seed)
+	return s.generate(ScenarioSpec{Source: "uniform"}, nil, arrivals, utilization, seed)
 }
 
 // TuneKernel walks the Figure 5 tuning heuristic for one benchmark on a

@@ -41,9 +41,9 @@ func legacyAssignDeadlines(jobs []core.Job, db *characterize.DB, slack float64) 
 	return nil
 }
 
-// TestPrioMatchesLegacyDecorators is the differential check behind the
-// daemon's translation of priority_levels=N and deadline_slack=S into
-// uniform;prio=uniform:N;slo=deadline:slack=S: the spec's jobs equal the
+// TestPrioMatchesLegacyDecorators is the differential check behind
+// spelling the daemon's retired priority_levels=N and deadline_slack=S
+// fields as uniform;prio=uniform:N;slo=deadline:slack=S: the spec's jobs equal the
 // uniform stream decorated by the reference, field for field. The one
 // difference is the SLO layer's class label on deadline-bearing jobs.
 func TestPrioMatchesLegacyDecorators(t *testing.T) {

@@ -20,8 +20,8 @@ const sloSeedSalt = 0x5105_0f05_a4a4_a4a4
 
 // prioSeedOffset seeds the prio=uniform:N draw, the package's one math/rand
 // stream: job i gets the i-th rand.New(rand.NewSource(seed+1)).Intn(N). It
-// is the draw the daemon's legacy priority_levels field has always made, so
-// a request translated into the spec answers byte-identically.
+// is the draw the daemon's retired priority_levels field made, so that
+// field's spec answers byte-identically.
 const prioSeedOffset = 1
 
 // Params bundles the workload-shaping inputs Generate needs beyond the
@@ -31,9 +31,6 @@ type Params struct {
 	// DB is the characterization database (service-time estimates,
 	// deadline scaling).
 	DB *characterize.DB
-	// Kernels is the application mix by kernel name (default
-	// parameters), repeated to weight a kernel; nil means the whole DB.
-	Kernels []string
 	// Arrivals is the job count unless the spec pins jobs=.
 	Arrivals int
 	// Cores sizes the horizon (default 4, the paper's quad-core).
@@ -46,8 +43,9 @@ type Params struct {
 }
 
 // Generate materializes the scenario into a reproducible job stream:
-// arrivals from the spec's source, apps drawn uniformly (open systems) or
-// per-client (closed), the SLO layer applied on top, then the prio draw.
+// arrivals from the spec's source, apps drawn uniformly from the mix (open
+// systems) or per-client (closed), the SLO layer applied on top, then the
+// prio draw.
 // The uniform source reproduces core.GenerateWorkload's legacy stream
 // bit-identically.
 func (sp Spec) Generate(p Params) ([]core.Job, error) {
@@ -60,7 +58,7 @@ func (sp Spec) Generate(p Params) ([]core.Job, error) {
 	if p.DB == nil {
 		return nil, fmt.Errorf("scenario: nil characterization DB")
 	}
-	appIDs, err := p.population()
+	appIDs, err := sp.population(p.DB)
 	if err != nil {
 		return nil, err
 	}
@@ -154,15 +152,15 @@ func (sp Spec) Generate(p Params) ([]core.Job, error) {
 	return jobs, nil
 }
 
-// population resolves the kernel mix to application IDs in list order
+// population resolves the kernel mix to application IDs in mix order
 // (a repeated name weights its kernel); no mix is the whole DB.
-func (p Params) population() ([]int, error) {
-	if len(p.Kernels) == 0 {
-		return core.AllAppIDs(p.DB), nil
+func (sp Spec) population(db *characterize.DB) ([]int, error) {
+	if len(sp.Mix) == 0 {
+		return core.AllAppIDs(db), nil
 	}
-	ids := make([]int, len(p.Kernels))
-	for i, name := range p.Kernels {
-		rec, err := p.DB.Find(name, eembc.DefaultParams())
+	ids := make([]int, len(sp.Mix))
+	for i, name := range sp.Mix {
+		rec, err := db.Find(name, eembc.DefaultParams())
 		if err != nil {
 			return nil, err
 		}

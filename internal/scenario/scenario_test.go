@@ -126,54 +126,99 @@ func TestUniformMatchesLegacyGenerator(t *testing.T) {
 	}
 }
 
-// TestKernelMix checks the weighted kernel mix: the uniform source over a
-// mix is core.GenerateWorkload over the mix's application IDs in list
-// order (a repeated name weights its kernel), every source draws only
-// from the mix, and an unknown name is an error.
-func TestKernelMix(t *testing.T) {
+// TestMixMatchesKernelList pins the mix= section to the draw the old
+// kernel-list parameter made: the mix resolves to application IDs in
+// written order, *N expanded in place, and each source draws over that ID
+// list exactly as it draws over the whole DB — core.GenerateWorkload for
+// uniform, the source's own arrival and app draws for poisson and closed.
+func TestMixMatchesKernelList(t *testing.T) {
 	db := testDB(t)
-	mix := []string{"a2time", "a2time", "a2time", "matrix"}
 	var ids []int
-	for _, name := range mix {
+	for _, name := range []string{"tblook", "a2time", "a2time", "a2time", "tblook", "matrix", "matrix"} {
 		rec, err := db.Find(name, eembc.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, rec.ID)
 	}
-	horizon, err := core.HorizonForUtilization(db, ids, 300, 4, 0.7)
+	const n, util = 300, 0.7
+	horizon, err := core.HorizonForUtilization(db, ids, n, 4, util)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := core.GenerateWorkload(core.WorkloadConfig{
-		Arrivals: 300, AppIDs: ids, HorizonCycles: horizon, Seed: 9,
-	})
+	svc, err := serviceTimes(db, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MustParse("uniform").Generate(Params{DB: db, Kernels: mix, Arrivals: 300, Cores: 4, Utilization: 0.7, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
+	reference := map[string]func(seed int64) ([]core.Job, error){
+		"uniform": func(seed int64) ([]core.Job, error) {
+			return core.GenerateWorkload(core.WorkloadConfig{Arrivals: n, AppIDs: ids, HorizonCycles: horizon, Seed: seed})
+		},
+		"poisson": func(seed int64) ([]core.Job, error) {
+			r := newRNG(seed)
+			arrivals, err := MustParse("poisson").arrivalStream(n, horizon, r)
+			if err != nil {
+				return nil, err
+			}
+			jobs := make([]core.Job, n)
+			for i := range jobs {
+				jobs[i] = core.Job{AppID: ids[r.intn(len(ids))], ArrivalCycle: arrivals[i]}
+			}
+			return core.FinishWorkload(jobs), nil
+		},
+		"closed": func(seed int64) ([]core.Job, error) {
+			arrivals, apps := MustParse("closed").closedStream(n, ids, svc, newRNG(seed))
+			jobs := make([]core.Job, n)
+			for i := range jobs {
+				jobs[i] = core.Job{AppID: apps[i], ArrivalCycle: arrivals[i]}
+			}
+			return core.FinishWorkload(jobs), nil
+		},
 	}
-	if !reflect.DeepEqual(got, legacy) {
-		t.Error("uniform over a kernel mix diverges from core.GenerateWorkload over its IDs")
+	for source, draw := range reference {
+		sp := MustParse(source + ";mix=tblook+a2time*3+tblook+matrix*2")
+		for seed := int64(1); seed <= 3; seed++ {
+			want, err := draw(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sp.Generate(Params{DB: db, Arrivals: n, Cores: 4, Utilization: util, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", source, seed, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: the mix draws differently from its app-ID list", source, seed)
+			}
+		}
+	}
+}
+
+// TestKernelMix: every source draws only from the mix, and a name the
+// suite does not know is refused before anything is drawn.
+func TestKernelMix(t *testing.T) {
+	db := testDB(t)
+	in := map[int]bool{}
+	for _, name := range []string{"a2time", "matrix"} {
+		rec, err := db.Find(name, eembc.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in[rec.ID] = true
 	}
 	for _, s := range openSpecs {
-		p := testParams(db, 4)
-		p.Kernels = mix
-		jobs, err := MustParse(s).Generate(p)
+		sp := MustParse(s)
+		sp.Mix = []string{"a2time", "a2time", "a2time", "matrix"}
+		jobs, err := sp.Generate(testParams(db, 4))
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 		for _, j := range jobs {
-			if j.AppID != ids[0] && j.AppID != ids[3] {
+			if !in[j.AppID] {
 				t.Fatalf("%s: app %d outside the mix", s, j.AppID)
 			}
 		}
 	}
-	p := testParams(db, 1)
-	p.Kernels = []string{"nosuch"}
-	if _, err := MustParse("uniform").Generate(p); err == nil {
+	if _, err := (Spec{Source: "uniform", Mix: []string{"nosuch"}}).Generate(testParams(db, 1)); err == nil {
 		t.Error("unknown kernel accepted")
 	}
 }
@@ -185,8 +230,8 @@ func TestKernelMix(t *testing.T) {
 func TestBurstyHasHigherVariance(t *testing.T) {
 	db := testDB(t)
 	cv := func(source string, seed int64) float64 {
-		jobs, err := MustParse(source).Generate(Params{
-			DB: db, Kernels: []string{"a2time"}, Arrivals: 4000, Cores: 4, Utilization: 0.8, Seed: seed,
+		jobs, err := MustParse(source + ";mix=a2time").Generate(Params{
+			DB: db, Arrivals: 4000, Cores: 4, Utilization: 0.8, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,12 +1,12 @@
 // Package scenario is the workload-scenario engine: pluggable deterministic
 // arrival processes (uniform, poisson, bursty MMPP, diurnal, closed-loop),
-// an SLO layer assigning job classes with priorities and per-class deadline
-// slack, a uniform random priority draw, and a replay source that
-// reconstructs a workload from a recorded decision-audit trace — all behind
-// one compact spec grammar:
+// a weighted kernel mix, an SLO layer assigning job classes with priorities
+// and per-class deadline slack, a uniform random priority draw, and a replay
+// source that reconstructs a workload from a recorded decision-audit trace —
+// all behind one compact spec grammar:
 //
 //	poisson:rate=0.8,jobs=5000;slo=deadline:slack=2.0,classes=hi@0.2
-//	uniform;prio=uniform:3;slo=deadline:slack=2
+//	uniform;mix=a2time*3+matrix;prio=uniform:3;slo=deadline:slack=2
 //
 // The spec is the only thing that stamps priorities and deadlines on a job
 // stream: prio=uniform:N gives every job a uniform random priority in
@@ -26,6 +26,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"hetsched/internal/eembc"
 )
 
 // Source names, in presentation order.
@@ -42,6 +44,10 @@ const (
 	DefaultThink   = 1.0  // closed: think time as a multiple of service time
 	DefaultSlack   = 2.0  // slo: deadline slack when unset
 )
+
+// maxMix bounds a kernel mix's expanded length, which Parse checks before
+// it expands a term: a thousand entries weight twenty kernels finely.
+const maxMix = 1000
 
 // Class is one SLO job class: a named fraction of the workload with its
 // own deadline slack. Classes are listed highest-priority first; class i
@@ -93,6 +99,11 @@ type Spec struct {
 
 	// Path is the replay source's trace CSV file.
 	Path string
+
+	// Mix is the application mix by kernel name (default parameters), in
+	// written order with every name*N expanded: a repeated name weights
+	// its kernel. Empty draws from the whole characterization DB.
+	Mix []string
 
 	// PrioLevels > 0 gives each job a uniform random priority in
 	// [0, PrioLevels) (the prio=uniform:N section) and arms priority
@@ -197,6 +208,24 @@ func (sp Spec) Validate() error {
 	if sp.Think < 0 || sp.Think > 1e6 {
 		return fmt.Errorf("scenario: think %v out of range", sp.Think)
 	}
+	if len(sp.Mix) > 0 && sp.Source == "replay" {
+		return fmt.Errorf("scenario: mix= does not apply to replay (apps come from the trace)")
+	}
+	if len(sp.Mix) > maxMix {
+		return fmt.Errorf("scenario: mix of %d kernels exceeds %d", len(sp.Mix), maxMix)
+	}
+	// Each name is looked up once, since a lookup builds the whole suite;
+	// an empty term is the unknown kernel "".
+	known := map[string]bool{}
+	for _, name := range sp.Mix {
+		if known[name] {
+			continue
+		}
+		if _, err := eembc.ByName(name); err != nil {
+			return fmt.Errorf("scenario: mix: %w", err)
+		}
+		known[name] = true
+	}
 	if sp.PrioLevels < 0 {
 		return fmt.Errorf("scenario: prio levels %d negative", sp.PrioLevels)
 	}
@@ -238,7 +267,7 @@ func (sp Spec) Validate() error {
 
 // Parse parses the scenario grammar:
 //
-//	<source>[:k=v,...][;prio=uniform:<N>][;slo=deadline[:slack=<f>[,classes=<name@frac[@slack]>+...]]]
+//	<source>[:k=v,...][;mix=<kernel>[*<N>]+...][;prio=uniform:<N>][;slo=deadline[:slack=<f>[,classes=<name@frac[@slack]>+...]]]
 //
 // The empty string parses to the zero "no scenario" spec. See the package
 // doc for the full vocabulary.
@@ -255,14 +284,16 @@ func Parse(s string) (Spec, error) {
 		key, val, _ := strings.Cut(sec, "=")
 		var err error
 		switch {
-		case key == "slo" && sp.SLO.Enabled, key == "prio" && sp.PrioLevels > 0:
+		case key == "slo" && sp.SLO.Enabled, key == "prio" && sp.PrioLevels > 0, key == "mix" && len(sp.Mix) > 0:
 			err = fmt.Errorf("scenario: duplicate %s section", key)
 		case key == "slo":
 			err = parseSLO(val, &sp.SLO)
 		case key == "prio":
 			sp.PrioLevels, err = parsePrio(val)
+		case key == "mix":
+			sp.Mix, err = parseMix(val)
 		default:
-			err = fmt.Errorf("scenario: unknown section %q (want slo=... or prio=...)", sec)
+			err = fmt.Errorf("scenario: unknown section %q (want mix=..., prio=... or slo=...)", sec)
 		}
 		if err != nil {
 			return Spec{}, err
@@ -422,6 +453,33 @@ func parsePrio(s string) (int, error) {
 	return n, nil
 }
 
+// parseMix expands the mix section's value, <kernel>[*<N>]+..., in
+// written order. The expanded length is checked against maxMix before each
+// term is expanded (so before more than maxMix terms are read); names are
+// left to Validate.
+func parseMix(s string) ([]string, error) {
+	var mix []string
+	for more := true; more; {
+		var term string
+		term, s, more = strings.Cut(s, "+")
+		name, count, starred := strings.Cut(term, "*")
+		n, err := 1, error(nil)
+		if starred {
+			n, err = strconv.Atoi(count)
+		}
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("scenario: mix: bad count in %q (want <kernel>*<N>, N >= 1)", term)
+		}
+		if n > maxMix-len(mix) {
+			return nil, fmt.Errorf("scenario: mix expands past %d kernels", maxMix)
+		}
+		for ; n > 0; n-- {
+			mix = append(mix, name)
+		}
+	}
+	return mix, nil
+}
+
 func parseClass(s string) (Class, error) {
 	fields := strings.Split(s, "@")
 	if len(fields) < 2 || len(fields) > 3 {
@@ -489,6 +547,14 @@ func (sp Spec) String() string {
 	if len(params) > 0 {
 		b.WriteByte(':')
 		b.WriteString(strings.Join(params, ","))
+	}
+	for i, j, sep := 0, 0, ";mix="; i < len(sp.Mix); i, sep = j, "+" {
+		for j = i + 1; j < len(sp.Mix) && sp.Mix[j] == sp.Mix[i]; j++ {
+		}
+		b.WriteString(sep + sp.Mix[i])
+		if j-i > 1 {
+			b.WriteString("*" + strconv.Itoa(j-i))
+		}
 	}
 	if sp.PrioLevels > 0 {
 		b.WriteString(";prio=uniform:" + strconv.Itoa(sp.PrioLevels))

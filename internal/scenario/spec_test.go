@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,12 @@ func TestParseValid(t *testing.T) {
 			"poisson;slo=deadline:slack=2;prio=uniform:1",
 			Spec{Source: "poisson", PrioLevels: 1, SLO: SLO{Enabled: true, Slack: 2}},
 		},
+		{"uniform;mix=tblook+a2time+tblook", Spec{Source: "uniform", Mix: []string{"tblook", "a2time", "tblook"}}},
+		{
+			"closed:clients=2;prio=uniform:2;mix=a2time*3+matrix",
+			Spec{Source: "closed", Clients: 2, PrioLevels: 2, Mix: []string{"a2time", "a2time", "a2time", "matrix"}},
+		},
+		{"uniform;mix=tblook*01+tblook", Spec{Source: "uniform", Mix: []string{"tblook", "tblook"}}},
 	}
 	for _, tc := range cases {
 		got, err := Parse(tc.in)
@@ -78,6 +85,17 @@ func TestParseErrors(t *testing.T) {
 		"uniform;prio=normal:3",                              // unknown prio kind
 		"uniform;prio=uniform:2;prio=uniform:3",              // duplicate prio section
 		"uniform;prio=uniform:2;slo=deadline:classes=hi@0.2", // prio with classes
+		"uniform;mix=",                                       // empty mix
+		"uniform;mix=+",                                      // empty terms
+		"uniform;mix=tblook++a2time",                         // empty middle term
+		"uniform;mix=*3",                                     // count without a name
+		"uniform;mix=nosuch",                                 // unknown kernel
+		"uniform;mix=tblook*0",                               // zero count
+		"uniform;mix=tblook*x",                               // non-integer count
+		"uniform;mix=tblook*2*2",                             // two counts
+		"uniform;mix=tblook*1001",                            // past the expansion cap
+		"uniform;mix=tblook;mix=a2time",                      // duplicate mix section
+		"replay:file=t.csv;mix=tblook",                       // mix with replay
 	}
 	for _, in := range cases {
 		if _, err := Parse(in); err == nil {
@@ -97,6 +115,9 @@ func TestStringRoundTrip(t *testing.T) {
 		"closed:clients=16,think=0.5",
 		"replay:file=trace.csv;slo=deadline:slack=3",
 		"uniform;prio=uniform:3;slo=deadline:slack=2",
+		"uniform;mix=tblook+a2time+tblook",
+		"poisson:rate=0.9;mix=a2time*3+matrix;prio=uniform:2;slo=deadline",
+		"closed;mix=tblook*1000",
 	}
 	for _, in := range cases {
 		sp := MustParse(in)
@@ -159,6 +180,11 @@ func FuzzParseScenarioSpec(f *testing.F) {
 		"uniform;prio=uniform:3",
 		"poisson:rate=0.8;slo=deadline:slack=2;prio=uniform:1",
 		"closed;prio=uniform:7;slo=deadline",
+		"uniform;mix=a2time*3+matrix+a2time",
+		"uniform;mix=tblook*1000000000",
+		"uniform;mix=+",
+		"uniform;mix=nosuch",
+		"replay:file=x;mix=tblook",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -186,5 +212,28 @@ func TestValidateRejectsSLOParamsWithoutSection(t *testing.T) {
 	sp := Spec{Source: "uniform", SLO: SLO{Slack: 2}}
 	if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "slo") {
 		t.Errorf("want slo error, got %v", err)
+	}
+}
+
+// TestParseMixBoundedBeforeExpanding: a mix whose expansion would pass the
+// cap is refused before the expansion is allocated, however large the
+// count it asks for, and a mix with more terms than the cap is refused
+// before its terms are split.
+func TestParseMixBoundedBeforeExpanding(t *testing.T) {
+	for _, in := range []string{
+		"uniform;mix=tblook*1000000000",
+		"uniform;mix=a2time*600+tblook*600",
+		"uniform;mix=" + strings.Repeat("tblook+", 5000) + "tblook",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(in)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "mix") {
+			t.Errorf("Parse(%.40q...): want a mix error, got %v", in, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("Parse(%.40q...) allocated %d bytes before refusing", in, grew)
+		}
 	}
 }

@@ -93,7 +93,9 @@ type PredictorSwapRequest struct {
 	Spec string `json:"spec"`
 }
 
-// ScheduleRequest runs one named system over a generated workload.
+// ScheduleRequest runs one named system over a generated workload
+// (POST /v1/schedule). ClusterScheduleRequest embeds it, so both generated
+// endpoints read these fields the same way.
 type ScheduleRequest struct {
 	// System names the scheduling system (default "proposed"); see
 	// core.SystemNames.
@@ -101,47 +103,32 @@ type ScheduleRequest struct {
 	// Arrivals is the workload length (default 500, capped by the server's
 	// MaxArrivals).
 	Arrivals int `json:"arrivals,omitempty"`
-	// Utilization is the offered load (default 0.9).
+	// Utilization is the offered load (default 0.9; on a cluster, over all
+	// its cores).
 	Utilization float64 `json:"utilization,omitempty"`
 	// Seed drives workload generation (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Kernels optionally weights the application mix by name (repeat a name
-	// to weight it); empty means the whole suite uniformly.
-	Kernels []string `json:"kernels,omitempty"`
-	// PriorityLevels > 0 assigns uniform random priorities in [0, levels)
-	// and enables priority scheduling.
-	//
-	// Deprecated: a request without Scenario runs as the scenario
-	// "uniform;prio=uniform:<levels>"; send that instead.
-	PriorityLevels int `json:"priority_levels,omitempty"`
 	// Preemptive additionally lets high-priority arrivals preempt whenever
-	// the run schedules by priority (PriorityLevels > 0, or a scenario with
-	// prio= or SLO classes).
+	// the scenario schedules by priority (prio= or SLO classes).
 	Preemptive bool `json:"preemptive,omitempty"`
-	// DeadlineSlack > 0 assigns each job a deadline of arrival +
-	// slack × best-config execution time; misses are reported.
-	//
-	// Deprecated: a request without Scenario runs as the scenario
-	// "uniform;slo=deadline:slack=<slack>", which also arms the SLO-aware
-	// rule; send that instead.
-	DeadlineSlack float64 `json:"deadline_slack,omitempty"`
-	// Scenario, when non-empty, generates the workload from a scenario
-	// spec ("bursty:rate=1.2;slo=deadline:slack=1.5,classes=hi@0.2")
-	// instead of the uniform generator: the spec's source shapes arrivals,
-	// its SLO layer assigns classes and deadlines and arms the SLO-aware
-	// scheduler, and the response gains the deadline/SLO block. The spec's
-	// jobs= overrides Arrivals (still capped by the server's MaxArrivals)
-	// and rate= overrides Utilization. Mutually exclusive with Kernels,
-	// PriorityLevels and DeadlineSlack.
+	// Scenario generates the workload from a scenario spec
+	// ("bursty:rate=1.2;mix=a2time*3+matrix;slo=deadline:slack=1.5,classes=hi@0.2");
+	// empty is "uniform", the paper's stream over the whole suite. The
+	// spec's source shapes arrivals, its mix= weights the kernels, its
+	// prio= and SLO layer stamp priorities and deadlines and arm the
+	// scheduler for them, and the response echoes it with the
+	// deadline/SLO block. The spec's jobs= overrides Arrivals (still capped
+	// by the server's MaxArrivals) and rate= overrides Utilization.
 	Scenario string `json:"scenario,omitempty"`
-	// Faults injects a deterministic fault plan into this run. When absent
-	// or not enabled (all rates zero), the run inherits the daemon's
-	// -faults default plan, if one was configured.
+	// Faults injects a deterministic fault plan into this run (per-node
+	// seeds are derived deterministically on a cluster). When absent or
+	// not enabled (all rates zero), the run inherits the daemon's -faults
+	// default plan, if one was configured.
 	Faults *FaultSpec `json:"faults,omitempty"`
 	// Priority is the client-asserted importance of this request for
 	// admission control (0 = lowest, the default): past the queue
 	// high-water mark the daemon sheds low-priority work first, scaled by
-	// predicted cost. Distinct from PriorityLevels, which shapes the
+	// predicted cost. Distinct from the scenario's prio=, which shapes the
 	// *simulated* workload's job priorities.
 	Priority int `json:"priority,omitempty"`
 }
@@ -185,21 +172,7 @@ type ScheduleResponse struct {
 	ResourceStalls    int `json:"resource_stalls"`
 	MaxQueueDepth     int `json:"max_queue_depth"`
 
-	Preemptions    int `json:"preemptions,omitempty"`
-	DeadlinesTotal int `json:"deadlines_total,omitempty"`
-	DeadlineMisses int `json:"deadline_misses,omitempty"`
-
-	// Scenario/SLO block; present only on scenario runs.
-	Scenario string `json:"scenario,omitempty"`
-	// DeadlineMissRate is misses over deadline-carrying completions.
-	DeadlineMissRate float64 `json:"deadline_miss_rate,omitempty"`
-	// SLOMigrations counts stall decisions overridden to meet deadlines;
-	// SLOEnergyPenaltyNJ is the energy those overrides cost vs stalling.
-	SLOMigrations      int     `json:"slo_migrations,omitempty"`
-	SLOEnergyPenaltyNJ float64 `json:"slo_energy_penalty_nj,omitempty"`
-	// Classes is the per-SLO-class deadline accounting, keyed by class
-	// name ("default" is the unclassified remainder).
-	Classes map[string]ClassSLOWire `json:"classes,omitempty"`
+	SLOWire
 
 	// Resilience block; present only when the run injected faults.
 	FaultInjected      bool    `json:"fault_injected,omitempty"`
@@ -218,6 +191,28 @@ type ScheduleResponse struct {
 
 	// Trace block; present only when the request asked for ?trace=1.
 	Trace *TraceBlock `json:"trace,omitempty"`
+}
+
+// SLOWire is the scenario echo and deadline/SLO block both generated
+// endpoints report (a cluster's summed over its nodes). Every field is
+// omitted when zero, so a run without a scenario, priorities or deadlines
+// carries none of it.
+type SLOWire struct {
+	Preemptions    int `json:"preemptions,omitempty"`
+	DeadlinesTotal int `json:"deadlines_total,omitempty"`
+	DeadlineMisses int `json:"deadline_misses,omitempty"`
+
+	// Scenario echoes the request's spec in canonical form.
+	Scenario string `json:"scenario,omitempty"`
+	// DeadlineMissRate is misses over deadline-carrying completions.
+	DeadlineMissRate float64 `json:"deadline_miss_rate,omitempty"`
+	// SLOMigrations counts stall decisions overridden to meet deadlines;
+	// SLOEnergyPenaltyNJ is the energy those overrides cost vs stalling.
+	SLOMigrations      int     `json:"slo_migrations,omitempty"`
+	SLOEnergyPenaltyNJ float64 `json:"slo_energy_penalty_nj,omitempty"`
+	// Classes is the per-SLO-class deadline accounting, keyed by class
+	// name ("default" is the unclassified remainder).
+	Classes map[string]ClassSLOWire `json:"classes,omitempty"`
 }
 
 // ClassSLOWire is one SLO class's deadline accounting on the wire.
@@ -308,40 +303,23 @@ type ErrorResponse struct {
 }
 
 // ClusterScheduleRequest runs one workload across a multi-node cluster
-// (POST /v1/cluster/schedule).
+// (POST /v1/cluster/schedule): the /v1/schedule request plus the topology
+// and the dispatcher's knobs.
 type ClusterScheduleRequest struct {
+	ScheduleRequest
 	// Nodes is the cluster topology in the -cluster spec grammar
 	// ("16*quad", "8*4x8;8*16x2"); empty uses the daemon's configured
 	// default topology.
 	Nodes string `json:"nodes,omitempty"`
-	// System names the per-node scheduling system (default "proposed").
-	System string `json:"system,omitempty"`
 	// Scorer names the dispatcher's scoring strategy
 	// ("hybrid"|"balance"|"energy"|"roundrobin"; empty uses the daemon
 	// default).
 	Scorer string `json:"scorer,omitempty"`
-	// Arrivals is the workload length (default 500, capped by the
-	// server's MaxArrivals).
-	Arrivals int `json:"arrivals,omitempty"`
-	// Utilization is the offered load over the whole cluster's cores
-	// (default 0.9).
-	Utilization float64 `json:"utilization,omitempty"`
-	// Seed drives workload generation (default 1).
-	Seed int64 `json:"seed,omitempty"`
 	// StealThreshold overrides the work-stealing backlog threshold
 	// (0 = cluster default).
 	StealThreshold int `json:"steal_threshold,omitempty"`
 	// DisableStealing turns cross-node work stealing off.
 	DisableStealing bool `json:"disable_stealing,omitempty"`
-	// Kernels optionally weights the application mix by name.
-	Kernels []string `json:"kernels,omitempty"`
-	// Faults injects a cluster-level fault plan (per-node seeds are
-	// derived deterministically); absent inherits the daemon's -faults
-	// default.
-	Faults *FaultSpec `json:"faults,omitempty"`
-	// Priority is the client-asserted request importance for admission
-	// control (see ScheduleRequest.Priority).
-	Priority int `json:"priority,omitempty"`
 }
 
 // ClusterNodeWire is one node's share of a cluster run.
@@ -381,6 +359,8 @@ type ClusterScheduleResponse struct {
 	StaticEnergyNJ    float64 `json:"static_energy_nj"`
 	CoreEnergyNJ      float64 `json:"core_energy_nj"`
 	ProfilingEnergyNJ float64 `json:"profiling_energy_nj"`
+
+	SLOWire
 
 	PerNode []ClusterNodeWire `json:"per_node"`
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"hetsched"
-	"hetsched/internal/scenario"
 )
 
 // handleClusterSchedule serves POST /v1/cluster/schedule: one workload
@@ -14,27 +13,20 @@ import (
 // node simulated by the named per-node system. ?trace=1 inlines the
 // dispatcher's route/steal audit into the response.
 func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
-	req := ClusterScheduleRequest{
-		System:      "proposed",
-		Arrivals:    500,
-		Utilization: 0.9,
-		Seed:        1,
-	}
+	req := ClusterScheduleRequest{ScheduleRequest: scheduleDefaults}
 	s.serveSchedule(w, r, "cluster", &req, func() (*scheduleRun, error) {
 		cfg, err := s.checkCluster(req.Nodes, req.Scorer, req.System, &req.Arrivals, req.Utilization,
 			req.StealThreshold, req.DisableStealing)
 		if err != nil {
 			return nil, err
 		}
-		var traced bool
-		if cfg.Sim.Faults, traced, err = checkGenerated(r, req.Faults, req.Kernels, req.Priority); err != nil {
+		run, err := s.checkGenerated(r, &req.ScheduleRequest, cfg)
+		if err != nil {
 			return nil, err
 		}
-		return &scheduleRun{
-			priority: req.Priority, cost: req.Arrivals, traced: traced, cluster: cfg, clustered: true,
-			generate: generated(scenario.Spec{Source: "uniform"}, req.Kernels, cfg.Nodes, req.Arrivals, req.Utilization, req.Seed),
-			respond:  func(o runOutcome) any { return summarizeCluster(cfg, o) },
-		}, nil
+		run.clustered = true
+		run.respond = func(o runOutcome) any { return summarizeCluster(cfg, o) }
+		return run, nil
 	})
 }
 
@@ -69,23 +61,6 @@ func (s *Server) checkCluster(nodesSpec, scorerName, system string, arrivals *in
 		return cfg, errors.New("negative steal_threshold")
 	}
 	return cfg, nil
-}
-
-// generated is the generated endpoints' workload source: one draw of the
-// request's scenario over its kernel mix (none is the whole suite), sized
-// for the topology's cores.
-func generated(sp hetsched.ScenarioSpec, kernels []string, nodes []hetsched.SystemSpec,
-	arrivals int, utilization float64, seed int64) func(*hetsched.System) ([]hetsched.Job, error) {
-	return func(sys *hetsched.System) ([]hetsched.Job, error) {
-		return sp.Generate(scenario.Params{
-			DB:          sys.Eval,
-			Kernels:     kernels,
-			Arrivals:    arrivals,
-			Cores:       clusterCores(nodes),
-			Utilization: utilization,
-			Seed:        seed,
-		})
-	}
 }
 
 // clusterCores is a topology's total core count.
@@ -126,6 +101,8 @@ func summarizeCluster(cfg hetsched.ClusterConfig, o runOutcome) ClusterScheduleR
 		StaticEnergyNJ:    res.StaticEnergyNJ,
 		CoreEnergyNJ:      res.CoreEnergyNJ,
 		ProfilingEnergyNJ: res.ProfilingEnergyNJ,
+
+		SLOWire: sloWire(o.scenario, res.Nodes),
 
 		Trace: o.trace,
 	}

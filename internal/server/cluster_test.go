@@ -79,7 +79,7 @@ func TestClusterScheduleValidation(t *testing.T) {
 		"zero arrivals":   `{"arrivals": -1}`,
 		"huge arrivals":   `{"arrivals": 999999999}`,
 		"bad utilization": `{"utilization": 9.5}`,
-		"bad kernel mix":  `{"kernels": ["nosuch"]}`,
+		"bad kernel mix":  `{"scenario": "uniform;mix=nosuch"}`,
 		"bad threshold":   `{"steal_threshold": -2}`,
 		"bad fault plan":  `{"faults": {"counter_noise": 2.0}}`,
 		"unknown field":   `{"bogus": 1}`,

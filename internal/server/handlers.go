@@ -12,6 +12,7 @@ import (
 	"hetsched"
 	"hetsched/internal/cache"
 	"hetsched/internal/core"
+	"hetsched/internal/scenario"
 	"hetsched/internal/trace"
 	"hetsched/internal/vm"
 )
@@ -184,9 +185,11 @@ type scheduleRun struct {
 	traced   bool
 
 	// The workload source: generate draws the jobs on the run's System
-	// snapshot; without it the batch plan's rows are characterized through
-	// the serving tier and spread at utilization.
+	// snapshot (scenario is its spec, echoed in the response); without it
+	// the batch plan's rows are characterized through the serving tier and
+	// spread at utilization.
 	generate    func(sys *hetsched.System) ([]hetsched.Job, error)
+	scenario    string
 	rows        []BatchJob
 	plan        *batchPlan
 	utilization float64
@@ -202,12 +205,13 @@ type scheduleRun struct {
 }
 
 // runOutcome is the run an endpoint's respond projects: the cluster result
-// (nil for a batch with no valid row) and its inline trace block, plus for
-// a batch source the characterization counts and the simulated jobs with
-// each one's request row.
+// (nil for a batch with no valid row), its inline trace block and scenario
+// echo, plus for a batch source the characterization counts and the
+// simulated jobs with each one's request row.
 type runOutcome struct {
 	res      *hetsched.ClusterResult
 	trace    *TraceBlock
+	scenario string
 	wire     BatchCharacterizationWire
 	jobs     []hetsched.Job
 	simToReq []int
@@ -219,6 +223,7 @@ func (o runOutcome) node(system string) ScheduleResponse {
 		return ScheduleResponse{System: system}
 	}
 	resp := summarize(o.res.Nodes[0].Metrics)
+	resp.SLOWire = sloWire(o.scenario, o.res.Nodes)
 	resp.Trace = o.trace
 	return resp
 }
@@ -248,64 +253,22 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, endpoint 
 	})
 }
 
+// scheduleDefaults are the generated endpoints' request defaults.
+var scheduleDefaults = ScheduleRequest{System: "proposed", Arrivals: 500, Utilization: 0.9, Seed: 1}
+
 // handleSchedule serves POST /v1/schedule.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	req := ScheduleRequest{
-		System:      "proposed",
-		Arrivals:    500,
-		Utilization: 0.9,
-		Seed:        1,
-	}
+	req := scheduleDefaults
 	s.serveSchedule(w, r, "schedule", &req, func() (*scheduleRun, error) {
 		if err := s.checkRun(req.System, &req.Arrivals, req.Utilization); err != nil {
 			return nil, err
 		}
-		if req.PriorityLevels < 0 || req.DeadlineSlack < 0 {
-			return nil, errors.New("negative priority_levels or deadline_slack")
-		}
-		scenario, err := hetsched.ParseScenarioSpec(req.Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		cost := req.Arrivals
-		if !scenario.IsZero() {
-			if len(req.Kernels) > 0 || req.PriorityLevels > 0 || req.DeadlineSlack > 0 {
-				return nil, errors.New("scenario is mutually exclusive with kernels, priority_levels and deadline_slack")
-			}
-			if scenario.Source == "replay" {
-				// Replay reads a server-local file path; that stays a
-				// CLI/library feature rather than a remote-request capability.
-				return nil, errors.New("scenario source replay is not available over the API")
-			}
-			if scenario.Jobs > 0 {
-				cost = scenario.Jobs
-			}
-			if cost > s.cfg.MaxArrivals {
-				return nil, fmt.Errorf("scenario jobs %d exceed the server cap %d", cost, s.cfg.MaxArrivals)
-			}
-		}
-		faults, traced, err := checkGenerated(r, req.Faults, req.Kernels, req.Priority)
+		run, err := s.checkGenerated(r, &req, hetsched.ClusterConfig{Nodes: oneNode, System: req.System})
 		if err != nil {
 			return nil, err
 		}
-		spec := scenario
-		if spec.IsZero() { // the deprecated fields, as the spec they stand for
-			spec = hetsched.ScenarioSpec{Source: "uniform", PrioLevels: req.PriorityLevels,
-				SLO: hetsched.ScenarioSLO{Enabled: req.DeadlineSlack > 0, Slack: req.DeadlineSlack}}
-		}
-		sim := hetsched.SimConfig{Faults: faults}
-		spec.ApplySim(&sim)
-		sim.Preemptive = req.Preemptive && sim.PriorityScheduling
-		return &scheduleRun{
-			priority: req.Priority, cost: cost, traced: traced,
-			cluster:  hetsched.ClusterConfig{Nodes: oneNode, System: req.System, Sim: sim},
-			generate: generated(spec, req.Kernels, oneNode, req.Arrivals, req.Utilization, req.Seed),
-			respond: func(o runOutcome) any {
-				resp := o.node(req.System)
-				resp.Scenario = scenario.String()
-				return resp
-			},
-		}, nil
+		run.respond = func(o runOutcome) any { return o.node(req.System) }
+		return run, nil
 	})
 }
 
@@ -331,34 +294,60 @@ func (s *Server) checkRun(system string, arrivals *int, utilization float64) err
 // admission would shed it even on an idle daemon, so no retry could help.
 var errNegativePriority = errors.New("negative priority")
 
-// checkGenerated validates what the two generated-workload endpoints share
-// after their own fields — the fault plan, the kernel mix, the admission
-// priority, then the ?trace= switch — and returns the run's fault plan (a
-// zero plan inherits the daemon default) and whether it is traced.
-func checkGenerated(r *http.Request, faults *FaultSpec, kernels []string, priority int) (hetsched.FaultPlan, bool, error) {
-	var plan hetsched.FaultPlan
-	if faults != nil {
-		plan = faults.plan()
-		if err := plan.Validate(); err != nil {
-			return plan, false, fmt.Errorf("faults: %w", err)
+// checkGenerated checks what the two generated-workload endpoints share
+// after their own fields — the scenario (grammar, no replay, jobs= under
+// the cap), the fault plan, the admission priority, then ?trace= — and
+// builds the run on the endpoint's topology: the scenario's simulator
+// features and preemption armed on every node, and one scenario draw
+// sized for the topology's cores.
+func (s *Server) checkGenerated(r *http.Request, req *ScheduleRequest, cluster hetsched.ClusterConfig) (*scheduleRun, error) {
+	spec, err := hetsched.ParseScenarioSpec(req.Scenario)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if spec.Source == "replay" {
+		// Replay reads a server-local file path; that stays a CLI/library
+		// feature rather than a remote-request capability.
+		return nil, errors.New("scenario source replay is not available over the API")
+	}
+	cost := req.Arrivals
+	if spec.Jobs > 0 {
+		cost = spec.Jobs
+	}
+	if cost > s.cfg.MaxArrivals {
+		return nil, fmt.Errorf("scenario jobs %d exceed the server cap %d", cost, s.cfg.MaxArrivals)
+	}
+	if req.Faults != nil {
+		cluster.Sim.Faults = req.Faults.plan()
+		if err := cluster.Sim.Faults.Validate(); err != nil {
+			return nil, fmt.Errorf("faults: %w", err)
 		}
 	}
-	for _, k := range kernels {
-		if _, err := hetsched.KernelByName(k); err != nil {
-			return plan, false, err
-		}
+	if req.Priority < 0 {
+		return nil, errNegativePriority
 	}
-	if priority < 0 {
-		return plan, false, errNegativePriority
-	}
+	var traced bool
 	switch v := r.URL.Query().Get("trace"); v {
 	case "", "0", "false":
-		return plan, false, nil
 	case "1", "true":
-		return plan, true, nil
+		traced = true
 	default:
-		return plan, false, fmt.Errorf("trace=%q not in {0, 1, true, false}", v)
+		return nil, fmt.Errorf("trace=%q not in {0, 1, true, false}", v)
 	}
+
+	echo := spec.String() // empty when the request sent no scenario
+	if spec.IsZero() {
+		spec.Source = "uniform"
+	}
+	spec.ApplySim(&cluster.Sim)
+	cluster.Sim.Preemptive = req.Preemptive && cluster.Sim.PriorityScheduling
+	return &scheduleRun{
+		priority: req.Priority, cost: cost, traced: traced, cluster: cluster, scenario: echo,
+		generate: func(sys *hetsched.System) ([]hetsched.Job, error) {
+			return spec.Generate(scenario.Params{DB: sys.Eval, Arrivals: req.Arrivals,
+				Cores: clusterCores(cluster.Nodes), Utilization: req.Utilization, Seed: req.Seed})
+		},
+	}, nil
 }
 
 // runSchedule is the pipeline's run step, on a worker: draw the jobs from
@@ -368,8 +357,8 @@ func checkGenerated(r *http.Request, faults *FaultSpec, kernels []string, priori
 func (s *Server) runSchedule(ctx context.Context, run *scheduleRun) (any, error) {
 	sys := s.system() // one snapshot: a concurrent hot-swap never splits this run
 	db := sys.Eval
+	out := runOutcome{scenario: run.scenario}
 	var (
-		out  runOutcome
 		jobs []hetsched.Job
 		err  error
 	)
@@ -470,15 +459,46 @@ func (f *FaultSpec) plan() hetsched.FaultPlan {
 	}
 }
 
-// summarize projects a Metrics onto the wire schema.
-func summarize(m hetsched.Metrics) ScheduleResponse {
-	var classes map[string]ClassSLOWire
-	if len(m.ClassDeadlines) > 0 {
-		classes = make(map[string]ClassSLOWire, len(m.ClassDeadlines))
-		for name, n := range m.ClassDeadlines {
-			classes[name] = ClassSLOWire{Deadlines: n, Misses: m.ClassDeadlineMisses[name], MissRate: m.ClassMissRate(name)}
+// sloWire is the SLO block on the wire: the scenario echo and the nodes'
+// preemption and deadline/SLO accounting summed, per class by class name.
+// /v1/schedule's run has one node.
+func sloWire(scenario string, nodes []hetsched.ClusterNodeResult) SLOWire {
+	w := SLOWire{Scenario: scenario}
+	for _, nr := range nodes {
+		m := nr.Metrics
+		w.Preemptions += m.Preemptions
+		w.DeadlinesTotal += m.DeadlinesTotal
+		w.DeadlineMisses += m.DeadlineMisses
+		w.SLOMigrations += m.SLOMigrations
+		w.SLOEnergyPenaltyNJ += m.SLOEnergyPenaltyNJ
+		if len(m.ClassDeadlines) > 0 && w.Classes == nil {
+			w.Classes = make(map[string]ClassSLOWire, len(m.ClassDeadlines))
 		}
+		addClasses(w.Classes, m)
 	}
+	if w.DeadlinesTotal > 0 {
+		w.DeadlineMissRate = float64(w.DeadlineMisses) / float64(w.DeadlinesTotal)
+	}
+	return w
+}
+
+// addClasses merges a run's per-class deadline counts into classes by
+// class name.
+func addClasses(classes map[string]ClassSLOWire, m hetsched.Metrics) {
+	for name, n := range m.ClassDeadlines {
+		c := classes[name]
+		c.Deadlines += n
+		c.Misses += m.ClassDeadlineMisses[name]
+		if c.Deadlines > 0 {
+			c.MissRate = float64(c.Misses) / float64(c.Deadlines)
+		}
+		classes[name] = c
+	}
+}
+
+// summarize projects a node's Metrics onto the wire schema, all but the
+// SLO block (sloWire).
+func summarize(m hetsched.Metrics) ScheduleResponse {
 	return ScheduleResponse{
 		System:    m.System,
 		Jobs:      m.Jobs,
@@ -503,15 +523,6 @@ func summarize(m hetsched.Metrics) ScheduleResponse {
 		StallDecisions:    m.StallDecisions,
 		ResourceStalls:    m.ResourceStalls,
 		MaxQueueDepth:     m.MaxQueueDepth,
-
-		Preemptions:    m.Preemptions,
-		DeadlinesTotal: m.DeadlinesTotal,
-		DeadlineMisses: m.DeadlineMisses,
-
-		DeadlineMissRate:   m.MissRate(),
-		SLOMigrations:      m.SLOMigrations,
-		SLOEnergyPenaltyNJ: m.SLOEnergyPenaltyNJ,
-		Classes:            classes,
 
 		FaultInjected:      m.FaultInjected,
 		FaultEvents:        m.FaultEvents,

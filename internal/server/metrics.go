@@ -131,15 +131,7 @@ func (t *Snapshot) observeNode(run hetsched.Metrics) {
 		t.SLODeadlines += int64(run.DeadlinesTotal)
 		t.SLOMisses += int64(run.DeadlineMisses)
 		t.SLOMigrations += int64(run.SLOMigrations)
-		for name, n := range run.ClassDeadlines {
-			c := t.SLOClasses[name]
-			c.Deadlines += n
-			c.Misses += run.ClassDeadlineMisses[name]
-			if c.Deadlines > 0 {
-				c.MissRate = float64(c.Misses) / float64(c.Deadlines)
-			}
-			t.SLOClasses[name] = c
-		}
+		addClasses(t.SLOClasses, run)
 	}
 	if ps := run.Predictor; ps != nil && ps.Predictions > 0 {
 		t.PredictorRuns++

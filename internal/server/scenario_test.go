@@ -99,9 +99,10 @@ func TestScheduleScenarioCanonicalizes(t *testing.T) {
 	}
 }
 
-// TestScheduleScenarioValidation pins the scenario-specific 400s: malformed
-// specs, the replay source (a server-local file read, refused over the API),
-// the jobs cap, and mutual exclusion with the legacy workload knobs.
+// TestScheduleScenarioValidation pins the scenario-specific 400s both
+// generated endpoints share: malformed specs, the replay source (a
+// server-local file read, refused over the API), the jobs cap, and the
+// retired workload fields, which are unknown fields now.
 func TestScheduleScenarioValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxArrivals: 100})
 
@@ -113,76 +114,117 @@ func TestScheduleScenarioValidation(t *testing.T) {
 			`{"arrivals": 20, "scenario": "nosuch:rate=1"}`, "scenario"},
 		"bad param": {
 			`{"arrivals": 20, "scenario": "poisson:rate=-3"}`, "scenario"},
+		"unknown kernel": {
+			`{"arrivals": 20, "scenario": "poisson;mix=tblook+nosuch"}`, "unknown kernel"},
 		"replay source": {
 			`{"arrivals": 20, "scenario": "replay:file=/tmp/run.csv"}`, "replay is not available"},
 		"jobs over cap": {
 			`{"arrivals": 20, "scenario": "poisson:jobs=200"}`, "exceed the server cap"},
 		"arrivals over cap": {
 			`{"arrivals": 200, "scenario": "poisson"}`, "out of range"},
-		"kernels conflict": {
-			`{"arrivals": 20, "kernels": ["tblook"], "scenario": "poisson"}`, "mutually exclusive"},
-		"priority conflict": {
-			`{"arrivals": 20, "priority_levels": 2, "scenario": "poisson"}`, "mutually exclusive"},
-		"deadline conflict": {
-			`{"arrivals": 20, "deadline_slack": 2.5, "scenario": "poisson"}`, "mutually exclusive"},
+		"kernels field": {
+			`{"arrivals": 20, "kernels": ["tblook"]}`, `unknown field "kernels"`},
+		"priority_levels field": {
+			`{"arrivals": 20, "priority_levels": 2}`, `unknown field "priority_levels"`},
+		"deadline_slack field": {
+			`{"arrivals": 20, "deadline_slack": 2.5}`, `unknown field "deadline_slack"`},
 	}
-	for name, tc := range cases {
-		resp, body := postJSON(t, ts.URL+"/v1/schedule", tc.payload)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %s)", name, resp.StatusCode, body)
-			continue
-		}
-		var er ErrorResponse
-		if err := json.Unmarshal(body, &er); err != nil {
-			t.Fatalf("%s: non-envelope error body %s", name, body)
-		}
-		if !strings.Contains(er.Error, tc.substr) {
-			t.Errorf("%s: error %q missing %q", name, er.Error, tc.substr)
+	for _, endpoint := range []string{"/v1/schedule", "/v1/cluster/schedule"} {
+		for name, tc := range cases {
+			resp, body := postJSON(t, ts.URL+endpoint, tc.payload)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400 (body %s)", endpoint, name, resp.StatusCode, body)
+				continue
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(body, &er); err != nil {
+				t.Fatalf("%s %s: non-envelope error body %s", endpoint, name, body)
+			}
+			if !strings.Contains(er.Error, tc.substr) {
+				t.Errorf("%s %s: error %q missing %q", endpoint, name, er.Error, tc.substr)
+			}
 		}
 	}
 
 	// A scenario-free request is untouched by the scenario gate.
 	resp, body := postJSON(t, ts.URL+"/v1/schedule", `{"arrivals": 30}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy request: status %d, body %s", resp.StatusCode, body)
+		t.Fatalf("scenario-free request: status %d, body %s", resp.StatusCode, body)
 	}
 	var sr ScheduleResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
 	if sr.Scenario != "" || sr.Classes != nil {
-		t.Errorf("legacy response grew a scenario block: %+v", sr)
+		t.Errorf("scenario-free response grew a scenario block: %+v", sr)
 	}
 }
 
-// TestLegacyFieldsAreTheirSpec pins the translation of the deprecated
-// priority_levels/deadline_slack fields: a request carrying them answers
-// exactly as the same request spelling their spec in scenario, apart from
-// the scenario echo, which stays the request's own.
-func TestLegacyFieldsAreTheirSpec(t *testing.T) {
+// TestClusterOfOneNodeMatchesSchedule is the library's single-node
+// equivalence on the wire: /v1/cluster/schedule with one quad node answers
+// the body it shares with /v1/schedule with the same run — jobs, makespan,
+// turnaround tail, every energy component, and the whole scenario echo and
+// deadline/SLO block — for an SLO class scenario, a prio= scenario with
+// preemption, and a kernel mix under a stochastic fault plan.
+func TestClusterOfOneNodeMatchesSchedule(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for legacy, spec := range map[string]string{
-		`"priority_levels":3,"deadline_slack":2`: "uniform;prio=uniform:3;slo=deadline:slack=2",
-		`"priority_levels":1`:                    "uniform;prio=uniform:1",
-		`"deadline_slack":1.5`:                   "uniform;slo=deadline:slack=1.5",
+	for name, tc := range map[string]struct {
+		body  string
+		check func(ScheduleResponse) bool
+	}{
+		"bursty slo classes": {
+			`{"seed":3,"utilization":1.2,"scenario":"bursty:jobs=80;slo=deadline:slack=1.5,classes=hi@0.3+lo@0.2@3"}`,
+			func(r ScheduleResponse) bool { return r.DeadlinesTotal == 80 && len(r.Classes) == 3 },
+		},
+		"prio preemptive": {
+			`{"arrivals":60,"seed":5,"utilization":1.3,"preemptive":true,"scenario":"poisson;prio=uniform:4"}`,
+			func(r ScheduleResponse) bool { return r.Preemptions > 0 },
+		},
+		"mix under faults": {
+			`{"arrivals":60,"seed":3,"scenario":"uniform;mix=a2time*3+tblook+matrix",` +
+				`"faults":{"seed":3,"transient_mttf_cycles":200000,"recovery_cycles":5000}}`,
+			func(r ScheduleResponse) bool { return r.FaultInjected && r.JobsRedispatched > 0 },
+		},
 	} {
-		var got [2]ScheduleResponse
-		for i, fields := range []string{legacy, `"scenario":"` + spec + `"`} {
-			resp, body := postJSON(t, ts.URL+"/v1/schedule",
-				`{"arrivals":40,"seed":5,"utilization":1.2,"preemptive":true,`+fields+`}`)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s: status %d, body %s", fields, resp.StatusCode, body)
-			}
-			if err := json.Unmarshal(body, &got[i]); err != nil {
-				t.Fatal(err)
-			}
+		resp, body := postJSON(t, ts.URL+"/v1/schedule", tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /v1/schedule status %d, body %s", name, resp.StatusCode, body)
 		}
-		if got[0].Scenario != "" || got[1].Scenario != spec {
-			t.Errorf("%s: scenario echoes %q and %q, want \"\" and %q", legacy, got[0].Scenario, got[1].Scenario, spec)
+		var one ScheduleResponse
+		if err := json.Unmarshal(body, &one); err != nil {
+			t.Fatal(err)
 		}
-		got[1].Scenario = ""
-		if !reflect.DeepEqual(got[0], got[1]) {
-			t.Errorf("%s answers differently from %s:\n%+v\n%+v", legacy, spec, got[0], got[1])
+		if !tc.check(one) {
+			t.Errorf("%s: the run does not exercise what the case is for: %+v", name, one)
+		}
+		resp, body = postJSON(t, ts.URL+"/v1/cluster/schedule", `{"nodes":"quad",`+tc.body[1:])
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /v1/cluster/schedule status %d, body %s", name, resp.StatusCode, body)
+		}
+		var cl ClusterScheduleResponse
+		if err := json.Unmarshal(body, &cl); err != nil {
+			t.Fatal(err)
+		}
+		type run struct {
+			Jobs, Completed                      int
+			Makespan, Turnaround                 uint64
+			P50, P95, P99                        uint64
+			Total, Idle, Dyn, Static, Core, Prof float64
+			SLO                                  SLOWire
+		}
+		got := run{cl.Jobs, cl.Completed, cl.MakespanCycles, cl.TurnaroundCycles,
+			cl.TurnaroundP50, cl.TurnaroundP95, cl.TurnaroundP99,
+			cl.TotalEnergyNJ, cl.IdleEnergyNJ, cl.DynamicEnergyNJ, cl.StaticEnergyNJ, cl.CoreEnergyNJ, cl.ProfilingEnergyNJ,
+			cl.SLOWire}
+		want := run{one.Jobs, one.Completed, one.MakespanCycles, one.TurnaroundCycles,
+			one.TurnaroundP50, one.TurnaroundP95, one.TurnaroundP99,
+			one.TotalEnergyNJ, one.IdleEnergyNJ, one.DynamicEnergyNJ, one.StaticEnergyNJ, one.CoreEnergyNJ, one.ProfilingEnergyNJ,
+			one.SLOWire}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the one-node cluster answers differently:\ncluster  %+v\nschedule %+v", name, got, want)
+		}
+		if cl.NodeCount != 1 || cl.Steals != 0 {
+			t.Errorf("%s: node_count %d, steals %d; want one node, no steals", name, cl.NodeCount, cl.Steals)
 		}
 	}
 }

@@ -157,10 +157,9 @@ func TestScheduleEndpoint(t *testing.T) {
 		t.Errorf("implausible metrics: %+v", sr)
 	}
 
-	// A weighted mix with real-time decoration exercises the full knob set.
+	// A weighted mix with real-time decoration exercises the full grammar.
 	resp, body = postJSON(t, ts.URL+"/v1/schedule",
-		`{"arrivals": 40, "kernels": ["tblook", "tblook", "a2time"],
-		  "priority_levels": 3, "deadline_slack": 4.0}`)
+		`{"arrivals": 40, "scenario": "uniform;mix=tblook*2+a2time;prio=uniform:3;slo=deadline:slack=4"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("weighted schedule: status %d, body %s", resp.StatusCode, body)
 	}
@@ -176,7 +175,7 @@ func TestScheduleEndpoint(t *testing.T) {
 		"zero arrivals":   `{"arrivals": -1}`,
 		"huge arrivals":   `{"arrivals": 999999999}`,
 		"bad utilization": `{"utilization": 9.5}`,
-		"bad kernel mix":  `{"kernels": ["nosuch"]}`,
+		"bad kernel mix":  `{"scenario": "uniform;mix=nosuch"}`,
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/schedule", payload)
 		if resp.StatusCode != http.StatusBadRequest {

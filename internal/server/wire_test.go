@@ -40,8 +40,8 @@ const wireMaxArrivals = 600
 // checks report in). Timing-dependent 429s and 504s are left out.
 var wireCases = []wireCase{
 	{"schedule/defaults", 0, "", `{}`},
-	{"schedule/kernels", 0, "", `{"arrivals":30,"seed":2,"kernels":["tblook","a2time","tblook"]}`},
-	{"schedule/priorities", 0, "", `{"arrivals":40,"seed":5,"priority_levels":3,"deadline_slack":2,"preemptive":true}`},
+	{"schedule/kernels", 0, "", `{"arrivals":30,"seed":2,"scenario":"uniform;mix=tblook+a2time+tblook"}`},
+	{"schedule/priorities", 0, "", `{"arrivals":40,"seed":5,"scenario":"uniform;prio=uniform:3;slo=deadline:slack=2","preemptive":true}`},
 	{"schedule/scenario", 0, "", `{"seed":4,"scenario":"poisson:jobs=60;slo=deadline:slack=1.5,classes=hi@0.25"}`},
 	{"schedule/scenario-arrivals", 0, "", `{"arrivals":40,"scenario":"bursty:quiet=0.5,rate=0.8,burst=2;slo=deadline"}`},
 	{"schedule/faults", 0, "", `{"arrivals":60,"seed":3,"faults":{"seed":3,"transient_mttf_cycles":200000,"recovery_cycles":5000}}`},
@@ -51,22 +51,22 @@ var wireCases = []wireCase{
 	{"schedule/zero-arrivals", 0, "", `{"arrivals":0}`},
 	{"schedule/over-cap", 0, "", `{"arrivals":601}`},
 	{"schedule/bad-utilization", 0, "", `{"utilization":1.6}`},
-	{"schedule/negative-levels", 0, "", `{"arrivals":20,"priority_levels":-1}`},
-	{"schedule/negative-slack", 0, "", `{"arrivals":20,"deadline_slack":-0.5}`},
+	{"schedule/negative-levels", 0, "", `{"arrivals":20,"scenario":"uniform;prio=uniform:-1"}`},
+	{"schedule/negative-slack", 0, "", `{"arrivals":20,"scenario":"uniform;slo=deadline:slack=-0.5"}`},
 	{"schedule/bad-scenario", 0, "", `{"arrivals":20,"scenario":"nosuch:rate=1"}`},
-	{"schedule/scenario-conflict", 0, "", `{"arrivals":20,"kernels":["tblook"],"scenario":"poisson"}`},
+	{"schedule/scenario-conflict", 0, "", `{"arrivals":20,"scenario":"replay:file=/tmp/run.csv;mix=tblook"}`},
 	{"schedule/scenario-replay", 0, "", `{"arrivals":20,"scenario":"replay:file=/tmp/run.csv"}`},
 	{"schedule/scenario-over-cap", 0, "", `{"arrivals":20,"scenario":"poisson:jobs=700"}`},
 	{"schedule/bad-faults", 0, "", `{"arrivals":20,"faults":{"counter_noise":2.0}}`},
-	{"schedule/bad-kernel", 0, "", `{"arrivals":20,"kernels":["nosuch"]}`},
+	{"schedule/bad-kernel", 0, "", `{"arrivals":20,"scenario":"uniform;mix=nosuch"}`},
 	{"schedule/negative-priority", 0, "", `{"arrivals":20,"priority":-1}`},
 	{"schedule/bad-trace", 0, "yes", `{"arrivals":20}`},
 	{"schedule/unknown-field", 0, "", `{"arrivals":20,"bogus":1}`},
 	{"schedule/trailing-data", 0, "", `{"arrivals":20} {}`},
 	{"schedule/not-json", 0, "", `arrivals=20`},
 	{"schedule/two-errors-system-utilization", 0, "", `{"system":"nosuch","utilization":9}`},
-	{"schedule/two-errors-kernel-priority", 0, "", `{"arrivals":20,"kernels":["nosuch"],"priority":-1}`},
-	{"schedule/two-errors-faults-kernel", 0, "", `{"arrivals":20,"faults":{"counter_noise":2.0},"kernels":["nosuch"]}`},
+	{"schedule/two-errors-kernel-priority", 0, "", `{"arrivals":20,"scenario":"uniform;mix=nosuch","priority":-1}`},
+	{"schedule/two-errors-faults-kernel", 0, "", `{"arrivals":20,"faults":{"counter_noise":2.0},"scenario":"uniform;mix=nosuch"}`},
 	{"schedule/two-errors-priority-trace", 0, "yes", `{"arrivals":20,"priority":-1}`},
 
 	{"batch/defaults", 1, "", `{"jobs":[{"kernel":"tblook"},{"kernel":"a2time"},{"kernel":"tblook"}]}`},
@@ -87,7 +87,7 @@ var wireCases = []wireCase{
 	{"batch/two-errors-empty-utilization", 1, "", `{"utilization":7,"jobs":[]}`},
 
 	{"cluster/defaults", 2, "", `{}`},
-	{"cluster/topology", 2, "", `{"nodes":"2*quad;1*4x8","scorer":"energy","arrivals":80,"seed":3,"kernels":["tblook","a2time"],"steal_threshold":2}`},
+	{"cluster/topology", 2, "", `{"nodes":"2*quad;1*4x8","scorer":"energy","arrivals":80,"seed":3,"scenario":"uniform;mix=tblook+a2time","steal_threshold":2}`},
 	{"cluster/no-stealing", 2, "", `{"nodes":"3*quad","scorer":"roundrobin","arrivals":60,"disable_stealing":true,"priority":1}`},
 	{"cluster/faults", 2, "", `{"nodes":"2*quad","arrivals":60,"seed":3,"faults":{"seed":3,"transient_mttf_cycles":200000,"recovery_cycles":5000}}`},
 	{"cluster/trace", 2, "true", `{"nodes":"2*quad","arrivals":8,"seed":2}`},
@@ -98,12 +98,12 @@ var wireCases = []wireCase{
 	{"cluster/bad-utilization", 2, "", `{"utilization":9.5}`},
 	{"cluster/negative-threshold", 2, "", `{"arrivals":20,"steal_threshold":-2}`},
 	{"cluster/bad-faults", 2, "", `{"arrivals":20,"faults":{"counter_noise":2.0}}`},
-	{"cluster/bad-kernel", 2, "", `{"arrivals":20,"kernels":["nosuch"]}`},
+	{"cluster/bad-kernel", 2, "", `{"arrivals":20,"scenario":"uniform;mix=nosuch"}`},
 	{"cluster/negative-priority", 2, "", `{"arrivals":20,"priority":-3}`},
 	{"cluster/bad-trace", 2, "2", `{"arrivals":20}`},
 	{"cluster/unknown-field", 2, "", `{"bogus":1}`},
 	{"cluster/two-errors-system-nodes", 2, "", `{"system":"nosuch","nodes":"3*bogus"}`},
-	{"cluster/two-errors-threshold-kernel", 2, "", `{"arrivals":20,"steal_threshold":-1,"kernels":["nosuch"]}`},
+	{"cluster/two-errors-threshold-kernel", 2, "", `{"arrivals":20,"steal_threshold":-1,"scenario":"uniform;mix=nosuch"}`},
 
 	{"cluster-batch/defaults", 3, "", `{"jobs":[{"kernel":"tblook"},{"kernel":"a2time"},{"kernel":"aifftr"},{"kernel":"tblook","data_seed":3}]}`},
 	{"cluster-batch/explicit-arrivals", 3, "", `{"nodes":"2*quad","scorer":"balance","jobs":[{"kernel":"tblook","arrival_cycle":0},{"kernel":"aifftr","arrival_cycle":0},{"kernel":"a2time","arrival_cycle":900}]}`},
@@ -121,11 +121,11 @@ var wireCases = []wireCase{
 	{"schedule/trailing-bracket", 0, "", `{"arrivals":20}]`},
 	{"batch/trailing-brace", 1, "", `{"jobs":[{"kernel":"tblook"}]}}`},
 
-	// The legacy priority/deadline fields, each alone, and preemptive on a
-	// class scenario: the request shapes the spec translation must keep.
-	{"schedule/deadline-slack", 0, "", `{"arrivals":40,"seed":6,"utilization":1.2,"deadline_slack":1.5}`},
-	{"schedule/priority-levels", 0, "", `{"arrivals":40,"seed":7,"utilization":1.3,"priority_levels":4}`},
-	{"schedule/priority-levels-one", 0, "", `{"arrivals":30,"seed":8,"utilization":1.2,"priority_levels":1}`},
+	// The specs of the retired priority_levels/deadline_slack fields, each
+	// alone, and preemptive on a class scenario.
+	{"schedule/deadline-slack", 0, "", `{"arrivals":40,"seed":6,"utilization":1.2,"scenario":"uniform;slo=deadline:slack=1.5"}`},
+	{"schedule/priority-levels", 0, "", `{"arrivals":40,"seed":7,"utilization":1.3,"scenario":"uniform;prio=uniform:4"}`},
+	{"schedule/priority-levels-one", 0, "", `{"arrivals":30,"seed":8,"utilization":1.2,"scenario":"uniform;prio=uniform:1"}`},
 	{"schedule/scenario-preemptive", 0, "", `{"seed":4,"utilization":1.3,"preemptive":true,"scenario":"poisson:jobs=80;slo=deadline:slack=1.5,classes=hi@0.3"}`},
 	{"cluster-batch/priorities", 3, "", `{"nodes":"quad","jobs":[` + batchPriorityRows + `]}`},
 }
