@@ -12,6 +12,92 @@ import (
 	"hetsched/internal/eembc"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("stdout drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// writeA2timeTrace saves the a2time kernel's memory trace (scale 1, one
+// iteration, seed 1) in the VM's trace format and returns its path and
+// access count.
+func writeA2timeTrace(t *testing.T) (string, int) {
+	t.Helper()
+	k, err := eembc.ByName("a2time")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr, err := eembc.Record(k, eembc.Params{Scale: 1, Iterations: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "a2time.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, tr.Len()
+}
+
+// TestSweepGolden pins cachetune's stdout for one kernel byte for byte:
+// the header, the energy-sorted sweep table, the oracle line and the
+// Figure 5 tuning walk. -trace writes the walk to a file and must leave
+// stdout alone. Regenerate with `go test ./cmd/cachetune -update` after an
+// intentional format change.
+func TestSweepGolden(t *testing.T) {
+	walk := filepath.Join(t.TempDir(), "walk.csv")
+	out, err := runCLI(t, "-kernel", "tblook", "-trace", walk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "sweep_tblook.golden", out)
+	if fi, err := os.Stat(walk); err != nil || fi.Size() == 0 {
+		t.Errorf("-trace wrote no tuning walk: %v", err)
+	}
+}
+
+// TestFromTraceGolden pins the -fromtrace sweep of a saved a2time trace.
+// The trace's temporary path is replaced by its base name before the
+// comparison.
+func TestFromTraceGolden(t *testing.T) {
+	path, accesses := writeA2timeTrace(t)
+	out, err := runCLI(t, "-fromtrace", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%d accesses", accesses); !strings.Contains(out, want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+	if got := strings.Count(out, " nJ\n"); got != 18 {
+		t.Errorf("sweep printed %d configuration rows, want 18:\n%s", got, out)
+	}
+	checkGolden(t, "fromtrace_a2time.golden", strings.ReplaceAll(out, path, filepath.Base(path)))
+}
+
 // runCLI drives run() as the binary would with the given arguments and
 // returns what it printed to stdout. The global flag set is rebuilt with
 // PanicOnError, so a flag the command rejects surfaces as an error here

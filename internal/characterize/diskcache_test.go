@@ -79,6 +79,30 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestCacheKeyPinned pins the content key of the two suites every command
+// characterizes under the default energy model. A change that moves either
+// key orphans every warm cache entry users hold; if that is intended, bump
+// cacheSchemaVersion and re-pin.
+func TestCacheKeyPinned(t *testing.T) {
+	em := energy.NewDefault()
+	for _, tc := range []struct {
+		name     string
+		variants []Variant
+		want     string
+	}{
+		{"canonical", CanonicalVariants(), "126ea82ac196275c7f7ab61eefae8196259819cae93e85a1d41a4d86be23ed53"},
+		{"augmented", AugmentedVariants(), "7103a7c4d05f73f64c00e24cc0849982d3eaa739f9ad06763654e8aa05560182"},
+	} {
+		got, err := CacheKey(tc.variants, em, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s cache key = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestCacheKeyEngineInvariance pins the engine half of the invalidation
 // contract: the engine cannot change results (TestEnginesBitIdentical), so
 // like Workers it must not move the key — and a DB written by one engine
