@@ -132,13 +132,16 @@ fuzz:
 	$(GO) test ./internal/scenario -run='^$$' -fuzz FuzzParseScenarioSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz FuzzScheduleEndpoints -fuzztime $(FUZZTIME)
 
-# Net line delta of the non-test Go files between BASE and the working tree
-# (tracked and staged files), from git diff --numstat:
+# Net line delta of the Go files between BASE and the working tree (tracked
+# and staged files), from git diff --numstat: one line for non-test Go, one
+# for _test.go files, so code moved into tests shows on both sides.
 # `make loc-delta BASE=origin/main`.
 BASE ?= HEAD
 loc-delta:
 	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' | \
 		awk '{ add += $$1; del += $$2 } END { printf "non-test Go lines vs $(BASE): +%d -%d (net %+d)\n", add, del, add - del }'
+	@git diff --numstat $(BASE) -- '*_test.go' | \
+		awk '{ add += $$1; del += $$2 } END { printf "test Go lines vs $(BASE): +%d -%d (net %+d)\n", add, del, add - del }'
 
 # The paper's full evaluation (Figures 6 & 7 at 5000 arrivals).
 reproduce:

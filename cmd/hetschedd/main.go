@@ -27,7 +27,7 @@
 //
 //	hetschedd [-addr :8080] [-debug-addr :6060] [-workers 4] [-queue 64]
 //	          [-timeout 2m] [-max-arrivals 20000] [-predictor ann] [-seed 42]
-//	          [-j N] [-cache-dir auto] [-engine stream]
+//	          [-j N] [-cache-dir auto]
 //	          [-faults mttf=5e6,recover=1e5,seed=1]
 //	          [-cluster 4*quad] [-scorer hybrid]
 //	          [-char-cache-entries 256] [-char-cache-ttl 15m]
@@ -94,8 +94,6 @@ func run() error {
 	seed := flag.Int64("seed", 42, "predictor training seed")
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel workers for characterization and training")
 	cacheDir := flag.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
-	var engine hetsched.Engine
-	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine for cold-start characterization: stream|replay")
 	faultsFlag := flag.String("faults", "off", "default fault-injection plan for schedule requests: off, or mttf=..,recover=..,permanent=..,stuck=..,noise=..,seed=..")
 	clusterFlag := flag.String("cluster", "4*quad", "default cluster topology for /v1/cluster requests: ';'-joined node shapes with N* repetition")
 	var scorer hetsched.ScorerKind
@@ -119,9 +117,9 @@ func run() error {
 		return fmt.Errorf("-cluster: %w", err)
 	}
 
-	fmt.Fprintf(os.Stderr, "hetschedd: characterizing suite (%s engine) and training %s predictor...\n", engine, spec)
+	fmt.Fprintf(os.Stderr, "hetschedd: characterizing suite and training %s predictor...\n", spec)
 	start := time.Now()
-	sys, err := hetsched.New(hetsched.Options{Spec: spec, Seed: *seed, Workers: *jobs, CacheDir: dir, Engine: engine, Faults: faults})
+	sys, err := hetsched.New(hetsched.Options{Spec: spec, Seed: *seed, Workers: *jobs, CacheDir: dir, Faults: faults})
 	if err != nil {
 		return err
 	}
@@ -141,7 +139,6 @@ func run() error {
 		ClusterNodes:       clusterNodes,
 		ClusterScorer:      scorer,
 		CacheDir:           dir,
-		Engine:             engine,
 		CharCacheEntries:   *charEntries,
 		CharCacheTTL:       *charTTL,
 		AdmissionHighWater: *shedHighWater,

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hmsim [-arrivals 5000] [-util 0.9] [-seed 1] [-predictor ann|ensemble:table,markov,ann|...]
-//	      [-j N] [-cache-dir auto] [-engine stream|replay]
+//	      [-j N] [-cache-dir auto]
 //	      [-faults mttf=5e6,recover=1e5,noise=0.05,seed=1]
 //	      [-trace file.json]
 //	      [-cluster 8*quad;8*16x2] [-scorer hybrid] [-no-steal]
@@ -61,8 +61,6 @@ func run() error {
 	timeline := flag.Int("timeline", 0, "also print the first N proposed-system schedule events")
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel workers for characterization and training")
 	cacheDir := flag.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
-	var engine hetsched.Engine
-	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine for characterization: stream|replay")
 	faultsFlag := flag.String("faults", "off", "fault-injection plan: off, or mttf=..,recover=..,permanent=..,stuck=..,noise=..,seed=..")
 	traceFile := flag.String("trace", "", "write the proposed system's decision-audit trace to this file (.json = Chrome/Perfetto, else CSV)")
 	clusterFlag := flag.String("cluster", "", "run in cluster mode over this topology (';'-joined node shapes with N* repetition, e.g. 8*quad;8*16x2)")
@@ -84,7 +82,7 @@ func run() error {
 	}
 
 	fmt.Fprintf(os.Stderr, "characterizing suite and training %s predictor...\n", spec)
-	sys, err := hetsched.New(hetsched.Options{Spec: spec, Workers: *jobs, CacheDir: dir, Engine: engine, Faults: faults})
+	sys, err := hetsched.New(hetsched.Options{Spec: spec, Workers: *jobs, CacheDir: dir, Faults: faults})
 	if err != nil {
 		return err
 	}

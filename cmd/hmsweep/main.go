@@ -6,7 +6,7 @@
 //
 //	hmsweep [-arrivals 1500] [-utils 0.5,0.75,0.9] [-models uniform,poisson,bursty,diurnal,closed]
 //	        [-systems base,optimal,sat,energy-centric,proposed]
-//	        [-predictor ann] [-engine stream] [-seed 1] [-j N] [-cache-dir auto]
+//	        [-predictor ann] [-seed 1] [-j N] [-cache-dir auto]
 //	        [-faults mttf=5e6,recover=1e5,seed=1] [-trace cell.json]
 //	        [-scenario "poisson:rate=0.9,jobs=5000;slo=deadline:slack=1.5"] > sweep.csv
 //
@@ -71,8 +71,6 @@ func run() error {
 	spec := hetsched.DefaultPredictorSpec()
 	flag.TextVar(&spec, "predictor", hetsched.DefaultPredictorSpec(),
 		"predictor: ann|oracle|linear|knn|stump|tree|table|markov|nn, or ensemble:kind[=weight],...")
-	var engine hetsched.Engine
-	flag.TextVar(&engine, "engine", hetsched.EngineStream, "cache simulation engine: stream|replay")
 	seed := flag.Int64("seed", 1, "workload seed")
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel workers for setup and grid simulation")
 	cacheDir := flag.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
@@ -100,18 +98,13 @@ func run() error {
 		return err
 	}
 
-	fmt.Fprintf(os.Stderr, "setting up (%s predictor, %s engine, %d workers)...\n", spec, engine, *jobs)
-	before := hetsched.ReplayCount()
-	sys, err := hetsched.New(hetsched.Options{Spec: spec, Workers: *jobs, CacheDir: dir, Engine: engine})
+	fmt.Fprintf(os.Stderr, "setting up (%s predictor, %d workers)...\n", spec, *jobs)
+	sys, err := hetsched.New(hetsched.Options{Spec: spec, Workers: *jobs, CacheDir: dir})
 	if err != nil {
 		return err
 	}
 	if sys.Setup.EvalFromCache && sys.Setup.TrainFromCache {
 		fmt.Fprintln(os.Stderr, "characterization served from cache (no kernel replay)")
-	} else if variants := len(sys.Eval.Records) + len(sys.Train.Records); variants > 0 {
-		traversals := hetsched.ReplayCount() - before
-		fmt.Fprintf(os.Stderr, "engine %s: %d trace traversals for %d kernel variants (%.1f per kernel)\n",
-			engine, traversals, variants, float64(traversals)/float64(variants))
 	}
 
 	if faults.Enabled() {

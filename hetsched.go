@@ -175,25 +175,6 @@ func TelecomKernels() []Kernel { return eembc.TelecomSuite() }
 // KernelByName returns one benchmark by its EEMBC-style name.
 func KernelByName(name string) (Kernel, error) { return eembc.ByName(name) }
 
-// Engine selects the cache-simulation engine characterization runs on.
-type Engine = characterize.Engine
-
-// Simulation engines. EngineStream (the zero value) fuses kernel execution
-// and simulation: packed accesses stream straight into the one-pass
-// simulator in fixed-size chunks, with no trace ever materialized and the
-// simulator state reused per worker. EngineReplay is the reference
-// per-configuration path. Both are bit-identical, so the choice never
-// changes results — only how long characterization takes.
-const (
-	EngineStream = characterize.EngineStream
-	EngineReplay = characterize.EngineReplay
-)
-
-// ReplayCount reports the process-wide number of kernel trace traversals
-// performed so far: one per (variant, configuration) under EngineReplay,
-// one per variant under EngineStream — the observable 18×→1 reduction.
-func ReplayCount() uint64 { return characterize.ReplayCount() }
-
 // Options configures New.
 type Options struct {
 	// Spec selects the best-core predictor: a single kind or a weighted
@@ -223,11 +204,6 @@ type Options struct {
 	// jobs and ANN member training. 0 means runtime.GOMAXPROCS(0); the
 	// count never changes results.
 	Workers int
-	// Engine selects the cache-simulation engine for characterization.
-	// The default EngineStream streams each kernel's accesses straight
-	// into the one-pass simulator as it executes, materializing no trace;
-	// EngineReplay is the reference path. Bit-identical results either way.
-	Engine Engine
 	// CacheDir enables the persistent characterization cache: DBs are
 	// content-keyed (design space, energy constants, variant list) and
 	// stored under this directory, so repeated runs skip kernel replay
@@ -309,7 +285,7 @@ func New(opts Options) (*System, error) {
 		evalVariants = characterize.ExtendedVariants()
 		trainVariants = characterize.AugmentedExtendedVariants()
 	}
-	copts := characterize.Options{Workers: opts.Workers, Engine: opts.Engine}
+	copts := characterize.Options{Workers: opts.Workers}
 	if opts.WithL2 {
 		// The L2 extension changes every per-configuration outcome;
 		// characterize under the two-level model.
@@ -321,11 +297,8 @@ func New(opts Options) (*System, error) {
 	}
 	// A changed ground truth (custom energy constants, the L2 model, or an
 	// extended kernel population) requires recharacterizing; the content
-	// key covers all of it, so the persistent cache still applies. A
-	// non-default engine cannot change results, but it must actually run —
-	// sharing the process-wide DBs would silently ignore the request.
-	custom := opts.WithL2 || opts.EnergyParams != nil || opts.IncludeTelecom ||
-		opts.Engine != characterize.EngineStream
+	// key covers all of it, so the persistent cache still applies.
+	custom := opts.WithL2 || opts.EnergyParams != nil || opts.IncludeTelecom
 
 	var (
 		eval, train *DB

@@ -534,24 +534,6 @@ func TestFlagTextRoundTrip(t *testing.T) {
 	if _, err := (PredictorSpec{}).MarshalText(); err == nil {
 		t.Error("empty predictor spec marshaled")
 	}
-
-	for _, want := range []Engine{EngineStream, EngineReplay} {
-		text, err := want.MarshalText()
-		if err != nil {
-			t.Fatalf("%v.MarshalText: %v", want, err)
-		}
-		var got Engine
-		if err := got.UnmarshalText(text); err != nil || got != want {
-			t.Errorf("engine round trip %q -> %v, err %v", text, got, err)
-		}
-	}
-	var e Engine
-	if err := e.Set("nosuch"); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if _, err := Engine(99).MarshalText(); err == nil {
-		t.Error("out-of-range engine marshaled")
-	}
 }
 
 // TestParseFaultPlanFacade spot-checks the facade's fault-plan parser and

@@ -6,13 +6,11 @@
 // cache accesses and miss rates with SimpleScalar for every configuration
 // and evaluating them under the Figure 4 energy model.
 //
-// Scoring runs on one of two engines (Options.Engine). The default
-// streaming engine never materializes a trace at all: kernel execution
-// feeds packed accesses straight into cache.MultiSim through a fixed-size
-// vm.StreamSink chunk buffer, on per-worker reusable simulator state. The
-// replay engine records the trace and reruns it once per configuration.
-// Both produce bit-identical DBs — replay is kept as the independent
-// reference the equivalence tests check the fast path against.
+// Scoring never materializes a trace: kernel execution feeds packed
+// accesses straight into cache.MultiSim through a fixed-size vm.StreamSink
+// chunk buffer, on per-worker reusable simulator state. The tests keep a
+// reference that records the trace and replays it once per configuration
+// (replay_test.go); the streaming DBs must be bit-identical to it.
 //
 // The resulting DB is the ground truth the experiments draw from: the
 // scheduler's profiling table learns *parts* of it at runtime, the ANN is
@@ -210,70 +208,6 @@ func AugmentedExtendedVariants() []Variant {
 	return augmentNames(names)
 }
 
-// Engine selects the simulation engine characterization scores traces on.
-// All engines produce bit-identical DBs; see TestEnginesBitIdentical.
-type Engine int
-
-// Engines.
-const (
-	// EngineStream fuses execution and simulation — the default: kernel
-	// execution streams packed accesses into cache.MultiSim in fixed-size
-	// chunks (vm.StreamSink) without materializing a trace, on per-worker
-	// reusable simulator state.
-	EngineStream Engine = iota
-	// EngineReplay is the ground-truth reference implementation: one full
-	// trace replay per configuration (18× the traversals of EngineStream).
-	EngineReplay
-)
-
-// String names the engine in the CLI flag vocabulary.
-func (e Engine) String() string {
-	switch e {
-	case EngineStream:
-		return "stream"
-	case EngineReplay:
-		return "replay"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine parses an engine name as printed by Engine.String — the
-// -engine flag vocabulary of cachetune, hmsweep, hmsim and hetschedd.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "stream":
-		return EngineStream, nil
-	case "replay":
-		return EngineReplay, nil
-	}
-	return 0, fmt.Errorf("characterize: unknown engine %q (want stream|replay)", s)
-}
-
-// Set implements flag.Value, so CLIs bind -engine straight to an Engine.
-func (e *Engine) Set(s string) error {
-	parsed, err := ParseEngine(s)
-	if err != nil {
-		return err
-	}
-	*e = parsed
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler; an out-of-range engine is
-// an error rather than a silently serialized "engine(N)".
-func (e Engine) MarshalText() ([]byte, error) {
-	if e < EngineStream || e > EngineReplay {
-		return nil, fmt.Errorf("characterize: unknown engine %d", int(e))
-	}
-	return []byte(e.String()), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler (flag.TextVar, JSON,
-// config files).
-func (e *Engine) UnmarshalText(text []byte) error {
-	return e.Set(string(text))
-}
-
 // Options extends characterization beyond the paper's L1-only Figure 4
 // model.
 type Options struct {
@@ -286,19 +220,12 @@ type Options struct {
 	// whole build serially. Workers never changes results — the DB is
 	// assembled slot-by-slot in variant and design-space order.
 	Workers int
-	// Engine selects the simulation engine; the zero value is the fused
-	// streaming simulator. Engines never change results (the DB is
-	// bit-identical every way), so the disk-cache content key ignores this
-	// field.
-	Engine Engine
 }
 
 // replays counts trace traversals performed by this process: one per
-// (variant, configuration) pair under EngineReplay, one per variant under
-// EngineStream (its single fused execution+simulation pass counts as one
-// traversal) — which is exactly the 18×→1 reduction the fast engine exists
-// for, observable via hmsweep/cachetune. The disk-cache tests assert a warm
-// load does not move it.
+// variant characterized (its single fused execution+simulation pass), plus
+// one per (variant, configuration) pair the test-only replay reference
+// scores. The disk-cache tests assert a warm load does not move it.
 var replays atomic.Uint64
 
 // ReplayCount reports the number of trace traversals performed by this
@@ -380,17 +307,23 @@ func (sc *engineScratch) stream(ms *cache.MultiSim, memBytes int) *vm.StreamSink
 }
 
 // CharacterizeWithOptions is Characterize with extension knobs.
+func CharacterizeWithOptions(variants []Variant, em *energy.Model, opts Options) (*DB, error) {
+	return characterizeVariants(variants, em, opts, characterizeOneStream)
+}
+
+// characterizeVariants builds the DB, characterizing each variant with
+// one: the stream path in production, the replay reference in tests.
 //
 // Concurrency layout: a pool of opts.Workers goroutines executes every
-// CPU-bound job — fused kernel streaming, trace recording, and
-// per-configuration trace replay — while one lightweight driver per
-// in-flight variant enqueues its jobs and assembles the Record once all
-// replies land. In-flight variants are bounded by the worker count so at
-// most that many variants' states are live at once. Each pool worker owns
-// a private reusable scratch (simulator + stream buffer); nothing mutable
-// is shared, and every result is written to a pre-assigned slot, so the
-// output is byte-identical to a serial build.
-func CharacterizeWithOptions(variants []Variant, em *energy.Model, opts Options) (*DB, error) {
+// CPU-bound job one submits, while one lightweight driver per in-flight
+// variant calls one and assembles the Record once all its jobs land.
+// In-flight variants are bounded by the worker count so at most that many
+// variants' states are live at once. Each pool worker owns a private
+// reusable scratch (simulator + stream buffer); nothing mutable is shared,
+// and every result is written to a pre-assigned slot, so the output is
+// byte-identical to a serial build.
+func characterizeVariants(variants []Variant, em *energy.Model, opts Options,
+	one func(Variant, *energy.Model, Options, chan jobFunc) (Record, error)) (*DB, error) {
 	if em == nil {
 		return nil, fmt.Errorf("characterize: nil energy model")
 	}
@@ -429,7 +362,7 @@ func CharacterizeWithOptions(variants []Variant, em *energy.Model, opts Options)
 			defer driverWG.Done()
 			inflight <- struct{}{}
 			defer func() { <-inflight }()
-			rec, err := characterizeOne(v, em, opts, jobs)
+			rec, err := one(v, em, opts, jobs)
 			if err != nil {
 				errs[i] = err
 				return
@@ -459,19 +392,12 @@ func submit(jobs chan jobFunc, f jobFunc) <-chan struct{} {
 	return done
 }
 
-func characterizeOne(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
-	if opts.Engine == EngineReplay {
-		return characterizeOneReplay(v, em, opts, jobs)
-	}
-	return characterizeOneStream(v, em, opts, jobs)
-}
-
-// characterizeOneStream is the default path: one fused pool job executes
-// the kernel with its memory stream feeding the worker's reusable MultiSim
-// through a chunked StreamSink, so no trace is ever materialized — the
-// ~2 MB/variant of trace and simulator allocations of the replay engine
-// collapse to the Record itself. The aggregate statistics the feature
-// vector needs (access/write counts, distinct-block footprints) are
+// characterizeOneStream characterizes one variant: one fused pool job
+// executes the kernel with its memory stream feeding the worker's reusable
+// MultiSim through a chunked StreamSink, so no trace is ever materialized —
+// the ~2 MB/variant of trace and simulator allocations of the replay
+// reference collapse to the Record itself. The aggregate statistics the
+// feature vector needs (access/write counts, distinct-block footprints) are
 // maintained inline by the sink during execution.
 func characterizeOneStream(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
 	k, err := eembc.ByName(v.Kernel)
@@ -525,67 +451,10 @@ func characterizeOneStream(v Variant, em *energy.Model, opts Options, jobs chan 
 	return rec, nil
 }
 
-// characterizeOneReplay is the reference path: one trace replay per
-// configuration, fanned across the pool.
-func characterizeOneReplay(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
-	k, err := eembc.ByName(v.Kernel)
-	if err != nil {
-		return Record{}, err
-	}
-	// Record the kernel's trace on the pool (it is as CPU-bound as a
-	// replay), then fan the per-configuration replays out as one job each.
-	var (
-		ctr    vm.Counters
-		tr     *vm.Trace
-		recErr error
-	)
-	<-submit(jobs, func(*engineScratch) { ctr, tr, recErr = eembc.Record(k, v.Params) })
-	if recErr != nil {
-		return Record{}, recErr
-	}
-	rec := Record{
-		Kernel:     v.Kernel,
-		Params:     v.Params,
-		BaseCycles: ctr.Cycles,
-		Accesses:   uint64(tr.Len()),
-	}
-	space := cache.DesignSpace()
-	rec.Configs = make([]ConfigResult, len(space))
-	replayErrs := make([]error, len(space))
-	var wg sync.WaitGroup
-	for j, cfg := range space {
-		wg.Add(1)
-		jobs <- func(j int, cfg cache.Config) jobFunc {
-			return func(*engineScratch) {
-				defer wg.Done()
-				if opts.L2 != nil {
-					rec.Configs[j], replayErrs[j] = replayL2(tr, cfg, ctr.Cycles, opts.L2)
-				} else {
-					rec.Configs[j], replayErrs[j] = replayL1(tr, cfg, ctr.Cycles, em)
-				}
-			}
-		}(j, cfg)
-	}
-	wg.Wait()
-	for _, err := range replayErrs {
-		if err != nil {
-			return Record{}, err
-		}
-	}
-	var baseHits, baseMisses uint64
-	for j, cfg := range space {
-		if cfg == cache.BaseConfig {
-			baseHits, baseMisses = rec.Configs[j].Hits, rec.Configs[j].Misses
-		}
-	}
-	rec.Features = stats.FromExecution(ctr, tr, baseHits, baseMisses)
-	return rec, nil
-}
-
-// resultL1 assembles the L1-only ConfigResult from hit/miss counts. Both
-// engines funnel through this (and resultL2), so cycles and energy are
-// computed by literally the same code and bit-identity of the counts
-// implies bit-identity of the floats.
+// resultL1 assembles the L1-only ConfigResult from hit/miss counts. The
+// stream path and the test-only replay reference both funnel through this
+// (and resultL2), so cycles and energy are computed by literally the same
+// code and bit-identity of the counts implies bit-identity of the floats.
 func resultL1(cfg cache.Config, hits, misses, baseCycles uint64, em *energy.Model) ConfigResult {
 	cycles := em.ExecCycles(baseCycles, cfg, misses)
 	return ConfigResult{
@@ -612,44 +481,6 @@ func resultL2(cfg cache.Config, l1Hits, l2Hits, offChip, baseCycles uint64, em *
 		Cycles:  cycles,
 		Energy:  b.Breakdown,
 	}
-}
-
-// replayL1 is the reference engine's paper mode: every L1 miss pays the
-// off-chip penalty.
-func replayL1(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.Model) (ConfigResult, error) {
-	replays.Add(1)
-	l1, err := cache.NewL1(cfg)
-	if err != nil {
-		return ConfigResult{}, err
-	}
-	for _, a := range tr.Accesses {
-		l1.Access(a.Addr, a.Write)
-	}
-	s := l1.Stats()
-	return resultL1(cfg, s.Hits, s.Misses, baseCycles, em), nil
-}
-
-// replayL2 is the reference engine's extension mode: the trace runs through
-// the two-level hierarchy and misses split into L2 hits and true off-chip
-// accesses.
-func replayL2(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.L2Model) (ConfigResult, error) {
-	replays.Add(1)
-	h, err := cache.NewHierarchyL2(cfg, em.L2Params().Config)
-	if err != nil {
-		return ConfigResult{}, err
-	}
-	var l1Hits, l2Hits, offChip uint64
-	for _, a := range tr.Accesses {
-		switch r := h.Access(a.Addr, a.Write); {
-		case r.L1Hit:
-			l1Hits++
-		case r.L2Hit:
-			l2Hits++
-		default:
-			offChip++
-		}
-	}
-	return resultL2(cfg, l1Hits, l2Hits, offChip, baseCycles, em), nil
 }
 
 // Save serializes the DB as JSON.

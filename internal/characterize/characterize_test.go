@@ -268,15 +268,15 @@ func BenchmarkCharacterizeOneKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkCharacterizeOneKernelReplay is the same work on the reference
-// engine (18 replays per kernel) — the denominator of the EXPERIMENTS.md
+// BenchmarkCharacterizeOneKernelReplay is the same work on the replay
+// reference (18 replays per kernel) — the denominator of the EXPERIMENTS.md
 // speedup table.
 func BenchmarkCharacterizeOneKernelReplay(b *testing.B) {
 	em := energy.NewDefault()
 	v := []Variant{{Kernel: "a2time", Params: eembc.DefaultParams()}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CharacterizeWithOptions(v, em, Options{Engine: EngineReplay}); err != nil {
+		if _, err := characterizeReplay(v, em, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

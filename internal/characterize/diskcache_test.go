@@ -103,44 +103,37 @@ func TestCacheKeyPinned(t *testing.T) {
 	}
 }
 
-// TestCacheKeyEngineInvariance pins the engine half of the invalidation
-// contract: the engine cannot change results (TestEnginesBitIdentical), so
-// like Workers it must not move the key — and a DB written by one engine
-// must satisfy a warm load requested under the other.
+// TestCacheKeyEngineInvariance: a DB the replay reference built and saved
+// under a key is served warm and equals a fresh stream build, so a cache
+// entry written by either producer is interchangeable with the other's.
 func TestCacheKeyEngineInvariance(t *testing.T) {
 	em := energy.NewDefault()
 	variants := smallVariants()
-	base, err := CacheKey(variants, em, Options{Engine: EngineStream})
+	key, err := CacheKey(variants, em, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayKey, err := CacheKey(variants, em, Options{Engine: EngineReplay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayKey != base {
-		t.Fatal("Engine changed the cache key; the engines would not share warm entries")
-	}
-
-	// Cross-engine warm load: characterize under the reference engine,
-	// then ask again under the streaming engine — it must come from disk.
 	dir := t.TempDir()
-	cold, fromCache, err := CharacterizeCached(variants, em, Options{Engine: EngineReplay}, dir)
+	ref, err := characterizeReplay(variants, em, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromCache {
-		t.Fatal("first run reported a cache hit in a fresh directory")
+	if err := SaveCached(dir, key, ref); err != nil {
+		t.Fatal(err)
 	}
-	warm, fromCache, err := CharacterizeCached(variants, em, Options{Engine: EngineStream}, dir)
+	warm, fromCache, err := CharacterizeCached(variants, em, Options{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fromCache {
-		t.Fatal("stream request missed the cache the replay engine warmed")
+		t.Fatal("stream request missed the entry the replay reference saved")
 	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("cross-engine cached DB differs from the freshly built one")
+	fresh, err := CharacterizeWithOptions(variants, em, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, fresh) {
+		t.Fatal("warm DB saved by the replay reference differs from a fresh stream build")
 	}
 }
 

@@ -41,19 +41,19 @@ func diffDBs(t *testing.T, stream, replay *DB) {
 
 // TestEnginesBitIdentical is the golden equivalence gate: the streaming
 // engine must produce DBs bit-identical (hits, misses, L2 splits, cycles,
-// features, every energy float) to the per-configuration replay across
-// every EEMBC kernel and all 18 configurations.
+// features, every energy float) to the per-configuration replay reference
+// across every EEMBC kernel and all 18 configurations.
 func TestEnginesBitIdentical(t *testing.T) {
 	em := energy.NewDefault()
 	variants := ExtendedVariants() // all 20 kernels: automotive + telecom
 	if testing.Short() {
 		variants = variants[:4]
 	}
-	stream, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineStream})
+	stream, err := CharacterizeWithOptions(variants, em, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay})
+	replay, err := characterizeReplay(variants, em, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestEnginesBitIdenticalL2(t *testing.T) {
 	if testing.Short() {
 		variants = variants[:3]
 	}
-	stream, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineStream, L2: l2})
+	stream, err := CharacterizeWithOptions(variants, em, Options{L2: l2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay, L2: l2})
+	replay, err := characterizeReplay(variants, em, Options{L2: l2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func randomVariants(seed int64, n int) []Variant {
 
 // TestEnginesEquivalentRandom is the property-based equivalence gate: for a
 // table of seeds, randomly drawn kernel variants must characterize
-// bit-identically under the streaming and replay engines. The
+// bit-identically under the streaming engine and the replay reference. The
 // fixed golden tests above pin the canonical suites; this one probes the
 // space between them (and runs under -race via make test-race).
 func TestEnginesEquivalentRandom(t *testing.T) {
@@ -129,11 +129,11 @@ func TestEnginesEquivalentRandom(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			variants := randomVariants(seed, perSeed)
-			stream, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineStream})
+			stream, err := CharacterizeWithOptions(variants, em, Options{})
 			if err != nil {
 				t.Fatalf("stream on %+v: %v", variants, err)
 			}
-			replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay})
+			replay, err := characterizeReplay(variants, em, Options{})
 			if err != nil {
 				t.Fatalf("replay on %+v: %v", variants, err)
 			}
@@ -145,39 +145,15 @@ func TestEnginesEquivalentRandom(t *testing.T) {
 	}
 }
 
-// TestEngineFlagVocabulary pins the -engine flag round trip.
-func TestEngineFlagVocabulary(t *testing.T) {
-	for _, e := range []Engine{EngineStream, EngineReplay} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	for _, bad := range []string{"quantum", "onepass"} {
-		if _, err := ParseEngine(bad); err == nil {
-			t.Errorf("ParseEngine accepted unknown engine %q", bad)
-		}
-	}
-	if Engine(99).String() == "" {
-		t.Error("unknown engine must still print something")
-	}
-	if EngineStream != 0 {
-		t.Error("EngineStream must be the zero value (the default engine)")
-	}
-	if _, err := (Engine(99)).MarshalText(); err == nil {
-		t.Error("MarshalText accepted an out-of-range engine")
-	}
-}
-
 // TestEngineTraversalCounts asserts the observable 18×→1 reduction:
 // streaming characterization performs exactly one traversal per variant,
-// the replay engine one per (variant, configuration).
+// the replay reference one per (variant, configuration).
 func TestEngineTraversalCounts(t *testing.T) {
 	em := energy.NewDefault()
 	variants := CanonicalVariants()[:2]
 
 	before := ReplayCount()
-	if _, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineStream}); err != nil {
+	if _, err := CharacterizeWithOptions(variants, em, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ReplayCount() - before; got != uint64(len(variants)) {
@@ -185,7 +161,7 @@ func TestEngineTraversalCounts(t *testing.T) {
 	}
 
 	before = ReplayCount()
-	if _, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay}); err != nil {
+	if _, err := characterizeReplay(variants, em, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	want := uint64(len(variants) * 18)

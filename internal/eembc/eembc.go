@@ -64,24 +64,45 @@ type Kernel struct {
 	Init func(v *vm.VM, p Params) error
 }
 
+// automotive lists the sixteen kernel constructors in canonical order.
+var automotive = []func() Kernel{
+	a2time, aifftr, aiifft, aifirf,
+	basefp, bitmnp, cacheb, canrdr,
+	idctrn, iirflt, matrix, pntrch,
+	puwmod, rspeed, tblook, ttsprk,
+}
+
+// build runs each constructor into a freshly allocated slice.
+func build(ctors []func() Kernel) []Kernel {
+	out := make([]Kernel, len(ctors))
+	for i, ctor := range ctors {
+		out[i] = ctor()
+	}
+	return out
+}
+
 // Suite returns the sixteen kernels in canonical order. The slice is freshly
 // allocated; callers may reorder it.
-func Suite() []Kernel {
-	return []Kernel{
-		a2time(), aifftr(), aiifft(), aifirf(),
-		basefp(), bitmnp(), cacheb(), canrdr(),
-		idctrn(), iirflt(), matrix(), pntrch(),
-		puwmod(), rspeed(), tblook(), ttsprk(),
+func Suite() []Kernel { return build(automotive) }
+
+// constructors maps every kernel name, automotive and telecom, to its
+// constructor. It is filled once, on the first lookup, so that each later
+// ByName builds only the kernel it returns.
+var constructors = sync.OnceValue(func() map[string]func() Kernel {
+	m := make(map[string]func() Kernel, len(automotive)+len(telecom))
+	for _, ctors := range [][]func() Kernel{automotive, telecom} {
+		for _, ctor := range ctors {
+			m[ctor().Name] = ctor
+		}
 	}
-}
+	return m
+})
 
 // ByName returns the kernel with the given name, searching both the
 // automotive and telecom groups.
 func ByName(name string) (Kernel, error) {
-	for _, k := range AllKernels() {
-		if k.Name == name {
-			return k, nil
-		}
+	if ctor, ok := constructors()[name]; ok {
+		return ctor(), nil
 	}
 	return Kernel{}, fmt.Errorf("eembc: unknown kernel %q", name)
 }

@@ -40,6 +40,54 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameMatchesAllKernels: every kernel AllKernels lists resolves by
+// name to a kernel that executes identically, and the lookup table holds
+// no name AllKernels lacks.
+func TestByNameMatchesAllKernels(t *testing.T) {
+	all := AllKernels()
+	if got := len(constructors()); got != len(all) {
+		t.Errorf("lookup table has %d names, AllKernels %d", got, len(all))
+	}
+	p := Params{Scale: 1, Iterations: 1, Seed: 1}
+	for _, want := range all {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != want.Name || got.Description != want.Description {
+			t.Errorf("ByName(%q) = %q (%s)", want.Name, got.Name, got.Description)
+		}
+		gc, err := Run(got, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc, err := Run(want, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gc != wc {
+			t.Errorf("%s: ByName kernel counters %+v, AllKernels kernel %+v", want.Name, gc, wc)
+		}
+	}
+}
+
+// TestByNameBuildsOneKernel bounds a lookup's allocations by those of the
+// one constructor it calls, so it no longer builds the whole suite.
+func TestByNameBuildsOneKernel(t *testing.T) {
+	all := testing.AllocsPerRun(20, func() { AllKernels() })
+	for name, ctor := range constructors() {
+		one := testing.AllocsPerRun(20, func() { ctor() })
+		lookup := testing.AllocsPerRun(20, func() {
+			if _, err := ByName(name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if lookup > one || lookup >= all/4 {
+			t.Errorf("ByName(%q) allocates %.0f times; its constructor %.0f, all kernels %.0f", name, lookup, one, all)
+		}
+	}
+}
+
 func TestNamesOrder(t *testing.T) {
 	names := Names()
 	if len(names) != 16 {

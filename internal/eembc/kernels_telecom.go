@@ -14,10 +14,11 @@ import (
 // autocorrelation, convolutional encoding, bit allocation and Viterbi
 // decoding.
 
+// telecom lists the four telecom kernel constructors in canonical order.
+var telecom = []func() Kernel{autcor, conven, fbital, viterb}
+
 // TelecomSuite returns the four telecom kernels in canonical order.
-func TelecomSuite() []Kernel {
-	return []Kernel{autcor(), conven(), fbital(), viterb()}
-}
+func TelecomSuite() []Kernel { return build(telecom) }
 
 // AllKernels returns the automotive and telecom kernels.
 func AllKernels() []Kernel {

@@ -98,8 +98,14 @@ func TestParseErrors(t *testing.T) {
 		"replay:file=t.csv;mix=tblook",                       // mix with replay
 	}
 	for _, in := range cases {
-		if _, err := Parse(in); err == nil {
+		_, err := Parse(in)
+		if err == nil {
 			t.Errorf("Parse(%q): want error, got nil", in)
+			continue
+		}
+		// The daemon returns these errors verbatim in its 400 bodies.
+		if !strings.HasPrefix(err.Error(), "scenario: ") {
+			t.Errorf("Parse(%q) error %q lacks the scenario: prefix", in, err)
 		}
 	}
 }

@@ -303,7 +303,7 @@ var errNegativePriority = errors.New("negative priority")
 func (s *Server) checkGenerated(r *http.Request, req *ScheduleRequest, cluster hetsched.ClusterConfig) (*scheduleRun, error) {
 	spec, err := hetsched.ParseScenarioSpec(req.Scenario)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return nil, err // already prefixed "scenario: "
 	}
 	if spec.Source == "replay" {
 		// Replay reads a server-local file path; that stays a CLI/library
