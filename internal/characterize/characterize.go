@@ -422,12 +422,14 @@ func characterizeOneStream(v Variant, em *energy.Model, opts Options, jobs chan 
 			jobErr = err
 			return
 		}
-		sink.Flush()
+		// Len is the flush: it streams the sink's last batch into ms, so it
+		// is read before ms.Stats().
+		accesses := sink.Len()
 		rec = Record{
 			Kernel:     v.Kernel,
 			Params:     v.Params,
 			BaseCycles: ctr.Cycles,
-			Accesses:   uint64(sink.Len()),
+			Accesses:   uint64(accesses),
 			Configs:    make([]ConfigResult, len(space)),
 		}
 		for j, s := range ms.Stats() {

@@ -351,6 +351,13 @@ type Simulator struct {
 	// passes and stalledIn[app] is the last pass in which app stalled.
 	passes    uint64
 	stalledIn []uint64
+
+	// sorted is the length of the queue prefix the last pass left in
+	// priority order: a pass only filters the sorted queue, and every
+	// other queue change appends. resortAll sorts the whole queue every
+	// pass instead, the reference the incremental sort is tested against.
+	sorted    int
+	resortAll bool
 }
 
 // NewSimulator validates and assembles a simulator.
@@ -745,7 +752,10 @@ func (s *Simulator) schedulePass() error {
 		s.metrics.MaxQueueDepth = len(s.queue)
 	}
 	if s.Cfg.PriorityScheduling {
-		sortByPriority(s.queue)
+		if s.resortAll {
+			s.sorted = 0
+		}
+		sortByPriority(s.queue, s.sorted)
 	}
 	var rules stallRules
 	if sk, ok := s.Policy.(stallSkipper); ok && !s.Cfg.Preemptive {
@@ -759,6 +769,7 @@ func (s *Simulator) schedulePass() error {
 	}
 	idle := s.anyIdle()
 	remaining := s.queue[:0]
+	sorted := -1 // remaining's sorted prefix, once a preemption appends out of order
 	for i, job := range s.queue {
 		if !idle && rules&stallWhenBusy != 0 {
 			rest := s.queue[i:]
@@ -782,6 +793,9 @@ func (s *Simulator) schedulePass() error {
 				return err
 			}
 			if placed {
+				if sorted < 0 {
+					sorted = len(remaining) - 1 // before the displaced job
+				}
 				idle = s.anyIdle()
 				continue
 			}
@@ -805,7 +819,10 @@ func (s *Simulator) schedulePass() error {
 		}
 		idle = s.anyIdle()
 	}
-	s.queue = remaining
+	if sorted < 0 {
+		sorted = len(remaining)
+	}
+	s.queue, s.sorted = remaining, sorted
 	return nil
 }
 
@@ -870,10 +887,11 @@ func (s *Simulator) tryPreempt(job *Job, remaining *[]*Job) (bool, error) {
 }
 
 // sortByPriority orders the queue by descending priority, stable within a
-// priority level (insertion order == arrival order).
-func sortByPriority(queue []*Job) {
+// priority level (insertion order == arrival order). queue[:sorted] must
+// already be in that order; only the jobs after it are inserted.
+func sortByPriority(queue []*Job, sorted int) {
 	// Insertion sort: queues are short and mostly ordered between passes.
-	for i := 1; i < len(queue); i++ {
+	for i := max(sorted, 1); i < len(queue); i++ {
 		j := queue[i]
 		k := i - 1
 		for k >= 0 && less(j, queue[k]) {

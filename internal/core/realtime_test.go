@@ -98,11 +98,20 @@ func TestSortByPriorityStable(t *testing.T) {
 		{Index: 3, Priority: 2},
 		{Index: 4, Priority: 0},
 	}
-	sortByPriority(queue)
+	sortByPriority(queue, 0)
 	wantOrder := []int{1, 3, 2, 0, 4}
 	for i, want := range wantOrder {
 		if queue[i].Index != want {
 			t.Fatalf("position %d: job %d, want %d (order %v)", i, queue[i].Index, want, queue)
+		}
+	}
+	// Appended jobs are inserted into the sorted prefix.
+	queue = append(queue, &Job{Index: 5, Priority: 1}, &Job{Index: 6, Priority: 3})
+	sortByPriority(queue, len(wantOrder))
+	wantOrder = []int{6, 1, 3, 2, 5, 0, 4}
+	for i, want := range wantOrder {
+		if queue[i].Index != want {
+			t.Fatalf("after appends, position %d: job %d, want %d", i, queue[i].Index, want)
 		}
 	}
 }

@@ -121,3 +121,66 @@ func TestStallSkipMatchesRescan(t *testing.T) {
 		t.Error("no SLO migration in the grid: the deadline-dependent path went unchecked")
 	}
 }
+
+// TestIncrementalSortMatchesResort is the differential test of the
+// incremental priority sort: for every system, in priority and
+// priority+preemptive mode, with and without a fault plan, a run that
+// inserts only the jobs appended since the last pass yields the metrics
+// and the trace stream of a run that sorts the whole queue every pass.
+func TestIncrementalSortMatchesResort(t *testing.T) {
+	db := testDB(t)
+	run := func(name string, preempt, faulted, resortAll bool) (Metrics, []trace.Event) {
+		t.Helper()
+		pol, needsPred, err := NewPolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pred Predictor
+		if needsPred {
+			pred = OraclePredictor{DB: db}
+		}
+		jobs := testJobs(t, db, 300, 0.9, 5)
+		drawPriorities(jobs, 4, 13)
+		cfg := DefaultSimConfig()
+		cfg.CoreSizesKB = CoreSizesFor(name, cfg.CoreSizesKB)
+		cfg.RecordSchedule = true
+		cfg.PriorityScheduling = true
+		cfg.Preemptive = preempt
+		if faulted {
+			cfg.Faults = crashPlan
+		}
+		tr := trace.NewRecorder()
+		cfg.Trace = tr
+		sim, err := NewSimulator(db, energy.NewDefault(), pol, pred, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.resortAll = resortAll
+		m, err := sim.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, tr.Events()
+	}
+	var preemptions, redispatched int
+	for _, name := range SystemNames() {
+		for _, preempt := range []bool{false, true} {
+			for _, faulted := range []bool{false, true} {
+				got, gotEv := run(name, preempt, faulted, false)
+				want, wantEv := run(name, preempt, faulted, true)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s preemptive=%v faults=%v: metrics differ from the full re-sort", name, preempt, faulted)
+				}
+				if !reflect.DeepEqual(gotEv, wantEv) {
+					t.Errorf("%s preemptive=%v faults=%v: trace differs from the full re-sort (%d events, want %d)",
+						name, preempt, faulted, len(gotEv), len(wantEv))
+				}
+				preemptions += got.Preemptions
+				redispatched += got.JobsRedispatched
+			}
+		}
+	}
+	if preemptions == 0 || redispatched == 0 {
+		t.Errorf("%d preemptions and %d re-dispatches in the grid: an out-of-order append went unchecked", preemptions, redispatched)
+	}
+}

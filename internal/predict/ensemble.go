@@ -15,6 +15,11 @@ import (
 // recoverable.
 const DefaultEta = 0.5
 
+// memoCap bounds a fork's per-features memo. Counter noise makes the
+// features of a run unbounded, so a full memo is dropped rather than
+// grown, as in the ANN bag's memo.
+const memoCap = 4096
+
 // minWeight floors normalized weights so a long losing streak cannot
 // underflow a member to exactly zero — it stays revivable if the workload
 // shifts in its favor.
@@ -46,6 +51,41 @@ type Ensemble struct {
 
 	tallies []tally // per-member scorecards, parallel to members
 	self    tally   // the ensemble's own scorecard
+
+	// A fork's memos (see Fork). Both stay nil on an ensemble New builds,
+	// which therefore never writes under prediction.
+	memo  map[featureBits]seen // bounded by memoCap
+	round *round               // the last ballot round
+}
+
+// featureBits is a feature vector's bit pattern, the key of a fork's
+// memos. It hashes as plain memory, where a float array hashes element by
+// element, and members are pure functions of the features, so answers
+// kept under equal bits are exact.
+type featureBits [stats.NumFeatures]uint64
+
+func bitsOf(f stats.Features) featureBits {
+	var b featureBits
+	for i, v := range f {
+		b[i] = math.Float64bits(v)
+	}
+	return b
+}
+
+// seen is what a fork remembers about one feature vector. Both fields are
+// pure functions of the features, so an entry never goes stale.
+type seen struct {
+	fp     tableKey // the Table fingerprint
+	static []ballot // each Static member's ballot once cast, parallel to members
+}
+
+// round is a fork's last ballot round: the ballots every member cast for
+// the features with bit pattern key. It stands until a member learns.
+type round struct {
+	key   featureBits
+	seen  seen     // key's memo entry
+	bs    []ballot // reused from round to round
+	valid bool
 }
 
 // New builds an ensemble. Weights may be nil (uniform) or one positive
@@ -115,44 +155,92 @@ type ballot struct {
 	ok     bool
 }
 
-// ballots collects every member's vote. A member that errors abstains this
-// round (deterministically — the error depends only on the inputs).
-func (e *Ensemble) ballots(f stats.Features) []ballot {
-	bs := make([]ballot, len(e.members))
-	for i, m := range e.members {
-		size, conf, err := m.Predict(f)
-		if err != nil {
-			continue
-		}
-		if conf <= 0 {
-			conf = coldConfidence
-		}
-		if conf > 1 {
-			conf = 1
-		}
-		bs[i] = ballot{sizeKB: size, conf: conf, ok: true}
+// cast turns a member's answer into its ballot. An error abstains
+// (deterministically — the error depends only on the inputs); the
+// confidence is clamped into (0, 1].
+func cast(size int, conf float64, err error) ballot {
+	if err != nil {
+		return ballot{}
 	}
-	return bs
+	if conf <= 0 {
+		conf = coldConfidence
+	}
+	if conf > 1 {
+		conf = 1
+	}
+	return ballot{sizeKB: size, conf: conf, ok: true}
+}
+
+// ballots collects every member's vote. A fork answers from its last round
+// while no member has learned since, and otherwise runs the round on f's
+// memo entry: the Table reads the memoized fingerprint and a Static member
+// is asked once per features (an abstention is asked again). An unforked
+// ensemble asks every member afresh into a new slice. The slice a fork
+// returns is its round buffer: callers must not keep it.
+func (e *Ensemble) ballots(f stats.Features) []ballot {
+	if e.memo == nil {
+		bs := make([]ballot, len(e.members))
+		for i, m := range e.members {
+			bs[i] = cast(m.Predict(f))
+		}
+		return bs
+	}
+	r, key := e.round, bitsOf(f)
+	if r.valid && r.key == key {
+		return r.bs
+	}
+	sn := e.recall(key, f)
+	for i, m := range e.members {
+		switch m := m.(type) {
+		case *Static:
+			if !sn.static[i].ok {
+				sn.static[i] = cast(m.Predict(f))
+			}
+			r.bs[i] = sn.static[i]
+		case *Table:
+			r.bs[i] = cast(m.predictKey(sn.fp))
+		default:
+			r.bs[i] = cast(m.Predict(f))
+		}
+	}
+	r.key, r.seen, r.valid = key, sn, true
+	return r.bs
+}
+
+// recall returns a fork's memo entry for f, whose bit pattern is key,
+// creating it on first sight.
+func (e *Ensemble) recall(key featureBits, f stats.Features) seen {
+	if sn, ok := e.memo[key]; ok {
+		return sn
+	}
+	if len(e.memo) >= memoCap {
+		clear(e.memo)
+	}
+	sn := seen{fp: keyOf(f), static: make([]ballot, len(e.members))}
+	e.memo[key] = sn
+	return sn
 }
 
 // decide reduces ballots to the ensemble's prediction: the size with the
 // highest weight×confidence score, ties resolved toward the smaller cache.
 func (e *Ensemble) decide(bs []ballot) (int, error) {
-	score := map[int]float64{}
+	var score [sizeCount]float64
 	any := false
 	for i, b := range bs {
 		if !b.ok {
 			continue
 		}
-		score[b.sizeKB] += e.weights[i] * b.conf
+		if j := sizeIndex(b.sizeKB); j >= 0 {
+			score[j] += e.weights[i] * b.conf
+		}
 		any = true
 	}
 	if !any {
 		return 0, fmt.Errorf("predict: every member of %q abstained", e.name)
 	}
 	best, bestScore := 0, 0.0
-	for _, size := range cache.Sizes() { // ascending: deterministic tie-break
-		if s := score[size]; best == 0 || s > bestScore {
+	for j, size := range cache.Sizes() { // ascending: deterministic tie-break
+		if s := score[j]; best == 0 || s > bestScore {
 			best, bestScore = size, s
 		}
 	}
@@ -239,9 +327,29 @@ func (e *Ensemble) ObserveRegret(f stats.Features, chosenKB, bestKB int, regretB
 		e.weights[i] *= math.Exp(-e.eta * loss)
 	}
 	e.renormalize()
+	e.learn(f, bestKB)
+}
+
+// learn hands the observed best size to the learning members. It ends a
+// fork's ballot round first, since the members are about to change; the
+// Table learns under the fingerprint of f's memo entry, which the caller's
+// ballot round for f has just recalled.
+func (e *Ensemble) learn(f stats.Features, bestKB int) {
+	var sn *seen
+	if e.round != nil {
+		sn = &e.round.seen
+		e.round.valid = false
+	}
 	for _, m := range e.members {
-		if l, ok := m.(Learner); ok {
-			l.Learn(f, bestKB)
+		switch m := m.(type) {
+		case *Table:
+			if sn != nil {
+				m.learnKey(sn.fp, bestKB)
+			} else {
+				m.Learn(f, bestKB)
+			}
+		case Learner:
+			m.Learn(f, bestKB)
 		}
 	}
 }
@@ -286,9 +394,11 @@ func (e *Ensemble) renormalize() {
 }
 
 // Fork implements core.ForkingPredictor: a fresh ensemble at the initial
-// weights, with learning members reset and static members sharing their
-// trained model behind a per-fork ballot memo. Each simulation run learns
-// its own trajectory; the original is not mutated.
+// weights, with learning members reset and static members shared. Each
+// simulation run learns its own trajectory; the original is not mutated.
+// A fork belongs to one run, so it also keeps the memos an unforked
+// ensemble must not write: its last ballot round, and per features the
+// Table fingerprint and the Static members' ballots.
 func (e *Ensemble) Fork() core.Predictor {
 	members := make([]Member, len(e.members))
 	for i, m := range e.members {
@@ -303,6 +413,8 @@ func (e *Ensemble) Fork() core.Predictor {
 		// Unreachable: the receiver already validated the same inputs.
 		panic(fmt.Sprintf("predict: fork: %v", err))
 	}
+	ne.memo = map[featureBits]seen{}
+	ne.round = &round{bs: make([]ballot, len(members))}
 	return ne
 }
 

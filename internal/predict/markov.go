@@ -8,15 +8,13 @@ import "hetsched/internal/stats"
 // cheap temporal-locality exploitation (bursts of the same application
 // class arrive together under many real workloads).
 type Markov struct {
-	prev   int                 // last observed best size (0 = none yet)
-	trans  map[int]map[int]int // prev best size → next best size counts
-	counts map[int]int         // marginal best-size counts
+	prev     int               // last observed best size (0 = none yet)
+	trans    [sizeCount]counts // prev best size → next best size counts, indexed like cache.Sizes()
+	marginal counts            // marginal best-size counts
 }
 
 // NewMarkov returns an empty markov-chain member.
-func NewMarkov() *Markov {
-	return &Markov{trans: map[int]map[int]int{}, counts: map[int]int{}}
-}
+func NewMarkov() *Markov { return &Markov{} }
 
 // Name implements Member.
 func (m *Markov) Name() string { return "markov" }
@@ -26,29 +24,27 @@ func (m *Markov) Name() string { return "markov" }
 // discounted confidence, then to the cold base-size ballot.
 func (m *Markov) Predict(stats.Features) (int, float64, error) {
 	if m.prev != 0 {
-		if row := m.trans[m.prev]; len(row) > 0 {
-			size, votes, total := majority(row)
+		if size, votes, total := m.trans[sizeIndex(m.prev)].majority(); total > 0 {
 			return size, float64(votes) / float64(total), nil
 		}
 	}
-	if len(m.counts) > 0 {
-		size, votes, total := majority(m.counts)
+	if size, votes, total := m.marginal.majority(); total > 0 {
 		return size, 0.5 * float64(votes) / float64(total), nil
 	}
 	return coldSizeKB(), coldConfidence, nil
 }
 
-// Learn implements Learner: one step of the observed best-size chain.
+// Learn implements Learner: one step of the observed best-size chain. A
+// best size outside the design space is not a step.
 func (m *Markov) Learn(_ stats.Features, bestKB int) {
-	if m.prev != 0 {
-		row := m.trans[m.prev]
-		if row == nil {
-			row = map[int]int{}
-			m.trans[m.prev] = row
-		}
-		row[bestKB]++
+	i := sizeIndex(bestKB)
+	if i < 0 {
+		return
 	}
-	m.counts[bestKB]++
+	if m.prev != 0 {
+		m.trans[sizeIndex(m.prev)][i]++
+	}
+	m.marginal[i]++
 	m.prev = bestKB
 }
 

@@ -2,7 +2,7 @@ package predict
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"hetsched/internal/stats"
 )
@@ -10,6 +10,12 @@ import (
 type nnSample struct {
 	x    [stats.NumSelected]float64
 	size int
+}
+
+// nnCand is one stored sample's distance to a query.
+type nnCand struct {
+	d   float64
+	idx int
 }
 
 // Nearest is the online nearest-neighbor member: observed (features, best
@@ -27,6 +33,11 @@ type Nearest struct {
 	n    int
 	mean [stats.NumSelected]float64
 	m2   [stats.NumSelected]float64
+
+	// cands is Predict's candidate buffer on a fork, which one run owns;
+	// nil on an instance NewNearest returns, whose Predict allocates and
+	// so stays safe for concurrent use.
+	cands *[]nnCand
 }
 
 // NewNearest returns an empty k-nearest-neighbor member (k clamped to at
@@ -41,9 +52,13 @@ func NewNearest(k int) *Nearest {
 // Name implements Member.
 func (nn *Nearest) Name() string { return "nn" }
 
+// selectedOf reads the selected features in place (Features.Select
+// without the slice).
 func selectedOf(f stats.Features) [stats.NumSelected]float64 {
 	var x [stats.NumSelected]float64
-	copy(x[:], f.Select())
+	for i, idx := range stats.SelectedIndices() {
+		x[i] = f[idx]
+	}
 	return x
 }
 
@@ -64,31 +79,43 @@ func (nn *Nearest) Predict(f stats.Features) (int, float64, error) {
 			}
 		}
 	}
-	type cand struct {
-		d   float64
-		idx int
+	var cands []nnCand
+	if nn.cands != nil {
+		cands = (*nn.cands)[:0]
+	} else {
+		cands = make([]nnCand, 0, len(nn.samples))
 	}
-	cands := make([]cand, len(nn.samples))
 	for i := range nn.samples {
 		d := 0.0
 		for j := range x {
 			r := (x[j] - nn.samples[i].x[j]) / std[j]
 			d += r * r
 		}
-		cands[i] = cand{d: d, idx: i}
+		cands = append(cands, nnCand{d: d, idx: i})
+	}
+	if nn.cands != nil {
+		*nn.cands = cands
 	}
 	// Stable by distance: equal distances resolve toward the earlier
 	// insertion, keeping the vote deterministic.
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
+	slices.SortStableFunc(cands, func(a, b nnCand) int {
+		switch {
+		case a.d < b.d:
+			return -1
+		case b.d < a.d:
+			return 1
+		}
+		return 0
+	})
 	k := nn.k
 	if k > len(cands) {
 		k = len(cands)
 	}
-	votes := map[int]int{}
+	var votes counts
 	for _, c := range cands[:k] {
-		votes[nn.samples[c.idx].size]++
+		votes.add(nn.samples[c.idx].size)
 	}
-	size, n, total := majority(votes)
+	size, n, total := votes.majority()
 	return size, float64(n) / float64(total), nil
 }
 
@@ -109,4 +136,8 @@ func (nn *Nearest) Learn(f stats.Features, bestKB int) {
 	}
 }
 
-func (nn *Nearest) fork() Member { return NewNearest(nn.k) }
+func (nn *Nearest) fork() Member {
+	f := NewNearest(nn.k)
+	f.cands = new([]nnCand)
+	return f
+}

@@ -16,6 +16,8 @@
 package predict
 
 import (
+	"fmt"
+
 	"hetsched/internal/cache"
 	"hetsched/internal/core"
 	"hetsched/internal/stats"
@@ -38,24 +40,20 @@ type Learner interface {
 	Learn(f stats.Features, bestKB int)
 }
 
-// forkable is the internal per-run-state capability: members hand each
-// ensemble fork a fresh private copy. Learning members reset their state;
-// Static members share their trained model and start an empty memo.
+// forkable is the internal per-run-state capability: learning members hand
+// each ensemble fork a fresh private copy.
 type forkable interface {
 	fork() Member
 }
 
 // Static adapts a fixed trained predictor (ANN bag, oracle, mlbase
-// baselines) into an ensemble Member. It never learns. The shared trained
-// predictor is never copied; each ensemble fork gets its own Static over
-// it that memoizes ballots by features, which is exact because a fixed
+// baselines) into an ensemble Member. It never learns and holds no state
+// of its own, so every ensemble and fork shares one Static; a fork
+// memoizes its ballots (see Ensemble.Fork), which is exact because a fixed
 // predictor is a pure function of its features (core's purity contract).
-// The instance Wrap returns keeps no memo, so it stays read-only and safe
-// for concurrent use.
 type Static struct {
 	name string
 	p    core.Predictor
-	memo map[stats.Features]ballot // per-fork; nil on the shared original
 }
 
 // Wrap names a fixed predictor as an ensemble member.
@@ -66,31 +64,11 @@ func Wrap(name string, p core.Predictor) *Static {
 // Name implements Member.
 func (s *Static) Name() string { return s.name }
 
-// fork implements forkable: a view of the same trained predictor with an
-// empty private memo.
-func (s *Static) fork() Member {
-	return &Static{name: s.name, p: s.p, memo: map[stats.Features]ballot{}}
-}
-
 // Predict implements Member. Predictors that expose per-member votes (the
 // ANN bag) report the plurality fraction of their internal vote as
 // confidence; everything else votes with full confidence and lets the
-// ensemble weights do the discounting. Errors are not memoized.
+// ensemble weights do the discounting.
 func (s *Static) Predict(f stats.Features) (int, float64, error) {
-	if b, ok := s.memo[f]; ok {
-		return b.sizeKB, b.conf, nil
-	}
-	size, conf, err := s.predict(f)
-	if err != nil {
-		return 0, 0, err
-	}
-	if s.memo != nil {
-		s.memo[f] = ballot{sizeKB: size, conf: conf, ok: true}
-	}
-	return size, conf, nil
-}
-
-func (s *Static) predict(f stats.Features) (int, float64, error) {
 	size, err := s.p.PredictSizeKB(f)
 	if err != nil {
 		return 0, 0, err
@@ -124,16 +102,47 @@ const coldConfidence = 0.05
 // configuration size.
 func coldSizeKB() int { return cache.BaseConfig.SizeKB }
 
-// majority returns the plurality size of a per-size count map and the
-// total count, iterating the design-space sizes in ascending order so ties
-// resolve deterministically toward the smaller cache.
-func majority(counts map[int]int) (sizeKB, votes, total int) {
+// sizeCount is the number of design-space sizes. Every per-size count and
+// score in this package is an array indexed by a size's position in
+// cache.Sizes() (see sizeIndex).
+const sizeCount = 3
+
+func init() {
+	if n := len(cache.Sizes()); n != sizeCount {
+		panic(fmt.Sprintf("predict: the design space has %d sizes, per-size arrays hold %d", n, sizeCount))
+	}
+}
+
+// sizeIndex returns sizeKB's position in cache.Sizes(), or -1 for a size
+// outside the design space.
+func sizeIndex(sizeKB int) int {
+	for i, s := range cache.Sizes() {
+		if s == sizeKB {
+			return i
+		}
+	}
+	return -1
+}
+
+// counts tallies best sizes, indexed like cache.Sizes().
+type counts [sizeCount]int
+
+// add counts one sizeKB; a size outside the design space is not counted.
+func (c *counts) add(sizeKB int) {
+	if i := sizeIndex(sizeKB); i >= 0 {
+		c[i]++
+	}
+}
+
+// majority returns the plurality size and the total count, iterating the
+// design-space sizes in ascending order so ties resolve deterministically
+// toward the smaller cache.
+func (c *counts) majority() (sizeKB, votes, total int) {
 	sizeKB = coldSizeKB()
-	for _, s := range cache.Sizes() {
-		n := counts[s]
+	for i, n := range c {
 		total += n
 		if n > votes {
-			votes, sizeKB = n, s
+			votes, sizeKB = n, cache.Sizes()[i]
 		}
 	}
 	return sizeKB, votes, total

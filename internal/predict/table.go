@@ -14,7 +14,7 @@ type tableKey [stats.NumSelected]int8
 
 func keyOf(f stats.Features) tableKey {
 	var k tableKey
-	for i, v := range f.Select() {
+	for i, v := range selectedOf(f) {
 		b := math.Log2(1+math.Abs(v)) * 2
 		q := int(b)
 		if v < 0 {
@@ -36,13 +36,13 @@ func keyOf(f stats.Features) tableKey {
 // near-oracle for that kernel; unseen fingerprints fall back to the global
 // best-size distribution.
 type Table struct {
-	counts map[tableKey]map[int]int
-	global map[int]int
+	cells  map[tableKey]*counts
+	global counts
 }
 
 // NewTable returns an empty lookup-table member.
 func NewTable() *Table {
-	return &Table{counts: map[tableKey]map[int]int{}, global: map[int]int{}}
+	return &Table{cells: map[tableKey]*counts{}}
 }
 
 // Name implements Member.
@@ -52,12 +52,16 @@ func (t *Table) Name() string { return "table" }
 // cell; an unseen fingerprint answers from the global distribution at
 // discounted confidence; a cold table casts the base-size fallback ballot.
 func (t *Table) Predict(f stats.Features) (int, float64, error) {
-	if cell := t.counts[keyOf(f)]; len(cell) > 0 {
-		size, votes, total := majority(cell)
+	return t.predictKey(keyOf(f))
+}
+
+// predictKey is Predict given the fingerprint, which a fork memoizes.
+func (t *Table) predictKey(k tableKey) (int, float64, error) {
+	if cell := t.cells[k]; cell != nil {
+		size, votes, total := cell.majority()
 		return size, float64(votes) / float64(total), nil
 	}
-	if len(t.global) > 0 {
-		size, votes, total := majority(t.global)
+	if size, votes, total := t.global.majority(); total > 0 {
 		return size, 0.5 * float64(votes) / float64(total), nil
 	}
 	return coldSizeKB(), coldConfidence, nil
@@ -65,14 +69,23 @@ func (t *Table) Predict(f stats.Features) (int, float64, error) {
 
 // Learn implements Learner.
 func (t *Table) Learn(f stats.Features, bestKB int) {
-	k := keyOf(f)
-	cell := t.counts[k]
-	if cell == nil {
-		cell = map[int]int{}
-		t.counts[k] = cell
+	t.learnKey(keyOf(f), bestKB)
+}
+
+// learnKey is Learn given the fingerprint. A best size outside the design
+// space is not counted, so a cell exists only once it holds a count.
+func (t *Table) learnKey(k tableKey, bestKB int) {
+	i := sizeIndex(bestKB)
+	if i < 0 {
+		return
 	}
-	cell[bestKB]++
-	t.global[bestKB]++
+	cell := t.cells[k]
+	if cell == nil {
+		cell = new(counts)
+		t.cells[k] = cell
+	}
+	cell[i]++
+	t.global[i]++
 }
 
 func (t *Table) fork() Member { return NewTable() }
