@@ -31,7 +31,7 @@ test:
 # Every package with a worker pool, parallel fan-out or shared memo runs
 # under the race detector: the daemon's queue/shutdown paths, the stats
 # sketch behind its metrics, the parallel characterization engine and its
-# disk cache, the sweep grid, the ensemble trainer and the ANN bag's memo,
+# disk cache, the stream sink's overlapped consumer, the sweep grid, the ensemble trainer and the ANN bag's memo,
 # the online predictor ensemble, and the cluster's per-node simulation pool. The scenario package rides
 # along so its generators' determinism contract holds under the detector,
 # and the simulator package so its skip-vs-rescan differential test does.
@@ -41,7 +41,7 @@ test:
 RACE_FLAGS ?=
 
 test-race:
-	$(GO) test $(strip $(RACE_FLAGS) -race) ./internal/server/... ./internal/stats/... ./internal/characterize/... ./internal/sweep/... ./internal/ann/... ./internal/cluster/... ./internal/predict/... ./internal/scenario/... ./internal/core/...
+	$(GO) test $(strip $(RACE_FLAGS) -race) ./internal/server/... ./internal/stats/... ./internal/characterize/... ./internal/vm/... ./internal/sweep/... ./internal/ann/... ./internal/cluster/... ./internal/predict/... ./internal/scenario/... ./internal/core/...
 	$(GO) test $(strip $(RACE_FLAGS) -race) -run 'TestEnsembleDeterminism' .
 
 test-short:
@@ -65,12 +65,13 @@ bench:
 # engine, kernel execution, one proposed-system simulation, one optimal
 # simulation under a stochastic fault plan, ANN forward pass and backprop
 # step, one bag prediction cold and memoized, the cluster dispatcher's
-# routing pass on 16 and 64 nodes, the daemon's warm batch serving path,
+# routing pass on 16 and 64 nodes, the daemon's warm batch serving path and
+# a batch with two cold variants per request,
 # one online-ensemble prediction and one completion's ensemble feedback
 # cycle on a warmed fork) as committed JSON,
 # for before/after comparison across PRs. bench-gate reruns the same list,
 # so a row added to BENCH_RE or BENCH_PKGS lands in both targets.
-BENCH_RE = BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkFaultedSimulation|BenchmarkForward|BenchmarkBackpropStep|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkEnsemblePredict|BenchmarkEnsembleFeedback|BenchmarkSizePredict
+BENCH_RE = BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkFaultedSimulation|BenchmarkForward|BenchmarkBackpropStep|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkServerScheduleBatchCold|BenchmarkEnsemblePredict|BenchmarkEnsembleFeedback|BenchmarkSizePredict
 BENCH_PKGS = ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/
 
 bench-baseline:

@@ -258,6 +258,10 @@ type engineScratch struct {
 	ms   *cache.MultiSim
 	mode string // simulator mode key: "" for L1-only, else the L2 config
 	sink *vm.StreamSink
+	// overlap is set for the length of a call that leaves workers idle
+	// (fewer variants than workers): the sink then simulates each chunk on
+	// a goroutine of its own while the kernel goes on executing.
+	overlap bool
 }
 
 // scratchPool recycles worker scratch across CharacterizeWithOptions calls,
@@ -296,12 +300,16 @@ func (sc *engineScratch) multiSim(opts Options) (*cache.MultiSim, error) {
 }
 
 // stream returns the worker's StreamSink rebound to ms with the footprint
-// bitset sized for memBytes of address space.
+// bitset sized for memBytes of address space, its consumer started when
+// the call overlaps execution and simulation.
 func (sc *engineScratch) stream(ms *cache.MultiSim, memBytes int) *vm.StreamSink {
 	if sc.sink == nil {
 		sc.sink = vm.NewStreamSink(ms, memBytes)
 	} else {
 		sc.sink.Reset(ms, memBytes)
+	}
+	if sc.overlap {
+		sc.sink.Overlap()
 	}
 	return sc.sink
 }
@@ -318,10 +326,14 @@ func CharacterizeWithOptions(variants []Variant, em *energy.Model, opts Options)
 // CPU-bound job one submits, while one lightweight driver per in-flight
 // variant calls one and assembles the Record once all its jobs land.
 // In-flight variants are bounded by the worker count so at most that many
-// variants' states are live at once. Each pool worker owns a private
-// reusable scratch (simulator + stream buffer); nothing mutable is shared,
-// and every result is written to a pre-assigned slot, so the output is
-// byte-identical to a serial build.
+// variants' states are live at once. Each pool worker that runs a job owns
+// a private reusable scratch (simulator + stream buffer), taken on its
+// first job, so a one-variant stream call takes one scratch; nothing
+// mutable is shared, and every result is written to a pre-assigned slot,
+// so the output is byte-identical to a serial build. A call with fewer
+// variants than workers would leave workers idle, so each pool worker's
+// stream overlaps kernel execution with cache simulation instead
+// (engineScratch.overlap); full-suite builds never take that path.
 func characterizeVariants(variants []Variant, em *energy.Model, opts Options,
 	one func(Variant, *energy.Model, Options, chan jobFunc) (Record, error)) (*DB, error) {
 	if em == nil {
@@ -334,6 +346,7 @@ func characterizeVariants(variants []Variant, em *energy.Model, opts Options,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	overlap := len(variants) < workers
 
 	// The job pool: drivers submit closures, pool goroutines run them.
 	// Drivers never occupy a pool slot themselves, so waiting for a
@@ -344,11 +357,17 @@ func characterizeVariants(variants []Variant, em *energy.Model, opts Options,
 		poolWG.Add(1)
 		go func() {
 			defer poolWG.Done()
-			sc := scratchPool.Get().(*engineScratch)
+			var sc *engineScratch // taken on the first job: idle workers take none
 			for f := range jobs {
+				if sc == nil {
+					sc = scratchPool.Get().(*engineScratch)
+					sc.overlap = overlap
+				}
 				f(sc)
 			}
-			scratchPool.Put(sc)
+			if sc != nil {
+				scratchPool.Put(sc)
+			}
 		}()
 	}
 
@@ -418,13 +437,14 @@ func characterizeOneStream(v Variant, em *energy.Model, opts Options, jobs chan 
 		sink := sc.stream(ms, k.MemBytes(v.Params))
 		replays.Add(1)
 		ctr, err := eembc.Run(k, v.Params, sink)
+		// Len is the flush: it streams the sink's last batch into ms and
+		// joins an overlapped consumer, so it comes before ms.Stats() and
+		// before the error check, which must not leave the consumer running.
+		accesses := sink.Len()
 		if err != nil {
 			jobErr = err
 			return
 		}
-		// Len is the flush: it streams the sink's last batch into ms, so it
-		// is read before ms.Stats().
-		accesses := sink.Len()
 		rec = Record{
 			Kernel:     v.Kernel,
 			Params:     v.Params,

@@ -340,9 +340,10 @@ type Simulator struct {
 	stalledKills  int    // executions killed since the last completion
 
 	// Outcome-feedback accounting (see feedback.go): the run's prequential
-	// predictor scorecard and the per-app regret memo behind it.
-	predStats   PredictorStats
-	regretCache map[int]map[int]float64
+	// predictor scorecard and the per-app ground-truth memo behind it,
+	// indexed by app ID.
+	predStats PredictorStats
+	truth     []appTruth
 
 	// Decision-audit recorder (nil unless Cfg.Trace is set; see trace.go).
 	tr *trace.Recorder

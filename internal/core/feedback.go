@@ -11,36 +11,71 @@ package core
 // keeping every legacy run bit-identical.
 
 import (
+	"slices"
+
 	"hetsched/internal/cache"
 	"hetsched/internal/characterize"
 )
 
-// regretBySize returns, for one application, the energy regret of running
-// at each design-space size: the best energy achievable at that size minus
-// the global best energy. Memoized per app — ground truth never changes
-// within a run.
-func (s *Simulator) regretBySize(rec *characterize.Record) (map[int]float64, error) {
-	if r, ok := s.regretCache[rec.ID]; ok {
-		return r, nil
+// appTruth is what outcome feedback reads of one application's ground
+// truth, memoized on first completion: it never changes within a run.
+type appTruth struct {
+	bestKB int
+	// regret[i] is the energy regret of running at cache.Sizes()[i]: the
+	// best energy achievable at that size minus the global best energy.
+	// nil until memoized.
+	regret []float64
+	// byKB is regret keyed by size, the form RegretObserver takes; built
+	// only for a predictor that observes regret.
+	byKB map[int]float64
+}
+
+// truthOf returns app's memoized ground truth, computing it from rec (the
+// app's record) on first use.
+func (s *Simulator) truthOf(app int, rec *characterize.Record) (*appTruth, error) {
+	if s.truth == nil {
+		s.truth = make([]appTruth, len(s.DB.Records))
 	}
-	bestE := rec.BestConfig().Energy.Total
-	out := make(map[int]float64, len(cache.Sizes()))
-	for _, size := range cache.Sizes() {
+	t := &s.truth[app]
+	if t.regret != nil {
+		return t, nil
+	}
+	best := rec.BestConfig()
+	sizes := cache.Sizes()
+	regret := make([]float64, len(sizes))
+	for i, size := range sizes {
 		cr, err := rec.BestConfigForSize(size)
 		if err != nil {
 			return nil, err
 		}
-		r := cr.Energy.Total - bestE
+		r := cr.Energy.Total - best.Energy.Total
 		if r < 0 {
 			r = 0
 		}
-		out[size] = r
+		regret[i] = r
 	}
-	if s.regretCache == nil {
-		s.regretCache = make(map[int]map[int]float64)
+	t.bestKB, t.regret = best.Config.SizeKB, regret
+	return t, nil
+}
+
+// regretAt is the regret of running at sizeKB; 0 for a size outside the
+// design space.
+func (t *appTruth) regretAt(sizeKB int) float64 {
+	if i := slices.Index(cache.Sizes(), sizeKB); i >= 0 {
+		return t.regret[i]
 	}
-	s.regretCache[rec.ID] = out
-	return out, nil
+	return 0
+}
+
+// regretByKB returns the regret keyed by size, built on first use.
+func (t *appTruth) regretByKB() map[int]float64 {
+	if t.byKB == nil {
+		t.byKB = make(map[int]float64, len(t.regret))
+		for i, size := range cache.Sizes() {
+			t.byKB[size] = t.regret[i]
+		}
+	}
+	return t.byKB
 }
 
 // observeOutcome scores the predictor against the completed execution's
@@ -53,11 +88,11 @@ func (s *Simulator) observeOutcome(job *Job, rec *characterize.Record, cfg cache
 		return nil
 	}
 	f := entry.Features
-	regret, err := s.regretBySize(rec)
+	truth, err := s.truthOf(job.AppID, rec)
 	if err != nil {
 		return err
 	}
-	bestKB := rec.BestSizeKB()
+	bestKB := truth.bestKB
 
 	// Score the pre-feedback prediction: what the predictor says *now*,
 	// before seeing this outcome — proper online (prequential) accounting.
@@ -77,7 +112,7 @@ func (s *Simulator) observeOutcome(job *Job, rec *characterize.Record, cfg cache
 	if predicted == bestKB {
 		s.predStats.Hits++
 	}
-	s.predStats.RegretNJ += regret[predicted]
+	s.predStats.RegretNJ += truth.regretAt(predicted)
 
 	// Feed the outcome back. RegretObserver gets the full per-size regret
 	// profile (what multiplicative-weights updates need); the simpler
@@ -87,7 +122,7 @@ func (s *Simulator) observeOutcome(job *Job, rec *characterize.Record, cfg cache
 	}
 	switch p := s.Pred.(type) {
 	case RegretObserver:
-		p.ObserveRegret(f, cfg.SizeKB, bestKB, regret, energyNJ)
+		p.ObserveRegret(f, cfg.SizeKB, bestKB, truth.regretByKB(), energyNJ)
 	case FeedbackPredictor:
 		p.Observe(f, cfg.SizeKB, bestKB, energyNJ)
 	}
@@ -103,7 +138,7 @@ func (s *Simulator) observeOutcome(job *Job, rec *characterize.Record, cfg cache
 		}
 		s.tracePredict(job, f, fresh)
 	}
-	s.traceObserve(job, cfg.SizeKB, bestKB, regret[cfg.SizeKB])
+	s.traceObserve(job, cfg.SizeKB, bestKB, truth.regretAt(cfg.SizeKB))
 	return nil
 }
 

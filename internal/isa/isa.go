@@ -273,10 +273,15 @@ func (p *Program) Mix() map[Class]int {
 }
 
 // Validate checks structural invariants: all branch targets in range, HALT
-// reachable as the final fall-through, register indices in range.
+// reachable as the final fall-through, register indices in range. The last
+// instruction must be HALT or JMP, the only two that never fall through:
+// execution could otherwise run off the end of the program.
 func (p *Program) Validate() error {
 	if len(p.Instrs) == 0 {
 		return fmt.Errorf("isa: program %q is empty", p.Name)
+	}
+	if last := p.Instrs[len(p.Instrs)-1].Op; last != HALT && last != JMP {
+		return fmt.Errorf("isa: %q falls through its last instruction (%s): end it with halt or jmp", p.Name, last)
 	}
 	for i, in := range p.Instrs {
 		if in.Op >= opCount {

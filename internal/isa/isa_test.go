@@ -55,6 +55,21 @@ func TestValidateBadTarget(t *testing.T) {
 	}
 }
 
+func TestValidateFallThrough(t *testing.T) {
+	for _, last := range []Instr{{Op: ADDI, Rd: 1, Rs1: 1, Imm: 1}, {Op: BEQ, Target: 0}, {Op: NOP}} {
+		p := &Program{Name: "open", Instrs: []Instr{{Op: NOP}, last}}
+		if err := p.Validate(); err == nil {
+			t.Errorf("program ending in %s validated", last.Op)
+		}
+	}
+	for _, last := range []Instr{{Op: HALT}, {Op: JMP, Target: 0}} {
+		p := &Program{Name: "closed", Instrs: []Instr{{Op: NOP}, last}}
+		if err := p.Validate(); err != nil {
+			t.Errorf("program ending in %s: %v", last.Op, err)
+		}
+	}
+}
+
 func TestValidateBadRegister(t *testing.T) {
 	p := &Program{Name: "bad", Instrs: []Instr{{Op: ADD, Rd: 40}, {Op: HALT}}}
 	if err := p.Validate(); err == nil {

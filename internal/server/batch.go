@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"runtime"
 	"slices"
+	"sync"
 
 	"hetsched"
 	"hetsched/internal/characterize"
@@ -107,20 +109,46 @@ func batchVariant(j BatchJob) (characterize.Variant, error) {
 // (memory, a coalesced in-flight compute, disk, or a fresh compute) — and
 // assembles the batch characterization DB, re-identifying each record with
 // its batch-local application ID.
+//
+// The lookups run concurrently, at most GOMAXPROCS at once, so a batch's
+// cold variants compute on every core; records and sources land by variant
+// index, so the DB and the counters do not depend on completion order.
+// ctx is checked before each launch; every launched lookup is waited for,
+// and the error reported is the lowest-index one, as a serial loop would
+// have met it.
 func (s *Server) characterizeBatch(ctx context.Context, plan *batchPlan) (*hetsched.DB, BatchCharacterizationWire, error) {
-	wire := BatchCharacterizationWire{UniqueVariants: len(plan.variants)}
-	db := &hetsched.DB{Records: make([]characterize.Record, len(plan.variants))}
+	n := len(plan.variants)
+	wire := BatchCharacterizationWire{UniqueVariants: n}
+	db := &hetsched.DB{Records: make([]characterize.Record, n)}
+	srcs := make([]characterize.Source, n)
+	errs := make([]error, n)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
 	for i, v := range plan.variants {
-		if err := ctx.Err(); err != nil {
+		sem <- struct{}{} // a running lookup always finishes and frees a slot
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			break
+		}
+		wg.Add(1)
+		go func(i int, v characterize.Variant) {
+			defer func() { <-sem; wg.Done() }()
+			vdb, src, err := s.tier.Characterize([]characterize.Variant{v})
+			if err != nil {
+				errs[i] = fmt.Errorf("characterize %s: %w", v.Kernel, err)
+				return
+			}
+			db.Records[i] = vdb.Records[0]
+			db.Records[i].ID = i
+			srcs[i] = src
+		}(i, v)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, wire, err
 		}
-		vdb, src, err := s.tier.Characterize([]characterize.Variant{v})
-		if err != nil {
-			return nil, wire, fmt.Errorf("characterize %s: %w", v.Kernel, err)
-		}
-		rec := vdb.Records[0]
-		rec.ID = i
-		db.Records[i] = rec
+	}
+	for _, src := range srcs {
 		switch src {
 		case characterize.SourceMemory:
 			wire.Memory++

@@ -1,6 +1,9 @@
 package vm
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // StreamChunk is the number of packed accesses a StreamSink buffers before
 // handing them to its BatchSink: large enough to amortize the per-batch
@@ -8,6 +11,12 @@ import "math/bits"
 // (32 KB) that the chunk stays L1/L2-resident between the producing VM loop
 // and the consuming simulator.
 const StreamChunk = 4096
+
+// ringChunks is the number of chunk buffers an overlapped StreamSink
+// rotates: one the VM fills, one the consumer simulates, and one spare so
+// a chunk that simulates slower than the next one executes does not stall
+// the producer at once.
+const ringChunks = 3
 
 // fpGrain is the footprint tracker's granularity in bytes: the finest block
 // size the feature vector asks for (stats.FFootprint16). Coarser footprints
@@ -30,12 +39,25 @@ const (
 // footprint bitset is presized from the VM memory size), and is reusable
 // across programs via Reset — the per-worker reuse that keeps parallel
 // characterization from churning the allocator.
+//
+// Overlap moves the consumer side (chunk accounting and the batch sink) to
+// a goroutine of its own, so simulation runs beside execution. The sink
+// sees the same chunks in the same order either way.
 type StreamSink struct {
 	sink   BatchSink
 	buf    []uint64 // packed chunk in flight; cap StreamChunk
 	total  int
 	writes int
 	fp     []uint64 // bitset over fpGrain-byte blocks
+
+	// Overlapped mode. full carries filled chunks to the consumer in
+	// order, a nil chunk telling it to exit; free returns them emptied.
+	// Both channels and the ringChunks-1 buffers behind buf are made on
+	// the first Overlap and kept across Resets. While the consumer runs it
+	// owns total, writes and fp; Flush joins it before anything reads them.
+	full, free chan []uint64
+	consumer   sync.WaitGroup
+	overlapped bool
 }
 
 // NewStreamSink returns a sink streaming into s. memHint, when positive, is
@@ -52,7 +74,8 @@ func NewStreamSink(s BatchSink, memHint int) *StreamSink {
 // counters zeroed, and the footprint bitset cleared (regrown if memHint asks
 // for a larger address space). The buffer and bitset allocations are reused,
 // so a per-worker StreamSink characterizes any number of kernels with no
-// steady-state allocation.
+// steady-state allocation. Reset leaves the sink serial; it must not be
+// called while an Overlap consumer runs (Flush first).
 func (s *StreamSink) Reset(sink BatchSink, memHint int) {
 	s.sink = sink
 	s.buf = s.buf[:0]
@@ -100,12 +123,56 @@ func (s *StreamSink) push(p uint64) {
 	}
 }
 
-// flushChunk accounts the buffered accesses and forwards them to the batch
-// sink. The accounting loop runs over the L1-resident chunk in one sweep —
+// Overlap starts the consumer goroutine: from here until the next Flush,
+// each full chunk is handed to it through the ring instead of being
+// simulated on the calling goroutine, and the VM goes on filling the next
+// buffer. The producer waits only when every other buffer is queued or
+// being simulated. Flush (and so every aggregate accessor) joins the
+// consumer; every caller of Overlap must reach a Flush on all paths.
+func (s *StreamSink) Overlap() {
+	if s.full == nil {
+		s.full = make(chan []uint64, ringChunks)
+		s.free = make(chan []uint64, ringChunks)
+		for i := 1; i < ringChunks; i++ {
+			s.free <- make([]uint64, 0, StreamChunk)
+		}
+	}
+	s.overlapped = true
+	s.consumer.Add(1)
+	go s.consume()
+}
+
+// consume is the overlapped consumer: it simulates chunks in arrival
+// order and hands each buffer back, until the nil chunk Flush sends.
+func (s *StreamSink) consume() {
+	defer s.consumer.Done()
+	for chunk := range s.full {
+		if chunk == nil {
+			return
+		}
+		s.account(chunk)
+		s.free <- chunk[:0]
+	}
+}
+
+// flushChunk passes the full buffer on: to the consumer goroutine with a
+// fresh buffer from the ring when overlapped, else accounted and simulated
+// in place.
+func (s *StreamSink) flushChunk() {
+	if s.overlapped {
+		s.full <- s.buf
+		s.buf = <-s.free
+		return
+	}
+	s.account(s.buf)
+	s.buf = s.buf[:0]
+}
+
+// account tallies one chunk and forwards it to the batch sink. The
+// accounting loop runs over the L1-resident chunk in one sweep —
 // sequential, branch-light — instead of interleaving bitset updates with the
 // interpreter's scattered access pattern.
-func (s *StreamSink) flushChunk() {
-	chunk := s.buf
+func (s *StreamSink) account(chunk []uint64) {
 	s.total += len(chunk)
 	w := 0
 	fp := s.fp
@@ -122,7 +189,6 @@ func (s *StreamSink) flushChunk() {
 	}
 	s.writes += w
 	s.sink.AccessBatch(chunk)
-	s.buf = chunk[:0]
 }
 
 // growFP extends the bitset to at least words entries (only reached when the
@@ -134,10 +200,18 @@ func (s *StreamSink) growFP(words int) {
 }
 
 // Flush pushes the buffered partial chunk to the batch sink. Call it after
-// the program halts; it is a no-op when the buffer is empty.
+// the program halts, or after it fails. When overlapped it then stops and
+// waits for the consumer, so the batch sink has seen every chunk and the
+// sink is serial again on return. It is a no-op when the buffer is empty
+// and no consumer runs.
 func (s *StreamSink) Flush() {
 	if len(s.buf) > 0 {
 		s.flushChunk()
+	}
+	if s.overlapped {
+		s.full <- nil
+		s.consumer.Wait()
+		s.overlapped = false
 	}
 }
 

@@ -2,7 +2,12 @@ package vm
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
+
+	"hetsched/internal/isa"
 )
 
 // collectBatch records every packed access it receives, preserving order, so
@@ -10,11 +15,15 @@ import (
 type collectBatch struct {
 	packed []uint64
 	calls  int
+	sizes  []int // each batch's length, when non-nil
 }
 
 func (c *collectBatch) AccessBatch(packed []uint64) {
 	c.calls++
 	c.packed = append(c.packed, packed...)
+	if c.sizes != nil {
+		c.sizes = append(c.sizes, len(packed))
+	}
 }
 
 // TestStreamSinkMatchesFlatTrace drives the same access stream into a
@@ -149,5 +158,108 @@ func TestStreamSinkZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state streaming allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestStreamSinkOverlapMatchesSerial: an overlapped sink, reused across
+// programs, must deliver the same chunks in the same order as a serial
+// sink and report the same aggregates.
+func TestStreamSinkOverlapMatchesSerial(t *testing.T) {
+	overlappedOut := collectBatch{sizes: []int{}}
+	overlapped := NewStreamSink(&overlappedOut, 1<<16)
+	for run := 0; run < 3; run++ {
+		rng := rand.New(rand.NewSource(int64(7 + run)))
+		serialOut := collectBatch{sizes: []int{}}
+		serial := NewStreamSink(&serialOut, 1<<16)
+		overlappedOut.packed, overlappedOut.sizes = overlappedOut.packed[:0], overlappedOut.sizes[:0]
+		overlapped.Reset(&overlappedOut, 1<<16)
+		overlapped.Overlap()
+		n := (5+run)*StreamChunk + 311*run // a partial tail on runs 1 and 2
+		for i := 0; i < n; i++ {
+			addr := uint64(rng.Intn(1 << 16))
+			write := rng.Intn(3) == 0
+			serial.Access(addr, write)
+			overlapped.Access(addr, write)
+		}
+		if serial.Len() != overlapped.Len() || serial.Writes() != overlapped.Writes() {
+			t.Fatalf("run %d: counts: serial %d/%d, overlapped %d/%d",
+				run, serial.Len(), serial.Writes(), overlapped.Len(), overlapped.Writes())
+		}
+		for _, block := range []int{16, 64} {
+			if a, b := serial.Footprint(block), overlapped.Footprint(block); a != b {
+				t.Fatalf("run %d: Footprint(%d): serial %d, overlapped %d", run, block, a, b)
+			}
+		}
+		if !slices.Equal(serialOut.sizes, overlappedOut.sizes) {
+			t.Fatalf("run %d: chunk sizes: serial %v, overlapped %v", run, serialOut.sizes, overlappedOut.sizes)
+		}
+		if !slices.Equal(serialOut.packed, overlappedOut.packed) {
+			t.Fatalf("run %d: overlapped sink delivered a different access stream", run)
+		}
+	}
+}
+
+// settleGoroutines waits for the goroutine count to fall to want, failing
+// the test if it does not within a few seconds.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStreamSinkOverlapJoinsOnError: a program that fails part-way through
+// its stream leaves the consumer to the caller's Flush, which must deliver
+// every access pushed before the fault and join the consumer.
+func TestStreamSinkOverlapJoinsOnError(t *testing.T) {
+	const mem = 1 << 16
+	// Store to every word until the address runs past memory.
+	p := isa.NewBuilder("runaway").
+		Li(isa.R1, 0).
+		Label("loop").
+		Sw(isa.R0, isa.R1, 0).
+		Addi(isa.R1, isa.R1, 4).
+		Jmp("loop").
+		MustBuild()
+	before := runtime.NumGoroutine()
+	var out collectBatch
+	ss := NewStreamSink(&out, mem)
+	for run := 0; run < 10; run++ {
+		out.packed = out.packed[:0]
+		ss.Reset(&out, mem)
+		ss.Overlap()
+		if _, err := MustNew(mem, ss).Run(p, 0); err == nil {
+			t.Fatal("runaway store did not fault")
+		}
+		if got := ss.Len(); got != mem/4 || len(out.packed) != mem/4 {
+			t.Fatalf("run %d: streamed %d, delivered %d accesses, want %d", run, got, len(out.packed), mem/4)
+		}
+	}
+	settleGoroutines(t, before)
+}
+
+// TestStreamSinkOverlapSteadyStateAllocs: once the ring exists, an
+// overlapped program allocates only the consumer goroutine's start-up
+// closure; the ring buffers are reused.
+func TestStreamSinkOverlapSteadyStateAllocs(t *testing.T) {
+	out := collectBatch{packed: make([]uint64, 0, 8*StreamChunk)}
+	ss := NewStreamSink(&out, 1<<20)
+	ss.Overlap() // make the ring
+	ss.Flush()
+	allocs := testing.AllocsPerRun(10, func() {
+		out.packed = out.packed[:0]
+		ss.Reset(&out, 1<<20)
+		ss.Overlap()
+		for i := 0; i < 8*StreamChunk; i++ {
+			ss.Access(uint64(i)*8, i%5 == 0)
+		}
+		ss.Flush()
+	})
+	if allocs > 1 {
+		t.Fatalf("steady-state overlapped streaming allocated %.1f times per run, want at most 1", allocs)
 	}
 }

@@ -185,6 +185,15 @@ func TestOutOfRangeAccessErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFallThrough: a program whose last instruction can fall
+// through must fail validation, not index past its end.
+func TestRunRejectsFallThrough(t *testing.T) {
+	p := &isa.Program{Name: "open", Instrs: []isa.Instr{{Op: isa.ADDI, Rd: isa.R1, Rs1: isa.R1, Imm: 1}}}
+	if _, err := MustNew(64, nil).Run(p, 100); err == nil {
+		t.Fatal("program without a final halt ran")
+	}
+}
+
 func TestBudgetExceeded(t *testing.T) {
 	v := MustNew(64, nil)
 	p := isa.NewBuilder("spin").Label("x").Jmp("x").MustBuild()
