@@ -117,18 +117,24 @@ cover-check: cover
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 		{ echo "FAIL: coverage $${total}% fell below the $${floor}% floor"; exit 1; }
 
-# Short fuzz pass over the untrusted-input parsers: cache-config specs, the
-# text assembler, binary memory traces, -faults plan specs, CSV traces,
-# -predictor ensemble specs and -scenario workload specs; then the daemon's
-# four schedule endpoints on the wire (2xx or 4xx JSON, never 5xx or panic).
-# Each line runs its fuzzer alone (-run='^$'); CI runs
-# `make fuzz FUZZTIME=10s`.
+# Short fuzz pass over the test tooling's cache-config parser and text
+# assembler, and over raw ISA programs that Validate accepts (run on the VM);
+# then the untrusted-input parsers: binary memory traces,
+# characterization disk-cache entries (a miss or a consistent DB, never a
+# panic), -faults plan specs, CSV traces, -predictor ensemble specs and
+# -scenario workload specs; then the daemon's four schedule endpoints on the
+# wire (2xx or 4xx JSON, never 5xx or panic). Each line runs its fuzzer alone (-run='^$$'); CI runs
+# `make fuzz FUZZTIME=10s`. The disk-cache seed is a whole saved DB, so that
+# line caps minimization, which would otherwise spend the budget shrinking
+# the first new input.
 FUZZTIME ?= 20s
 
 fuzz:
 	$(GO) test ./internal/cache -run='^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/isa -run='^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/isa -run='^$$' -fuzz FuzzProgram -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm -run='^$$' -fuzz FuzzLoadTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/characterize -run='^$$' -fuzz FuzzLoadCached -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/fault -run='^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run='^$$' -fuzz FuzzTraceFile -fuzztime $(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz FuzzParsePredictorSpec -fuzztime $(FUZZTIME)

@@ -76,7 +76,10 @@ func BenchmarkTable1DesignSpace(b *testing.B) {
 		var bestE float64
 		var best cache.Config
 		for _, cfg := range space {
-			l1 := cache.MustNewL1(cfg)
+			l1, err := cache.NewL1(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for _, a := range tr.Accesses {
 				l1.Access(a.Addr, a.Write)
 			}
@@ -590,7 +593,7 @@ func BenchmarkExtensionSharedL2(b *testing.B) {
 	for i := range aggressor {
 		aggressor[i].Addr += 1 << 20
 	}
-	l1 := cache.MustParseConfig("4KB_1W_32B")
+	l1 := cache.Config{SizeKB: 4, Ways: 1, LineBytes: 32}
 	l2 := cache.L2Config{SizeKB: 16, Ways: 4, LineBytes: 32}
 
 	run := func(neighbour []cache.TraceAccess) uint64 {

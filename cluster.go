@@ -6,7 +6,6 @@ import (
 
 	"hetsched/internal/cluster"
 	"hetsched/internal/core"
-	"hetsched/internal/trace"
 )
 
 // Cluster-facing re-exports: the two-level scheduler of internal/cluster
@@ -33,12 +32,6 @@ const (
 	ScoreRoundRobin = cluster.ScoreRoundRobin
 )
 
-// Cluster trace event kinds (the dispatcher's routing audit).
-const (
-	TraceKindRoute = trace.KindRoute
-	TraceKindSteal = trace.KindSteal
-)
-
 // DefaultSystemSpec returns the paper's Figure 1 quad-core node shape.
 func DefaultSystemSpec() SystemSpec { return core.DefaultSystemSpec() }
 
@@ -57,9 +50,6 @@ func FormatClusterSpec(nodes []SystemSpec) string { return cluster.FormatCluster
 // ParseScorer parses a cluster scorer name
 // ("hybrid"|"balance"|"energy"|"roundrobin").
 func ParseScorer(s string) (ScorerKind, error) { return cluster.ParseScorer(s) }
-
-// ScorerNames lists the valid cluster scorer names.
-func ScorerNames() []string { return cluster.ScorerNames() }
 
 // RunCluster schedules jobs across a multi-node cluster: the two-level
 // dispatcher routes every arrival through the filter/score pipeline, then

@@ -2,11 +2,11 @@
 // {10, 18, 5, 1}, 30 members, 70/15/15 split) on the augmented
 // characterization pool, reports its held-out accuracy and the canonical
 // suite's energy degradation versus the oracle best cache size (the paper's
-// < 2% claim), and optionally writes the trained model as JSON.
+// < 2% claim).
 //
 // Usage:
 //
-//	anntrain [-members 30] [-seed 42] [-o predictor.json] [-compare] [-j N] [-cache-dir auto]
+//	anntrain [-members 30] [-seed 42] [-compare] [-cv k] [-j N] [-cache-dir auto]
 //
 // Characterization replays and ensemble members both fan out across -j
 // workers, and with -cache-dir auto the characterization pools persist on
@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -30,19 +32,28 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("anntrain: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	members := flag.Int("members", 30, "ensemble size (paper: 30)")
-	seed := flag.Int64("seed", 42, "training seed")
-	out := flag.String("o", "", "write the trained predictor JSON to this file")
-	compare := flag.Bool("compare", false, "also train and score the non-ANN baselines")
-	cv := flag.Int("cv", 0, "additionally run k-fold cross-validation (0 = off)")
-	jobs := flag.Int("j", runtime.NumCPU(), "parallel workers for characterization and training")
-	cacheDir := flag.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
-	flag.Parse()
+// run parses args, trains and scores the predictor, and prints the report
+// to stdout; progress lines go to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("anntrain", flag.ContinueOnError)
+	members := fs.Int("members", 30, "ensemble size (paper: 30)")
+	seed := fs.Int64("seed", 42, "training seed")
+	compare := fs.Bool("compare", false, "also train and score the non-ANN baselines")
+	cv := fs.Int("cv", 0, "additionally run k-fold cross-validation (0 = off)")
+	jobs := fs.Int("j", runtime.NumCPU(), "parallel workers for characterization and training")
+	cacheDir := fs.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	dir, err := hetsched.ResolveCacheDir(*cacheDir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	em := energy.NewDefault()
 	copts := characterize.Options{Workers: *jobs}
@@ -50,11 +61,11 @@ func main() {
 	fmt.Fprintln(os.Stderr, "characterizing training pool (16 kernels x scales x seeds)...")
 	train, warm, err := characterize.CharacterizeCached(characterize.AugmentedVariants(), em, copts, dir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	eval, _, err := characterize.CharacterizeCached(characterize.CanonicalVariants(), em, copts, dir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if warm {
 		fmt.Fprintln(os.Stderr, "characterization served from cache (no kernel replay)")
@@ -67,13 +78,13 @@ func main() {
 		Ensemble: ann.EnsembleConfig{Members: *members},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("training pool: %d samples (%d train / %d test)\n",
+	fmt.Fprintf(stdout, "training pool: %d samples (%d train / %d test)\n",
 		rep.Samples, rep.TrainSamples, rep.TestSamples)
-	fmt.Printf("ensemble:      %d members, topology {10, 18, 5, 1}\n", rep.Members)
-	fmt.Printf("train accuracy %.2f   held-out accuracy %.2f   held-out MSE %.4f\n",
+	fmt.Fprintf(stdout, "ensemble:      %d members, topology {10, 18, 5, 1}\n", rep.Members)
+	fmt.Fprintf(stdout, "train accuracy %.2f   held-out accuracy %.2f   held-out MSE %.4f\n",
 		rep.TrainAccuracy, rep.TestAccuracy, rep.TestMSE)
 
 	// The paper's metric: energy degradation on the benchmark suite when
@@ -84,59 +95,59 @@ func main() {
 		r := &eval.Records[i]
 		size, err := pred.PredictSizeKB(r.Features)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if size == r.BestSizeKB() {
 			hits++
 		}
 		chosen, err := r.BestConfigForSize(size)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		degraded += chosen.Energy.Total
 		optimal += r.BestConfig().Energy.Total
 	}
-	fmt.Printf("canonical suite: accuracy %.2f, energy degradation %.2f%% (paper: <2%%)\n",
+	fmt.Fprintf(stdout, "canonical suite: accuracy %.2f, energy degradation %.2f%% (paper: <2%%)\n",
 		float64(hits)/float64(len(eval.Records)), 100*(degraded/optimal-1))
 
 	if *compare {
-		fmt.Println("\nbaseline comparison (canonical-suite accuracy):")
+		fmt.Fprintln(stdout, "\nbaseline comparison (canonical-suite accuracy):")
 		lin, err := mlbase.TrainLinear(train, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		knn, err := mlbase.TrainKNN(train, 3)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stump, err := mlbase.TrainStump(train)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tree, err := mlbase.TrainTree(train, 4)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		linAcc, err := mlbase.Accuracy(lin, eval)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		knnAcc, err := mlbase.Accuracy(knn, eval)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stumpAcc, err := mlbase.Accuracy(stump, eval)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  linear regression  %.2f\n", linAcc)
-		fmt.Printf("  3-NN               %.2f\n", knnAcc)
-		fmt.Printf("  decision stump     %.2f\n", stumpAcc)
+		fmt.Fprintf(stdout, "  linear regression  %.2f\n", linAcc)
+		fmt.Fprintf(stdout, "  3-NN               %.2f\n", knnAcc)
+		fmt.Fprintf(stdout, "  decision stump     %.2f\n", stumpAcc)
 		treeAcc, err := mlbase.Accuracy(tree, eval)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  CART tree (d=4)    %.2f\n", treeAcc)
+		fmt.Fprintf(stdout, "  CART tree (d=4)    %.2f\n", treeAcc)
 	}
 
 	if *cv > 0 {
@@ -147,22 +158,11 @@ func main() {
 			Ensemble: ann.EnsembleConfig{Members: *members},
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\n%d-fold cross-validation: mean accuracy %.2f, mean MSE %.4f\n",
+		fmt.Fprintf(stdout, "\n%d-fold cross-validation: mean accuracy %.2f, mean MSE %.4f\n",
 			res.Folds, res.MeanAccuracy, res.MeanMSE)
-		fmt.Printf("per-fold accuracy: %v\n", res.FoldAccuracy)
+		fmt.Fprintf(stdout, "per-fold accuracy: %v\n", res.FoldAccuracy)
 	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pred.Save(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote predictor to %s\n", *out)
-	}
+	return nil
 }

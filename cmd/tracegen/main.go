@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -22,55 +24,71 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracegen: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	kernel := flag.String("kernel", "", "benchmark to trace (required; see cachetune -list)")
-	out := flag.String("o", "", "output trace file (required)")
-	scale := flag.Int("scale", 1, "dataset scale")
-	seed := flag.Int64("seed", 1, "data seed")
-	iters := flag.Int("iters", 4, "outer iterations")
-	flag.Parse()
+// run parses args, records the kernel's trace into the -o file and prints
+// the counter summary to stdout. A failed write or close of the trace file
+// is an error.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	kernel := fs.String("kernel", "", "benchmark to trace (required; see cachetune -list)")
+	out := fs.String("o", "", "output trace file (required)")
+	scale := fs.Int("scale", 1, "dataset scale")
+	seed := fs.Int64("seed", 1, "data seed")
+	iters := fs.Int("iters", 4, "outer iterations")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *kernel == "" || *out == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("-kernel and -o are required")
 	}
 	k, err := eembc.ByName(*kernel)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	params := eembc.Params{Scale: *scale, Iterations: *iters, Seed: *seed}
 	ctr, tr, err := eembc.Record(k, params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if err := tr.Save(f); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	info, err := f.Stat()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	prog, err := k.Program(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mix := prog.Mix()
-	fmt.Printf("kernel        %s (scale %d, seed %d, iters %d)\n", k.Name, *scale, *seed, *iters)
-	fmt.Printf("static mix    %d instrs: %d int, %d mul/div, %d fp, %d load, %d store, %d branch\n",
+	fmt.Fprintf(stdout, "kernel        %s (scale %d, seed %d, iters %d)\n", k.Name, *scale, *seed, *iters)
+	fmt.Fprintf(stdout, "static mix    %d instrs: %d int, %d mul/div, %d fp, %d load, %d store, %d branch\n",
 		prog.Len(), mix[isa.ClassIntALU], mix[isa.ClassMulDiv], mix[isa.ClassFP],
 		mix[isa.ClassLoad], mix[isa.ClassStore], mix[isa.ClassBranch])
-	fmt.Printf("instructions  %d\n", ctr.Instructions)
-	fmt.Printf("base cycles   %d\n", ctr.Cycles)
-	fmt.Printf("accesses      %d (%d loads, %d stores)\n", tr.Len(), tr.Reads(), tr.Writes())
-	fmt.Printf("footprint     %d x 64B blocks (%.1f KB)\n",
+	fmt.Fprintf(stdout, "instructions  %d\n", ctr.Instructions)
+	fmt.Fprintf(stdout, "base cycles   %d\n", ctr.Cycles)
+	fmt.Fprintf(stdout, "accesses      %d (%d loads, %d stores)\n", tr.Len(), tr.Reads(), tr.Writes())
+	fmt.Fprintf(stdout, "footprint     %d x 64B blocks (%.1f KB)\n",
 		tr.Footprint(64), float64(tr.Footprint(64)*64)/1024)
-	fmt.Printf("trace file    %s: %d bytes (%.2f bytes/access)\n",
+	fmt.Fprintf(stdout, "trace file    %s: %d bytes (%.2f bytes/access)\n",
 		*out, info.Size(), float64(info.Size())/float64(tr.Len()))
+	return nil
 }

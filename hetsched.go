@@ -29,7 +29,6 @@ package hetsched
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"strings"
@@ -73,13 +72,9 @@ type (
 	Variant = characterize.Variant
 	// Kernel is one synthetic benchmark.
 	Kernel = eembc.Kernel
-	// KernelParams scales a kernel.
-	KernelParams = eembc.Params
 	// FaultPlan is a seeded fault-injection schedule (resilience
 	// extension); the zero value is disabled and provably changes nothing.
 	FaultPlan = fault.Plan
-	// FaultEvent is one applied fault in a run's Metrics.FaultTimeline.
-	FaultEvent = fault.Event
 	// TraceRecorder collects the simulator's decision-audit events
 	// (SimConfig.Trace / Options.Trace); see internal/trace.
 	TraceRecorder = trace.Recorder
@@ -101,6 +96,9 @@ const (
 	TraceKindKill     = trace.KindKill
 	TraceKindComplete = trace.KindComplete
 	TraceKindSLO      = trace.KindSLO
+	// The cluster dispatcher's routing audit.
+	TraceKindRoute = trace.KindRoute
+	TraceKindSteal = trace.KindSteal
 )
 
 // NewTraceRecorder returns an unbounded decision-audit recorder to attach
@@ -110,21 +108,6 @@ func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 // NewTraceRing returns a bounded decision-audit recorder that retains only
 // the newest capacity events.
 func NewTraceRing(capacity int) *TraceRecorder { return trace.NewRing(capacity) }
-
-// WriteTraceChrome renders recorded events as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
-func WriteTraceChrome(w io.Writer, events []TraceEvent) error {
-	return trace.WriteChrome(w, events)
-}
-
-// WriteTraceCSV renders recorded events as a flat CSV; ReadTraceCSV parses
-// it back.
-func WriteTraceCSV(w io.Writer, events []TraceEvent) error {
-	return trace.WriteCSV(w, events)
-}
-
-// ReadTraceCSV parses a CSV trace written by WriteTraceCSV.
-func ReadTraceCSV(r io.Reader) ([]TraceEvent, error) { return trace.ReadCSV(r) }
 
 // WriteTraceFile writes recorded events to path, choosing the format by
 // extension: .json is Chrome trace-event JSON (open in Perfetto), anything
@@ -161,16 +144,9 @@ func DesignSpace() []CacheConfig { return slices.Clone(cache.DesignSpace()) }
 // BaseConfig is the profiling/base configuration 8KB_4W_64B.
 func BaseConfig() CacheConfig { return cache.BaseConfig }
 
-// ParseCacheConfig parses the paper's notation, e.g. "8KB_4W_64B".
-func ParseCacheConfig(s string) (CacheConfig, error) { return cache.ParseConfig(s) }
-
 // Kernels returns the sixteen automotive benchmarks of the canonical
 // suite.
 func Kernels() []Kernel { return eembc.Suite() }
-
-// TelecomKernels returns the four telecom-domain benchmarks (scheduled
-// only when Options.IncludeTelecom was set).
-func TelecomKernels() []Kernel { return eembc.TelecomSuite() }
 
 // KernelByName returns one benchmark by its EEMBC-style name.
 func KernelByName(name string) (Kernel, error) { return eembc.ByName(name) }

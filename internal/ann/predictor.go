@@ -1,10 +1,8 @@
 package ann
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -271,23 +269,6 @@ func (p *SizePredictor) MemberVotes(f stats.Features) (map[int]int, error) {
 		}
 	}
 	return votes, nil
-}
-
-// Save serializes the predictor as JSON.
-func (p *SizePredictor) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(p)
-}
-
-// LoadPredictor deserializes a predictor written by Save.
-func LoadPredictor(r io.Reader) (*SizePredictor, error) {
-	var p SizePredictor
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("ann: load predictor: %v", err)
-	}
-	if p.Ens == nil || p.Norm == nil {
-		return nil, fmt.Errorf("ann: loaded predictor is incomplete")
-	}
-	return &p, nil
 }
 
 var (

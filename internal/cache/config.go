@@ -8,8 +8,6 @@ package cache
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 )
 
 // Config identifies a single L1 cache configuration from the paper's design
@@ -50,69 +48,7 @@ func (c Config) Valid() bool {
 	return c.SizeBytes() >= c.Ways*c.LineBytes
 }
 
-// InDesignSpace reports whether the configuration is one of the 18 entries of
-// the paper's Table 1.
-func (c Config) InDesignSpace() bool {
-	for _, d := range DesignSpace() {
-		if d == c {
-			return true
-		}
-	}
-	return false
-}
-
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
-
-// ParseConfig parses the paper's configuration notation ("8KB_4W_64B",
-// case-insensitive). It returns an error for malformed strings or
-// configurations that are not internally consistent.
-func ParseConfig(s string) (Config, error) {
-	parts := strings.Split(strings.ToUpper(strings.TrimSpace(s)), "_")
-	if len(parts) != 3 {
-		return Config{}, fmt.Errorf("cache: malformed config %q: want SIZE_WAYS_LINE", s)
-	}
-	size, err := parseSuffixed(parts[0], "KB")
-	if err != nil {
-		return Config{}, fmt.Errorf("cache: config %q: %v", s, err)
-	}
-	ways, err := parseSuffixed(parts[1], "W")
-	if err != nil {
-		return Config{}, fmt.Errorf("cache: config %q: %v", s, err)
-	}
-	line, err := parseSuffixed(parts[2], "B")
-	if err != nil {
-		return Config{}, fmt.Errorf("cache: config %q: %v", s, err)
-	}
-	c := Config{SizeKB: size, Ways: ways, LineBytes: line}
-	if !c.Valid() {
-		return Config{}, fmt.Errorf("cache: config %q is not realizable", s)
-	}
-	return c, nil
-}
-
-func parseSuffixed(s, suffix string) (int, error) {
-	if !strings.HasSuffix(s, suffix) {
-		return 0, fmt.Errorf("field %q missing suffix %q", s, suffix)
-	}
-	v, err := strconv.Atoi(strings.TrimSuffix(s, suffix))
-	if err != nil {
-		return 0, fmt.Errorf("field %q: %v", s, err)
-	}
-	if v <= 0 {
-		return 0, fmt.Errorf("field %q: must be positive", s)
-	}
-	return v, nil
-}
-
-// MustParseConfig is like ParseConfig but panics on error. It is intended for
-// package-level constants and tests.
-func MustParseConfig(s string) Config {
-	c, err := ParseConfig(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
 
 // BaseConfig is the paper's base/profiling configuration: the largest cache
 // with maximum associativity and line size (8KB_4W_64B). Profiling always

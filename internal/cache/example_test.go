@@ -22,7 +22,10 @@ func ExampleDesignSpace() {
 }
 
 func ExampleL1() {
-	l1 := cache.MustNewL1(cache.MustParseConfig("2KB_1W_16B"))
+	l1, err := cache.NewL1(cache.Config{SizeKB: 2, Ways: 1, LineBytes: 16})
+	if err != nil {
+		panic(err)
+	}
 	l1.Access(0x100, false) // cold miss
 	l1.Access(0x104, false) // same line: hit
 	s := l1.Stats()

@@ -1,7 +1,5 @@
 package cache
 
-import "fmt"
-
 // L2Config describes the fixed private L2 cache each core carries (Figure 1).
 // Unlike the L1, the L2 is not runtime-configurable.
 type L2Config struct {
@@ -19,77 +17,9 @@ func (c L2Config) asConfig() Config {
 	return Config{SizeKB: c.SizeKB, Ways: c.Ways, LineBytes: c.LineBytes}
 }
 
-// Hierarchy is a two-level private cache hierarchy: a reconfigurable L1
-// backed by a fixed L2. L1 misses access the L2; L2 misses go off-chip.
-// Writebacks from L1 are absorbed by the L2 (write-allocate).
-type Hierarchy struct {
-	L1 *L1
-	L2 *L1 // the L2 reuses the set-associative engine
-}
-
-// NewHierarchy builds a hierarchy with the given L1 configuration and the
-// default L2.
-func NewHierarchy(l1 Config) (*Hierarchy, error) {
-	return NewHierarchyL2(l1, DefaultL2)
-}
-
-// NewHierarchyL2 builds a hierarchy with explicit L1 and L2 configurations.
-func NewHierarchyL2(l1 Config, l2 L2Config) (*Hierarchy, error) {
-	c1, err := NewL1(l1)
-	if err != nil {
-		return nil, err
-	}
-	c2, err := NewL1(l2.asConfig())
-	if err != nil {
-		return nil, fmt.Errorf("cache: bad L2: %v", err)
-	}
-	return &Hierarchy{L1: c1, L2: c2}, nil
-}
-
 // HierarchyResult summarizes where a single access was satisfied.
 type HierarchyResult struct {
 	L1Hit   bool
 	L2Hit   bool // meaningful only when !L1Hit
 	OffChip bool // the access reached main memory
-}
-
-// Access performs one data access through the hierarchy.
-func (h *Hierarchy) Access(addr uint64, write bool) HierarchyResult {
-	r1 := h.L1.Access(addr, write)
-	// A write-through store propagates to the L2 regardless of the L1
-	// outcome (on a miss this is in addition to the fill read below).
-	if r1.WroteThrough {
-		h.L2.Access(addr, true)
-	}
-	if r1.Hit {
-		return HierarchyResult{L1Hit: true}
-	}
-	// Dirty eviction from L1 lands in the L2.
-	if r1.WB {
-		h.L2.Access(r1.WritebackAddr, true)
-	}
-	// The L1 fill reads the block from L2.
-	r2 := h.L2.Access(addr, false)
-	if r2.Hit {
-		return HierarchyResult{L2Hit: true}
-	}
-	return HierarchyResult{OffChip: true}
-}
-
-// ReconfigureL1 flushes and reconfigures the L1. L1 dirty lines are written
-// back into the L2 (approximated: the flush counts writebacks; their
-// addresses are no longer known, so L2 contents are left unchanged, which is
-// conservative for hit rates and exact for energy accounting, which only
-// consumes counts).
-func (h *Hierarchy) ReconfigureL1(cfg Config) error {
-	return h.L1.Reconfigure(cfg)
-}
-
-// Reset flushes both levels and zeroes statistics; used between benchmark
-// replays so every characterization run starts cold.
-func (h *Hierarchy) Reset() {
-	h.L1.Flush()
-	h.L2.Flush()
-	h.L1.ResetStats()
-	h.L2.ResetStats()
 }

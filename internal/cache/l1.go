@@ -169,15 +169,6 @@ func NewL1Opts(cfg Config, opts L1Options) (*L1, error) {
 // Options returns the cache's policy options.
 func (c *L1) Options() L1Options { return c.opts }
 
-// MustNewL1 is NewL1 for known-good configurations; it panics on error.
-func MustNewL1(cfg Config) *L1 {
-	c, err := NewL1(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func (c *L1) configure(cfg Config) {
 	c.cfg = cfg
 	c.sets = cfg.Sets()
@@ -203,23 +194,6 @@ func (c *L1) Config() Config { return c.cfg }
 
 // Stats returns the statistics accumulated since the last ResetStats.
 func (c *L1) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the statistics without disturbing cache contents.
-func (c *L1) ResetStats() { c.stats = Stats{} }
-
-// Reconfigure switches the cache to a new configuration. The cache is flushed
-// first: dirty lines become writebacks and all lines are invalidated. The
-// statistics survive (the flush itself is recorded).
-func (c *L1) Reconfigure(cfg Config) error {
-	if !cfg.Valid() {
-		return fmt.Errorf("cache: invalid L1 config %+v", cfg)
-	}
-	c.Flush()
-	stats := c.stats
-	c.configure(cfg)
-	c.stats = stats
-	return nil
-}
 
 // Flush invalidates every line, counting dirty lines as writebacks.
 func (c *L1) Flush() {
@@ -417,15 +391,4 @@ func (c *L1) Contains(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// ValidLines counts the currently valid lines (tests/invariants).
-func (c *L1) ValidLines() int {
-	n := 0
-	for _, l := range c.lines {
-		if l.valid {
-			n++
-		}
-	}
-	return n
 }

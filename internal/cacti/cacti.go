@@ -42,8 +42,9 @@ type Params struct {
 	EWritePerByte float64
 	// LeakPerKBPerMCycle is static (leakage) energy per kilobyte per million
 	// cycles. At 0.18 µm leakage is small; the paper instead derives static
-	// energy from its 10 % rule (see internal/energy), but the model exposes
-	// an independent estimate for cross-checks.
+	// energy from its 10 % rule (see internal/energy), and no model reads
+	// this independent estimate. It stays in the parameter set because the
+	// set is part of the characterization cache key.
 	LeakPerKBPerMCycle float64
 	// EOffChipAccess is the energy of one off-chip (main memory) access,
 	// calibrated against a low-power 0.18 µm-era SDRAM datasheet.
@@ -131,12 +132,6 @@ func (m *Model) FillEnergy(c cache.Config) float64 {
 
 // OffChipEnergy returns the energy (nJ) of one main-memory access.
 func (m *Model) OffChipEnergy() float64 { return m.p.EOffChipAccess }
-
-// LeakageEnergy returns the static energy (nJ) dissipated by a cache of the
-// given capacity over the given number of cycles.
-func (m *Model) LeakageEnergy(sizeKB int, cycles uint64) float64 {
-	return m.p.LeakPerKBPerMCycle * float64(sizeKB) * float64(cycles) / 1e6
-}
 
 // AccessTimeNS returns a first-order access-time estimate (ns): decode depth
 // plus bitline/sense delay growing with the square root of the array, plus a

@@ -17,7 +17,7 @@ func TestHitEnergyInPublishedRange(t *testing.T) {
 		}
 	}
 	// Anchor points: small direct-mapped cache well below large 4-way.
-	small := m.HitEnergy(cache.MustParseConfig("2KB_1W_16B"))
+	small := m.HitEnergy(cache.Config{SizeKB: 2, Ways: 1, LineBytes: 16})
 	big := m.HitEnergy(cache.BaseConfig)
 	if big < 2*small {
 		t.Errorf("8KB_4W_64B (%.3f) should cost well over 2x 2KB_1W_16B (%.3f)", big, small)
@@ -78,8 +78,8 @@ func TestHitEnergyMonotoneInSizeSameGeometry(t *testing.T) {
 
 func TestFillEnergyGrowsWithLine(t *testing.T) {
 	m := NewDefault()
-	e16 := m.FillEnergy(cache.MustParseConfig("8KB_4W_16B"))
-	e64 := m.FillEnergy(cache.MustParseConfig("8KB_4W_64B"))
+	e16 := m.FillEnergy(cache.Config{SizeKB: 8, Ways: 4, LineBytes: 16})
+	e64 := m.FillEnergy(cache.Config{SizeKB: 8, Ways: 4, LineBytes: 64})
 	if e64 <= e16 {
 		t.Errorf("fill energy should grow with line size: %.4f <= %.4f", e64, e16)
 	}
@@ -101,7 +101,7 @@ func TestLeakageScalesLinearlyWithSizeAndCycles(t *testing.T) {
 
 func TestAccessTimePositiveAndOrdered(t *testing.T) {
 	m := NewDefault()
-	small := m.AccessTimeNS(cache.MustParseConfig("2KB_1W_16B"))
+	small := m.AccessTimeNS(cache.Config{SizeKB: 2, Ways: 1, LineBytes: 16})
 	big := m.AccessTimeNS(cache.BaseConfig)
 	if small <= 0 || big <= 0 {
 		t.Fatalf("non-positive access times %v %v", small, big)
@@ -149,21 +149,21 @@ func TestSqrtAgreesWithMath(t *testing.T) {
 // accidental coefficient change (which would silently re-label every
 // benchmark's best configuration) fails loudly. Values in nJ, 3 decimals.
 func TestDefaultEnergyTableGolden(t *testing.T) {
-	golden := map[string]float64{
-		"2KB_1W_16B": 0.236,
-		"2KB_1W_64B": 0.404,
-		"4KB_2W_32B": 0.431,
-		"8KB_1W_64B": 0.424,
-		"8KB_4W_16B": 0.476,
-		"8KB_4W_64B": 1.212,
+	golden := map[cache.Config]float64{
+		{SizeKB: 2, Ways: 1, LineBytes: 16}: 0.236,
+		{SizeKB: 2, Ways: 1, LineBytes: 64}: 0.404,
+		{SizeKB: 4, Ways: 2, LineBytes: 32}: 0.431,
+		{SizeKB: 8, Ways: 1, LineBytes: 64}: 0.424,
+		{SizeKB: 8, Ways: 4, LineBytes: 16}: 0.476,
+		{SizeKB: 8, Ways: 4, LineBytes: 64}: 1.212,
 	}
 	m := NewDefault()
-	for cfgStr, want := range golden {
-		got := m.HitEnergy(cache.MustParseConfig(cfgStr))
+	for cfg, want := range golden {
+		got := m.HitEnergy(cfg)
 		if math.Abs(got-want) > 0.0005 {
 			t.Errorf("HitEnergy(%s) = %.4f nJ, golden %.3f — recalibration detected; "+
 				"update the golden table AND re-verify EXPERIMENTS.md if intentional",
-				cfgStr, got, want)
+				cfg, got, want)
 		}
 	}
 	if got := m.OffChipEnergy(); math.Abs(got-4.95) > 1e-9 {

@@ -228,11 +228,6 @@ type Options struct {
 // scores. The disk-cache tests assert a warm load does not move it.
 var replays atomic.Uint64
 
-// ReplayCount reports the number of trace traversals performed by this
-// process so far (see replays). A characterization served from the
-// persistent cache performs none.
-func ReplayCount() uint64 { return replays.Load() }
-
 // Characterize builds the database for the given variants under the energy
 // model, fanning (variant × configuration) replay pairs across a worker
 // pool. Records appear in variant order and are assigned IDs matching

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -156,19 +157,44 @@ func CharacterizeCached(variants []Variant, em *energy.Model, opts Options, dir 
 }
 
 // validCached defends against a corrupt-but-parseable entry: the stored DB
-// must cover exactly the requested variants over the full design space.
+// must cover exactly the requested variants, and every record must be
+// consistent. An entry that fails is a miss, so it never reaches training
+// or scheduling.
 func validCached(db *DB, variants []Variant) bool {
 	if db == nil || len(db.Records) != len(variants) {
 		return false
 	}
-	space := len(cache.DesignSpace())
 	for i := range db.Records {
 		r := &db.Records[i]
-		if r.ID != i || r.Kernel != variants[i].Kernel || r.Params != variants[i].Params {
+		if r.ID != i || r.Kernel != variants[i].Kernel || r.Params != variants[i].Params || !consistent(r) {
 			return false
 		}
-		if len(r.Configs) != space {
+	}
+	return true
+}
+
+// consistent reports whether r obeys the invariants every characterization
+// produces: one result per Table 1 configuration in design-space order,
+// nonzero base cycles, and per configuration hits + misses = accesses,
+// cycles ≥ base cycles, L2 hits + off-chip = misses when the L2 extension
+// split them, and finite non-negative energies.
+func consistent(r *Record) bool {
+	space := cache.DesignSpace()
+	if len(r.Configs) != len(space) || r.BaseCycles == 0 {
+		return false
+	}
+	for j := range r.Configs {
+		c := &r.Configs[j]
+		if c.Config != space[j] || c.Hits > r.Accesses || c.Misses != r.Accesses-c.Hits || c.Cycles < r.BaseCycles {
 			return false
+		}
+		if (c.L2Hits != 0 || c.OffChip != 0) && (c.L2Hits > c.Misses || c.OffChip != c.Misses-c.L2Hits) {
+			return false
+		}
+		for _, e := range [...]float64{c.Energy.Static, c.Energy.Dynamic, c.Energy.Core, c.Energy.Total} {
+			if !(e >= 0) || math.IsInf(e, 1) {
+				return false
+			}
 		}
 	}
 	return true

@@ -1,6 +1,7 @@
 package characterize
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -294,5 +295,90 @@ func TestValidCached(t *testing.T) {
 	truncated.Records[0].Configs = truncated.Records[0].Configs[:3]
 	if validCached(&truncated, variants) {
 		t.Error("truncated config list accepted")
+	}
+}
+
+// TestCharacterizedRecordsConsistent: every record the pipeline produces,
+// in the paper's L1-only mode and with the L2 extension, passes the
+// consistency checks a cached entry must pass.
+func TestCharacterizedRecordsConsistent(t *testing.T) {
+	aug, err := Augmented()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*DB{"augmented": aug, "l2": mustL2(t)} {
+		for i := range db.Records {
+			if !consistent(&db.Records[i]) {
+				t.Errorf("%s record %d (%s) fails the consistency checks", name, i, db.Records[i].Kernel)
+			}
+		}
+	}
+}
+
+// TestInconsistentCacheEntryIsAMiss: each corruption of a parseable entry
+// makes it a cache miss that recomputes and repairs the entry.
+func TestInconsistentCacheEntryIsAMiss(t *testing.T) {
+	em := energy.NewDefault()
+	variants := smallVariants()[:1]
+	fresh, err := CharacterizeWithOptions(variants, em, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := CacheKey(variants, em, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(r *Record)
+		// nonFinite marks a value JSON cannot carry: such an entry cannot
+		// be written, so it never reaches the loader.
+		nonFinite bool
+	}{
+		{"NaN energy", func(r *Record) { r.Configs[3].Energy.Dynamic = math.NaN() }, true},
+		{"infinite energy", func(r *Record) { r.Configs[0].Energy.Total = math.Inf(1) }, true},
+		{"negative energy", func(r *Record) { r.Configs[5].Energy.Static = -1 }, false},
+		{"zero base cycles", func(r *Record) { r.BaseCycles = 0 }, false},
+		{"cycles below base", func(r *Record) { r.Configs[2].Cycles = r.BaseCycles - 1 }, false},
+		{"hits + misses != accesses", func(r *Record) { r.Configs[7].Hits++ }, false},
+		{"hits overflow accesses", func(r *Record) {
+			r.Configs[7].Hits, r.Configs[7].Misses = math.MaxUint64, r.Accesses+1
+		}, false},
+		{"L2 split != misses", func(r *Record) { r.Configs[1].L2Hits = 1 }, false},
+		{"configs out of order", func(r *Record) { r.Configs[0], r.Configs[1] = r.Configs[1], r.Configs[0] }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *fresh
+			bad.Records = append([]Record(nil), fresh.Records...)
+			bad.Records[0].Configs = append([]ConfigResult(nil), fresh.Records[0].Configs...)
+			tc.corrupt(&bad.Records[0])
+			if validCached(&bad, variants) {
+				t.Fatal("corrupt DB accepted")
+			}
+			dir := t.TempDir()
+			err := SaveCached(dir, key, &bad)
+			if tc.nonFinite {
+				if err == nil {
+					t.Fatal("a non-finite energy was written to the cache")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, fromCache, err := CharacterizeCached(variants, em, Options{}, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fromCache {
+				t.Fatal("corrupt entry served as a cache hit")
+			}
+			if !reflect.DeepEqual(db, fresh) {
+				t.Fatal("recomputed DB differs from a fresh build")
+			}
+			if _, fromCache, _ := CharacterizeCached(variants, em, Options{}, dir); !fromCache {
+				t.Fatal("recompute did not repair the entry")
+			}
+		})
 	}
 }

@@ -17,10 +17,13 @@ var (
 func mustL2(t testing.TB) *DB {
 	t.Helper()
 	l2Once.Do(func() {
-		l2DB, l2Err = CharacterizeWithOptions(
-			CanonicalVariants(), energy.NewDefault(),
-			Options{L2: energy.NewL2Default()},
-		)
+		em := energy.NewDefault()
+		l2, err := energy.NewL2(em, energy.DefaultL2Params())
+		if err != nil {
+			l2Err = err
+			return
+		}
+		l2DB, l2Err = CharacterizeWithOptions(CanonicalVariants(), em, Options{L2: l2})
 	})
 	if l2Err != nil {
 		t.Fatal(l2Err)

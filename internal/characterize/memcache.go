@@ -187,21 +187,6 @@ func (c *MemCache) insertLocked(key string, db *DB) {
 	}
 }
 
-// Waiters reports the current per-key wait counter: how many callers are
-// blocked on key's in-flight computation right now (0 when none is in
-// flight). Exposed for tests and diagnostics.
-func (c *MemCache) Waiters(key string) int {
-	if c == nil {
-		return 0
-	}
-	c.lock()
-	defer c.unlock()
-	if f, ok := c.inflight[key]; ok {
-		return f.waiters
-	}
-	return 0
-}
-
 // Stats snapshots the counters. Safe for concurrent use.
 func (c *MemCache) Stats() MemStats {
 	if c == nil {

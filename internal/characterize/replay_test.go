@@ -12,7 +12,7 @@ import (
 
 // The replay reference: the kernel's trace is recorded, then replayed once
 // per Table 1 configuration on an independent single-configuration
-// simulator (cache.L1 or cache.HierarchyL2). It is the oracle the
+// simulator (cache.L1, or a one-core cache.SharedHierarchy). It is the oracle the
 // equivalence tests (engine_test.go) hold the stream path against, and it
 // runs on the same worker pool, so BenchmarkCharacterizeOneKernelReplay
 // stays comparable with BenchmarkCharacterizeOneKernel.
@@ -99,13 +99,18 @@ func replayL1(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.Mode
 // accesses.
 func replayL2(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.L2Model) (ConfigResult, error) {
 	replays.Add(1)
-	h, err := cache.NewHierarchyL2(cfg, em.L2Params().Config)
+	// One core over its own L2 is the private two-level hierarchy.
+	h, err := cache.NewSharedHierarchy(1, cfg, em.L2Params().Config)
 	if err != nil {
 		return ConfigResult{}, err
 	}
 	var l1Hits, l2Hits, offChip uint64
 	for _, a := range tr.Accesses {
-		switch r := h.Access(a.Addr, a.Write); {
+		r, err := h.Access(0, a.Addr, a.Write)
+		if err != nil {
+			return ConfigResult{}, err
+		}
+		switch {
 		case r.L1Hit:
 			l1Hits++
 		case r.L2Hit:

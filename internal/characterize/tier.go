@@ -125,16 +125,6 @@ func (t *Tier) Characterize(variants []Variant) (*DB, Source, error) {
 	return db, SourceComputed, nil
 }
 
-// Key exposes the tier's content key for a variant set — the coalescing
-// identity batch handlers and tests reason about.
-func (t *Tier) Key(variants []Variant) (string, error) {
-	return CacheKey(variants, t.em, t.opts)
-}
-
-// Waiters reports how many callers are currently blocked on an in-flight
-// computation for the given key (0 when the memory tier is disabled).
-func (t *Tier) Waiters(key string) int { return t.mem.Waiters(key) }
-
 // TierStats is the /metrics and /healthz snapshot of the full path.
 type TierStats struct {
 	// Requests counts Characterize calls; Computed counts the full

@@ -86,7 +86,7 @@ func TestFormatClusterSpecRoundTrip(t *testing.T) {
 
 func TestScorerKindFlagValue(t *testing.T) {
 	var k ScorerKind
-	for _, name := range ScorerNames() {
+	for _, name := range scorerNames {
 		if err := k.Set(name); err != nil {
 			t.Fatal(err)
 		}

@@ -48,9 +48,6 @@ func (k ScorerKind) String() string {
 	return fmt.Sprintf("scorer(%d)", int(k))
 }
 
-// ScorerNames lists the valid scorer names in canonical order.
-func ScorerNames() []string { return append([]string(nil), scorerNames[:]...) }
-
 // ParseScorer is the inverse of ScorerKind.String.
 func ParseScorer(s string) (ScorerKind, error) {
 	for i, name := range scorerNames {

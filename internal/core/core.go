@@ -138,13 +138,6 @@ func (c *SimCore) Idle(now uint64) bool { return c.job == nil && !c.failed && !c
 // Failed reports an in-progress transient outage.
 func (c *SimCore) Failed() bool { return c.failed }
 
-// Dead reports permanent loss.
-func (c *SimCore) Dead() bool { return c.dead }
-
-// Stuck reports jammed reconfiguration hardware: the core still executes,
-// but only in its currently loaded configuration.
-func (c *SimCore) Stuck() bool { return c.stuck }
-
 // BusyUntil returns the completion time of the current execution.
 func (c *SimCore) BusyUntil() uint64 { return c.busyUntil }
 
@@ -310,11 +303,6 @@ func (m Metrics) TurnaroundPercentile(p float64) uint64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// BusyEnergy is the non-idle portion.
-func (m Metrics) BusyEnergy() float64 {
-	return m.DynamicEnergy + m.StaticEnergy + m.CoreEnergy + m.ProfilingEnergy
 }
 
 // Simulator drives one system over one workload. It is single-use: build,

@@ -47,16 +47,6 @@ func (o OraclePredictor) PredictSizeKB(f stats.Features) (int, error) {
 	return o.DB.Records[best].BestSizeKB(), nil
 }
 
-// FixedPredictor always predicts the same size (degenerate ablation).
-type FixedPredictor struct {
-	SizeKB int
-}
-
-// PredictSizeKB implements Predictor.
-func (p FixedPredictor) PredictSizeKB(stats.Features) (int, error) {
-	return p.SizeKB, nil
-}
-
 // ExperimentConfig shapes a four-system comparison run.
 type ExperimentConfig struct {
 	// Arrivals is the workload length (paper: 5000).
@@ -95,17 +85,12 @@ func (r *ExperimentResult) Systems() []Metrics {
 	return []Metrics{r.Base, r.Optimal, r.EnergyCentric, r.Proposed}
 }
 
-// RunExperiment executes all four systems of Section V on an identical
-// workload: base (all cores fixed at 8KB_4W_64B), optimal (exhaustive
-// search, never stalls), energy-centric (ANN, always stalls for the best
-// core) and proposed (ANN + energy-advantageous decision).
-func RunExperiment(db *characterize.DB, em *energy.Model, pred Predictor, cfg ExperimentConfig) (*ExperimentResult, error) {
-	return RunExperimentContext(context.Background(), db, em, pred, cfg)
-}
-
-// RunExperimentContext is RunExperiment honoring cancellation: the context
-// is checked between systems and at every job-dispatch boundary within a
-// simulation. All four systems share one fault plan (and so, the plan
+// RunExperimentContext executes all four systems of Section V on an
+// identical workload: base (all cores fixed at 8KB_4W_64B), optimal
+// (exhaustive search, never stalls), energy-centric (ANN, always stalls for
+// the best core) and proposed (ANN + energy-advantageous decision). The
+// context is checked between systems and at every job-dispatch boundary
+// within a simulation. All four systems share one fault plan (and so, the plan
 // being state-independent, one fault timeline).
 func RunExperimentContext(ctx context.Context, db *characterize.DB, em *energy.Model, pred Predictor, cfg ExperimentConfig) (*ExperimentResult, error) {
 	if cfg.Arrivals == 0 {

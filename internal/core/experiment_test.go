@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"hetsched/internal/energy"
@@ -17,7 +18,7 @@ func TestExperimentReproducesPaperShapes(t *testing.T) {
 	db := testDB(t)
 	cfg := DefaultExperimentConfig()
 	cfg.Arrivals = 2000
-	res, err := RunExperiment(db, energy.NewDefault(), OraclePredictor{DB: db}, cfg)
+	res, err := RunExperimentContext(context.Background(), db, energy.NewDefault(), OraclePredictor{DB: db}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestExperimentReproducesPaperShapes(t *testing.T) {
 
 func TestExperimentValidation(t *testing.T) {
 	db := testDB(t)
-	if _, err := RunExperiment(db, energy.NewDefault(), nil, DefaultExperimentConfig()); err == nil {
+	if _, err := RunExperimentContext(context.Background(), db, energy.NewDefault(), nil, DefaultExperimentConfig()); err == nil {
 		t.Error("experiment without predictor accepted")
 	}
 }
@@ -146,7 +147,7 @@ func TestOrderingRobustAcrossSeeds(t *testing.T) {
 		cfg := DefaultExperimentConfig()
 		cfg.Arrivals = 1200
 		cfg.Seed = seed
-		res, err := RunExperiment(db, energy.NewDefault(), OraclePredictor{DB: db}, cfg)
+		res, err := RunExperimentContext(context.Background(), db, energy.NewDefault(), OraclePredictor{DB: db}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -212,11 +212,11 @@ func (OptimalPolicy) Decide(s *Simulator, job *Job) (Decision, error) {
 	return Decision{Place: true, CoreID: fallback.ID, Config: fallbackCfg}, nil
 }
 
-// designByName is Table 1 in the order of profile.Entry.ExploredConfigs
-// (by String()), so the explored-best scans below break energy ties the
-// same way without collecting and sorting the explored set per call. Every
-// recorded execution is a Table 1 configuration: the simulator records
-// only configurations its characterization record holds.
+// designByName is Table 1 in String() order, so the explored-best scans
+// below break energy ties by configuration name without collecting and
+// sorting the explored set per call. Every recorded execution is a Table 1
+// configuration: the simulator records only configurations its
+// characterization record holds.
 var designByName = func() []cache.Config {
 	out := slices.Clone(cache.DesignSpace())
 	slices.SortFunc(out, func(a, b cache.Config) int { return strings.Compare(a.String(), b.String()) })

@@ -106,8 +106,8 @@ func TestPreloadRequiresPredictorForPrediction(t *testing.T) {
 	if err := sim.Preload(false); err != nil {
 		t.Fatal(err)
 	}
-	entry := sim.Table.Lookup(0)
-	if entry == nil || !entry.Profiled {
+	entry := sim.Table.Ensure(0)
+	if !entry.Profiled {
 		t.Fatal("profile not preloaded")
 	}
 	if entry.PredictedSizeKB != 0 {

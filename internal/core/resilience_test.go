@@ -60,12 +60,12 @@ func TestZeroPlanExperimentIdentical(t *testing.T) {
 	em := energy.NewDefault()
 	pred := OraclePredictor{DB: db}
 	cfg := ExperimentConfig{Arrivals: 300, Utilization: 0.7, Seed: 5}
-	a, err := RunExperiment(db, em, pred, cfg)
+	a, err := RunExperimentContext(context.Background(), db, em, pred, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Sim.Faults = fault.Plan{Seed: 123} // still disabled
-	b, err := RunExperiment(db, em, pred, cfg)
+	b, err := RunExperimentContext(context.Background(), db, em, pred, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestFaultedExperimentAllSystems(t *testing.T) {
 	db := testDB(t)
 	cfg := ExperimentConfig{Arrivals: 300, Utilization: 0.7, Seed: 5}
 	cfg.Sim.Faults = fault.Plan{Seed: 4, TransientMTTF: 2_000_000, RecoveryCycles: 80_000, StuckMTTF: 30_000_000, CounterNoise: 0.05}
-	res, err := RunExperiment(db, energy.NewDefault(), OraclePredictor{DB: db}, cfg)
+	res, err := RunExperimentContext(context.Background(), db, energy.NewDefault(), OraclePredictor{DB: db}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

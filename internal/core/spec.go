@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -179,20 +178,4 @@ func (s SystemSpec) SimConfig() SimConfig {
 		cfg.ProfilingCycles = 2000
 	}
 	return cfg
-}
-
-// SizeClasses returns the distinct core sizes present in the spec in
-// ascending order — the fallback ladder the resilient scheduler walks when
-// a predicted size has no surviving cores.
-func (s SystemSpec) SizeClasses() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, kb := range s.CoreSizesKB {
-		if !seen[kb] {
-			seen[kb] = true
-			out = append(out, kb)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

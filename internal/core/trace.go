@@ -25,9 +25,6 @@ type VotePredictor interface {
 	MemberVotes(f stats.Features) (map[int]int, error)
 }
 
-// Tracer returns the run's decision recorder, nil when tracing is off.
-func (s *Simulator) Tracer() *trace.Recorder { return s.tr }
-
 // traceEnqueue records a job entering the ready queue (arrival or
 // post-fault re-queue).
 func (s *Simulator) traceEnqueue(job *Job) {

@@ -278,16 +278,19 @@ func TestKernelMissRatesOrderedBySize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	missFor := func(cfg string) uint64 {
-		c := cache.MustNewL1(cache.MustParseConfig(cfg))
+	missFor := func(sizeKB int) uint64 {
+		c, err := cache.NewL1(cache.Config{SizeKB: sizeKB, Ways: 1, LineBytes: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, a := range tr.Accesses {
 			c.Access(a.Addr, a.Write)
 		}
 		return c.Stats().Misses
 	}
-	m2 := missFor("2KB_1W_32B")
-	m4 := missFor("4KB_1W_32B")
-	m8 := missFor("8KB_1W_32B")
+	m2 := missFor(2)
+	m4 := missFor(4)
+	m8 := missFor(8)
 	if !(m8 <= m4 && m4 <= m2) {
 		t.Errorf("misses not monotone: 2KB=%d 4KB=%d 8KB=%d", m2, m4, m8)
 	}

@@ -90,7 +90,7 @@ func TestConvenEncodesDeterministically(t *testing.T) {
 			t.Fatal(err)
 		}
 		// First encoded output word.
-		w, err := machine.PeekWord(uint64(256 + 256*4))
+		w, err := peekWord(machine, uint64(256+256*4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestFbitalAllocatesBudget(t *testing.T) {
 	// Sum allocated bits == the 48-round budget.
 	total := int32(0)
 	for i := 0; i < 768; i++ {
-		v, err := machine.PeekWord(uint64(768*4 + i*4))
+		v, err := peekWord(machine, uint64(768*4+i*4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestViterbMetricsStayBounded(t *testing.T) {
 	// Path metrics grow by at most 3 per step; after 2*448 steps they must
 	// stay below initial(1000) + 3*896.
 	for s := 0; s < 64; s++ {
-		m, err := machine.PeekWord(uint64(s * 4))
+		m, err := peekWord(machine, uint64(s*4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,16 +13,16 @@ func TestMissPenaltyMatchesPaperFormula(t *testing.T) {
 	m := NewDefault()
 	// missLatency=40, bandwidth = 50% of 40 = 20 per 16B beat.
 	cases := []struct {
-		cfg  string
+		cfg  cache.Config
 		want uint64
 	}{
-		{"8KB_4W_16B", 40 + 1*20},
-		{"8KB_4W_32B", 40 + 2*20},
-		{"8KB_4W_64B", 40 + 4*20},
-		{"2KB_1W_16B", 40 + 1*20},
+		{cache.Config{SizeKB: 8, Ways: 4, LineBytes: 16}, 40 + 1*20},
+		{cache.Config{SizeKB: 8, Ways: 4, LineBytes: 32}, 40 + 2*20},
+		{cache.Config{SizeKB: 8, Ways: 4, LineBytes: 64}, 40 + 4*20},
+		{cache.Config{SizeKB: 2, Ways: 1, LineBytes: 16}, 40 + 1*20},
 	}
 	for _, tc := range cases {
-		got := m.MissPenaltyCycles(cache.MustParseConfig(tc.cfg))
+		got := m.MissPenaltyCycles(tc.cfg)
 		if got != tc.want {
 			t.Errorf("MissPenaltyCycles(%s) = %d, want %d", tc.cfg, got, tc.want)
 		}
@@ -81,7 +81,7 @@ func TestMissEnergyComponents(t *testing.T) {
 
 func TestDynamicEnergyDecomposition(t *testing.T) {
 	m := NewDefault()
-	c := cache.MustParseConfig("4KB_2W_32B")
+	c := cache.Config{SizeKB: 4, Ways: 2, LineBytes: 32}
 	hits, misses := uint64(9000), uint64(1000)
 	got := m.DynamicEnergy(c, hits, misses)
 	want := float64(hits)*m.Cacti().HitEnergy(c) + float64(misses)*m.MissEnergy(c)
@@ -128,7 +128,7 @@ func TestIdleEnergyBelowBusy(t *testing.T) {
 
 func TestExecCycles(t *testing.T) {
 	m := NewDefault()
-	c := cache.MustParseConfig("2KB_1W_64B")
+	c := cache.Config{SizeKB: 2, Ways: 1, LineBytes: 64}
 	base := uint64(100000)
 	got := m.ExecCycles(base, c, 100)
 	want := base + 100*m.MissPenaltyCycles(c)

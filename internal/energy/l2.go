@@ -83,15 +83,6 @@ func NewL2(m *Model, p L2Params) (*L2Model, error) {
 	return &L2Model{Model: m, l2: p}, nil
 }
 
-// NewL2Default wraps the default model with default L2 parameters.
-func NewL2Default() *L2Model {
-	m, err := NewL2(NewDefault(), DefaultL2Params())
-	if err != nil {
-		panic(err) // unreachable: defaults are valid
-	}
-	return m
-}
-
 // L2Params returns the extension constants.
 func (m *L2Model) L2Params() L2Params { return m.l2 }
 

@@ -71,7 +71,7 @@ func TestL2ServiceEnergiesOrdered(t *testing.T) {
 
 func TestDynamicEnergyL2ReducesToL1Model(t *testing.T) {
 	m := NewL2Default()
-	c := cache.MustParseConfig("4KB_2W_32B")
+	c := cache.Config{SizeKB: 4, Ways: 2, LineBytes: 32}
 	// With every miss going off-chip, the L2 model exceeds the L1-only
 	// model exactly by the L2 fill energy per miss.
 	l1Hits, misses := uint64(9_000), uint64(1_000)
@@ -105,7 +105,7 @@ func TestL2SoftensMissPenalty(t *testing.T) {
 	// relative to the L1-only model, since their misses no longer pay the
 	// full off-chip cost.
 	m := NewL2Default()
-	small := cache.MustParseConfig("2KB_1W_16B")
+	small := cache.Config{SizeKB: 2, Ways: 1, LineBytes: 16}
 	hits, misses := uint64(50_000), uint64(10_000)
 	cyclesL1 := m.ExecCycles(100_000, small, misses)
 	totalL1 := m.Total(small, hits, misses, cyclesL1)

@@ -1,5 +1,9 @@
 package isa
 
+// Test-only API: the text assembler, whose syntax is Disassemble's output
+// plus labels and comments. No program reads it; the tests and FuzzAssemble
+// use it to write programs as text.
+
 import (
 	"fmt"
 	"strconv"

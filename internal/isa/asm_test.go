@@ -142,76 +142,6 @@ func TestAssembleEmptyAndCommentsOnly(t *testing.T) {
 	}
 }
 
-// TestBuilderEveryMethod drives each builder method once and round-trips
-// the result through the disassembler and assembler.
-func TestBuilderEveryMethod(t *testing.T) {
-	p := NewBuilder("all").
-		Nop().
-		Li(R1, 3).
-		Add(R2, R1, R1).
-		Sub(R3, R2, R1).
-		Mul(R4, R2, R3).
-		Div(R5, R4, R1).
-		Rem(R6, R4, R2).
-		And(R7, R4, R2).
-		Or(R8, R4, R2).
-		Xor(R9, R4, R2).
-		Shl(R10, R1, R1).
-		Shr(R11, R10, R1).
-		Addi(R12, R1, 4).
-		Andi(R13, R12, 6).
-		Ori(R14, R12, 1).
-		Xori(R15, R12, 3).
-		Shli(R16, R1, 2).
-		Shri(R17, R16, 1).
-		Lw(R18, R0, 0).
-		Sw(R18, R0, 4).
-		Lb(R19, R0, 8).
-		Sb(R19, R0, 9).
-		Flw(F1, R0, 16).
-		Fsw(F1, R0, 24).
-		Fadd(F2, F1, F1).
-		Fsub(F3, F2, F1).
-		Fmul(F4, F2, F3).
-		Fdiv(F5, F4, F2).
-		Fmov(F6, F5).
-		Itof(F7, R1).
-		Ftoi(R20, F7).
-		Beq(R1, R1, "end").
-		Bne(R1, R2, "end").
-		Blt(R1, R2, "end").
-		Bge(R2, R1, "end").
-		Fblt(F1, F2, "end").
-		Fbge(F2, F1, "end").
-		Jmp("end").
-		Label("end").
-		Halt().
-		MustBuild()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Disassemble, strip indices, reassemble, compare.
-	var lines []string
-	for _, line := range strings.Split(p.Disassemble(), "\n") {
-		if i := strings.Index(line, ":"); i >= 0 {
-			line = line[i+1:]
-		}
-		lines = append(lines, line)
-	}
-	got, err := Assemble("all", strings.Join(lines, "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != p.Len() {
-		t.Fatalf("round trip %d instrs, want %d", got.Len(), p.Len())
-	}
-	for i := range p.Instrs {
-		if got.Instrs[i] != p.Instrs[i] {
-			t.Errorf("instr %d: %+v != %+v", i, got.Instrs[i], p.Instrs[i])
-		}
-	}
-}
-
 func TestAssembledProgramExecutes(t *testing.T) {
 	// End-to-end: assemble and run on the VM via the eembc-independent
 	// path (validated by the vm package tests; here we just check the

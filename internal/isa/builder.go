@@ -44,9 +44,6 @@ func (b *Builder) emitBranch(in Instr, label string) *Builder {
 	return b.emit(in)
 }
 
-// Nop appends a no-op.
-func (b *Builder) Nop() *Builder { return b.emit(Instr{Op: NOP}) }
-
 // Halt appends program termination.
 func (b *Builder) Halt() *Builder { return b.emit(Instr{Op: HALT}) }
 
@@ -75,11 +72,6 @@ func (b *Builder) Rem(rd, rs1, rs2 Reg) *Builder {
 	return b.emit(Instr{Op: REM, Rd: rd, Rs1: rs1, Rs2: rs2})
 }
 
-// And appends rd = rs1 & rs2.
-func (b *Builder) And(rd, rs1, rs2 Reg) *Builder {
-	return b.emit(Instr{Op: AND, Rd: rd, Rs1: rs1, Rs2: rs2})
-}
-
 // Or appends rd = rs1 | rs2.
 func (b *Builder) Or(rd, rs1, rs2 Reg) *Builder {
 	return b.emit(Instr{Op: OR, Rd: rd, Rs1: rs1, Rs2: rs2})
@@ -88,16 +80,6 @@ func (b *Builder) Or(rd, rs1, rs2 Reg) *Builder {
 // Xor appends rd = rs1 ^ rs2.
 func (b *Builder) Xor(rd, rs1, rs2 Reg) *Builder {
 	return b.emit(Instr{Op: XOR, Rd: rd, Rs1: rs1, Rs2: rs2})
-}
-
-// Shl appends rd = rs1 << (rs2 & 63).
-func (b *Builder) Shl(rd, rs1, rs2 Reg) *Builder {
-	return b.emit(Instr{Op: SHL, Rd: rd, Rs1: rs1, Rs2: rs2})
-}
-
-// Shr appends rd = rs1 >> (rs2 & 63) (arithmetic).
-func (b *Builder) Shr(rd, rs1, rs2 Reg) *Builder {
-	return b.emit(Instr{Op: SHR, Rd: rd, Rs1: rs1, Rs2: rs2})
 }
 
 // Addi appends rd = rs1 + imm.
@@ -113,11 +95,6 @@ func (b *Builder) Andi(rd, rs1 Reg, imm int64) *Builder {
 // Ori appends rd = rs1 | imm.
 func (b *Builder) Ori(rd, rs1 Reg, imm int64) *Builder {
 	return b.emit(Instr{Op: ORI, Rd: rd, Rs1: rs1, Imm: imm})
-}
-
-// Xori appends rd = rs1 ^ imm.
-func (b *Builder) Xori(rd, rs1 Reg, imm int64) *Builder {
-	return b.emit(Instr{Op: XORI, Rd: rd, Rs1: rs1, Imm: imm})
 }
 
 // Shli appends rd = rs1 << imm.
@@ -220,11 +197,6 @@ func (b *Builder) Itof(fd FReg, rs1 Reg) *Builder {
 	return b.emit(Instr{Op: ITOF, Fd: fd, Rs1: rs1})
 }
 
-// Ftoi appends rd = int64(fs1).
-func (b *Builder) Ftoi(rd Reg, fs1 FReg) *Builder {
-	return b.emit(Instr{Op: FTOI, Rd: rd, Fs1: fs1})
-}
-
 // Fblt appends a branch to label when fs1 < fs2.
 func (b *Builder) Fblt(fs1, fs2 FReg, label string) *Builder {
 	return b.emitBranch(Instr{Op: FBLT, Fs1: fs1, Fs2: fs2}, label)
@@ -252,13 +224,4 @@ func (b *Builder) Build() (*Program, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// MustBuild is Build for statically known-good programs; panics on error.
-func (b *Builder) MustBuild() *Program {
-	p, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

@@ -252,16 +252,6 @@ type Program struct {
 // Len returns the instruction count.
 func (p *Program) Len() int { return len(p.Instrs) }
 
-// Disassemble renders the whole program, one instruction per line with
-// instruction indices, for debugging and golden tests.
-func (p *Program) Disassemble() string {
-	out := ""
-	for i, in := range p.Instrs {
-		out += fmt.Sprintf("%4d: %s\n", i, in.String())
-	}
-	return out
-}
-
 // Mix returns the static instruction mix of the program by counter class —
 // the compile-time complement to the VM's dynamic counters.
 func (p *Program) Mix() map[Class]int {

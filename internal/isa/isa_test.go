@@ -12,7 +12,7 @@ func TestBuilderResolvesForwardAndBackwardLabels(t *testing.T) {
 		Addi(R1, R1, 1).
 		Blt(R1, R2, "loop"). // backward
 		Beq(R0, R0, "end").  // forward
-		Nop().
+		Li(R3, 0).
 		Label("end").
 		Halt().
 		Build()
@@ -35,7 +35,7 @@ func TestBuilderUndefinedLabel(t *testing.T) {
 }
 
 func TestBuilderDuplicateLabel(t *testing.T) {
-	_, err := NewBuilder("dup").Label("x").Nop().Label("x").Halt().Build()
+	_, err := NewBuilder("dup").Label("x").Halt().Label("x").Halt().Build()
 	if err == nil || !strings.Contains(err.Error(), "redefined") {
 		t.Errorf("want redefined-label error, got %v", err)
 	}
@@ -94,6 +94,8 @@ func TestClassOfCoversAllOpcodes(t *testing.T) {
 	}
 }
 
+// TestDisassembleFormats pins Instr.String, the disassembly the kernel
+// tests print.
 func TestDisassembleFormats(t *testing.T) {
 	p := NewBuilder("dis").
 		Li(R1, 42).
@@ -106,8 +108,7 @@ func TestDisassembleFormats(t *testing.T) {
 		Label("end").
 		Halt().
 		MustBuild()
-	dis := p.Disassemble()
-	for _, want := range []string{
+	for i, want := range []string{
 		"li r1, 42",
 		"lw r2, 8(r1)",
 		"sw r2, 12(r1)",
@@ -117,8 +118,8 @@ func TestDisassembleFormats(t *testing.T) {
 		"beq r1, r2, @7",
 		"halt",
 	} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, dis)
+		if got := p.Instrs[i].String(); got != want {
+			t.Errorf("instr %d disassembles to %q, want %q", i, got, want)
 		}
 	}
 }
@@ -160,4 +161,80 @@ func TestMustBuildPanicsOnError(t *testing.T) {
 		}
 	}()
 	NewBuilder("p").Jmp("nope").MustBuild()
+}
+
+// TestBuilderEveryMethod drives each builder method once, checks the
+// opcode each one emits, and round-trips the result through the
+// disassembler and assembler.
+func TestBuilderEveryMethod(t *testing.T) {
+	p := NewBuilder("all").
+		Li(R1, 3).
+		Add(R2, R1, R1).
+		Sub(R3, R2, R1).
+		Mul(R4, R2, R3).
+		Div(R5, R4, R1).
+		Rem(R6, R4, R2).
+		Or(R8, R4, R2).
+		Xor(R9, R4, R2).
+		Addi(R12, R1, 4).
+		Andi(R13, R12, 6).
+		Ori(R14, R12, 1).
+		Shli(R16, R1, 2).
+		Shri(R17, R16, 1).
+		Lw(R18, R0, 0).
+		Sw(R18, R0, 4).
+		Lb(R19, R0, 8).
+		Sb(R19, R0, 9).
+		Flw(F1, R0, 16).
+		Fsw(F1, R0, 24).
+		Fadd(F2, F1, F1).
+		Fsub(F3, F2, F1).
+		Fmul(F4, F2, F3).
+		Fdiv(F5, F4, F2).
+		Fmov(F6, F5).
+		Itof(F7, R1).
+		Beq(R1, R1, "end").
+		Bne(R1, R2, "end").
+		Blt(R1, R2, "end").
+		Bge(R2, R1, "end").
+		Fblt(F1, F2, "end").
+		Fbge(F2, F1, "end").
+		Jmp("end").
+		Label("end").
+		Halt().
+		MustBuild()
+	want := []Op{LI, ADD, SUB, MUL, DIV, REM, OR, XOR, ADDI, ANDI, ORI, SHLI, SHRI,
+		LW, SW, LB, SB, FLW, FSW, FADD, FSUB, FMUL, FDIV, FMOV, ITOF,
+		BEQ, BNE, BLT, BGE, FBLT, FBGE, JMP, HALT}
+	if p.Len() != len(want) {
+		t.Fatalf("built %d instrs, want %d", p.Len(), len(want))
+	}
+	for i, op := range want {
+		if p.Instrs[i].Op != op {
+			t.Errorf("instr %d = %v, want %v", i, p.Instrs[i].Op, op)
+		}
+	}
+	if end := len(want) - 1; p.Instrs[end-1].Target != end {
+		t.Errorf("jmp target %d, want %d", p.Instrs[end-1].Target, end)
+	}
+	// Disassemble, strip indices, reassemble, compare.
+	var lines []string
+	for _, line := range strings.Split(p.Disassemble(), "\n") {
+		if i := strings.Index(line, ":"); i >= 0 {
+			line = line[i+1:]
+		}
+		lines = append(lines, line)
+	}
+	got, err := Assemble("all", strings.Join(lines, "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != p.Len() {
+		t.Fatalf("round trip %d instrs, want %d", got.Len(), p.Len())
+	}
+	for i := range p.Instrs {
+		if got.Instrs[i] != p.Instrs[i] {
+			t.Errorf("instr %d: %+v != %+v", i, got.Instrs[i], p.Instrs[i])
+		}
+	}
 }

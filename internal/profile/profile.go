@@ -12,7 +12,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"hetsched/internal/cache"
 	"hetsched/internal/stats"
@@ -54,12 +53,6 @@ type Table struct {
 // NewTable returns an empty profiling table.
 func NewTable() *Table {
 	return &Table{entries: map[int]*Entry{}}
-}
-
-// Lookup returns the entry for an application, or nil if the application
-// has never been seen.
-func (t *Table) Lookup(appID int) *Entry {
-	return t.entries[appID]
 }
 
 // Ensure returns the entry for appID, creating an empty one if needed.
@@ -120,20 +113,6 @@ func (e *Entry) Execution(cfg cache.Config) (ConfigInfo, bool) {
 	return ci, ok
 }
 
-// ExploredCount returns how many distinct configurations have been executed.
-func (e *Entry) ExploredCount() int { return len(e.explored) }
-
-// ExploredConfigs returns the explored configurations in deterministic
-// (design-space string) order.
-func (e *Entry) ExploredConfigs() []cache.Config {
-	out := make([]cache.Config, 0, len(e.explored))
-	for c := range e.explored {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
 // Tuner returns the resumable tuning state for a core size, creating it on
 // first use.
 func (e *Entry) Tuner(sizeKB int) (*tuner.Tuner, error) {
@@ -163,16 +142,4 @@ func (e *Entry) BestForSize(sizeKB int) (ConfigInfo, bool) {
 	}
 	ci, ok := e.explored[cfg]
 	return ci, ok
-}
-
-// KnowsBestForAll reports whether the best configuration is known for every
-// listed core size — the precondition for the energy-advantageous decision
-// to trust its comparison (Section IV.E).
-func (e *Entry) KnowsBestForAll(sizes []int) bool {
-	for _, s := range sizes {
-		if _, ok := e.BestForSize(s); !ok {
-			return false
-		}
-	}
-	return true
 }

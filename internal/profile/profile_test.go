@@ -59,7 +59,7 @@ func TestSetPredictionValidation(t *testing.T) {
 
 func TestRecordExecutionAndLookup(t *testing.T) {
 	e := NewTable().Ensure(0)
-	cfg := cache.MustParseConfig("4KB_2W_32B")
+	cfg := cache.Config{SizeKB: 4, Ways: 2, LineBytes: 32}
 	if err := e.RecordExecution(cfg, 123.5, 9999); err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,13 @@ func TestRecordExecutionAndLookup(t *testing.T) {
 
 func TestExploredConfigsDeterministicOrder(t *testing.T) {
 	e := NewTable().Ensure(0)
-	configs := []string{"8KB_4W_64B", "2KB_1W_16B", "4KB_2W_32B"}
-	for _, s := range configs {
-		if err := e.RecordExecution(cache.MustParseConfig(s), 1, 1); err != nil {
+	configs := []cache.Config{
+		{SizeKB: 8, Ways: 4, LineBytes: 64},
+		{SizeKB: 2, Ways: 1, LineBytes: 16},
+		{SizeKB: 4, Ways: 2, LineBytes: 32},
+	}
+	for _, c := range configs {
+		if err := e.RecordExecution(c, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,11 +39,6 @@ func Pack(addr uint64, write bool) uint64 {
 	return p
 }
 
-// Unpack decodes one packed access.
-func Unpack(p uint64) (addr uint64, write bool) {
-	return p >> 1, p&1 == 1
-}
-
 // Access implements MemSink.
 func (t *FlatTrace) Access(addr uint64, write bool) {
 	if t.memoLen == len(t.Packed) {
@@ -135,13 +130,6 @@ type BatchSink interface {
 	AccessBatch(packed []uint64)
 }
 
-// Replay feeds the trace into a per-access sink (compatibility path).
-func (t *FlatTrace) Replay(s MemSink) {
-	for _, p := range t.Packed {
-		s.Access(p>>1, p&1 == 1)
-	}
-}
-
 // ReplayBatch hands the whole packed trace to a batch sink in one call.
 func (t *FlatTrace) ReplayBatch(s BatchSink) { s.AccessBatch(t.Packed) }
 
@@ -152,14 +140,4 @@ func (t *Trace) Flatten() *FlatTrace {
 		f.Access(a.Addr, a.Write)
 	}
 	return f
-}
-
-// Unflatten converts back to the structured representation (tests and
-// tooling; the hot paths stay packed).
-func (t *FlatTrace) Unflatten() *Trace {
-	out := &Trace{Accesses: make([]Access, 0, t.Len())}
-	for _, p := range t.Packed {
-		out.Accesses = append(out.Accesses, Access{Addr: p >> 1, Write: p&1 == 1})
-	}
-	return out
 }

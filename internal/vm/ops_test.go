@@ -6,6 +6,21 @@ import (
 	"hetsched/internal/isa"
 )
 
+// mustBuild is Build for statically known-good programs; it panics on error.
+func mustBuild(b *isa.Builder) *isa.Program {
+	p, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// program is a straight-line program of ins followed by HALT, for the
+// opcodes no kernel emits and so no Builder method spells.
+func program(name string, ins ...isa.Instr) *isa.Program {
+	return &isa.Program{Name: name, Instrs: append(ins, isa.Instr{Op: isa.HALT})}
+}
+
 // runProg executes a fresh program on a small VM and returns it for
 // register inspection.
 func runProg(t *testing.T, p *isa.Program) *VM {
@@ -18,25 +33,30 @@ func runProg(t *testing.T, p *isa.Program) *VM {
 }
 
 func TestIntegerALUSemantics(t *testing.T) {
-	p := isa.NewBuilder("alu").
-		Li(isa.R1, 13).
-		Li(isa.R2, 5).
-		Sub(isa.R3, isa.R1, isa.R2).   // 8
-		Mul(isa.R4, isa.R1, isa.R2).   // 65
-		Div(isa.R5, isa.R1, isa.R2).   // 2
-		Rem(isa.R6, isa.R1, isa.R2).   // 3
-		And(isa.R7, isa.R1, isa.R2).   // 5
-		Or(isa.R8, isa.R1, isa.R2).    // 13
-		Xor(isa.R9, isa.R1, isa.R2).   // 8
-		Shl(isa.R10, isa.R1, isa.R2).  // 13<<5 = 416
-		Shr(isa.R11, isa.R10, isa.R2). // 416>>5 = 13
-		Andi(isa.R12, isa.R1, 6).      // 4
-		Ori(isa.R13, isa.R1, 2).       // 15
-		Xori(isa.R14, isa.R1, 1).      // 12
-		Shli(isa.R15, isa.R2, 2).      // 20
-		Shri(isa.R16, isa.R1, 1).      // 6
-		Halt().
-		MustBuild()
+	rrr := func(op isa.Op, rd, rs1, rs2 isa.Reg) isa.Instr {
+		return isa.Instr{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}
+	}
+	rri := func(op isa.Op, rd, rs1 isa.Reg, imm int64) isa.Instr {
+		return isa.Instr{Op: op, Rd: rd, Rs1: rs1, Imm: imm}
+	}
+	p := program("alu",
+		isa.Instr{Op: isa.LI, Rd: isa.R1, Imm: 13},
+		isa.Instr{Op: isa.LI, Rd: isa.R2, Imm: 5},
+		rrr(isa.SUB, isa.R3, isa.R1, isa.R2),   // 8
+		rrr(isa.MUL, isa.R4, isa.R1, isa.R2),   // 65
+		rrr(isa.DIV, isa.R5, isa.R1, isa.R2),   // 2
+		rrr(isa.REM, isa.R6, isa.R1, isa.R2),   // 3
+		rrr(isa.AND, isa.R7, isa.R1, isa.R2),   // 5
+		rrr(isa.OR, isa.R8, isa.R1, isa.R2),    // 13
+		rrr(isa.XOR, isa.R9, isa.R1, isa.R2),   // 8
+		rrr(isa.SHL, isa.R10, isa.R1, isa.R2),  // 13<<5 = 416
+		rrr(isa.SHR, isa.R11, isa.R10, isa.R2), // 416>>5 = 13
+		rri(isa.ANDI, isa.R12, isa.R1, 6),      // 4
+		rri(isa.ORI, isa.R13, isa.R1, 2),       // 15
+		rri(isa.XORI, isa.R14, isa.R1, 1),      // 12
+		rri(isa.SHLI, isa.R15, isa.R2, 2),      // 20
+		rri(isa.SHRI, isa.R16, isa.R1, 1),      // 6
+	)
 	v := runProg(t, p)
 	want := map[isa.Reg]int64{
 		isa.R3: 8, isa.R4: 65, isa.R5: 2, isa.R6: 3,
@@ -55,10 +75,9 @@ func TestByteLoadSignExtends(t *testing.T) {
 	if err := v.PokeByte(10, 0xFF); err != nil {
 		t.Fatal(err)
 	}
-	p := isa.NewBuilder("lb").
+	p := mustBuild(isa.NewBuilder("lb").
 		Lb(isa.R1, isa.R0, 10).
-		Halt().
-		MustBuild()
+		Halt())
 	if _, err := v.Run(p, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +88,11 @@ func TestByteLoadSignExtends(t *testing.T) {
 
 func TestStoreByteTruncates(t *testing.T) {
 	v := MustNew(64, nil)
-	p := isa.NewBuilder("sb").
+	p := mustBuild(isa.NewBuilder("sb").
 		Li(isa.R1, 0x1234).
 		Sb(isa.R1, isa.R0, 5).
 		Lb(isa.R2, isa.R0, 5).
-		Halt().
-		MustBuild()
+		Halt())
 	if _, err := v.Run(p, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +102,9 @@ func TestStoreByteTruncates(t *testing.T) {
 }
 
 func TestFPConversionsAndCompares(t *testing.T) {
-	p := isa.NewBuilder("fpc").
+	p := mustBuild(isa.NewBuilder("fpc").
 		Li(isa.R1, -7).
 		Itof(isa.F1, isa.R1). // -7.0
-		Ftoi(isa.R2, isa.F1). // -7
 		Li(isa.R3, 3).
 		Itof(isa.F2, isa.R3).         // 3.0
 		Fsub(isa.F3, isa.F2, isa.F1). // 10.0
@@ -101,11 +118,15 @@ func TestFPConversionsAndCompares(t *testing.T) {
 		Fbge(isa.F2, isa.F1, "ge"). // 3 >= -7: taken
 		Li(isa.R5, 99).
 		Label("ge").
-		Halt().
-		MustBuild()
+		Halt())
 	v := runProg(t, p)
-	if v.Regs[isa.R2] != -7 {
-		t.Errorf("ftoi(itof(-7)) = %d", v.Regs[isa.R2])
+	ftoi := runProg(t, program("ftoi",
+		isa.Instr{Op: isa.LI, Rd: isa.R1, Imm: -7},
+		isa.Instr{Op: isa.ITOF, Fd: isa.F1, Rs1: isa.R1},
+		isa.Instr{Op: isa.FTOI, Rd: isa.R2, Fs1: isa.F1},
+	))
+	if ftoi.Regs[isa.R2] != -7 {
+		t.Errorf("ftoi(itof(-7)) = %d", ftoi.Regs[isa.R2])
 	}
 	if v.Regs[isa.R4] != 0 || v.Regs[isa.R5] != 0 {
 		t.Errorf("fp branches not taken: r4=%d r5=%d", v.Regs[isa.R4], v.Regs[isa.R5])
@@ -117,7 +138,7 @@ func TestFPConversionsAndCompares(t *testing.T) {
 
 func TestBranchSemantics(t *testing.T) {
 	// Exercise the not-taken side of every branch.
-	p := isa.NewBuilder("br").
+	p := mustBuild(isa.NewBuilder("br").
 		Li(isa.R1, 1).
 		Li(isa.R2, 2).
 		Li(isa.R9, 0).
@@ -134,8 +155,7 @@ func TestBranchSemantics(t *testing.T) {
 		Label("bad").
 		Li(isa.R9, -1).
 		Label("end").
-		Halt().
-		MustBuild()
+		Halt())
 	v := runProg(t, p)
 	if v.Regs[isa.R9] != 7 {
 		t.Errorf("branch fallthrough chain broken: r9 = %d", v.Regs[isa.R9])
@@ -144,7 +164,7 @@ func TestBranchSemantics(t *testing.T) {
 
 func TestNopAndSinkSwap(t *testing.T) {
 	v := MustNew(64, nil)
-	p := isa.NewBuilder("nop").Nop().Nop().Halt().MustBuild()
+	p := program("nop", isa.Instr{Op: isa.NOP}, isa.Instr{Op: isa.NOP})
 	ctr, err := v.Run(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +178,7 @@ func TestNopAndSinkSwap(t *testing.T) {
 	if v.Counters().Instructions != 0 {
 		t.Error("ResetCounters did not zero")
 	}
-	p2 := isa.NewBuilder("st").Sw(isa.R0, isa.R0, 0).Halt().MustBuild()
+	p2 := mustBuild(isa.NewBuilder("st").Sw(isa.R0, isa.R0, 0).Halt())
 	if _, err := v.Run(p2, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +201,12 @@ func TestMemHelperBounds(t *testing.T) {
 	if err := v.PokeByte(16, 1); err == nil {
 		t.Error("PokeByte past end accepted")
 	}
+	if err := v.PokeWord(^uint64(0)-1, 1); err == nil {
+		t.Error("PokeWord at a wrapping address accepted")
+	}
+	if err := v.PokeFloat(^uint64(0)-3, 1); err == nil {
+		t.Error("PokeFloat at a wrapping address accepted")
+	}
 	if v.MemSize() != 16 {
 		t.Errorf("MemSize = %d", v.MemSize())
 	}
@@ -189,18 +215,35 @@ func TestMemHelperBounds(t *testing.T) {
 func TestOutOfRangeByteOps(t *testing.T) {
 	for _, build := range []func() *isa.Program{
 		func() *isa.Program {
-			return isa.NewBuilder("lb").Li(isa.R1, 1<<20).Lb(isa.R2, isa.R1, 0).Halt().MustBuild()
+			return mustBuild(isa.NewBuilder("lb").Li(isa.R1, 1<<20).Lb(isa.R2, isa.R1, 0).Halt())
 		},
 		func() *isa.Program {
-			return isa.NewBuilder("sb").Li(isa.R1, 1<<20).Sb(isa.R2, isa.R1, 0).Halt().MustBuild()
+			return mustBuild(isa.NewBuilder("sb").Li(isa.R1, 1<<20).Sb(isa.R2, isa.R1, 0).Halt())
 		},
 		func() *isa.Program {
-			return isa.NewBuilder("fsw").Li(isa.R1, 1<<20).Fsw(isa.F1, isa.R1, 0).Halt().MustBuild()
+			return mustBuild(isa.NewBuilder("fsw").Li(isa.R1, 1<<20).Fsw(isa.F1, isa.R1, 0).Halt())
 		},
 	} {
 		v := MustNew(64, nil)
 		if _, err := v.Run(build(), 0); err == nil {
 			t.Error("out-of-range access did not error")
+		}
+	}
+}
+
+// TestNegativeAddressErrors: an effective address just below zero wraps to
+// within a word of 2^64, where addr+width overflows; the access must fail
+// cleanly instead of slicing out of range.
+func TestNegativeAddressErrors(t *testing.T) {
+	for _, p := range []*isa.Program{
+		mustBuild(isa.NewBuilder("lw").Li(isa.R1, -1).Lw(isa.R2, isa.R1, 0).Halt()),
+		mustBuild(isa.NewBuilder("sw").Li(isa.R1, -2).Sw(isa.R2, isa.R1, 0).Halt()),
+		mustBuild(isa.NewBuilder("flw").Li(isa.R1, -4).Flw(isa.F1, isa.R1, 0).Halt()),
+		mustBuild(isa.NewBuilder("fsw").Li(isa.R1, -7).Fsw(isa.F1, isa.R1, 0).Halt()),
+		mustBuild(isa.NewBuilder("lb").Li(isa.R1, -1).Lb(isa.R2, isa.R1, 0).Halt()),
+	} {
+		if _, err := MustNew(64, nil).Run(p, 0); err == nil {
+			t.Errorf("program %q: negative address did not error", p.Name)
 		}
 	}
 }

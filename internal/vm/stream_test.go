@@ -218,13 +218,12 @@ func settleGoroutines(t *testing.T, want int) {
 func TestStreamSinkOverlapJoinsOnError(t *testing.T) {
 	const mem = 1 << 16
 	// Store to every word until the address runs past memory.
-	p := isa.NewBuilder("runaway").
+	p := mustBuild(isa.NewBuilder("runaway").
 		Li(isa.R1, 0).
 		Label("loop").
 		Sw(isa.R0, isa.R1, 0).
 		Addi(isa.R1, isa.R1, 4).
-		Jmp("loop").
-		MustBuild()
+		Jmp("loop"))
 	before := runtime.NumGoroutine()
 	var out collectBatch
 	ss := NewStreamSink(&out, mem)

@@ -22,13 +22,6 @@ func (t *Trace) Access(addr uint64, write bool) {
 // Len returns the number of recorded accesses.
 func (t *Trace) Len() int { return len(t.Accesses) }
 
-// Replay feeds the trace into another sink (e.g. a cache hierarchy).
-func (t *Trace) Replay(s MemSink) {
-	for _, a := range t.Accesses {
-		s.Access(a.Addr, a.Write)
-	}
-}
-
 // Reads counts the read accesses.
 func (t *Trace) Reads() int {
 	n := 0
@@ -54,16 +47,4 @@ func (t *Trace) Footprint(blockBytes int) int {
 		seen[a.Addr/uint64(blockBytes)] = struct{}{}
 	}
 	return len(seen)
-}
-
-// TeeSink duplicates accesses to two sinks (e.g. record a trace while also
-// warming a cache).
-type TeeSink struct {
-	A, B MemSink
-}
-
-// Access implements MemSink.
-func (t TeeSink) Access(addr uint64, write bool) {
-	t.A.Access(addr, write)
-	t.B.Access(addr, write)
 }

@@ -108,57 +108,27 @@ func MustNew(memBytes int, sink MemSink) *VM {
 	return v
 }
 
-// MemSize returns the data-memory size in bytes.
-func (v *VM) MemSize() int { return len(v.mem) }
-
 // Counters returns the counters accumulated so far.
 func (v *VM) Counters() Counters { return v.ctr }
-
-// ResetCounters zeroes the counters (memory and registers are preserved).
-func (v *VM) ResetCounters() { v.ctr = Counters{} }
-
-// SetSink replaces the memory-access sink.
-func (v *VM) SetSink(s MemSink) {
-	if s == nil {
-		s = NullSink{}
-	}
-	v.sink = s
-}
 
 // --- memory helpers (initialization; not counted as program accesses) ---
 
 // PokeWord writes a 32-bit word during setup.
 func (v *VM) PokeWord(addr uint64, val int32) error {
-	if addr+4 > uint64(len(v.mem)) {
+	if addr >= accessEnd(len(v.mem), 4) {
 		return fmt.Errorf("vm: poke word at %#x out of range", addr)
 	}
 	binary.LittleEndian.PutUint32(v.mem[addr:], uint32(val))
 	return nil
 }
 
-// PeekWord reads a 32-bit word during teardown/verification.
-func (v *VM) PeekWord(addr uint64) (int32, error) {
-	if addr+4 > uint64(len(v.mem)) {
-		return 0, fmt.Errorf("vm: peek word at %#x out of range", addr)
-	}
-	return int32(binary.LittleEndian.Uint32(v.mem[addr:])), nil
-}
-
 // PokeFloat writes a float64 during setup.
 func (v *VM) PokeFloat(addr uint64, val float64) error {
-	if addr+8 > uint64(len(v.mem)) {
+	if addr >= accessEnd(len(v.mem), 8) {
 		return fmt.Errorf("vm: poke float at %#x out of range", addr)
 	}
 	binary.LittleEndian.PutUint64(v.mem[addr:], floatBits(val))
 	return nil
-}
-
-// PeekFloat reads a float64.
-func (v *VM) PeekFloat(addr uint64) (float64, error) {
-	if addr+8 > uint64(len(v.mem)) {
-		return 0, fmt.Errorf("vm: peek float at %#x out of range", addr)
-	}
-	return floatFrom(binary.LittleEndian.Uint64(v.mem[addr:])), nil
 }
 
 // PokeByte writes one byte during setup.
@@ -199,6 +169,10 @@ func (v *VM) Run(p *isa.Program, maxInstr uint64) (Counters, error) {
 	// the counters back.
 	ctr := v.ctr
 	mem := v.mem
+	// end4 and end8 bound the start address of a word and a float access.
+	// A negative effective address is a huge uint64 that addr+width would
+	// wrap back into range, so the bound is on addr itself.
+	end4, end8 := accessEnd(len(mem), 4), accessEnd(len(mem), 8)
 	sink := v.sink
 	// Devirtualize the streaming fast path: when the sink is a StreamSink
 	// (the fused characterization engine), memory instructions push packed
@@ -273,7 +247,7 @@ func (v *VM) Run(p *isa.Program, maxInstr uint64) (Counters, error) {
 
 		case isa.LW:
 			addr := uint64(v.Regs[in.Rs1&regMask] + in.Imm)
-			if addr+4 > uint64(len(mem)) {
+			if addr >= end4 {
 				v.ctr = ctr
 				return ctr, fmt.Errorf("vm: %q pc=%d: load at %#x out of range", p.Name, pc, addr)
 			}
@@ -287,7 +261,7 @@ func (v *VM) Run(p *isa.Program, maxInstr uint64) (Counters, error) {
 			ctr.LoadBytes += 4
 		case isa.SW:
 			addr := uint64(v.Regs[in.Rs1&regMask] + in.Imm)
-			if addr+4 > uint64(len(mem)) {
+			if addr >= end4 {
 				v.ctr = ctr
 				return ctr, fmt.Errorf("vm: %q pc=%d: store at %#x out of range", p.Name, pc, addr)
 			}
@@ -329,7 +303,7 @@ func (v *VM) Run(p *isa.Program, maxInstr uint64) (Counters, error) {
 			ctr.StoreBytes++
 		case isa.FLW:
 			addr := uint64(v.Regs[in.Rs1&regMask] + in.Imm)
-			if addr+8 > uint64(len(mem)) {
+			if addr >= end8 {
 				v.ctr = ctr
 				return ctr, fmt.Errorf("vm: %q pc=%d: fp load at %#x out of range", p.Name, pc, addr)
 			}
@@ -343,7 +317,7 @@ func (v *VM) Run(p *isa.Program, maxInstr uint64) (Counters, error) {
 			ctr.LoadBytes += 8
 		case isa.FSW:
 			addr := uint64(v.Regs[in.Rs1&regMask] + in.Imm)
-			if addr+8 > uint64(len(mem)) {
+			if addr >= end8 {
 				v.ctr = ctr
 				return ctr, fmt.Errorf("vm: %q pc=%d: fp store at %#x out of range", p.Name, pc, addr)
 			}
@@ -437,6 +411,15 @@ func (v *VM) Run(p *isa.Program, maxInstr uint64) (Counters, error) {
 }
 
 // setReg writes rd, keeping R0 hardwired to zero.
+// accessEnd is one past the last start address of a width-byte access
+// to n bytes of memory.
+func accessEnd(n, width int) uint64 {
+	if n < width {
+		return 0
+	}
+	return uint64(n - width + 1)
+}
+
 func (v *VM) setReg(rd isa.Reg, val int64) {
 	if rd != isa.R0 {
 		v.Regs[rd&regMask] = val

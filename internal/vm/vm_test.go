@@ -10,7 +10,7 @@ import (
 
 // sumProgram computes sum of n words stored at base, leaving the result in R5.
 func sumProgram(base uint64, n int64) *isa.Program {
-	return isa.NewBuilder("sum").
+	return mustBuild(isa.NewBuilder("sum").
 		Li(isa.R1, int64(base)). // pointer
 		Li(isa.R2, n).           // remaining
 		Li(isa.R5, 0).           // acc
@@ -22,8 +22,7 @@ func sumProgram(base uint64, n int64) *isa.Program {
 		Addi(isa.R2, isa.R2, -1).
 		Jmp("loop").
 		Label("done").
-		Halt().
-		MustBuild()
+		Halt())
 }
 
 func TestRunComputesSum(t *testing.T) {
@@ -52,11 +51,10 @@ func TestRunComputesSum(t *testing.T) {
 
 func TestR0Hardwired(t *testing.T) {
 	v := MustNew(64, nil)
-	p := isa.NewBuilder("r0").
+	p := mustBuild(isa.NewBuilder("r0").
 		Li(isa.R0, 99).
 		Addi(isa.R0, isa.R0, 5).
-		Halt().
-		MustBuild()
+		Halt())
 	if _, err := v.Run(p, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +66,13 @@ func TestR0Hardwired(t *testing.T) {
 func TestTraceRecordsAccessesInOrder(t *testing.T) {
 	tr := &Trace{}
 	v := MustNew(1024, tr)
-	p := isa.NewBuilder("mem").
+	p := mustBuild(isa.NewBuilder("mem").
 		Li(isa.R1, 100).
 		Lw(isa.R2, isa.R1, 0).
 		Sw(isa.R2, isa.R1, 4).
 		Lb(isa.R3, isa.R1, 8).
 		Sb(isa.R3, isa.R1, 9).
-		Halt().
-		MustBuild()
+		Halt())
 	ctr, err := v.Run(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -105,14 +102,13 @@ func TestFloatPath(t *testing.T) {
 	if err := v.PokeFloat(8, 2.25); err != nil {
 		t.Fatal(err)
 	}
-	p := isa.NewBuilder("fp").
+	p := mustBuild(isa.NewBuilder("fp").
 		Flw(isa.F1, isa.R0, 0).
 		Flw(isa.F2, isa.R0, 8).
 		Fadd(isa.F3, isa.F1, isa.F2).
 		Fmul(isa.F4, isa.F3, isa.F3).
 		Fsw(isa.F4, isa.R0, 16).
-		Halt().
-		MustBuild()
+		Halt())
 	ctr, err := v.Run(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -132,15 +128,14 @@ func TestFloatPath(t *testing.T) {
 func TestBranchCounters(t *testing.T) {
 	v := MustNew(64, nil)
 	// Loop 5 times: branch taken 5 times (jmp) + final not-taken beq... count exact.
-	p := isa.NewBuilder("br").
+	p := mustBuild(isa.NewBuilder("br").
 		Li(isa.R1, 5).
 		Label("loop").
 		Beq(isa.R1, isa.R0, "done"). // 6 executions, 1 taken
 		Addi(isa.R1, isa.R1, -1).
 		Jmp("loop"). // 5 executions, all taken
 		Label("done").
-		Halt().
-		MustBuild()
+		Halt())
 	ctr, err := v.Run(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,14 +150,13 @@ func TestBranchCounters(t *testing.T) {
 
 func TestDivByZeroIsTrapFree(t *testing.T) {
 	v := MustNew(64, nil)
-	p := isa.NewBuilder("div0").
+	p := mustBuild(isa.NewBuilder("div0").
 		Li(isa.R1, 7).
 		Div(isa.R2, isa.R1, isa.R0).
 		Rem(isa.R3, isa.R1, isa.R0).
 		Itof(isa.F1, isa.R1).
 		Fdiv(isa.F2, isa.F1, isa.F3). // F3 == 0
-		Halt().
-		MustBuild()
+		Halt())
 	if _, err := v.Run(p, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +167,9 @@ func TestDivByZeroIsTrapFree(t *testing.T) {
 
 func TestOutOfRangeAccessErrors(t *testing.T) {
 	cases := []*isa.Program{
-		isa.NewBuilder("lw").Li(isa.R1, 1<<20).Lw(isa.R2, isa.R1, 0).Halt().MustBuild(),
-		isa.NewBuilder("sw").Li(isa.R1, 1<<20).Sw(isa.R2, isa.R1, 0).Halt().MustBuild(),
-		isa.NewBuilder("flw").Li(isa.R1, 1<<20).Flw(isa.F1, isa.R1, 0).Halt().MustBuild(),
+		mustBuild(isa.NewBuilder("lw").Li(isa.R1, 1<<20).Lw(isa.R2, isa.R1, 0).Halt()),
+		mustBuild(isa.NewBuilder("sw").Li(isa.R1, 1<<20).Sw(isa.R2, isa.R1, 0).Halt()),
+		mustBuild(isa.NewBuilder("flw").Li(isa.R1, 1<<20).Flw(isa.F1, isa.R1, 0).Halt()),
 	}
 	for _, p := range cases {
 		v := MustNew(64, nil)
@@ -196,7 +190,7 @@ func TestRunRejectsFallThrough(t *testing.T) {
 
 func TestBudgetExceeded(t *testing.T) {
 	v := MustNew(64, nil)
-	p := isa.NewBuilder("spin").Label("x").Jmp("x").MustBuild()
+	p := mustBuild(isa.NewBuilder("spin").Label("x").Jmp("x"))
 	_, err := v.Run(p, 1000)
 	var eb ErrBudget
 	if !errors.As(err, &eb) {
@@ -209,13 +203,12 @@ func TestBudgetExceeded(t *testing.T) {
 
 func TestCycleModelCharges(t *testing.T) {
 	v := MustNew(64, nil)
-	p := isa.NewBuilder("cyc").
+	p := mustBuild(isa.NewBuilder("cyc").
 		Mul(isa.R1, isa.R2, isa.R3).  // 3
 		Div(isa.R1, isa.R2, isa.R3).  // 10
 		Fdiv(isa.F1, isa.F2, isa.F3). // 12
 		Add(isa.R1, isa.R2, isa.R3).  // 1
-		Halt().                       // 1
-		MustBuild()
+		Halt())                       // 1
 	ctr, err := v.Run(p, 0)
 	if err != nil {
 		t.Fatal(err)

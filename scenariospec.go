@@ -19,12 +19,6 @@ import "hetsched/internal/scenario"
 //	uniform;mix=a2time*3+matrix;prio=uniform:3;slo=deadline:slack=2
 type ScenarioSpec = scenario.Spec
 
-// ScenarioSLO is a spec's service-level section.
-type ScenarioSLO = scenario.SLO
-
-// ScenarioClass is one named SLO job class (fraction + deadline slack).
-type ScenarioClass = scenario.Class
-
 // ParseScenarioSpec parses the scenario grammar; "" parses to the zero
 // "no scenario" spec.
 func ParseScenarioSpec(s string) (ScenarioSpec, error) { return scenario.Parse(s) }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hetsched/internal/fault"
+	"hetsched/internal/trace"
 )
 
 // traceGoldenSeparator splits the golden file into its Chrome JSON and CSV
@@ -47,10 +48,10 @@ func TestTraceExportersGolden(t *testing.T) {
 	events := tracedGoldenRun(t, sys)
 
 	var chrome, csv bytes.Buffer
-	if err := WriteTraceChrome(&chrome, events); err != nil {
+	if err := trace.WriteChrome(&chrome, events); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTraceCSV(&csv, events); err != nil {
+	if err := trace.WriteCSV(&csv, events); err != nil {
 		t.Fatal(err)
 	}
 	got := chrome.String() + traceGoldenSeparator + csv.String()
@@ -119,7 +120,7 @@ func TestTraceExportersGolden(t *testing.T) {
 
 	// The CSV section must round-trip through the reader to the exact
 	// event stream it was written from.
-	back, err := ReadTraceCSV(strings.NewReader(csv.String()))
+	back, err := trace.ReadCSV(strings.NewReader(csv.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
