@@ -29,7 +29,9 @@ test:
 	$(GO) test ./...
 
 # Every package with a worker pool, parallel fan-out or shared memo runs
-# under the race detector: the daemon's queue/shutdown paths, the stats
+# under the race detector: the daemon's queue/shutdown paths and its
+# command's signal-driven drain (which may win the race against
+# ListenAndServe), the stats
 # sketch behind its metrics, the parallel characterization engine and its
 # disk cache, the stream sink's overlapped consumer, the sweep grid, the ensemble trainer and the ANN bag's memo,
 # the online predictor ensemble, and the cluster's per-node simulation pool. The scenario package rides
@@ -41,7 +43,7 @@ test:
 RACE_FLAGS ?=
 
 test-race:
-	$(GO) test $(strip $(RACE_FLAGS) -race) ./internal/server/... ./internal/stats/... ./internal/characterize/... ./internal/vm/... ./internal/sweep/... ./internal/ann/... ./internal/cluster/... ./internal/predict/... ./internal/scenario/... ./internal/core/...
+	$(GO) test $(strip $(RACE_FLAGS) -race) ./internal/server/... ./internal/stats/... ./internal/characterize/... ./internal/vm/... ./internal/sweep/... ./internal/ann/... ./internal/cluster/... ./internal/predict/... ./internal/scenario/... ./internal/core/... ./cmd/hetschedd/...
 	$(GO) test $(strip $(RACE_FLAGS) -race) -run 'TestEnsembleDeterminism' .
 
 test-short:

@@ -56,18 +56,18 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	em := energy.NewDefault()
-	copts := characterize.Options{Workers: *jobs}
 
 	fmt.Fprintln(os.Stderr, "characterizing training pool (16 kernels x scales x seeds)...")
-	train, warm, err := characterize.CharacterizeCached(characterize.AugmentedVariants(), em, copts, dir)
+	tier := characterize.NewTier(0, 0, dir, em, characterize.Options{Workers: *jobs})
+	train, src, err := tier.Characterize(characterize.AugmentedVariants())
 	if err != nil {
 		return err
 	}
-	eval, _, err := characterize.CharacterizeCached(characterize.CanonicalVariants(), em, copts, dir)
+	eval, _, err := tier.Characterize(characterize.CanonicalVariants())
 	if err != nil {
 		return err
 	}
-	if warm {
+	if src == characterize.SourceDisk {
 		fmt.Fprintln(os.Stderr, "characterization served from cache (no kernel replay)")
 	}
 

@@ -60,8 +60,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -76,33 +78,43 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hetschedd: ")
-	if err := run(); err != nil {
+	// SIGINT/SIGTERM drain gracefully: stop accepting, finish queued and
+	// in-flight jobs, then exit.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":8080", "API listen address")
-	debugAddr := flag.String("debug-addr", ":6060", "pprof/expvar listen address (empty disables)")
-	workers := flag.Int("workers", 4, "simulation worker pool size")
-	queue := flag.Int("queue", 64, "bounded job-queue depth (full queue answers 429)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-request service timeout, queue wait included")
-	maxArrivals := flag.Int("max-arrivals", 20000, "largest workload one schedule request may ask for")
+// run parses args, builds the System and serves until ctx is done, then
+// drains and returns. Progress and request logs go to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hetschedd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "API listen address")
+	debugAddr := fs.String("debug-addr", ":6060", "pprof/expvar listen address (empty disables)")
+	workers := fs.Int("workers", 4, "simulation worker pool size")
+	queue := fs.Int("queue", 64, "bounded job-queue depth (full queue answers 429)")
+	timeout := fs.Duration("timeout", 2*time.Minute, "per-request service timeout, queue wait included")
+	maxArrivals := fs.Int("max-arrivals", 20000, "largest workload one schedule request may ask for")
 	spec := hetsched.DefaultPredictorSpec()
-	flag.TextVar(&spec, "predictor", hetsched.DefaultPredictorSpec(),
+	fs.TextVar(&spec, "predictor", hetsched.DefaultPredictorSpec(),
 		"best-size predictor: ann|oracle|linear|knn|stump|tree|table|markov|nn, or ensemble:kind[=weight],...")
-	seed := flag.Int64("seed", 42, "predictor training seed")
-	jobs := flag.Int("j", runtime.NumCPU(), "parallel workers for characterization and training")
-	cacheDir := flag.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
-	faultsFlag := flag.String("faults", "off", "default fault-injection plan for schedule requests: off, or mttf=..,recover=..,permanent=..,stuck=..,noise=..,seed=..")
-	clusterFlag := flag.String("cluster", "4*quad", "default cluster topology for /v1/cluster requests: ';'-joined node shapes with N* repetition")
+	seed := fs.Int64("seed", 42, "predictor training seed")
+	jobs := fs.Int("j", runtime.NumCPU(), "parallel workers for characterization and training")
+	cacheDir := fs.String("cache-dir", "auto", "persistent characterization cache: auto|off|<dir>")
+	faultsFlag := fs.String("faults", "off", "default fault-injection plan for schedule requests: off, or mttf=..,recover=..,permanent=..,stuck=..,noise=..,seed=..")
+	clusterFlag := fs.String("cluster", "4*quad", "default cluster topology for /v1/cluster requests: ';'-joined node shapes with N* repetition")
 	var scorer hetsched.ScorerKind
-	flag.TextVar(&scorer, "scorer", hetsched.ScoreHybrid, "default cluster dispatcher scorer: hybrid|balance|energy|roundrobin")
-	charEntries := flag.Int("char-cache-entries", 256, "in-memory characterization LRU size for batch requests (negative disables)")
-	charTTL := flag.Duration("char-cache-ttl", 15*time.Minute, "in-memory characterization entry TTL (negative never expires)")
-	shedHighWater := flag.Float64("shed-highwater", 0.75, "queue-depth fraction past which low-priority requests are shed (outside (0,1) disables)")
-	shedLevels := flag.Int("shed-levels", 8, "admission-bar scale: priority needed to survive a full queue at maximum cost")
-	flag.Parse()
+	fs.TextVar(&scorer, "scorer", hetsched.ScoreHybrid, "default cluster dispatcher scorer: hybrid|balance|energy|roundrobin")
+	charEntries := fs.Int("char-cache-entries", 256, "in-memory characterization LRU size for batch requests (negative disables)")
+	charTTL := fs.Duration("char-cache-ttl", 15*time.Minute, "in-memory characterization entry TTL (negative never expires)")
+	shedHighWater := fs.Float64("shed-highwater", 0.75, "queue-depth fraction past which low-priority requests are shed (outside (0,1) disables)")
+	shedLevels := fs.Int("shed-levels", 8, "admission-bar scale: priority needed to survive a full queue at maximum cost")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	dir, err := hetsched.ResolveCacheDir(*cacheDir)
 	if err != nil {
@@ -117,16 +129,16 @@ func run() error {
 		return fmt.Errorf("-cluster: %w", err)
 	}
 
-	fmt.Fprintf(os.Stderr, "hetschedd: characterizing suite and training %s predictor...\n", spec)
+	fmt.Fprintf(stderr, "hetschedd: characterizing suite and training %s predictor...\n", spec)
 	start := time.Now()
 	sys, err := hetsched.New(hetsched.Options{Spec: spec, Seed: *seed, Workers: *jobs, CacheDir: dir, Faults: faults})
 	if err != nil {
 		return err
 	}
 	if faults.Enabled() {
-		fmt.Fprintf(os.Stderr, "hetschedd: default fault plan: %s\n", faults)
+		fmt.Fprintf(stderr, "hetschedd: default fault plan: %s\n", faults)
 	}
-	fmt.Fprintf(os.Stderr, "hetschedd: setup done in %s (characterization cache: eval=%v train=%v)\n",
+	fmt.Fprintf(stderr, "hetschedd: setup done in %s (characterization cache: eval=%v train=%v)\n",
 		time.Since(start).Round(time.Millisecond), sys.Setup.EvalFromCache, sys.Setup.TrainFromCache)
 
 	srv, err := server.New(sys, server.Config{
@@ -143,25 +155,27 @@ func run() error {
 		CharCacheTTL:       *charTTL,
 		AdmissionHighWater: *shedHighWater,
 		ShedLevels:         *shedLevels,
+		Logger:             log.New(stderr, "hetschedd ", log.LstdFlags|log.Lmsgprefix),
 	})
 	if err != nil {
 		return err
 	}
 	srv.Metrics().PublishExpvar()
 
-	// SIGINT/SIGTERM drain gracefully: stop accepting, finish queued and
-	// in-flight jobs, then exit.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "hetschedd: signal received, draining in-flight jobs...")
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			fmt.Fprintf(os.Stderr, "hetschedd: shutdown: %v\n", err)
-		}
-	}()
-
-	return srv.ListenAndServe()
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
+		return err // a listener failed
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(stderr, "hetschedd: signal received, draining in-flight jobs...")
+	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	// ListenAndServe returned as soon as Shutdown closed its listener;
+	// Shutdown has now also drained the queued and in-flight jobs.
+	return <-served
 }

@@ -32,6 +32,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 
 	"hetsched/internal/ann"
 	"hetsched/internal/cache"
@@ -234,11 +235,31 @@ type System struct {
 	// Setup reports whether the DBs came from the persistent cache.
 	Setup SetupInfo
 
-	spec      PredictorSpec
-	buildSeed int64
-	buildOpts Options // resolved build inputs, reused by WithPredictorSpec
-	faults    FaultPlan
-	tracer    *TraceRecorder
+	spec        PredictorSpec
+	bag         *annBag // the ANN bag over Train, shared with hot-swapped copies
+	multiDomain bool
+	faults      FaultPlan
+	tracer      *TraceRecorder
+}
+
+// annBag trains the bagged ANN on a System's Train DB at first use and
+// hands every later caller the same predictor. WithPredictorSpec copies its
+// receiver's memo, so hot-swaps share one bag; canonical seed-42 Systems
+// share canonicalBag.
+type annBag struct {
+	cfg  ann.PredictorConfig
+	once sync.Once
+	pred *ann.SizePredictor
+	err  error
+}
+
+// canonicalBag is the process-wide bag of every canonical seed-42 System;
+// their Train is the one characterize.Augmented DB.
+var canonicalBag = annBag{cfg: ann.PredictorConfig{Seed: 42}}
+
+func (b *annBag) get(train *DB) (*ann.SizePredictor, error) {
+	b.once.Do(func() { b.pred, _, b.err = ann.TrainSizePredictor(train, b.cfg) })
+	return b.pred, b.err
 }
 
 // New characterizes the benchmark suite (cached per process) and trains the
@@ -271,40 +292,48 @@ func New(opts Options) (*System, error) {
 		}
 		copts.L2 = l2
 	}
-	// A changed ground truth (custom energy constants, the L2 model, or an
-	// extended kernel population) requires recharacterizing; the content
-	// key covers all of it, so the persistent cache still applies.
-	custom := opts.WithL2 || opts.EnergyParams != nil || opts.IncludeTelecom
+	// The paper's ground truth without a disk cache is canonical: every
+	// such New in the process shares the process-wide DBs and, at seed 42,
+	// one trained ANN bag.
+	canonical := opts.CacheDir == "" && opts.EnergyParams == nil && !opts.WithL2 && !opts.IncludeTelecom
 
 	var (
 		eval, train *DB
 		setup       SetupInfo
 		err         error
 	)
-	if opts.CacheDir == "" && !custom {
-		// Canonical setup without a disk cache: share the process-wide
-		// DBs.
-		eval, err = characterize.Default()
-		if err != nil {
+	if canonical {
+		if eval, err = characterize.Default(); err != nil {
 			return nil, err
 		}
-		train, err = characterize.Augmented()
+		if train, err = characterize.Augmented(); err != nil {
+			return nil, err
+		}
 	} else {
-		eval, setup.EvalFromCache, err = characterize.CharacterizeCached(evalVariants, em, copts, opts.CacheDir)
-		if err != nil {
+		// A changed ground truth (custom energy constants, the L2 model,
+		// an extended kernel population) or a disk cache: the content key
+		// covers all of it, so the disk level applies either way.
+		tier := characterize.NewTier(0, 0, opts.CacheDir, em, copts)
+		var src characterize.Source
+		if eval, src, err = tier.Characterize(evalVariants); err != nil {
 			return nil, err
 		}
-		train, setup.TrainFromCache, err = characterize.CharacterizeCached(trainVariants, em, copts, opts.CacheDir)
-	}
-	if err != nil {
-		return nil, err
+		setup.EvalFromCache = src == characterize.SourceDisk
+		if train, src, err = tier.Characterize(trainVariants); err != nil {
+			return nil, err
+		}
+		setup.TrainFromCache = src == characterize.SourceDisk
 	}
 
-	sys := &System{Eval: eval, Train: train, Energy: em, Setup: setup, faults: opts.Faults, tracer: opts.Trace}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 42
 	}
+	bag := &annBag{cfg: ann.PredictorConfig{Seed: seed, Workers: opts.Workers}}
+	if canonical && seed == 42 {
+		bag = &canonicalBag
+	}
+	sys := &System{Eval: eval, Train: train, Energy: em, Setup: setup, bag: bag, faults: opts.Faults, tracer: opts.Trace}
 	spec := opts.Spec
 	if spec.IsZero() {
 		spec = DefaultPredictorSpec()
@@ -313,20 +342,23 @@ func New(opts Options) (*System, error) {
 		return nil, err
 	}
 	sys.spec = spec
-	sys.buildSeed = seed
-	sys.buildOpts = opts
+	sys.multiDomain = opts.MultiDomainANN
 	if opts.MultiDomainANN {
 		if !opts.IncludeTelecom || !spec.IsSingle("ann") {
 			return nil, fmt.Errorf("hetsched: MultiDomainANN requires IncludeTelecom and the ann predictor")
 		}
-		md, err := trainMultiDomain(em, copts, opts, seed)
+		// Section IV.D: one bagged ensemble per application domain, each
+		// over its own augmented pool.
+		auto, tele := splitDomains(train)
+		md, err := ann.TrainMultiDomain([]string{"automotive", "telecom"},
+			map[string]*characterize.DB{"automotive": auto, "telecom": tele}, bag.cfg)
 		if err != nil {
 			return nil, err
 		}
 		sys.Pred = md
 		return sys, nil
 	}
-	pred, err := buildPredictor(spec, eval, train, seed, opts)
+	pred, err := sys.buildPredictor(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -498,27 +530,16 @@ func (s *System) PredictBestSize(kernel string) (predicted, oracle int, err erro
 	return predicted, rec.BestSizeKB(), nil
 }
 
-// trainMultiDomain builds the Section IV.D per-domain predictor: one
-// bagged ensemble per application domain over its own augmented pool.
-func trainMultiDomain(em *energy.Model, copts characterize.Options, opts Options, seed int64) (Predictor, error) {
-	autoPool, _, err := characterize.CharacterizeCached(characterize.AugmentedVariants(), em, copts, opts.CacheDir)
-	if err != nil {
-		return nil, err
+// splitDomains splits the extended training pool, the automotive pool
+// followed by the telecom one, into the two, renumbering the telecom
+// records from 0 so each pool reads as if characterized on its own.
+// Multi-domain setup thus characterizes neither pool again.
+func splitDomains(train *DB) (auto, tele *DB) {
+	n := len(characterize.AugmentedVariants())
+	auto = &DB{Records: train.Records[:n:n]}
+	tele = &DB{Records: slices.Clone(train.Records[n:])}
+	for i := range tele.Records {
+		tele.Records[i].ID = i
 	}
-	var teleVariants []characterize.Variant
-	for _, v := range characterize.AugmentedExtendedVariants() {
-		switch v.Kernel {
-		case "autcor", "conven", "fbital", "viterb":
-			teleVariants = append(teleVariants, v)
-		}
-	}
-	telePool, _, err := characterize.CharacterizeCached(teleVariants, em, copts, opts.CacheDir)
-	if err != nil {
-		return nil, err
-	}
-	return ann.TrainMultiDomain(
-		[]string{"automotive", "telecom"},
-		map[string]*characterize.DB{"automotive": autoPool, "telecom": telePool},
-		ann.PredictorConfig{Seed: seed, Workers: opts.Workers},
-	)
+	return auto, tele
 }

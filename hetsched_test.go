@@ -2,9 +2,11 @@ package hetsched
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"hetsched/internal/ann"
 	"hetsched/internal/characterize"
 	"hetsched/internal/energy"
 )
@@ -435,29 +437,12 @@ func TestFormatMetricsMentionsEverything(t *testing.T) {
 	}
 }
 
-// TestNewWarmStartFromCache is the end-to-end acceptance test for the
-// persistent characterization cache: with a pre-warmed cache directory,
-// New must load both DBs from disk (Setup flags set). That a disk load
-// replays no kernel is pinned by internal/characterize's warm-load test.
-func TestNewWarmStartFromCache(t *testing.T) {
-	dir := t.TempDir()
-	em := energy.NewDefault()
-
-	// Pre-warm the directory from the process-wide DBs — the same content
-	// New characterizes — so the only open question is whether New takes
-	// the loader path.
-	for _, tc := range []struct {
-		variants []characterize.Variant
-		build    func() (*characterize.DB, error)
-	}{
-		{characterize.CanonicalVariants(), characterize.Default},
-		{characterize.AugmentedVariants(), characterize.Augmented},
-	} {
-		key, err := characterize.CacheKey(tc.variants, em, characterize.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := tc.build()
+// prewarm saves each DB in dir under the content key New looks its variant
+// pool up by.
+func prewarm(t *testing.T, dir string, pools map[*DB][]characterize.Variant) {
+	t.Helper()
+	for db, variants := range pools {
+		key, err := characterize.CacheKey(variants, energy.NewDefault(), characterize.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,16 +450,174 @@ func TestNewWarmStartFromCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
 
-	sys, err := New(Options{Spec: MustParsePredictorSpec("oracle"), CacheDir: dir, Workers: 2})
+// processDBs returns the process-wide canonical and augmented DBs.
+func processDBs(t *testing.T) (eval, train *DB) {
+	t.Helper()
+	eval, err := characterize.Default()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.Setup.EvalFromCache || !sys.Setup.TrainFromCache {
-		t.Fatalf("warm start not detected: %+v", sys.Setup)
+	train, err = characterize.Augmented()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := sys.PredictBestSize("matrix"); err != nil {
-		t.Fatalf("warm-started system does not serve predictions: %v", err)
+	return eval, train
+}
+
+// TestNewWarmStartFromCache is the end-to-end acceptance test for the
+// persistent characterization cache: with a pre-warmed cache directory,
+// New must load both DBs from disk (Setup flags set). That a disk load
+// characterizes nothing is pinned by internal/characterize's
+// TestTierDiskWarmHit.
+//
+// The ann case runs the default predictor on a cached training pool that
+// is perturbed but still consistent (the records' feature vectors are
+// reversed), so a bag trained on any other copy of the pool votes
+// differently: New's bag must be the one trained on the Train DB it
+// loaded.
+func TestNewWarmStartFromCache(t *testing.T) {
+	eval, train := processDBs(t)
+	perturbed := &DB{Records: slices.Clone(train.Records)}
+	for i := range perturbed.Records {
+		perturbed.Records[i].Features = train.Records[len(train.Records)-1-i].Features
+	}
+	for _, tc := range []struct {
+		name  string
+		spec  PredictorSpec
+		train *DB
+	}{
+		{"oracle", MustParsePredictorSpec("oracle"), train},
+		{"ann", PredictorSpec{}, perturbed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.spec.IsZero() && testing.Short() {
+				t.Skip("trains two ANN bags; skipped in -short")
+			}
+			dir := t.TempDir()
+			prewarm(t, dir, map[*DB][]characterize.Variant{
+				eval:     characterize.CanonicalVariants(),
+				tc.train: characterize.AugmentedVariants(),
+			})
+			sys, err := New(Options{Spec: tc.spec, CacheDir: dir, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sys.Setup.EvalFromCache || !sys.Setup.TrainFromCache {
+				t.Fatalf("warm start not detected: %+v", sys.Setup)
+			}
+			if !reflect.DeepEqual(sys.Train, tc.train) {
+				t.Fatal("New did not load the cached training pool")
+			}
+			if _, _, err := sys.PredictBestSize("matrix"); err != nil {
+				t.Fatalf("warm-started system does not serve predictions: %v", err)
+			}
+			got, ok := sys.Pred.(*ann.SizePredictor)
+			if !ok {
+				return
+			}
+			want, _, err := ann.TrainSizePredictor(sys.Train, ann.PredictorConfig{Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range sys.Train.Records {
+				f := sys.Train.Records[i].Features
+				gv, err := got.MemberVotes(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wv, err := want.MemberVotes(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gv, wv) {
+					t.Fatalf("record %d: New's bag votes %v, a bag trained on sys.Train votes %v", i, gv, wv)
+				}
+			}
+		})
+	}
+}
+
+// TestANNBagShared pins where one trained bag is shared: across every
+// canonical no-dir New in the process, and across repeated hot-swaps to an
+// ann-containing spec on one System.
+func TestANNBagShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two ANN bags; skipped in -short")
+	}
+	a, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(Options{Spec: MustParsePredictorSpec("ann"), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Pred != b.Pred {
+		t.Error("two canonical Systems trained separate bags")
+	}
+
+	// Seed 7 is not canonical: the System owns its bag, untrained until
+	// the first swap asks for it.
+	sys, err := New(Options{Spec: MustParsePredictorSpec("oracle"), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sys.WithPredictorSpec(MustParsePredictorSpec("ann"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sys.WithPredictorSpec(MustParsePredictorSpec("ann"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Pred != second.Pred {
+		t.Error("two ann hot-swaps on one System trained separate bags")
+	}
+	if first.Pred == a.Pred {
+		t.Error("a seed-7 System shares the canonical seed-42 bag")
+	}
+}
+
+// TestSplitDomainsMatchesFreshPools: the multi-domain predictor splits the
+// extended training pool instead of characterizing each domain again, so
+// both halves must equal fresh characterizations of their variant lists.
+func TestSplitDomainsMatchesFreshPools(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterizes 240 variants; skipped in -short")
+	}
+	em := energy.NewDefault()
+	extended, err := characterize.CharacterizeWithOptions(characterize.AugmentedExtendedVariants(), em, characterize.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, tele := splitDomains(extended)
+
+	telecom := map[string]bool{}
+	for _, v := range characterize.TelecomVariants() {
+		telecom[v.Kernel] = true
+	}
+	var autoVariants, teleVariants []characterize.Variant
+	for _, v := range characterize.AugmentedExtendedVariants() {
+		if telecom[v.Kernel] {
+			teleVariants = append(teleVariants, v)
+		} else {
+			autoVariants = append(autoVariants, v)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		got      *DB
+		variants []characterize.Variant
+	}{{"automotive", auto, autoVariants}, {"telecom", tele, teleVariants}} {
+		want, err := characterize.CharacterizeWithOptions(tc.variants, em, characterize.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tc.got, want) {
+			t.Errorf("%s pool split from the extended pool differs from a fresh characterization", tc.name)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
+
+	"hetsched/internal/characterize"
 )
 
 // Evaluations reports how many times p has run its bag: one per memo miss.
@@ -24,4 +27,25 @@ func LoadPredictor(r io.Reader) (*SizePredictor, error) {
 		return nil, fmt.Errorf("ann: loaded predictor is incomplete")
 	}
 	return &p, nil
+}
+
+var (
+	defaultOnce sync.Once
+	defaultPred *SizePredictor
+	defaultRep  PredictorReport
+	defaultErr  error
+)
+
+// DefaultPredictor trains (once per process) the canonical predictor on the
+// augmented characterization pool with the paper's hyperparameters.
+func DefaultPredictor() (*SizePredictor, PredictorReport, error) {
+	defaultOnce.Do(func() {
+		db, err := characterize.Augmented()
+		if err != nil {
+			defaultErr = err
+			return
+		}
+		defaultPred, defaultRep, defaultErr = TrainSizePredictor(db, PredictorConfig{Seed: 42})
+	})
+	return defaultPred, defaultRep, defaultErr
 }

@@ -270,24 +270,3 @@ func (p *SizePredictor) MemberVotes(f stats.Features) (map[int]int, error) {
 	}
 	return votes, nil
 }
-
-var (
-	defaultOnce sync.Once
-	defaultPred *SizePredictor
-	defaultRep  PredictorReport
-	defaultErr  error
-)
-
-// DefaultPredictor trains (once per process) the canonical predictor on the
-// augmented characterization pool with the paper's hyperparameters.
-func DefaultPredictor() (*SizePredictor, PredictorReport, error) {
-	defaultOnce.Do(func() {
-		db, err := characterize.Augmented()
-		if err != nil {
-			defaultErr = err
-			return
-		}
-		defaultPred, defaultRep, defaultErr = TrainSizePredictor(db, PredictorConfig{Seed: 42})
-	})
-	return defaultPred, defaultRep, defaultErr
-}

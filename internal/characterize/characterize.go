@@ -24,7 +24,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hetsched/internal/cache"
 	"hetsched/internal/eembc"
@@ -221,12 +220,6 @@ type Options struct {
 	// assembled slot-by-slot in variant and design-space order.
 	Workers int
 }
-
-// replays counts trace traversals performed by this process: one per
-// variant characterized (its single fused execution+simulation pass), plus
-// one per (variant, configuration) pair the test-only replay reference
-// scores. The disk-cache tests assert a warm load does not move it.
-var replays atomic.Uint64
 
 // Characterize builds the database for the given variants under the energy
 // model, fanning (variant × configuration) replay pairs across a worker
@@ -430,7 +423,6 @@ func characterizeOneStream(v Variant, em *energy.Model, opts Options, jobs chan 
 			return
 		}
 		sink := sc.stream(ms, k.MemBytes(v.Params))
-		replays.Add(1)
 		ctr, err := eembc.Run(k, v.Params, sink)
 		// Len is the flush: it streams the sink's last batch into ms and
 		// joins an overlapped consumer, so it comes before ms.Stats() and
@@ -514,32 +506,4 @@ func Load(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("characterize: load: %v", err)
 	}
 	return &db, nil
-}
-
-var (
-	defaultOnce sync.Once
-	defaultDB   *DB
-	defaultErr  error
-
-	augOnce sync.Once
-	augDB   *DB
-	augErr  error
-)
-
-// Default returns the canonical-variant DB under the default energy model,
-// computed once per process. Experiments and tests share it.
-func Default() (*DB, error) {
-	defaultOnce.Do(func() {
-		defaultDB, defaultErr = Characterize(CanonicalVariants(), energy.NewDefault())
-	})
-	return defaultDB, defaultErr
-}
-
-// Augmented returns the augmented-variant DB (training pool), computed once
-// per process.
-func Augmented() (*DB, error) {
-	augOnce.Do(func() {
-		augDB, augErr = Characterize(AugmentedVariants(), energy.NewDefault())
-	})
-	return augDB, augErr
 }

@@ -129,33 +129,6 @@ func SaveCached(dir, key string, db *DB) error {
 	return nil
 }
 
-// CharacterizeCached is CharacterizeWithOptions behind the persistent
-// cache: a warm entry under dir is returned without replaying a single
-// kernel (fromCache=true); a miss characterizes as usual and stores the
-// result for the next run. A failed store is not fatal — the freshly built
-// DB is still returned.
-func CharacterizeCached(variants []Variant, em *energy.Model, opts Options, dir string) (db *DB, fromCache bool, err error) {
-	if dir == "" {
-		db, err = CharacterizeWithOptions(variants, em, opts)
-		return db, false, err
-	}
-	key, err := CacheKey(variants, em, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if db, ok := LoadCached(dir, key); ok && validCached(db, variants) {
-		return db, true, nil
-	}
-	db, err = CharacterizeWithOptions(variants, em, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := SaveCached(dir, key, db); err != nil {
-		return db, false, nil // cache is an optimization, not a dependency
-	}
-	return db, false, nil
-}
-
 // validCached defends against a corrupt-but-parseable entry: the stored DB
 // must cover exactly the requested variants, and every record must be
 // consistent. An entry that fails is a miss, so it never reaches training

@@ -122,12 +122,12 @@ func TestCacheKeyEngineInvariance(t *testing.T) {
 	if err := SaveCached(dir, key, ref); err != nil {
 		t.Fatal(err)
 	}
-	warm, fromCache, err := CharacterizeCached(variants, em, Options{}, dir)
+	warm, src, err := diskTier(dir).Characterize(variants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fromCache {
-		t.Fatal("stream request missed the entry the replay reference saved")
+	if src != SourceDisk {
+		t.Fatalf("stream request missed the entry the replay reference saved: source %v", src)
 	}
 	fresh, err := CharacterizeWithOptions(variants, em, Options{})
 	if err != nil {
@@ -175,49 +175,51 @@ func TestCachePathCarriesSchemaVersion(t *testing.T) {
 	}
 }
 
-// TestCharacterizeCachedWarmHit is the acceptance test for the persistent
-// cache: the second run must come from disk, match the first bit for bit,
-// and perform zero kernel replays.
-func TestCharacterizeCachedWarmHit(t *testing.T) {
-	dir := t.TempDir()
-	em := energy.NewDefault()
+// diskTier reads dir through a Tier with the memory level off, the way
+// the facade and the CLIs read the persistent cache.
+func diskTier(dir string) *Tier {
+	return NewTier(0, 0, dir, energy.NewDefault(), Options{})
+}
+
+// TestTierDiskWarmHit is the acceptance test for the persistent cache: the
+// second run must come from disk, match the first bit for bit, and
+// characterize nothing.
+func TestTierDiskWarmHit(t *testing.T) {
+	tier := diskTier(t.TempDir())
 	variants := smallVariants()
 
-	cold, fromCache, err := CharacterizeCached(variants, em, Options{}, dir)
+	cold, src, err := tier.Characterize(variants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromCache {
-		t.Fatal("first run reported a cache hit in a fresh directory")
+	if src != SourceComputed {
+		t.Fatalf("first run in a fresh directory: source %v, want computed", src)
 	}
 
-	before := ReplayCount()
-	warm, fromCache, err := CharacterizeCached(variants, em, Options{}, dir)
+	warm, src, err := tier.Characterize(variants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fromCache {
-		t.Fatal("second run missed the cache")
+	if src != SourceDisk {
+		t.Fatalf("second run: source %v, want disk", src)
 	}
-	if got := ReplayCount(); got != before {
-		t.Fatalf("warm load replayed kernels: ReplayCount %d -> %d", before, got)
+	if s := tier.Stats(); s.Computed != 1 || s.DiskHits != 1 {
+		t.Fatalf("warm load characterized: stats %+v", s)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("cached DB differs from the freshly built one")
 	}
 }
 
-// TestCharacterizeCachedEmptyDir pins the opt-out: dir == "" bypasses the
-// cache entirely.
-func TestCharacterizeCachedEmptyDir(t *testing.T) {
-	em := energy.NewDefault()
+// TestTierNoDiskDir pins the opt-out: dir == "" bypasses the disk level
+// entirely, so a tier without memory entries computes every call.
+func TestTierNoDiskDir(t *testing.T) {
+	tier := diskTier("")
 	variants := smallVariants()[:1]
-	_, fromCache, err := CharacterizeCached(variants, em, Options{}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromCache {
-		t.Fatal("cache hit reported with caching disabled")
+	for i := 0; i < 2; i++ {
+		if _, src, err := tier.Characterize(variants); err != nil || src != SourceComputed {
+			t.Fatalf("call %d: source %v, err %v; want computed", i, src, err)
+		}
 	}
 }
 
@@ -243,13 +245,13 @@ func TestLoadCachedCorrupt(t *testing.T) {
 		t.Fatal("corrupt entry reported as a hit")
 	}
 
-	// CharacterizeCached must fall through the corrupt entry, rebuild, and
-	// repair the entry on disk.
-	_, fromCache, err := CharacterizeCached(variants, em, Options{}, dir)
+	// The tier must fall through the corrupt entry, rebuild, and repair
+	// the entry on disk.
+	_, src, err := diskTier(dir).Characterize(variants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromCache {
+	if src == SourceDisk {
 		t.Fatal("corrupt entry served as a cache hit")
 	}
 	if _, ok := LoadCached(dir, key); !ok {
@@ -366,17 +368,17 @@ func TestInconsistentCacheEntryIsAMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db, fromCache, err := CharacterizeCached(variants, em, Options{}, dir)
+			db, src, err := diskTier(dir).Characterize(variants)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fromCache {
+			if src == SourceDisk {
 				t.Fatal("corrupt entry served as a cache hit")
 			}
 			if !reflect.DeepEqual(db, fresh) {
 				t.Fatal("recomputed DB differs from a fresh build")
 			}
-			if _, fromCache, _ := CharacterizeCached(variants, em, Options{}, dir); !fromCache {
+			if _, src, _ := diskTier(dir).Characterize(variants); src != SourceDisk {
 				t.Fatal("recompute did not repair the entry")
 			}
 		})

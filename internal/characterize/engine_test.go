@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"hetsched/internal/eembc"
@@ -152,20 +153,24 @@ func TestEngineTraversalCounts(t *testing.T) {
 	em := energy.NewDefault()
 	variants := CanonicalVariants()[:2]
 
-	before := ReplayCount()
-	if _, err := CharacterizeWithOptions(variants, em, Options{}); err != nil {
+	var streams atomic.Uint64
+	counted := func(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
+		streams.Add(1)
+		return characterizeOneStream(v, em, opts, jobs)
+	}
+	if _, err := characterizeVariants(variants, em, Options{}, counted); err != nil {
 		t.Fatal(err)
 	}
-	if got := ReplayCount() - before; got != uint64(len(variants)) {
+	if got := streams.Load(); got != uint64(len(variants)) {
 		t.Errorf("stream traversals = %d, want %d (one per variant)", got, len(variants))
 	}
 
-	before = ReplayCount()
+	before := replayTraversals.Load()
 	if _, err := characterizeReplay(variants, em, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	want := uint64(len(variants) * 18)
-	if got := ReplayCount() - before; got != want {
+	if got := replayTraversals.Load() - before; got != want {
 		t.Errorf("replay traversals = %d, want %d (one per variant-config pair)", got, want)
 	}
 }

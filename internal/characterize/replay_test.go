@@ -2,6 +2,7 @@ package characterize
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"hetsched/internal/cache"
 	"hetsched/internal/eembc"
@@ -16,6 +17,10 @@ import (
 // equivalence tests (engine_test.go) hold the stream path against, and it
 // runs on the same worker pool, so BenchmarkCharacterizeOneKernelReplay
 // stays comparable with BenchmarkCharacterizeOneKernel.
+
+// replayTraversals counts the reference's trace replays, one per (variant,
+// configuration) pair it scores; TestEngineTraversalCounts reads it.
+var replayTraversals atomic.Uint64
 
 // characterizeReplay is CharacterizeWithOptions on the replay reference.
 func characterizeReplay(variants []Variant, em *energy.Model, opts Options) (*DB, error) {
@@ -82,7 +87,7 @@ func characterizeOneReplay(v Variant, em *energy.Model, opts Options, jobs chan 
 // replayL1 is the reference engine's paper mode: every L1 miss pays the
 // off-chip penalty.
 func replayL1(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.Model) (ConfigResult, error) {
-	replays.Add(1)
+	replayTraversals.Add(1)
 	l1, err := cache.NewL1(cfg)
 	if err != nil {
 		return ConfigResult{}, err
@@ -98,7 +103,7 @@ func replayL1(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.Mode
 // the two-level hierarchy and misses split into L2 hits and true off-chip
 // accesses.
 func replayL2(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.L2Model) (ConfigResult, error) {
-	replays.Add(1)
+	replayTraversals.Add(1)
 	// One core over its own L2 is the private two-level hierarchy.
 	h, err := cache.NewSharedHierarchy(1, cfg, em.L2Params().Config)
 	if err != nil {

@@ -13,48 +13,64 @@ import (
 	"hetsched/internal/energy"
 )
 
-// fakeDB builds a distinguishable placeholder DB for cache-mechanics tests
-// that never touch the compute pipeline.
+// The TestMemCache* tests drive the Tier's memory level directly through
+// getOrCompute, with placeholder DBs that never touch the compute pipeline.
+
+// fakeDB builds a distinguishable placeholder DB.
 func fakeDB(tag string) *DB {
 	return &DB{Records: []Record{{Kernel: tag}}}
 }
 
+// memTier is a Tier with only its memory level configured.
+func memTier(entries int, ttl time.Duration) *Tier {
+	return NewTier(entries, ttl, "", energy.NewDefault(), Options{})
+}
+
+// fake adapts a placeholder compute to getOrCompute's signature, reporting
+// SourceComputed like the compute level does.
+func fake(f func() (*DB, error)) func() (*DB, Source, error) {
+	return func() (*DB, Source, error) {
+		db, err := f()
+		return db, SourceComputed, err
+	}
+}
+
 func TestMemCacheHitAndMiss(t *testing.T) {
-	c := NewMemCache(4, 0)
+	c := memTier(4, 0)
 	calls := 0
 	compute := func() (*DB, error) { calls++; return fakeDB("a"), nil }
 
-	db, out, err := c.GetOrCompute("k", compute)
-	if err != nil || out != OutcomeComputed || db.Records[0].Kernel != "a" {
+	db, out, err := c.getOrCompute("k", fake(compute))
+	if err != nil || out != SourceComputed || db.Records[0].Kernel != "a" {
 		t.Fatalf("first lookup: db=%v outcome=%v err=%v", db, out, err)
 	}
-	db, out, err = c.GetOrCompute("k", compute)
-	if err != nil || out != OutcomeHit || db.Records[0].Kernel != "a" {
+	db, out, err = c.getOrCompute("k", fake(compute))
+	if err != nil || out != SourceMemory || db.Records[0].Kernel != "a" {
 		t.Fatalf("second lookup: db=%v outcome=%v err=%v", db, out, err)
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
-	s := c.Stats()
+	s := c.Stats().Mem
 	if s.Hits != 1 || s.Misses != 1 || s.Coalesced != 0 || s.Entries != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
 func TestMemCacheErrorsNotCached(t *testing.T) {
-	c := NewMemCache(4, 0)
+	c := memTier(4, 0)
 	boom := errors.New("boom")
 	fails := func() (*DB, error) { return nil, boom }
 
-	if _, out, err := c.GetOrCompute("k", fails); !errors.Is(err, boom) || out != OutcomeComputed {
+	if _, out, err := c.getOrCompute("k", fake(fails)); !errors.Is(err, boom) || out != SourceComputed {
 		t.Fatalf("failing compute: outcome=%v err=%v", out, err)
 	}
-	if s := c.Stats(); s.Entries != 0 {
+	if s := c.Stats().Mem; s.Entries != 0 {
 		t.Fatalf("error was cached: %+v", s)
 	}
 	// The key must be retryable: a later successful compute lands normally.
-	db, out, err := c.GetOrCompute("k", func() (*DB, error) { return fakeDB("ok"), nil })
-	if err != nil || out != OutcomeComputed || db.Records[0].Kernel != "ok" {
+	db, out, err := c.getOrCompute("k", fake(func() (*DB, error) { return fakeDB("ok"), nil }))
+	if err != nil || out != SourceComputed || db.Records[0].Kernel != "ok" {
 		t.Fatalf("retry after error: db=%v outcome=%v err=%v", db, out, err)
 	}
 }
@@ -62,9 +78,9 @@ func TestMemCacheErrorsNotCached(t *testing.T) {
 // TestMemCacheCoalescingIdenticalKeys proves the singleflight contract
 // under the race detector: 16 concurrent callers for one key run exactly
 // one computation, the other 15 block and share its result, and the
-// per-key wait counter observes them while they wait.
+// coalesced counter observes them while they wait.
 func TestMemCacheCoalescingIdenticalKeys(t *testing.T) {
-	c := NewMemCache(4, 0)
+	c := memTier(4, 0)
 	const callers = 16
 
 	var computes atomic.Int64
@@ -78,13 +94,13 @@ func TestMemCacheCoalescingIdenticalKeys(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	outcomes := make([]Outcome, callers)
+	outcomes := make([]Source, callers)
 	dbs := make([]*DB, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			db, out, err := c.GetOrCompute("k", compute)
+			db, out, err := c.getOrCompute("k", fake(compute))
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 			}
@@ -94,8 +110,8 @@ func TestMemCacheCoalescingIdenticalKeys(t *testing.T) {
 
 	<-computing
 	// Wait until every other caller has joined the flight, observed via
-	// the per-key wait counter, then let the computation finish.
-	for c.Waiters("k") < callers-1 {
+	// the coalesced counter, then let the computation finish.
+	for c.Stats().Mem.Coalesced < callers-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -107,9 +123,9 @@ func TestMemCacheCoalescingIdenticalKeys(t *testing.T) {
 	var computed, coalesced int
 	for i := range outcomes {
 		switch outcomes[i] {
-		case OutcomeComputed:
+		case SourceComputed:
 			computed++
-		case OutcomeCoalesced:
+		case SourceCoalesced:
 			coalesced++
 		}
 		if dbs[i] != dbs[0] {
@@ -119,18 +135,18 @@ func TestMemCacheCoalescingIdenticalKeys(t *testing.T) {
 	if computed != 1 || coalesced != callers-1 {
 		t.Fatalf("computed=%d coalesced=%d, want 1/%d", computed, coalesced, callers-1)
 	}
-	if s := c.Stats(); s.Coalesced != callers-1 || s.Misses != 1 {
+	if s := c.Stats().Mem; s.Coalesced != callers-1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if c.Waiters("k") != 0 {
-		t.Fatalf("wait counter leaked: %d", c.Waiters("k"))
+	if n := len(c.inflight); n != 0 {
+		t.Fatalf("%d flights leaked", n)
 	}
 }
 
 // TestMemCacheDistinctKeysConcurrent proves distinct keys never coalesce:
 // each key computes exactly once, concurrently, under -race.
 func TestMemCacheDistinctKeysConcurrent(t *testing.T) {
-	c := NewMemCache(64, 0)
+	c := memTier(64, 0)
 	const keys, rounds = 8, 4
 
 	counts := make([]atomic.Int64, keys)
@@ -141,10 +157,10 @@ func TestMemCacheDistinctKeysConcurrent(t *testing.T) {
 			go func(k int) {
 				defer wg.Done()
 				key := fmt.Sprintf("key-%d", k)
-				db, _, err := c.GetOrCompute(key, func() (*DB, error) {
+				db, _, err := c.getOrCompute(key, fake(func() (*DB, error) {
 					counts[k].Add(1)
 					return fakeDB(key), nil
-				})
+				}))
 				if err != nil {
 					t.Errorf("%s: %v", key, err)
 				} else if db.Records[0].Kernel != key {
@@ -159,7 +175,7 @@ func TestMemCacheDistinctKeysConcurrent(t *testing.T) {
 			t.Errorf("key-%d computed %d times, want 1", k, n)
 		}
 	}
-	if s := c.Stats(); s.Misses != keys || s.Hits+s.Coalesced != keys*(rounds-1) {
+	if s := c.Stats().Mem; s.Misses != keys || s.Hits+s.Coalesced != keys*(rounds-1) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -168,54 +184,54 @@ func TestMemCacheDistinctKeysConcurrent(t *testing.T) {
 // boundary: a fresh entry hits, an expired one recomputes and counts an
 // expiration, and the recomputed entry's lifetime restarts.
 func TestMemCacheTTLExpiry(t *testing.T) {
-	c := NewMemCache(4, time.Minute)
+	c := memTier(4, time.Minute)
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
 
 	calls := 0
 	compute := func() (*DB, error) { calls++; return fakeDB("t"), nil }
 
-	if _, out, _ := c.GetOrCompute("k", compute); out != OutcomeComputed {
+	if _, out, _ := c.getOrCompute("k", fake(compute)); out != SourceComputed {
 		t.Fatalf("cold lookup outcome %v", out)
 	}
 	now = now.Add(59 * time.Second)
-	if _, out, _ := c.GetOrCompute("k", compute); out != OutcomeHit {
+	if _, out, _ := c.getOrCompute("k", fake(compute)); out != SourceMemory {
 		t.Fatalf("within-TTL lookup outcome %v", out)
 	}
 	now = now.Add(2 * time.Second) // 61s after store: expired
-	if _, out, _ := c.GetOrCompute("k", compute); out != OutcomeComputed {
+	if _, out, _ := c.getOrCompute("k", fake(compute)); out != SourceComputed {
 		t.Fatalf("post-TTL lookup outcome %v", out)
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2", calls)
 	}
-	if s := c.Stats(); s.Expirations != 1 || s.Hits != 1 || s.Misses != 2 {
+	if s := c.Stats().Mem; s.Expirations != 1 || s.Hits != 1 || s.Misses != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
 	// The refreshed entry's clock restarted at the recompute.
 	now = now.Add(59 * time.Second)
-	if _, out, _ := c.GetOrCompute("k", compute); out != OutcomeHit {
+	if _, out, _ := c.getOrCompute("k", fake(compute)); out != SourceMemory {
 		t.Fatalf("refreshed-entry lookup outcome %v", out)
 	}
 }
 
 func TestMemCacheLRUEviction(t *testing.T) {
-	c := NewMemCache(2, 0)
+	c := memTier(2, 0)
 	one := func(tag string) func() (*DB, error) {
 		return func() (*DB, error) { return fakeDB(tag), nil }
 	}
-	c.GetOrCompute("a", one("a"))
-	c.GetOrCompute("b", one("b"))
-	c.GetOrCompute("a", one("a")) // touch a: b is now coldest
-	c.GetOrCompute("c", one("c")) // evicts b
+	c.getOrCompute("a", fake(one("a")))
+	c.getOrCompute("b", fake(one("b")))
+	c.getOrCompute("a", fake(one("a"))) // touch a: b is now coldest
+	c.getOrCompute("c", fake(one("c"))) // evicts b
 
-	if _, out, _ := c.GetOrCompute("a", one("a")); out != OutcomeHit {
+	if _, out, _ := c.getOrCompute("a", fake(one("a"))); out != SourceMemory {
 		t.Fatalf("a should have survived, outcome %v", out)
 	}
-	if _, out, _ := c.GetOrCompute("b", one("b")); out != OutcomeComputed {
+	if _, out, _ := c.getOrCompute("b", fake(one("b"))); out != SourceComputed {
 		t.Fatalf("b should have been evicted, outcome %v", out)
 	}
-	if s := c.Stats(); s.Evictions < 1 || s.Entries != 2 {
+	if s := c.Stats().Mem; s.Evictions < 1 || s.Entries != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -226,7 +242,7 @@ func TestMemCacheLRUEviction(t *testing.T) {
 // and the landing insert must re-enter the LRU cleanly. maxEntries=1
 // forces every insert to evict.
 func TestMemCacheEvictWhileWaiting(t *testing.T) {
-	c := NewMemCache(1, 0)
+	c := memTier(1, 0)
 
 	computing := make(chan struct{})
 	release := make(chan struct{})
@@ -238,12 +254,12 @@ func TestMemCacheEvictWhileWaiting(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([]*DB, 2)
-	outcomes := make([]Outcome, 2)
+	outcomes := make([]Source, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			db, out, err := c.GetOrCompute("slow", slow)
+			db, out, err := c.getOrCompute("slow", fake(slow))
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
@@ -251,7 +267,7 @@ func TestMemCacheEvictWhileWaiting(t *testing.T) {
 		}(i)
 	}
 	<-computing
-	for c.Waiters("slow") < 1 {
+	for c.Stats().Mem.Coalesced < 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -259,7 +275,7 @@ func TestMemCacheEvictWhileWaiting(t *testing.T) {
 	// whatever lands keeps getting evicted.
 	for i := 0; i < 4; i++ {
 		tag := fmt.Sprintf("churn-%d", i)
-		if _, out, err := c.GetOrCompute(tag, func() (*DB, error) { return fakeDB(tag), nil }); err != nil || out != OutcomeComputed {
+		if _, out, err := c.getOrCompute(tag, fake(func() (*DB, error) { return fakeDB(tag), nil })); err != nil || out != SourceComputed {
 			t.Fatalf("churn %d: outcome=%v err=%v", i, out, err)
 		}
 	}
@@ -269,38 +285,34 @@ func TestMemCacheEvictWhileWaiting(t *testing.T) {
 	if results[0] != results[1] || results[0].Records[0].Kernel != "slow" {
 		t.Fatalf("waiters disagree: %v vs %v", results[0], results[1])
 	}
-	if (outcomes[0] == OutcomeCoalesced) == (outcomes[1] == OutcomeCoalesced) {
+	if (outcomes[0] == SourceCoalesced) == (outcomes[1] == SourceCoalesced) {
 		t.Fatalf("want exactly one coalesced caller, got %v and %v", outcomes[0], outcomes[1])
 	}
 	// "slow" landed after the churn, evicting churn-3; it must now hit.
-	if _, out, _ := c.GetOrCompute("slow", slow); out != OutcomeHit {
+	if _, out, _ := c.getOrCompute("slow", fake(slow)); out != SourceMemory {
 		t.Fatalf("slow lookup after landing: outcome %v", out)
 	}
-	if s := c.Stats(); s.Entries != 1 || s.Evictions < 4 {
+	if s := c.Stats().Mem; s.Entries != 1 || s.Evictions < 4 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
+// TestMemCacheNilDisabled pins the disabled memory level: every lookup
+// computes, nothing is cached or coalesced, and the stats stay zero.
 func TestMemCacheNilDisabled(t *testing.T) {
-	var c *MemCache
+	c := memTier(0, time.Minute)
 	calls := 0
 	for i := 0; i < 3; i++ {
-		db, out, err := c.GetOrCompute("k", func() (*DB, error) { calls++; return fakeDB("n"), nil })
-		if err != nil || out != OutcomeComputed || db == nil {
-			t.Fatalf("nil cache lookup %d: db=%v outcome=%v err=%v", i, db, out, err)
+		db, out, err := c.getOrCompute("k", fake(func() (*DB, error) { calls++; return fakeDB("n"), nil }))
+		if err != nil || out != SourceComputed || db == nil {
+			t.Fatalf("disabled lookup %d: db=%v outcome=%v err=%v", i, db, out, err)
 		}
 	}
 	if calls != 3 {
-		t.Fatalf("nil cache memoized: %d calls, want 3", calls)
+		t.Fatalf("disabled memory level memoized: %d calls, want 3", calls)
 	}
-	if s := c.Stats(); s != (MemStats{}) {
-		t.Fatalf("nil cache stats = %+v", s)
-	}
-	if c.Waiters("k") != 0 {
-		t.Fatalf("nil cache waiters != 0")
-	}
-	if NewMemCache(0, time.Minute) != nil {
-		t.Fatalf("NewMemCache(0) should disable the tier")
+	if s := c.Stats().Mem; s != (MemStats{}) {
+		t.Fatalf("disabled memory level stats = %+v", s)
 	}
 }
 

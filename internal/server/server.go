@@ -96,7 +96,7 @@ func (c *Config) fillDefaults() {
 		c.CharCacheTTL = 15 * time.Minute
 	}
 	if c.CharCacheTTL < 0 {
-		c.CharCacheTTL = 0 // characterize.NewMemCache: 0 = never expire
+		c.CharCacheTTL = 0 // characterize.NewTier: 0 = never expire
 	}
 	if c.AdmissionHighWater == 0 {
 		c.AdmissionHighWater = 0.75
@@ -172,6 +172,12 @@ func New(sys *hetsched.System, cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.handler = s.logRequests(jsonErrorPages(mux))
+	// Both listeners exist before ListenAndServe, so a Shutdown that
+	// comes first closes them and ListenAndServe then returns at once.
+	s.api = &http.Server{Addr: cfg.Addr, Handler: s.handler}
+	if cfg.DebugAddr != "" {
+		s.debug = &http.Server{Addr: cfg.DebugAddr, Handler: s.DebugHandler()}
+	}
 	return s, nil
 }
 
@@ -198,12 +204,11 @@ func (s *Server) DebugHandler() http.Handler {
 }
 
 // ListenAndServe runs the API (and, when configured, debug) servers until
-// Shutdown. It returns the first fatal listener error.
+// Shutdown, which may also come first. It returns the first fatal listener
+// error, or nil once Shutdown has closed the API listener.
 func (s *Server) ListenAndServe() error {
 	errc := make(chan error, 2)
-	s.api = &http.Server{Addr: s.cfg.Addr, Handler: s.handler}
-	if s.cfg.DebugAddr != "" {
-		s.debug = &http.Server{Addr: s.cfg.DebugAddr, Handler: s.DebugHandler()}
+	if s.debug != nil {
 		go func() {
 			if err := s.debug.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				errc <- fmt.Errorf("server: debug listener: %w", err)
@@ -229,10 +234,8 @@ func (s *Server) ListenAndServe() error {
 // the workers and the debug server. Bounded by ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var first error
-	if s.api != nil {
-		if err := s.api.Shutdown(ctx); err != nil && first == nil {
-			first = err
-		}
+	if err := s.api.Shutdown(ctx); err != nil {
+		first = err
 	}
 	if err := s.pool.Drain(ctx); err != nil && first == nil {
 		first = err

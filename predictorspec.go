@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 
-	"hetsched/internal/ann"
 	"hetsched/internal/core"
 	"hetsched/internal/eembc"
 	"hetsched/internal/mlbase"
@@ -207,27 +206,22 @@ func (p *PredictorSpec) UnmarshalText(text []byte) error {
 	return p.Set(string(text))
 }
 
-// buildBasePredictor constructs one fixed trained kind.
-func buildBasePredictor(kind string, eval, train *DB, seed int64, opts Options) (Predictor, error) {
+// buildBasePredictor constructs one fixed trained kind over the System's
+// DBs.
+func (s *System) buildBasePredictor(kind string) (Predictor, error) {
 	switch kind {
 	case "ann":
-		if opts.EnergyParams == nil && !opts.WithL2 && !opts.IncludeTelecom && seed == 42 {
-			// Canonical setup: share the process-wide trained predictor.
-			p, _, err := ann.DefaultPredictor()
-			return p, err
-		}
-		p, _, err := ann.TrainSizePredictor(train, ann.PredictorConfig{Seed: seed, Workers: opts.Workers})
-		return p, err
+		return s.bag.get(s.Train)
 	case "oracle":
-		return core.OraclePredictor{DB: eval}, nil
+		return core.OraclePredictor{DB: s.Eval}, nil
 	case "linear":
-		return mlbase.TrainLinear(train, 0)
+		return mlbase.TrainLinear(s.Train, 0)
 	case "knn":
-		return mlbase.TrainKNN(train, 3)
+		return mlbase.TrainKNN(s.Train, 3)
 	case "stump":
-		return mlbase.TrainStump(train)
+		return mlbase.TrainStump(s.Train)
 	case "tree":
-		return mlbase.TrainTree(train, 4)
+		return mlbase.TrainTree(s.Train, 4)
 	}
 	return nil, fmt.Errorf("hetsched: unknown predictor %q", kind)
 }
@@ -235,12 +229,12 @@ func buildBasePredictor(kind string, eval, train *DB, seed int64, opts Options) 
 // buildPredictor constructs the predictor a spec names. Single fixed kinds
 // return the trained predictor object itself; online kinds and
 // multi-member specs build a predict.Ensemble wired for outcome feedback.
-func buildPredictor(spec PredictorSpec, eval, train *DB, seed int64, opts Options) (Predictor, error) {
+func (s *System) buildPredictor(spec PredictorSpec) (Predictor, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if len(spec.Members) == 1 && !onlineKinds[spec.Members[0].Kind] {
-		return buildBasePredictor(spec.Members[0].Kind, eval, train, seed, opts)
+		return s.buildBasePredictor(spec.Members[0].Kind)
 	}
 	members := make([]predict.Member, len(spec.Members))
 	weights := make([]float64, len(spec.Members))
@@ -254,7 +248,7 @@ func buildPredictor(spec PredictorSpec, eval, train *DB, seed int64, opts Option
 		case "nn":
 			members[i] = predict.NewNearest(0)
 		default:
-			p, err := buildBasePredictor(ms.Kind, eval, train, seed, opts)
+			p, err := s.buildBasePredictor(ms.Kind)
 			if err != nil {
 				return nil, err
 			}
@@ -278,10 +272,10 @@ func (s *System) WithPredictorSpec(spec PredictorSpec) (*System, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if s.buildOpts.MultiDomainANN {
+	if s.multiDomain {
 		return nil, fmt.Errorf("hetsched: hot-swap is not supported on MultiDomainANN systems")
 	}
-	pred, err := buildPredictor(spec, s.Eval, s.Train, s.buildSeed, s.buildOpts)
+	pred, err := s.buildPredictor(spec)
 	if err != nil {
 		return nil, err
 	}
