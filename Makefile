@@ -125,7 +125,9 @@ cover-check: cover
 # characterization disk-cache entries (a miss or a consistent DB, never a
 # panic), -faults plan specs, CSV traces, -predictor ensemble specs and
 # -scenario workload specs; then the daemon's four schedule endpoints on the
-# wire (2xx or 4xx JSON, never 5xx or panic). Each line runs its fuzzer alone (-run='^$$'); CI runs
+# wire (2xx or 4xx JSON, never 5xx or panic); last, the cluster dispatcher
+# against its from-scratch reference router on random topologies, scorers,
+# fault plans and steal settings. Each line runs its fuzzer alone (-run='^$$'); CI runs
 # `make fuzz FUZZTIME=10s`. The disk-cache seed is a whole saved DB, so that
 # line caps minimization, which would otherwise spend the budget shrinking
 # the first new input.
@@ -142,6 +144,7 @@ fuzz:
 	$(GO) test . -run='^$$' -fuzz FuzzParsePredictorSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run='^$$' -fuzz FuzzParseScenarioSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz FuzzScheduleEndpoints -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run='^$$' -fuzz FuzzDispatchMatchesReference -fuzztime $(FUZZTIME)
 
 # Net line delta of the Go files between BASE and the working tree (tracked
 # and staged files), from git diff --numstat: one line for non-test Go, one

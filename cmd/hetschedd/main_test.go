@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +43,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // directory. The first start's context is cancelled before the server
 // listens, so the shutdown wins the race against ListenAndServe: run must
 // still return nil. The second start loads both DBs from the cache the
-// first one wrote, serves, and drains when its context is cancelled.
+// first one wrote, logs the port it bound, serves on it, and drains when
+// its context is cancelled.
 func TestRunServesUntilCancelled(t *testing.T) {
 	args := []string{"-addr", "127.0.0.1:0", "-debug-addr", "", "-predictor", "oracle",
 		"-workers", "1", "-cache-dir", t.TempDir()}
@@ -70,6 +73,19 @@ func TestRunServesUntilCancelled(t *testing.T) {
 			t.Fatalf("daemon never listened:\n%s", warm.String())
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+	// The log names the port actually bound, and the daemon answers on it.
+	m := regexp.MustCompile(`msg=listening addr=(\S+)`).FindStringSubmatch(warm.String())
+	if m == nil || strings.HasSuffix(m[1], ":0") {
+		t.Fatalf("listening line does not name the bound port:\n%s", warm.String())
+	}
+	resp, err := http.Get("http://" + m[1] + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz on the logged address: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz on the logged address: status %d", resp.StatusCode)
 	}
 	cancel()
 	select {

@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"hetsched/internal/characterize"
@@ -263,20 +262,13 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 	// given, which makes it the bare simulator.
 	shares := [][]core.Job{jobs}
 	if len(res.Nodes) > 1 {
-		d := c.newDispatch()
-		if err := d.route(ctx, jobs); err != nil {
+		d := c.newDispatch(jobs)
+		if err := d.route(ctx); err != nil {
 			return nil, err
 		}
 		res.Steals = d.steals
-		shares = make([][]core.Job, len(d.nodes))
+		shares = d.shares()
 		for i, ns := range d.nodes {
-			sort.Slice(ns.jobs, func(a, b int) bool {
-				if ns.jobs[a].ArrivalCycle != ns.jobs[b].ArrivalCycle {
-					return ns.jobs[a].ArrivalCycle < ns.jobs[b].ArrivalCycle
-				}
-				return ns.jobs[a].Index < ns.jobs[b].Index
-			})
-			shares[i] = ns.jobs
 			res.Nodes[i] = NodeResult{StolenIn: ns.stolenIn, StolenOut: ns.stolenOut, MaxPending: ns.maxPending}
 		}
 	}

@@ -465,16 +465,16 @@ func BenchmarkClusterDispatch(b *testing.B) {
 	c := newTestCluster(b, db, Config{Nodes: mustNodes(b, "8*quad;4*4x8;4*16x2")})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := c.newDispatch()
-		if err := d.route(context.Background(), jobs); err != nil {
+		d := c.newDispatch(jobs)
+		if err := d.route(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkClusterDispatch64 routes at perfbench's cluster scale: 5000
-// jobs at utilization 0.9 over its 64-node topology. Every arrival visits
-// every node, so this is where per-visit routing cost shows.
+// jobs at utilization 0.9 over its 64-node topology, where the per-arrival
+// scan of the affinity set and the per-node upkeep show.
 func BenchmarkClusterDispatch64(b *testing.B) {
 	db := testDB(b)
 	nodes := mustNodes(b, "32*quad;16*4x8;16*16x2")
@@ -486,8 +486,8 @@ func BenchmarkClusterDispatch64(b *testing.B) {
 	c := newTestCluster(b, db, Config{Nodes: nodes})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := c.newDispatch()
-		if err := d.route(context.Background(), jobs); err != nil {
+		d := c.newDispatch(jobs)
+		if err := d.route(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

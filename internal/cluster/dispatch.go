@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -22,13 +23,13 @@ const ctxCheckEvery = 256
 // counts, plus the FIFO backlog of routed-but-not-yet-started jobs. It is
 // deliberately cheap and state-independent of the node's real simulation —
 // the global tier routes on estimates, the local policy decides placements.
+// Queued jobs are positions in the routed workload.
 type nodeState struct {
 	sizes   []int    // effective per-core cache sizes
 	deadAt  []uint64 // per-core permanent-death cycle (0 = never)
 	freeAt  []uint64 // estimated busy-until per core
-	queue   []core.Job
-	backlog uint64     // summed estimates of queue, kept in step with it
-	jobs    []core.Job // final assignment, in estimated start order
+	queue   []int32
+	backlog uint64 // summed estimates of queue, kept in step with it
 
 	// The surviving cores change only at a permanent death, all known in
 	// advance, so their summary is computed once per interval between
@@ -40,13 +41,7 @@ type nodeState struct {
 	ladder                []uint8 // ladder[r]: size index chosen for a prediction with r sizes at or below it (unused when alive is 0)
 	aliveFrom, aliveUntil uint64
 
-	// The earliest-free surviving core and the backlog spread over the
-	// survivors, both derived from the fields above. Anything that moves
-	// freeAt, the backlog or the alive interval clears fresh.
-	fresh  bool
-	efCore int    // -1 when no core survives
-	ef     uint64 // freeAt[efCore], or unroutable
-	spread uint64 // backlog / alive
+	efCore int // the earliest-free surviving core as of refreshFree, or -1
 
 	maxPending          int
 	stolenIn, stolenOut int
@@ -57,32 +52,12 @@ func (ns *nodeState) aliveAt(i int, t uint64) bool {
 	return ns.deadAt[i] == 0 || ns.deadAt[i] > t
 }
 
-// refresh brings every summary up to date for cycle t.
+// refresh brings the alive summary up to date for cycle t, recomputing it
+// only when t leaves its interval.
 func (ns *nodeState) refresh(t uint64) {
-	if t < ns.aliveFrom || t >= ns.aliveUntil || !ns.fresh {
-		ns.recompute(t)
-	}
-}
-
-// recompute is refresh's slow path, kept out of line so the fast path
-// inlines. A new alive interval always stales the free-core summary.
-func (ns *nodeState) recompute(t uint64) {
 	if t < ns.aliveFrom || t >= ns.aliveUntil {
 		ns.refreshAlive(t)
 	}
-	ns.refreshFree(t)
-}
-
-// idleAt reports whether some alive core is free at t.
-func (ns *nodeState) idleAt(t uint64) bool {
-	ns.refresh(t)
-	return ns.ef != unroutable && ns.ef <= t
-}
-
-// aliveCount returns how many cores survive at t.
-func (ns *nodeState) aliveCount(t uint64) int {
-	ns.refresh(t)
-	return ns.alive
 }
 
 // refreshAlive recomputes the surviving-core summary for the interval
@@ -111,103 +86,149 @@ func (ns *nodeState) refreshAlive(t uint64) {
 		ns.ladder[k+1] = chosen
 	}
 	ns.alive, ns.sizeMask, ns.aliveFrom, ns.aliveUntil = alive, mask, t, until
-	ns.fresh = false
 }
 
-// refreshFree rescans for the earliest-free surviving core and respreads
-// the backlog. The alive summary must hold t.
-func (ns *nodeState) refreshFree(t uint64) {
-	ns.efCore, ns.ef, ns.spread = -1, unroutable, 0
+// refreshFree rescans for the earliest-free surviving core and returns
+// the node's load. The alive summary must hold t.
+func (ns *nodeState) refreshFree(t uint64) load {
+	l := load{ef: unroutable}
+	ns.efCore = -1
+	all := ns.alive == len(ns.freeAt)
 	for i, at := range ns.freeAt {
-		if ns.aliveAt(i, t) && at < ns.ef {
-			ns.efCore, ns.ef = i, at
+		if at < l.ef && (all || ns.aliveAt(i, t)) {
+			ns.efCore, l.ef = i, at
 		}
 	}
 	if ns.alive > 0 {
-		ns.spread = ns.backlog / uint64(ns.alive)
+		l.spread = ns.backlog / uint64(ns.alive)
 	}
-	ns.fresh = true
+	return l
 }
 
-// victimAt reports whether a steal at t may take from the node: its
-// backlog exceeds threshold, or it has a backlog and no surviving core.
-func (ns *nodeState) victimAt(t uint64, threshold int) bool {
-	return len(ns.queue) > threshold || len(ns.queue) > 0 && ns.aliveCount(t) == 0
+// load is the part of a node's summary that every arrival reads, kept in
+// one dense slice so that scoring a node is a single 16-byte load.
+type load struct {
+	ef     uint64 // freeAt of the earliest-free surviving core, or unroutable
+	spread uint64 // the backlog spread over the surviving cores
 }
 
-// enqueue appends a routed job, estimated at exec cycles, to the backlog.
-func (ns *nodeState) enqueue(job core.Job, exec uint64) {
-	ns.queue = append(ns.queue, job)
-	ns.backlog += exec
-	ns.fresh = false
-}
-
-// popTail removes the backlog's last job, estimated at exec cycles.
-func (ns *nodeState) popTail(exec uint64) core.Job {
-	job := ns.queue[len(ns.queue)-1]
-	ns.queue = ns.queue[:len(ns.queue)-1]
-	ns.backlog -= exec
-	ns.fresh = false
-	return job
-}
-
-// start begins the queue head on the earliest-free surviving core,
-// recording the job as finally assigned. The caller has just seen idleAt.
-func (ns *nodeState) start(est func(app int) uint64) {
-	job := ns.queue[0]
-	// Shift rather than reslice: the queue keeps its backing array, so
-	// enqueue stops allocating once it has held the node's deepest backlog.
-	ns.queue = ns.queue[:copy(ns.queue, ns.queue[1:])]
-	exec := est(job.AppID)
-	ns.backlog -= exec
-	ns.freeAt[ns.efCore] = max(ns.ef, job.ArrivalCycle) + exec
-	ns.fresh = false
-	ns.jobs = append(ns.jobs, job)
-}
-
-// advance starts every queued job that can begin by cycle t.
-func (ns *nodeState) advance(t uint64, est func(app int) uint64) {
-	for len(ns.queue) > 0 && ns.idleAt(t) {
-		ns.start(est)
-	}
-}
+// idle reports whether some surviving core is free at t.
+func (l load) idle(t uint64) bool { return l.ef <= t && l.ef != unroutable }
 
 // wait estimates how long a job routed to the node at t would queue: the
 // gap until a surviving core frees, plus the backlog spread over the
-// surviving cores. The node's summary must be current at t and have a
-// surviving core.
-func (ns *nodeState) wait(t uint64) uint64 {
-	return max(ns.ef, t) - t + ns.spread
+// surviving cores. The node must have a surviving core.
+func (l load) wait(t uint64) uint64 { return max(l.ef, t) - t + l.spread }
+
+// nodeSet is a set of node indices, bit i for node i.
+type nodeSet [MaxNodes / 64]uint64
+
+func (s *nodeSet) add(i int)           { s[i>>6] |= 1 << (i & 63) }
+func (s *nodeSet) remove(i int)        { s[i>>6] &^= 1 << (i & 63) }
+func (s *nodeSet) contains(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
+// next returns the smallest member at or above i, or -1 when there is
+// none. Walking with next tolerates removing the member just visited.
+func (s *nodeSet) next(i int) int {
+	w := i >> 6
+	if w >= len(s) {
+		return -1
+	}
+	word := s[w] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		if w++; w == len(s) {
+			return -1
+		}
+		word = s[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
+}
+
+// count returns the number of members.
+func (s *nodeSet) count() int {
+	n := 0
+	for _, word := range s {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// nth returns the k-th smallest member, from 0.
+func (s *nodeSet) nth(k int) int {
+	for w, word := range s {
+		if n := bits.OnesCount64(word); k >= n {
+			k -= n
+			continue
+		}
+		for ; k > 0; k-- {
+			word &= word - 1
+		}
+		return w<<6 | bits.TrailingZeros64(word)
+	}
+	panic("cluster: node set index out of range")
 }
 
 // appInfo is the dispatcher's per-application summary, filled on the
 // app's first route.
 type appInfo struct {
-	filled  bool
-	est     uint64    // best-config execution cycles, at least 1
-	want    int       // predicted best cache size
-	wantBit uint64    // want's bit in a node's sizeMask (0 off Table 1)
-	rank    int       // how many cache.Sizes() are at or below want
-	nj      []float64 // best characterized energy per cache.Sizes() index (0 if none)
+	filled bool
+	est    uint64    // best-config execution cycles, at least 1
+	want   int       // predicted best cache size
+	wantK  int       // want's index in cache.Sizes() (-1 off Table 1)
+	rank   int       // how many cache.Sizes() are at or below want
+	nj     []float64 // best characterized energy per cache.Sizes() index (0 if none)
 }
 
-// dispatch is one run's routing state.
+// dispatch is one run's routing state. Its clock only moves forward.
 type dispatch struct {
 	c      *Cluster
+	jobs   []core.Job // the workload; queues and the start log hold positions in it
 	nodes  []*nodeState
 	steals int
+
+	// The final assignment: every started position in estimated start
+	// order, and the node each one started on.
+	started []int32
+	owner   []int32
+
+	// loads[i] is node i's load; changed refreshes it whenever the node's
+	// horizon or backlog moves.
+	loads []load
+
+	// queued holds the nodes with a backlog, victims those a steal may
+	// take from (see changed), both kept in step with every queue.
+	all, queued, victims nodeSet
+
+	// Every node's alive summary, and the alive and per-size node sets,
+	// hold for every cycle before setsUntil: the next permanent death on
+	// any node. Passing it rebuilds them and refreshes every load.
+	alive     nodeSet
+	bySize    []nodeSet // bySize[k]: nodes with a surviving core of cache.Sizes()[k]
+	setsUntil uint64
+
+	// idleFrom is a cycle before which no node with an empty backlog is
+	// idle. An empty node starts nothing and a death only removes cores,
+	// so its earliest-free cycle never drops while it stays empty: a thief
+	// search that finds no idle node raises the bound to the smallest of
+	// them, and a node whose backlog empties lowers it to its own.
+	idleFrom uint64
 
 	apps    []appInfo // indexed by app ID, dense over db.Records
 	unknown appInfo   // every app ID outside the DB
 }
 
-func (c *Cluster) newDispatch() *dispatch {
+func (c *Cluster) newDispatch(jobs []core.Job) *dispatch {
 	nsizes := len(cache.Sizes())
 	d := &dispatch{
 		c:       c,
+		jobs:    jobs,
+		started: make([]int32, 0, len(jobs)),
+		owner:   make([]int32, len(jobs)),
 		nodes:   make([]*nodeState, len(c.cfg.Nodes)),
+		loads:   make([]load, len(c.cfg.Nodes)),
+		bySize:  make([]nodeSet, nsizes),
 		apps:    make([]appInfo, len(c.db.Records)),
-		unknown: appInfo{est: 1, nj: make([]float64, nsizes)},
+		unknown: appInfo{est: 1, wantK: -1, nj: make([]float64, nsizes)},
 	}
 	nj := make([]float64, len(d.apps)*nsizes)
 	for i := range d.apps {
@@ -229,8 +250,32 @@ func (c *Cluster) newDispatch() *dispatch {
 			}
 		}
 		d.nodes[i] = ns
+		d.all.add(i)
 	}
 	return d
+}
+
+// setClock moves the dispatcher to cycle t. Once t reaches the next
+// permanent death on any node, every node is refreshed and the node sets
+// rebuilt.
+func (d *dispatch) setClock(t uint64) {
+	if t < d.setsUntil {
+		return
+	}
+	d.alive, d.setsUntil = nodeSet{}, unroutable
+	clear(d.bySize)
+	for i, ns := range d.nodes {
+		ns.refresh(t)
+		d.setsUntil = min(d.setsUntil, ns.aliveUntil)
+		d.changed(i, t) // a node whose last core died becomes a victim
+		if ns.alive == 0 {
+			continue
+		}
+		d.alive.add(i)
+		for m := ns.sizeMask; m != 0; m &= m - 1 {
+			d.bySize[bits.TrailingZeros64(m)].add(i)
+		}
+	}
 }
 
 // app returns the app's summary, filling it on first use: its best-config
@@ -247,7 +292,7 @@ func (d *dispatch) app(id int) *appInfo {
 		return a
 	}
 	rec := &d.c.db.Records[id]
-	a.filled, a.est, a.want = true, 1, rec.BestSizeKB()
+	a.filled, a.est, a.want, a.wantK = true, 1, rec.BestSizeKB(), -1
 	if best := rec.BestConfig(); best.Cycles > 0 {
 		a.est = best.Cycles
 	}
@@ -261,7 +306,7 @@ func (d *dispatch) app(id int) *appInfo {
 			a.rank = k + 1
 		}
 		if s == a.want {
-			a.wantBit = 1 << k
+			a.wantK = k
 		}
 		if cr, err := rec.BestConfigForSize(s); err == nil {
 			a.nj[k] = cr.Energy.Total
@@ -276,114 +321,154 @@ func (d *dispatch) est(app int) uint64 { return d.app(app).est }
 // energyOn estimates the job's execution energy on a node: the best
 // characterized energy at the node's closest surviving size to the
 // predicted best (the ladder walks down, then up — the same preference
-// order as the resilient fallback chain). The node's summary must be
+// order as the resilient fallback chain). The node's alive summary must be
 // current at the routing cycle and have a surviving core.
 func (a *appInfo) energyOn(ns *nodeState) float64 {
 	return a.nj[ns.ladder[a.rank]]
 }
 
+// score is the node's score for the app under the configured scorer, given
+// its wait: lower wins.
+func (d *dispatch) score(a *appInfo, ns *nodeState, wait uint64) float64 {
+	switch d.c.cfg.Scorer {
+	case ScoreBalance:
+		return float64(wait)
+	case ScoreEnergy:
+		return a.energyOn(ns)
+	default: // ScoreHybrid
+		e := a.energyOn(ns)
+		penalty := 1 + float64(wait)/float64(a.est)
+		return e * penalty
+	}
+}
+
+// changed refreshes node i's load and its membership of the queued and
+// victim sets after its horizon, its backlog or its surviving cores moved
+// at cycle t. A steal may take from a node whose backlog exceeds the steal
+// threshold, or that has a backlog and no surviving core.
+func (d *dispatch) changed(i int, t uint64) {
+	ns := d.nodes[i]
+	d.loads[i] = ns.refreshFree(t)
+	n := len(ns.queue)
+	if n > d.c.cfg.StealThreshold || n > 0 && ns.alive == 0 {
+		d.victims.add(i)
+	} else {
+		d.victims.remove(i)
+	}
+	switch {
+	case n > 0:
+		d.queued.add(i)
+	case d.queued.contains(i): // the backlog just emptied
+		d.queued.remove(i)
+		d.idleFrom = min(d.idleFrom, d.loads[i].ef)
+	}
+}
+
+// enqueue appends the job at position p, estimated at exec cycles, to node
+// i's backlog at cycle t.
+func (d *dispatch) enqueue(i, p int, exec, t uint64) {
+	ns := d.nodes[i]
+	ns.queue = append(ns.queue, int32(p))
+	ns.backlog += exec
+	d.changed(i, t)
+}
+
+// popTail removes node i's last queued job at cycle t and returns its
+// position.
+func (d *dispatch) popTail(i int, t uint64) int {
+	ns := d.nodes[i]
+	p := ns.queue[len(ns.queue)-1]
+	ns.queue = ns.queue[:len(ns.queue)-1]
+	ns.backlog -= d.est(d.jobs[p].AppID)
+	d.changed(i, t)
+	return int(p)
+}
+
+// advance starts every job queued on node i that can begin by cycle t,
+// each on the earliest-free surviving core, logging it as finally
+// assigned there.
+func (d *dispatch) advance(i int, t uint64) {
+	ns := d.nodes[i]
+	d.setClock(t)
+	for len(ns.queue) > 0 && d.loads[i].idle(t) {
+		job := &d.jobs[ns.queue[0]]
+		exec := d.est(job.AppID)
+		ns.backlog -= exec
+		ns.freeAt[ns.efCore] = max(d.loads[i].ef, job.ArrivalCycle) + exec
+		d.started = append(d.started, ns.queue[0])
+		d.owner[ns.queue[0]] = int32(i)
+		// Shift rather than reslice: the queue keeps its backing array, so
+		// enqueue stops allocating once it has held the node's deepest backlog.
+		ns.queue = ns.queue[:copy(ns.queue, ns.queue[1:])]
+		d.changed(i, t)
+	}
+}
+
 // route runs the full dispatch: filter/score each arrival in order,
 // stealing at every arrival boundary, then drain the remaining backlogs.
 // It checks ctx every ctxCheckEvery arrivals and at every drain step.
-func (d *dispatch) route(ctx context.Context, jobs []core.Job) error {
+func (d *dispatch) route(ctx context.Context) error {
 	var lastArrival uint64
-	for n, job := range jobs {
-		if n%ctxCheckEvery == 0 {
+	for p := range d.jobs {
+		if p%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		t := job.ArrivalCycle
+		t := d.jobs[p].ArrivalCycle
 		lastArrival = t
-		// A node without queued work has nothing to start or to lose,
-		// so only queued nodes advance, and the steal pass runs only
-		// when one of them could be a victim.
-		victim := false
-		for _, ns := range d.nodes {
-			if len(ns.queue) == 0 {
-				continue
-			}
-			ns.advance(t, d.est)
-			victim = victim || ns.victimAt(t, d.c.cfg.StealThreshold)
+		// A node without queued work has nothing to start or to lose, so
+		// only queued nodes advance.
+		for i := d.queued.next(0); i >= 0; i = d.queued.next(i + 1) {
+			d.advance(i, t)
 		}
-		if victim {
-			d.stealPass(t)
-		}
-		if err := d.routeOne(job, t); err != nil {
+		d.stealPass(t)
+		if err := d.routeOne(p, t); err != nil {
 			return err
 		}
 	}
 	return d.drain(ctx, lastArrival)
 }
 
-// routeOne filters and scores the nodes for one job in one walk and
+// routeOne filters and scores the nodes for the job at position p and
 // enqueues it on the winner. Filter 1, capacity: at least one surviving
 // core. Filter 2, size affinity: a surviving core of the predicted best
 // size; it never filters to zero, falling back to the capacity set. The
 // scorers take the first strict minimum of their set, so ties go to the
 // lowest index; round robin rotates over it by job index.
-func (d *dispatch) routeOne(job core.Job, t uint64) error {
+func (d *dispatch) routeOne(p int, t uint64) error {
+	job := &d.jobs[p]
 	a := d.app(job.AppID)
-	scorer := d.c.cfg.Scorer
-	rr := scorer == ScoreRoundRobin
-	capN, affN := 0, 0
-	capWin, affWin := -1, -1
-	var capBest, affBest float64
-	for i, ns := range d.nodes {
-		ns.refresh(t)
-		if ns.alive == 0 {
-			continue
-		}
-		capN++
-		affine := ns.sizeMask&a.wantBit != 0
-		if affine {
-			affN++
-		} else if affN > 0 {
-			continue // the affinity set is non-empty: capacity no longer ranks
-		}
-		if rr {
-			continue
-		}
-		var s float64 // the node's score: lower wins
-		switch scorer {
-		case ScoreBalance:
-			s = float64(ns.wait(t))
-		case ScoreEnergy:
-			s = a.energyOn(ns)
-		default: // ScoreHybrid
-			e := a.energyOn(ns)
-			penalty := 1 + float64(ns.wait(t))/float64(a.est)
-			s = e * penalty
-		}
-		if affine {
-			if affWin < 0 || s < affBest {
-				affWin, affBest = i, s
-			}
-		} else if capWin < 0 || s < capBest {
-			capWin, capBest = i, s
-		}
+	d.setClock(t)
+	cands, relaxed := &d.alive, true
+	if a.wantK >= 0 && d.bySize[a.wantK] != (nodeSet{}) {
+		cands, relaxed = &d.bySize[a.wantK], false
 	}
-	if capN == 0 {
+	n := cands.count()
+	if n == 0 {
 		return fmt.Errorf("cluster: job %d: no node has a surviving core at cycle %d", job.Index, t)
 	}
-	relaxed := affN == 0
-	cands, winner, best := affN, affWin, affBest
-	if relaxed {
-		cands, winner, best = capN, capWin, capBest
-	}
-	if rr {
-		winner = d.nth(job.Index%cands, a.wantBit, relaxed)
+	var winner int
+	var best float64
+	switch scorer := d.c.cfg.Scorer; {
+	case scorer == ScoreRoundRobin:
+		winner = cands.nth(job.Index % n)
+	case scorer == ScoreEnergy && !relaxed:
+		// Every affinity-set node has the same energy (see bestOf).
+		winner = cands.nth(0)
+		best = a.energyOn(d.nodes[winner])
+	default:
+		winner, best = d.bestOf(cands, a, t, scorer == ScoreBalance || !relaxed)
 	}
 
-	ns := d.nodes[winner]
-	ns.enqueue(job, a.est)
-	if len(ns.queue) > ns.maxPending {
+	d.enqueue(winner, p, a.est, t)
+	if ns := d.nodes[winner]; len(ns.queue) > ns.maxPending {
 		ns.maxPending = len(ns.queue)
 	}
-	ns.advance(t, d.est)
+	d.advance(winner, t)
 
 	if tr := d.c.cfg.Trace; tr != nil {
-		detail := fmt.Sprintf("scorer=%s cand=%d/%d", d.c.cfg.Scorer, cands, len(d.nodes))
+		detail := fmt.Sprintf("scorer=%s cand=%d/%d", d.c.cfg.Scorer, n, len(d.nodes))
 		if relaxed {
 			detail += " relaxed"
 		}
@@ -396,19 +481,53 @@ func (d *dispatch) routeOne(job core.Job, t uint64) error {
 	return nil
 }
 
-// nth returns the index of the k-th node (from 0) of the candidate set:
-// nodes with a surviving core, and, unless relaxed, one whose size bit is
-// in want. Every summary is current from routeOne's walk.
-func (d *dispatch) nth(k int, want uint64, relaxed bool) int {
-	for i, ns := range d.nodes {
-		if ns.alive > 0 && (relaxed || ns.sizeMask&want != 0) {
-			if k == 0 {
-				return i
-			}
-			k--
+// bestOf returns the first strict minimum of the score over cands at t,
+// and its score. The clock must be at t.
+//
+// byWait says the score is a non-decreasing function of the node's integer
+// wait alone. That holds for the balance score, float64(wait), and for the
+// hybrid score within the affinity set: there every node's energy is
+// nj[wantK] (the ladder of a node whose wanted size survives picks that
+// size), and e·(1 + w/est) with e ≥ 0 never decreases in w under IEEE
+// rounding. Then the first node of least wait, i at w, is the winner
+// whenever score(w+1) > score(w): every node before i waits longer and so
+// scores at least score(w+1), and every node after it scores at least
+// score(w). Otherwise two waits may round to one score, and every node is
+// scored.
+func (d *dispatch) bestOf(cands *nodeSet, a *appInfo, t uint64, byWait bool) (int, float64) {
+	if byWait {
+		i, w := d.leastWait(cands, t)
+		ns := d.nodes[i]
+		if s := d.score(a, ns, w); d.score(a, ns, w+1) > s {
+			return i, s
 		}
 	}
-	panic("cluster: candidate index out of range")
+	winner, best := -1, 0.0
+	for i := cands.next(0); i >= 0; i = cands.next(i + 1) {
+		if s := d.score(a, d.nodes[i], d.loads[i].wait(t)); winner < 0 || s < best {
+			winner, best = i, s
+		}
+	}
+	return winner, best
+}
+
+// leastWait returns the first node of the non-empty cands with the least
+// wait at t, and that wait.
+func (d *dispatch) leastWait(cands *nodeSet, t uint64) (int, uint64) {
+	loads := d.loads
+	first, least := -1, uint64(0)
+	for base, word := range cands {
+		for ; word != 0; word &= word - 1 {
+			i := base<<6 | bits.TrailingZeros64(word)
+			if w := loads[i].wait(t); first < 0 || w < least {
+				if w == 0 {
+					return i, 0 // nothing waits less
+				}
+				first, least = i, w
+			}
+		}
+	}
+	return first, least
 }
 
 // stealPass moves queued work to drained nodes at cycle t: the thief is
@@ -417,42 +536,32 @@ func (d *dispatch) nth(k int, want uint64, relaxed bool) int {
 // threshold (nodes with no surviving cores are evacuated unconditionally).
 // The thief takes the victim's backlog tail — the job that would wait
 // longest — and starts it immediately, so a stolen job is never re-stolen
-// and every pass terminates.
+// and every pass terminates. Before idleFrom there is no thief, so the
+// pass stops.
 func (d *dispatch) stealPass(t uint64) {
 	if d.c.cfg.DisableStealing {
 		return
 	}
-	for {
+	d.setClock(t)
+	for t >= d.idleFrom && d.victims != (nodeSet{}) {
 		victim := -1
-		for i, ns := range d.nodes {
-			if !ns.victimAt(t, d.c.cfg.StealThreshold) {
-				continue
-			}
-			if victim < 0 || len(ns.queue) > len(d.nodes[victim].queue) {
+		for i := d.victims.next(0); i >= 0; i = d.victims.next(i + 1) {
+			if victim < 0 || len(d.nodes[i].queue) > len(d.nodes[victim].queue) {
 				victim = i
 			}
 		}
-		if victim < 0 {
-			return
-		}
-		thief := -1
-		for i, ns := range d.nodes {
-			if i != victim && len(ns.queue) == 0 && ns.idleAt(t) {
-				thief = i
-				break
-			}
-		}
+		thief := d.thief(t)
 		if thief < 0 {
 			return
 		}
 		vs, ts := d.nodes[victim], d.nodes[thief]
-		exec := d.est(vs.queue[len(vs.queue)-1].AppID)
-		job := vs.popTail(exec)
+		p := d.popTail(victim, t)
 		vs.stolenOut++
 		ts.stolenIn++
 		d.steals++
-		ts.enqueue(job, exec)
-		ts.advance(t, d.est)
+		job := &d.jobs[p]
+		d.enqueue(thief, p, d.est(job.AppID), t)
+		d.advance(thief, t)
 		if tr := d.c.cfg.Trace; tr != nil {
 			tr.Record(trace.Event{
 				Cycle: t, Kind: trace.KindSteal, System: "cluster",
@@ -461,6 +570,24 @@ func (d *dispatch) stealPass(t uint64) {
 			})
 		}
 	}
+}
+
+// thief returns the lowest-indexed node with an empty backlog that is idle
+// at t, or -1 after raising idleFrom. The clock must be at t.
+func (d *dispatch) thief(t uint64) int {
+	next := uint64(unroutable)
+	for base, word := range d.all {
+		for word &^= d.queued[base]; word != 0; word &= word - 1 {
+			i := base<<6 | bits.TrailingZeros64(word)
+			l := d.loads[i]
+			if l.idle(t) {
+				return i
+			}
+			next = min(next, l.ef)
+		}
+	}
+	d.idleFrom = next
+	return -1
 }
 
 // drain advances estimated time past the last arrival until every backlog
@@ -472,13 +599,13 @@ func (d *dispatch) drain(ctx context.Context, t uint64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, ns := range d.nodes {
-			ns.advance(t, d.est)
+		for i := d.queued.next(0); i >= 0; i = d.queued.next(i + 1) {
+			d.advance(i, t)
 		}
 		d.stealPass(t)
 		pending := 0
-		for _, ns := range d.nodes {
-			pending += len(ns.queue)
+		for i := d.queued.next(0); i >= 0; i = d.queued.next(i + 1) {
+			pending += len(d.nodes[i].queue)
 		}
 		if pending == 0 {
 			return nil
@@ -498,4 +625,45 @@ func (d *dispatch) drain(ctx context.Context, t uint64) error {
 		}
 		t = next
 	}
+}
+
+// shares copies each node's final assignment out of the workload in the
+// order the node simulates it, by arrival and then index, into one backing
+// array sized to the workload. Each node's jobs are sorted from their
+// estimated start order.
+func (d *dispatch) shares() [][]core.Job {
+	// Group the start log by node, keeping start order within each group.
+	next := make([]int, len(d.nodes)) // the next free slot of each node's group
+	for _, p := range d.started {
+		next[d.owner[p]]++
+	}
+	sum := 0
+	for i, n := range next {
+		next[i], sum = sum, sum+n
+	}
+	pos := make([]int32, len(d.started))
+	for _, p := range d.started {
+		pos[next[d.owner[p]]] = p
+		next[d.owner[p]]++
+	}
+	// next[i] now ends node i's group, which starts where node i-1's ends.
+	buf := make([]core.Job, len(pos))
+	shares := make([][]core.Job, len(d.nodes))
+	from := 0
+	for i, to := range next {
+		group := pos[from:to]
+		slices.SortFunc(group, func(a, b int32) int {
+			ja, jb := &d.jobs[a], &d.jobs[b]
+			if c := cmp.Compare(ja.ArrivalCycle, jb.ArrivalCycle); c != 0 {
+				return c
+			}
+			return cmp.Compare(ja.Index, jb.Index)
+		})
+		shares[i] = buf[from:to:to]
+		for k, p := range group {
+			shares[i][k] = d.jobs[p]
+		}
+		from = to
+	}
+	return shares
 }

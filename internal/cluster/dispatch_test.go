@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -75,7 +78,9 @@ func TestAliveSummaryCache(t *testing.T) {
 	sizes := cache.Sizes()
 	for _, at := range []uint64{0, 49, 50, 51, 99, 100, 101, 299, 300, 1000, 60, 0, 400} {
 		classes, alive := scanAlive(ns.sizes, ns.deadAt, at)
-		if got := ns.aliveCount(at); got != alive {
+		ns.refresh(at)
+		l := ns.refreshFree(at)
+		if got := ns.alive; got != alive {
 			t.Errorf("t=%d: alive %d, want %d", at, got, alive)
 		}
 		for k, size := range sizes {
@@ -96,9 +101,8 @@ func TestAliveSummaryCache(t *testing.T) {
 				}
 			}
 		}
-		ns.refresh(at)
-		if ef, core := scanEarliestFree(ns.deadAt, ns.freeAt, at); ns.ef != ef || ns.efCore != core {
-			t.Errorf("t=%d: earliest free %d on core %d, want %d on core %d", at, ns.ef, ns.efCore, ef, core)
+		if ef, core := scanEarliestFree(ns.deadAt, ns.freeAt, at); l.ef != ef || ns.efCore != core {
+			t.Errorf("t=%d: earliest free %d on core %d, want %d on core %d", at, l.ef, ns.efCore, ef, core)
 		}
 	}
 }
@@ -115,13 +119,13 @@ func TestBacklogBalances(t *testing.T) {
 		Nodes: mustNodes(t, "4*quad;2*4x8;2*16x2"),
 		Sim:   core.SimConfig{Faults: fault.Plan{Seed: 4, PermanentMTTF: 3_000_000}},
 	})
-	d := c.newDispatch()
+	d := c.newDispatch(jobs)
 	check := func(when string) {
 		t.Helper()
 		for i, ns := range d.nodes {
 			var sum uint64
-			for _, j := range ns.queue {
-				sum += d.est(j.AppID)
+			for _, p := range ns.queue {
+				sum += d.est(jobs[p].AppID)
 			}
 			if ns.backlog != sum {
 				t.Fatalf("%s: node %d backlog %d, queue sums to %d", when, i, ns.backlog, sum)
@@ -130,29 +134,30 @@ func TestBacklogBalances(t *testing.T) {
 	}
 	checkWait := func(at uint64) {
 		t.Helper()
+		d.setClock(at)
 		for i, ns := range d.nodes {
-			ns.refresh(at)
+			l := d.loads[i]
 			ef, _ := scanEarliestFree(ns.deadAt, ns.freeAt, at)
-			if ns.ef != ef {
-				t.Fatalf("t=%d: node %d earliest free %d, scan %d", at, i, ns.ef, ef)
+			if l.ef != ef {
+				t.Fatalf("t=%d: node %d earliest free %d, scan %d", at, i, l.ef, ef)
 			}
 			_, alive := scanAlive(ns.sizes, ns.deadAt, at)
 			if alive == 0 {
 				continue
 			}
-			if got, want := ns.wait(at), max(ef, at)-at+ns.backlog/uint64(alive); got != want {
+			if got, want := l.wait(at), max(ef, at)-at+ns.backlog/uint64(alive); got != want {
 				t.Fatalf("t=%d: node %d wait %d, scan %d", at, i, got, want)
 			}
 		}
 	}
-	for _, job := range jobs {
-		for _, ns := range d.nodes {
-			ns.advance(job.ArrivalCycle, d.est)
+	for p, job := range jobs {
+		for i := range d.nodes {
+			d.advance(i, job.ArrivalCycle)
 		}
 		d.stealPass(job.ArrivalCycle)
 		check("after steal pass")
 		checkWait(job.ArrivalCycle)
-		if err := d.routeOne(job, job.ArrivalCycle); err != nil {
+		if err := d.routeOne(p, job.ArrivalCycle); err != nil {
 			t.Fatal(err)
 		}
 		check("after route")
@@ -169,12 +174,12 @@ func TestBacklogBalances(t *testing.T) {
 	// The step-by-step walk above is route itself (route merely skips
 	// the no-op advances and steal passes), so a fresh dispatch assigns
 	// every job identically.
-	again := c.newDispatch()
-	if err := again.route(context.Background(), jobs); err != nil {
+	again := c.newDispatch(jobs)
+	if err := again.route(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range d.nodes {
-		if !reflect.DeepEqual(d.nodes[i].jobs, again.nodes[i].jobs) {
+		if !reflect.DeepEqual(startedOn(d, i), startedOn(again, i)) {
 			t.Fatalf("node %d assignment differs between the walk and route", i)
 		}
 	}
@@ -200,6 +205,45 @@ func TestRouteHonorsCancellation(t *testing.T) {
 	}
 	if routes >= ctxCheckEvery {
 		t.Errorf("%d route events after cancellation, want fewer than %d", routes, ctxCheckEvery)
+	}
+}
+
+// startedOn returns the jobs the dispatch started on node, in start order.
+func startedOn(d *dispatch, node int) []core.Job {
+	var out []core.Job
+	for _, p := range d.started {
+		if d.owner[p] == int32(node) {
+			out = append(out, d.jobs[p])
+		}
+	}
+	return out
+}
+
+// TestBestOfKeepsFloatTies pins the integer-wait rule's tie handling: two
+// affinity-set nodes whose waits differ but whose hybrid scores round to
+// the same float. The first strict minimum is the lower index, even though
+// the later node waits less; an argmin over the integer waits alone would
+// pick the later one.
+func TestBestOfKeepsFloatTies(t *testing.T) {
+	db := testDB(t)
+	c := newTestCluster(t, db, Config{Nodes: mustNodes(t, "2*quad")})
+	d := c.newDispatch(nil)
+	const now = 1000
+	d.setClock(now)
+	d.loads[0] = load{ef: now + 100}
+	d.loads[1] = load{ef: now + 50}
+	k := len(cache.Sizes()) - 1
+	a := &appInfo{est: 1 << 60, want: cache.Sizes()[k], wantK: k, rank: k + 1, nj: make([]float64, k+1)}
+	a.nj[k] = 3
+	w0, w1 := d.loads[0].wait(now), d.loads[1].wait(now)
+	s0, s1 := d.score(a, d.nodes[0], w0), d.score(a, d.nodes[1], w1)
+	if w1 >= w0 || s0 != s1 {
+		t.Fatalf("waits %d, %d and scores %v, %v: want the later node to wait less at an equal score", w0, w1, s0, s1)
+	}
+	for _, byWait := range []bool{true, false} {
+		if winner, best := d.bestOf(&d.bySize[k], a, now, byWait); winner != 0 || best != s0 {
+			t.Errorf("byWait=%v: winner %d scoring %v, want node 0 scoring %v", byWait, winner, best, s0)
+		}
 	}
 }
 
@@ -435,14 +479,100 @@ func (r *refRouter) route(jobs []core.Job) error {
 	}
 }
 
+// matchReference routes jobs on c traced and untraced, and on the
+// reference router, and fails unless all three agree. The traced run must
+// make every decision the reference makes: the winner, the relaxed flag,
+// the candidate count and the score bits of each route, and every steal.
+// Both runs must end with the reference's error, steal counts and final
+// jobs per node, and split the workload into the shares a per-node sort of
+// the reference's jobs gives. It returns the untraced dispatch.
+func matchReference(t *testing.T, name string, c *Cluster, jobs []core.Job) *dispatch {
+	t.Helper()
+	ref := newRefRouter(c)
+	refErr := ref.route(jobs)
+
+	traced := *c
+	rec := trace.NewRecorder()
+	traced.cfg.Trace = rec
+	var runs [2]*dispatch
+	for k, cl := range []*Cluster{&traced, c} {
+		runs[k] = cl.newDispatch(jobs)
+		if err := runs[k].route(context.Background()); fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("%s: route error %v (traced=%v), reference %v", name, err, cl == &traced, refErr)
+		}
+	}
+	if refErr != nil {
+		return runs[1]
+	}
+
+	var routes []refRoute
+	var steals []refSteal
+	for _, ev := range rec.Events() {
+		switch ev.Kind {
+		case trace.KindRoute:
+			var k, n int
+			if _, err := fmt.Sscanf(strings.Fields(ev.Detail)[1], "cand=%d/%d", &k, &n); err != nil {
+				t.Fatalf("%s: route detail %q: %v", name, ev.Detail, err)
+			}
+			routes = append(routes, refRoute{ev.Job, ev.Core, k,
+				strings.HasSuffix(ev.Detail, " relaxed"), math.Float64bits(ev.EnergyNJ)})
+		case trace.KindSteal:
+			steals = append(steals, refSteal{ev.Job, ev.Core, int(ev.Start)})
+		}
+	}
+	if len(routes) != len(ref.routes) {
+		t.Fatalf("%s: %d routes, reference %d", name, len(routes), len(ref.routes))
+	}
+	for i := range routes {
+		if routes[i] != ref.routes[i] {
+			t.Fatalf("%s: route %d = %+v, reference %+v", name, i, routes[i], ref.routes[i])
+		}
+	}
+	if !slices.Equal(steals, ref.steals) {
+		t.Fatalf("%s: %d traced steals differ from the reference's %d", name, len(steals), len(ref.steals))
+	}
+
+	stolenIn, stolenOut := make([]int, len(c.cfg.Nodes)), make([]int, len(c.cfg.Nodes))
+	for _, st := range ref.steals {
+		stolenIn[st.thief]++
+		stolenOut[st.victim]++
+	}
+	for k, d := range runs {
+		run := fmt.Sprintf("%s (traced=%v)", name, k == 0)
+		if d.steals != len(ref.steals) {
+			t.Fatalf("%s: %d steals, reference %d", run, d.steals, len(ref.steals))
+		}
+		for i, ns := range d.nodes {
+			if !slices.Equal(startedOn(d, i), ref.nodes[i].jobs) {
+				t.Fatalf("%s: node %d final jobs differ from the reference", run, i)
+			}
+			if ns.stolenIn != stolenIn[i] || ns.stolenOut != stolenOut[i] {
+				t.Fatalf("%s: node %d stole %d in, %d out; reference %d, %d",
+					run, i, ns.stolenIn, ns.stolenOut, stolenIn[i], stolenOut[i])
+			}
+		}
+		for i, share := range d.shares() {
+			want := slices.Clone(ref.nodes[i].jobs)
+			sort.Slice(want, func(a, b int) bool {
+				if want[a].ArrivalCycle != want[b].ArrivalCycle {
+					return want[a].ArrivalCycle < want[b].ArrivalCycle
+				}
+				return want[a].Index < want[b].Index
+			})
+			if !slices.Equal(share, want) {
+				t.Fatalf("%s: node %d share differs from the reference's jobs sorted by arrival", run, i)
+			}
+		}
+	}
+	return runs[1]
+}
+
 // TestDispatchMatchesReference routes each scorer, with and without
 // stealing, on both per-node views ("proposed" keeps the declared sizes,
 // "base" flattens every core to 8 KB), with no faults and with a plan in
 // which the one quad node loses every core mid-run (so its backlog is
-// evacuated) while the six-core nodes fall back to their 8 KB cores. The
-// cached dispatcher must make every decision the from-scratch reference
-// makes: the winner, the relaxed flag, the candidate count and the score
-// bits of each route, every steal, and each node's final jobs.
+// evacuated) while the six-core nodes fall back to their 8 KB cores; see
+// matchReference for what must agree.
 func TestDispatchMatchesReference(t *testing.T) {
 	db := testDB(t)
 	nodes := mustNodes(t, "quad;2*16x2;2*2x2,2x4,2x8;6x8")
@@ -459,49 +589,11 @@ func TestDispatchMatchesReference(t *testing.T) {
 			for scorer := ScorerKind(0); scorer < scorerCount; scorer++ {
 				for _, noSteal := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%s/%s/nosteal=%v", system, plan, scorer, noSteal)
-					rec := trace.NewRecorder()
 					c := newTestCluster(t, db, Config{
 						Nodes: nodes, System: system, Scorer: scorer, DisableStealing: noSteal,
-						Sim: core.SimConfig{Faults: plans[plan]}, Trace: rec,
+						Sim: core.SimConfig{Faults: plans[plan]},
 					})
-					d := c.newDispatch()
-					err := d.route(context.Background(), jobs)
-					ref := newRefRouter(c)
-					refErr := ref.route(jobs)
-					if fmt.Sprint(err) != fmt.Sprint(refErr) {
-						t.Fatalf("%s: route error %v, reference %v", name, err, refErr)
-					}
-					var routes []refRoute
-					var steals []refSteal
-					for _, ev := range rec.Events() {
-						switch ev.Kind {
-						case trace.KindRoute:
-							var k, n int
-							if _, err := fmt.Sscanf(strings.Fields(ev.Detail)[1], "cand=%d/%d", &k, &n); err != nil {
-								t.Fatalf("%s: route detail %q: %v", name, ev.Detail, err)
-							}
-							routes = append(routes, refRoute{ev.Job, ev.Core, k,
-								strings.HasSuffix(ev.Detail, " relaxed"), math.Float64bits(ev.EnergyNJ)})
-						case trace.KindSteal:
-							steals = append(steals, refSteal{ev.Job, ev.Core, int(ev.Start)})
-						}
-					}
-					if len(routes) != len(ref.routes) {
-						t.Fatalf("%s: %d routes, reference %d", name, len(routes), len(ref.routes))
-					}
-					for i := range routes {
-						if routes[i] != ref.routes[i] {
-							t.Fatalf("%s: route %d = %+v, reference %+v", name, i, routes[i], ref.routes[i])
-						}
-					}
-					if !slices.Equal(steals, ref.steals) || d.steals != len(ref.steals) {
-						t.Fatalf("%s: %d steals differ from the reference's %d", name, d.steals, len(ref.steals))
-					}
-					for i, ns := range d.nodes {
-						if !slices.Equal(ns.jobs, ref.nodes[i].jobs) {
-							t.Fatalf("%s: node %d final jobs differ from the reference", name, i)
-						}
-					}
+					d := matchReference(t, name, c, jobs)
 					if plan == "death" && !noSteal && d.nodes[0].stolenOut > 0 {
 						evacuated = true
 					}
@@ -512,4 +604,78 @@ func TestDispatchMatchesReference(t *testing.T) {
 	if !evacuated {
 		t.Error("no run evacuated the dead quad node")
 	}
+}
+
+// FuzzDispatchMatchesReference checks the dispatcher against the reference
+// router (see matchReference) on random clusters of 2 to 130 nodes, so the
+// node sets cross a word boundary. mode picks the scorer (bits 0-1),
+// turns stealing off (bit 2), flattens every core to 8 KB with "base"
+// (bit 3) and picks the fault plan (bits 4-5: none, scripted permanent
+// deaths shared by every node, or stochastic per-node deaths that may
+// kill a node outright). The seed draws the topology, from a random subset
+// of the cache sizes so that some predictions find no node of their size,
+// the workload, with a few jobs of apps outside the DB and some arrival
+// ties whose indexes run against workload order, and the steal threshold.
+func FuzzDispatchMatchesReference(f *testing.F) {
+	widths := []uint8{0, 5, 62, 63, 128, 127, 31, 126} // 2 + width nodes
+	for k := 0; k < 24; k++ {
+		mode := uint8(k%4 | (k/4%2)<<2 | (k%3/2)<<3 | (k/8)<<4)
+		f.Add(int64(k+1), widths[(k+k/4)%len(widths)], mode)
+	}
+	db := testDB(f)
+	f.Fuzz(func(t *testing.T, seed int64, width, mode uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		sizes := cache.Sizes()
+		var allowed []int
+		for len(allowed) == 0 {
+			for _, s := range sizes {
+				if rng.Intn(3) > 0 {
+					allowed = append(allowed, s)
+				}
+			}
+		}
+		nodes := make([]core.SystemSpec, 2+int(width)%129)
+		cores := 0
+		for i := range nodes {
+			kb := make([]int, 1+rng.Intn(6))
+			if rng.Intn(8) == 0 {
+				kb = make([]int, 16)
+			}
+			for k := range kb {
+				kb[k] = allowed[rng.Intn(len(allowed))]
+			}
+			nodes[i] = core.SystemSpec{CoreSizesKB: kb}
+			cores += len(kb)
+		}
+		jobs := testJobs(t, db, 50+rng.Intn(250), cores, []float64{0.7, 1.2, 2.5}[rng.Intn(3)], seed)
+		for k := rng.Intn(4); k > 0; k-- {
+			jobs[rng.Intn(len(jobs))].AppID = []int{-1, len(db.Records), len(db.Records) + 7}[rng.Intn(3)]
+		}
+		for k := rng.Intn(len(jobs) / 4); k > 0; k-- {
+			p := 1 + rng.Intn(len(jobs)-1)
+			jobs[p].ArrivalCycle = jobs[p-1].ArrivalCycle
+			jobs[p].Index, jobs[p-1].Index = jobs[p-1].Index, jobs[p].Index
+		}
+		horizon := jobs[len(jobs)-1].ArrivalCycle + 1
+		var plan fault.Plan
+		switch mode >> 4 % 3 {
+		case 1:
+			for k := rng.Intn(8); k > 0; k-- {
+				plan.Script = append(plan.Script, fault.Event{
+					Cycle: uint64(rng.Int63n(int64(horizon))), Core: rng.Intn(6), Kind: fault.CrashPermanent})
+			}
+			slices.SortFunc(plan.Script, func(a, b fault.Event) int { return cmp.Compare(a.Cycle, b.Cycle) })
+		case 2:
+			plan = fault.Plan{Seed: seed, PermanentMTTF: max(1000, horizon/uint64(1+rng.Intn(3))), MaxPermanent: 16}
+		}
+		system := "proposed"
+		if mode&8 != 0 {
+			system = "base"
+		}
+		c := newTestCluster(t, db, Config{
+			Nodes: nodes, System: system, Scorer: ScorerKind(mode & 3), DisableStealing: mode&4 != 0,
+			StealThreshold: 1 + rng.Intn(3), Sim: core.SimConfig{Faults: plan},
+		})
+		matchReference(t, fmt.Sprintf("seed=%d/width=%d/mode=%#x", seed, len(nodes), mode), c, jobs)
+	})
 }

@@ -6,10 +6,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"hetsched/internal/characterize"
 )
@@ -116,11 +117,13 @@ func GenerateWorkload(cfg WorkloadConfig) ([]Job, error) {
 // FinishWorkload sorts jobs by (arrival, app) and assigns their indices —
 // the ordering contract every generated or replayed workload shares.
 func FinishWorkload(jobs []Job) []Job {
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].ArrivalCycle != jobs[j].ArrivalCycle {
-			return jobs[i].ArrivalCycle < jobs[j].ArrivalCycle
+	// Not stable: jobs tied on both keys keep the order pdqsort leaves
+	// them in, the one sort.Slice left before (both share its template).
+	slices.SortFunc(jobs, func(a, b Job) int {
+		if c := cmp.Compare(a.ArrivalCycle, b.ArrivalCycle); c != 0 {
+			return c
 		}
-		return jobs[i].AppID < jobs[j].AppID
+		return cmp.Compare(a.AppID, b.AppID)
 	})
 	for i := range jobs {
 		jobs[i].Index = i

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"hetsched/internal/characterize"
@@ -181,6 +185,46 @@ func TestArrivalModels(t *testing.T) {
 		if got[i].Index != i || got[i].AppID != w.app || got[i].ArrivalCycle != w.arrival {
 			t.Errorf("job %d = {index %d, app %d, arrival %d}, want {index %d, app %d, arrival %d}",
 				i, got[i].Index, got[i].AppID, got[i].ArrivalCycle, i, w.app, w.arrival)
+		}
+	}
+}
+
+// TestFinishWorkloadMatchesSortSlice pins FinishWorkload's order, ties
+// included, to the sort.Slice it replaced: on inputs dense with jobs tied on
+// both (arrival, app), each tagged by its input position in Priority, the
+// two sorts must leave every job in the same place.
+func TestFinishWorkloadMatchesSortSlice(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(600)
+		arrivals, apps := 1+rng.Intn(40), 1+rng.Intn(4)
+		raw := make([]Job, n)
+		for i := range raw {
+			raw[i] = Job{AppID: rng.Intn(apps), ArrivalCycle: uint64(rng.Intn(arrivals)), Priority: i}
+		}
+		switch seed % 4 { // pdqsort's sorted, reversed and all-equal paths
+		case 1:
+			slices.SortFunc(raw, func(a, b Job) int { return cmp.Compare(a.ArrivalCycle, b.ArrivalCycle) })
+		case 2:
+			slices.SortFunc(raw, func(a, b Job) int { return cmp.Compare(b.ArrivalCycle, a.ArrivalCycle) })
+		case 3:
+			for i := range raw {
+				raw[i].AppID, raw[i].ArrivalCycle = 0, 7
+			}
+		}
+		want := slices.Clone(raw)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].ArrivalCycle != want[j].ArrivalCycle {
+				return want[i].ArrivalCycle < want[j].ArrivalCycle
+			}
+			return want[i].AppID < want[j].AppID
+		})
+		got := FinishWorkload(slices.Clone(raw))
+		for i := range got {
+			if got[i].Index != i || got[i].Priority != want[i].Priority {
+				t.Fatalf("seed %d (%d jobs): position %d holds input job %d (index %d), sort.Slice puts %d there",
+					seed, n, i, got[i].Priority, got[i].Index, want[i].Priority)
+			}
 		}
 	}
 }

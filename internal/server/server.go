@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -204,22 +205,32 @@ func (s *Server) DebugHandler() http.Handler {
 }
 
 // ListenAndServe runs the API (and, when configured, debug) servers until
-// Shutdown, which may also come first. It returns the first fatal listener
+// Shutdown, which may also come first. Each listener is bound before its
+// address is logged, so the log names the port actually bound (an address
+// with port 0 picks a free one). It returns the first fatal listener
 // error, or nil once Shutdown has closed the API listener.
 func (s *Server) ListenAndServe() error {
 	errc := make(chan error, 2)
 	if s.debug != nil {
+		ln, err := listen(s.debug.Addr)
+		if err != nil {
+			return fmt.Errorf("server: debug listener: %w", err)
+		}
 		go func() {
-			if err := s.debug.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := s.debug.Serve(ln); err != nil && err != http.ErrServerClosed {
 				errc <- fmt.Errorf("server: debug listener: %w", err)
 			}
 		}()
-		s.cfg.Logger.Printf("msg=debug-listening addr=%s", s.cfg.DebugAddr)
+		s.cfg.Logger.Printf("msg=debug-listening addr=%s", ln.Addr())
+	}
+	ln, err := listen(s.api.Addr)
+	if err != nil {
+		return fmt.Errorf("server: api listener: %w", err)
 	}
 	s.cfg.Logger.Printf("msg=listening addr=%s workers=%d queue=%d predictor=%s",
-		s.cfg.Addr, s.cfg.Workers, s.cfg.QueueDepth, s.system().PredictorName())
+		ln.Addr(), s.cfg.Workers, s.cfg.QueueDepth, s.system().PredictorName())
 	go func() {
-		err := s.api.ListenAndServe()
+		err := s.api.Serve(ln) // closes ln, even when Shutdown came first
 		if err != nil && err != http.ErrServerClosed {
 			errc <- fmt.Errorf("server: api listener: %w", err)
 			return
@@ -227,6 +238,15 @@ func (s *Server) ListenAndServe() error {
 		errc <- nil // graceful Shutdown
 	}()
 	return <-errc
+}
+
+// listen binds addr over TCP as http.Server.ListenAndServe does (":http"
+// when empty).
+func listen(addr string) (net.Listener, error) {
+	if addr == "" {
+		addr = ":http"
+	}
+	return net.Listen("tcp", addr)
 }
 
 // Shutdown drains gracefully: stop accepting connections, wait for active
