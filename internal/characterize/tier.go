@@ -134,48 +134,17 @@ func NewTier(memEntries int, ttl time.Duration, dir string, em *energy.Model, op
 // computes stores the result on disk best-effort: the disk level is an
 // optimization, not a dependency.
 func (t *Tier) Characterize(variants []Variant) (*DB, Source, error) {
-	db, miss, err := t.Lookup(variants)
-	switch {
-	case err != nil:
-		return nil, SourceComputed, err
-	case miss != nil:
-		return miss()
-	}
-	return db, SourceMemory, nil
-}
-
-// Lookup is Characterize in two steps, so that a caller can answer memory
-// hits inline and run only the rest concurrently. It returns the DB when
-// the memory level holds it; otherwise it returns miss, which finishes the
-// lookup as Characterize would (memory again, a coalesced flight, disk,
-// compute). The lookup counts as one request once it is answered, so a
-// miss that is never run counts nothing.
-func (t *Tier) Lookup(variants []Variant) (db *DB, miss func() (*DB, Source, error), err error) {
+	t.requests.Add(1)
 	// A tier with neither cache level has nothing to look a key up in, so
 	// it skips deriving one; the hashing would also leave encoding/json's
 	// type cache (~19 KB) live for the process.
 	var key string
 	if t.maxEntries >= 1 || t.dir != "" {
+		var err error
 		if key, err = CacheKey(variants, t.em, t.opts); err != nil {
-			t.requests.Add(1)
-			return nil, nil, err
+			return nil, SourceComputed, err
 		}
 	}
-	if t.maxEntries >= 1 {
-		t.mu.Lock()
-		hit, ok := t.hitLocked(key)
-		t.mu.Unlock()
-		if ok {
-			t.requests.Add(1)
-			return hit, nil, nil
-		}
-	}
-	return nil, func() (*DB, Source, error) { return t.fill(key, variants) }, nil
-}
-
-// fill is a lookup's path past a memory miss.
-func (t *Tier) fill(key string, variants []Variant) (*DB, Source, error) {
-	t.requests.Add(1)
 	db, src, err := t.getOrCompute(key, func() (*DB, Source, error) {
 		if t.dir != "" {
 			if db, ok := LoadCached(t.dir, key); ok && validCached(db, variants) {
@@ -214,9 +183,20 @@ func (t *Tier) getOrCompute(key string, compute func() (*DB, Source, error)) (*D
 		return compute()
 	}
 	t.mu.Lock()
-	if db, ok := t.hitLocked(key); ok {
-		t.mu.Unlock()
-		return db, SourceMemory, nil
+	if el, ok := t.entries[key]; ok {
+		e := el.Value.(*memEntry)
+		if t.ttl > 0 && t.now().Sub(e.stored) >= t.ttl {
+			// Expired: drop it and fall through to the miss path.
+			t.lru.Remove(el)
+			delete(t.entries, key)
+			t.mem.Expirations++
+		} else {
+			t.lru.MoveToFront(el)
+			t.mem.Hits++
+			db := e.db
+			t.mu.Unlock()
+			return db, SourceMemory, nil
+		}
 	}
 	if f, ok := t.inflight[key]; ok {
 		t.mem.Coalesced++
@@ -240,25 +220,6 @@ func (t *Tier) getOrCompute(key string, compute func() (*DB, Source, error)) (*D
 	f.db, f.err = db, err
 	close(f.done)
 	return db, src, err
-}
-
-// hitLocked returns the live memory entry under key and counts the hit. An
-// entry whose TTL lapsed is dropped and reads as a miss.
-func (t *Tier) hitLocked(key string) (*DB, bool) {
-	el, ok := t.entries[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*memEntry)
-	if t.ttl > 0 && t.now().Sub(e.stored) >= t.ttl {
-		t.lru.Remove(el)
-		delete(t.entries, key)
-		t.mem.Expirations++
-		return nil, false
-	}
-	t.lru.MoveToFront(el)
-	t.mem.Hits++
-	return e.db, true
 }
 
 // insertLocked stores key→db at the LRU front, evicting the coldest entry

@@ -41,7 +41,8 @@ type nodeState struct {
 	ladder                []uint8 // ladder[r]: size index chosen for a prediction with r sizes at or below it (unused when alive is 0)
 	aliveFrom, aliveUntil uint64
 
-	efCore int // the earliest-free surviving core as of refreshFree, or -1
+	load   load // as of refreshFree
+	efCore int  // the earliest-free surviving core as of refreshFree, or -1
 
 	maxPending          int
 	stolenIn, stolenOut int
@@ -88,25 +89,23 @@ func (ns *nodeState) refreshAlive(t uint64) {
 	ns.alive, ns.sizeMask, ns.aliveFrom, ns.aliveUntil = alive, mask, t, until
 }
 
-// refreshFree rescans for the earliest-free surviving core and returns
+// refreshFree rescans for the earliest-free surviving core and refreshes
 // the node's load. The alive summary must hold t.
-func (ns *nodeState) refreshFree(t uint64) load {
+func (ns *nodeState) refreshFree(t uint64) {
 	l := load{ef: unroutable}
 	ns.efCore = -1
-	all := ns.alive == len(ns.freeAt)
 	for i, at := range ns.freeAt {
-		if at < l.ef && (all || ns.aliveAt(i, t)) {
+		if at < l.ef && ns.aliveAt(i, t) {
 			ns.efCore, l.ef = i, at
 		}
 	}
 	if ns.alive > 0 {
 		l.spread = ns.backlog / uint64(ns.alive)
 	}
-	return l
+	ns.load = l
 }
 
-// load is the part of a node's summary that every arrival reads, kept in
-// one dense slice so that scoring a node is a single 16-byte load.
+// load is the part of a node's summary that every arrival reads.
 type load struct {
 	ef     uint64 // freeAt of the earliest-free surviving core, or unroutable
 	spread uint64 // the backlog spread over the surviving cores
@@ -123,9 +122,8 @@ func (l load) wait(t uint64) uint64 { return max(l.ef, t) - t + l.spread }
 // nodeSet is a set of node indices, bit i for node i.
 type nodeSet [MaxNodes / 64]uint64
 
-func (s *nodeSet) add(i int)           { s[i>>6] |= 1 << (i & 63) }
-func (s *nodeSet) remove(i int)        { s[i>>6] &^= 1 << (i & 63) }
-func (s *nodeSet) contains(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s *nodeSet) add(i int)    { s[i>>6] |= 1 << (i & 63) }
+func (s *nodeSet) remove(i int) { s[i>>6] &^= 1 << (i & 63) }
 
 // next returns the smallest member at or above i, or -1 when there is
 // none. Walking with next tolerates removing the member just visited.
@@ -155,6 +153,9 @@ func (s *nodeSet) count() int {
 
 // nth returns the k-th smallest member, from 0.
 func (s *nodeSet) nth(k int) int {
+	if k < 0 {
+		panic("cluster: node set index out of range")
+	}
 	for w, word := range s {
 		if n := bits.OnesCount64(word); k >= n {
 			k -= n
@@ -191,13 +192,9 @@ type dispatch struct {
 	started []int32
 	owner   []int32
 
-	// loads[i] is node i's load; changed refreshes it whenever the node's
-	// horizon or backlog moves.
-	loads []load
-
-	// queued holds the nodes with a backlog, victims those a steal may
-	// take from (see changed), both kept in step with every queue.
-	all, queued, victims nodeSet
+	// queued holds the nodes with a backlog, kept in step with every
+	// queue by changed.
+	all, queued nodeSet
 
 	// Every node's alive summary, and the alive and per-size node sets,
 	// hold for every cycle before setsUntil: the next permanent death on
@@ -205,13 +202,6 @@ type dispatch struct {
 	alive     nodeSet
 	bySize    []nodeSet // bySize[k]: nodes with a surviving core of cache.Sizes()[k]
 	setsUntil uint64
-
-	// idleFrom is a cycle before which no node with an empty backlog is
-	// idle. An empty node starts nothing and a death only removes cores,
-	// so its earliest-free cycle never drops while it stays empty: a thief
-	// search that finds no idle node raises the bound to the smallest of
-	// them, and a node whose backlog empties lowers it to its own.
-	idleFrom uint64
 
 	apps    []appInfo // indexed by app ID, dense over db.Records
 	unknown appInfo   // every app ID outside the DB
@@ -225,7 +215,6 @@ func (c *Cluster) newDispatch(jobs []core.Job) *dispatch {
 		started: make([]int32, 0, len(jobs)),
 		owner:   make([]int32, len(jobs)),
 		nodes:   make([]*nodeState, len(c.cfg.Nodes)),
-		loads:   make([]load, len(c.cfg.Nodes)),
 		bySize:  make([]nodeSet, nsizes),
 		apps:    make([]appInfo, len(c.db.Records)),
 		unknown: appInfo{est: 1, wantK: -1, nj: make([]float64, nsizes)},
@@ -267,7 +256,7 @@ func (d *dispatch) setClock(t uint64) {
 	for i, ns := range d.nodes {
 		ns.refresh(t)
 		d.setsUntil = min(d.setsUntil, ns.aliveUntil)
-		d.changed(i, t) // a node whose last core died becomes a victim
+		d.changed(i, t) // a death may move the earliest-free core
 		if ns.alive == 0 {
 			continue
 		}
@@ -342,25 +331,15 @@ func (d *dispatch) score(a *appInfo, ns *nodeState, wait uint64) float64 {
 	}
 }
 
-// changed refreshes node i's load and its membership of the queued and
-// victim sets after its horizon, its backlog or its surviving cores moved
-// at cycle t. A steal may take from a node whose backlog exceeds the steal
-// threshold, or that has a backlog and no surviving core.
+// changed refreshes node i's load and its membership of the queued set
+// after its horizon, its backlog or its surviving cores moved at cycle t.
 func (d *dispatch) changed(i int, t uint64) {
 	ns := d.nodes[i]
-	d.loads[i] = ns.refreshFree(t)
-	n := len(ns.queue)
-	if n > d.c.cfg.StealThreshold || n > 0 && ns.alive == 0 {
-		d.victims.add(i)
-	} else {
-		d.victims.remove(i)
-	}
-	switch {
-	case n > 0:
+	ns.refreshFree(t)
+	if len(ns.queue) > 0 {
 		d.queued.add(i)
-	case d.queued.contains(i): // the backlog just emptied
+	} else {
 		d.queued.remove(i)
-		d.idleFrom = min(d.idleFrom, d.loads[i].ef)
 	}
 }
 
@@ -390,11 +369,11 @@ func (d *dispatch) popTail(i int, t uint64) int {
 func (d *dispatch) advance(i int, t uint64) {
 	ns := d.nodes[i]
 	d.setClock(t)
-	for len(ns.queue) > 0 && d.loads[i].idle(t) {
+	for len(ns.queue) > 0 && ns.load.idle(t) {
 		job := &d.jobs[ns.queue[0]]
 		exec := d.est(job.AppID)
 		ns.backlog -= exec
-		ns.freeAt[ns.efCore] = max(d.loads[i].ef, job.ArrivalCycle) + exec
+		ns.freeAt[ns.efCore] = max(ns.load.ef, job.ArrivalCycle) + exec
 		d.started = append(d.started, ns.queue[0])
 		d.owner[ns.queue[0]] = int32(i)
 		// Shift rather than reslice: the queue keeps its backing array, so
@@ -450,15 +429,10 @@ func (d *dispatch) routeOne(p int, t uint64) error {
 	}
 	var winner int
 	var best float64
-	switch scorer := d.c.cfg.Scorer; {
-	case scorer == ScoreRoundRobin:
+	if scorer := d.c.cfg.Scorer; scorer == ScoreRoundRobin {
 		winner = cands.nth(job.Index % n)
-	case scorer == ScoreEnergy && !relaxed:
-		// Every affinity-set node has the same energy (see bestOf).
-		winner = cands.nth(0)
-		best = a.energyOn(d.nodes[winner])
-	default:
-		winner, best = d.bestOf(cands, a, t, scorer == ScoreBalance || !relaxed)
+	} else {
+		winner, best = d.bestOf(cands, a, t, scorer == ScoreBalance || scorer == ScoreHybrid && !relaxed)
 	}
 
 	d.enqueue(winner, p, a.est, t)
@@ -504,7 +478,8 @@ func (d *dispatch) bestOf(cands *nodeSet, a *appInfo, t uint64, byWait bool) (in
 	}
 	winner, best := -1, 0.0
 	for i := cands.next(0); i >= 0; i = cands.next(i + 1) {
-		if s := d.score(a, d.nodes[i], d.loads[i].wait(t)); winner < 0 || s < best {
+		ns := d.nodes[i]
+		if s := d.score(a, ns, ns.load.wait(t)); winner < 0 || s < best {
 			winner, best = i, s
 		}
 	}
@@ -514,12 +489,11 @@ func (d *dispatch) bestOf(cands *nodeSet, a *appInfo, t uint64, byWait bool) (in
 // leastWait returns the first node of the non-empty cands with the least
 // wait at t, and that wait.
 func (d *dispatch) leastWait(cands *nodeSet, t uint64) (int, uint64) {
-	loads := d.loads
 	first, least := -1, uint64(0)
 	for base, word := range cands {
 		for ; word != 0; word &= word - 1 {
 			i := base<<6 | bits.TrailingZeros64(word)
-			if w := loads[i].wait(t); first < 0 || w < least {
+			if w := d.nodes[i].load.wait(t); first < 0 || w < least {
 				if w == 0 {
 					return i, 0 // nothing waits less
 				}
@@ -536,19 +510,23 @@ func (d *dispatch) leastWait(cands *nodeSet, t uint64) (int, uint64) {
 // threshold (nodes with no surviving cores are evacuated unconditionally).
 // The thief takes the victim's backlog tail — the job that would wait
 // longest — and starts it immediately, so a stolen job is never re-stolen
-// and every pass terminates. Before idleFrom there is no thief, so the
-// pass stops.
+// and every pass terminates.
 func (d *dispatch) stealPass(t uint64) {
 	if d.c.cfg.DisableStealing {
 		return
 	}
 	d.setClock(t)
-	for t >= d.idleFrom && d.victims != (nodeSet{}) {
+	for {
 		victim := -1
-		for i := d.victims.next(0); i >= 0; i = d.victims.next(i + 1) {
-			if victim < 0 || len(d.nodes[i].queue) > len(d.nodes[victim].queue) {
+		for i := d.queued.next(0); i >= 0; i = d.queued.next(i + 1) {
+			ns := d.nodes[i]
+			n := len(ns.queue)
+			if (n > d.c.cfg.StealThreshold || ns.alive == 0) && (victim < 0 || n > len(d.nodes[victim].queue)) {
 				victim = i
 			}
+		}
+		if victim < 0 {
+			return
 		}
 		thief := d.thief(t)
 		if thief < 0 {
@@ -573,20 +551,16 @@ func (d *dispatch) stealPass(t uint64) {
 }
 
 // thief returns the lowest-indexed node with an empty backlog that is idle
-// at t, or -1 after raising idleFrom. The clock must be at t.
+// at t, or -1. The clock must be at t.
 func (d *dispatch) thief(t uint64) int {
-	next := uint64(unroutable)
 	for base, word := range d.all {
 		for word &^= d.queued[base]; word != 0; word &= word - 1 {
 			i := base<<6 | bits.TrailingZeros64(word)
-			l := d.loads[i]
-			if l.idle(t) {
+			if d.nodes[i].load.idle(t) {
 				return i
 			}
-			next = min(next, l.ef)
 		}
 	}
-	d.idleFrom = next
 	return -1
 }
 

@@ -79,7 +79,8 @@ func TestAliveSummaryCache(t *testing.T) {
 	for _, at := range []uint64{0, 49, 50, 51, 99, 100, 101, 299, 300, 1000, 60, 0, 400} {
 		classes, alive := scanAlive(ns.sizes, ns.deadAt, at)
 		ns.refresh(at)
-		l := ns.refreshFree(at)
+		ns.refreshFree(at)
+		l := ns.load
 		if got := ns.alive; got != alive {
 			t.Errorf("t=%d: alive %d, want %d", at, got, alive)
 		}
@@ -136,7 +137,7 @@ func TestBacklogBalances(t *testing.T) {
 		t.Helper()
 		d.setClock(at)
 		for i, ns := range d.nodes {
-			l := d.loads[i]
+			l := ns.load
 			ef, _ := scanEarliestFree(ns.deadAt, ns.freeAt, at)
 			if l.ef != ef {
 				t.Fatalf("t=%d: node %d earliest free %d, scan %d", at, i, l.ef, ef)
@@ -230,12 +231,12 @@ func TestBestOfKeepsFloatTies(t *testing.T) {
 	d := c.newDispatch(nil)
 	const now = 1000
 	d.setClock(now)
-	d.loads[0] = load{ef: now + 100}
-	d.loads[1] = load{ef: now + 50}
+	d.nodes[0].load = load{ef: now + 100}
+	d.nodes[1].load = load{ef: now + 50}
 	k := len(cache.Sizes()) - 1
 	a := &appInfo{est: 1 << 60, want: cache.Sizes()[k], wantK: k, rank: k + 1, nj: make([]float64, k+1)}
 	a.nj[k] = 3
-	w0, w1 := d.loads[0].wait(now), d.loads[1].wait(now)
+	w0, w1 := d.nodes[0].load.wait(now), d.nodes[1].load.wait(now)
 	s0, s1 := d.score(a, d.nodes[0], w0), d.score(a, d.nodes[1], w1)
 	if w1 >= w0 || s0 != s1 {
 		t.Fatalf("waits %d, %d and scores %v, %v: want the later node to wait less at an equal score", w0, w1, s0, s1)
@@ -244,6 +245,31 @@ func TestBestOfKeepsFloatTies(t *testing.T) {
 		if winner, best := d.bestOf(&d.bySize[k], a, now, byWait); winner != 0 || best != s0 {
 			t.Errorf("byWait=%v: winner %d scoring %v, want node 0 scoring %v", byWait, winner, best, s0)
 		}
+	}
+}
+
+// TestNodeSetNth pins nth across a word boundary, and its loud failure on
+// an index outside the set, a negative one included: a set whose first
+// word is empty must not answer with a node it does not hold.
+func TestNodeSetNth(t *testing.T) {
+	var s nodeSet
+	for _, i := range []int{70, 64, 129} {
+		s.add(i)
+	}
+	for k, want := range []int{64, 70, 129} {
+		if got := s.nth(k); got != want {
+			t.Errorf("nth(%d) = %d, want %d", k, got, want)
+		}
+	}
+	for _, k := range []int{-1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("nth(%d) on a 3-member set did not panic", k)
+				}
+			}()
+			s.nth(k)
+		}()
 	}
 }
 

@@ -110,68 +110,42 @@ func batchVariant(j BatchJob) (characterize.Variant, error) {
 // assembles the batch characterization DB, re-identifying each record with
 // its batch-local application ID.
 //
-// Memory hits are answered inline. The other lookups run concurrently, at
-// most GOMAXPROCS at once, so a batch's cold variants compute on every
-// core; records and sources land by variant index, so the DB and the
-// counters do not depend on completion order. ctx is checked before each
-// probe and each launch; every launched lookup is waited for, and the
-// error reported is the lowest-index one, as a serial loop would have met
-// it.
+// The lookups run concurrently, at most GOMAXPROCS at once, so a batch's
+// cold variants compute on every core; records and sources land by variant
+// index, so the DB and the counters do not depend on completion order.
+// ctx is checked before each launch; every launched lookup is waited for,
+// and the error reported is the lowest-index one, as a serial loop would
+// have met it.
 func (s *Server) characterizeBatch(ctx context.Context, plan *batchPlan) (*hetsched.DB, BatchCharacterizationWire, error) {
 	n := len(plan.variants)
 	wire := BatchCharacterizationWire{UniqueVariants: n}
 	db := &hetsched.DB{Records: make([]characterize.Record, n)}
 	srcs := make([]characterize.Source, n)
-	var misses []func() (*characterize.DB, characterize.Source, error) // by variant index, nil for a memory hit
+	errs := make([]error, n)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
 	for i, v := range plan.variants {
-		if err := ctx.Err(); err != nil {
-			return nil, wire, err
+		sem <- struct{}{} // a running lookup always finishes and frees a slot
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			break
 		}
-		vdb, miss, err := s.tier.Lookup([]characterize.Variant{v})
-		switch {
-		case err != nil: // a key error fails every lookup alike
-			return nil, wire, fmt.Errorf("characterize %s: %w", v.Kernel, err)
-		case miss != nil:
-			if misses == nil {
-				misses = make([]func() (*characterize.DB, characterize.Source, error), n)
+		wg.Add(1)
+		go func(i int, v characterize.Variant) {
+			defer func() { <-sem; wg.Done() }()
+			vdb, src, err := s.tier.Characterize([]characterize.Variant{v})
+			if err != nil {
+				errs[i] = fmt.Errorf("characterize %s: %w", v.Kernel, err)
+				return
 			}
-			misses[i] = miss
-		default:
 			db.Records[i] = vdb.Records[0]
 			db.Records[i].ID = i
-			srcs[i] = characterize.SourceMemory
-		}
+			srcs[i] = src
+		}(i, v)
 	}
-	if misses != nil {
-		errs := make([]error, n)
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		var wg sync.WaitGroup
-		for i, miss := range misses {
-			if miss == nil {
-				continue
-			}
-			sem <- struct{}{} // a running lookup always finishes and frees a slot
-			if errs[i] = ctx.Err(); errs[i] != nil {
-				break
-			}
-			wg.Add(1)
-			go func(i int, miss func() (*characterize.DB, characterize.Source, error)) {
-				defer func() { <-sem; wg.Done() }()
-				vdb, src, err := miss()
-				if err != nil {
-					errs[i] = fmt.Errorf("characterize %s: %w", plan.variants[i].Kernel, err)
-					return
-				}
-				db.Records[i] = vdb.Records[0]
-				db.Records[i].ID = i
-				srcs[i] = src
-			}(i, miss)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, wire, err
-			}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, wire, err
 		}
 	}
 	for _, src := range srcs {

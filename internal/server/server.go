@@ -128,6 +128,7 @@ type Server struct {
 	handler http.Handler
 	api     *http.Server
 	debug   *http.Server
+	closed  atomic.Bool // set by Shutdown; ListenAndServe then binds nothing
 }
 
 // system returns the active System snapshot. Callers hold it for the whole
@@ -208,8 +209,12 @@ func (s *Server) DebugHandler() http.Handler {
 // Shutdown, which may also come first. Each listener is bound before its
 // address is logged, so the log names the port actually bound (an address
 // with port 0 picks a free one). It returns the first fatal listener
-// error, or nil once Shutdown has closed the API listener.
+// error, or nil once Shutdown has closed the API listener; after Shutdown
+// it returns nil without binding.
 func (s *Server) ListenAndServe() error {
+	if s.closed.Load() {
+		return nil
+	}
 	errc := make(chan error, 2)
 	if s.debug != nil {
 		ln, err := listen(s.debug.Addr)
@@ -225,6 +230,9 @@ func (s *Server) ListenAndServe() error {
 	}
 	ln, err := listen(s.api.Addr)
 	if err != nil {
+		if s.debug != nil {
+			s.debug.Close()
+		}
 		return fmt.Errorf("server: api listener: %w", err)
 	}
 	s.cfg.Logger.Printf("msg=listening addr=%s workers=%d queue=%d predictor=%s",
@@ -253,6 +261,7 @@ func listen(addr string) (net.Listener, error) {
 // handlers (and therefore their queued/running jobs) to finish, then stop
 // the workers and the debug server. Bounded by ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.closed.Store(true)
 	var first error
 	if err := s.api.Shutdown(ctx); err != nil {
 		first = err

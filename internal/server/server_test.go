@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -317,6 +319,48 @@ func TestShutdownDrains(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/schedule", `{"arrivals": 10}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown request: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestListenAndServeBindFailures pins ListenAndServe's listener edges on an
+// occupied API port: after Shutdown it returns nil without binding, and a
+// failed API bind closes the debug server it had already started.
+func TestListenAndServeBindFailures(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+
+	s, err := New(testSystem(t), quietConfig(Config{Addr: busy.Addr().String(), DebugAddr: "127.0.0.1:0", Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := s.ListenAndServe(); err != nil {
+		t.Errorf("ListenAndServe after Shutdown: %v, want nil", err)
+	}
+
+	var logged bytes.Buffer // written only inside ListenAndServe and Shutdown
+	cfg := quietConfig(Config{Addr: busy.Addr().String(), DebugAddr: "127.0.0.1:0", Workers: 1})
+	cfg.Logger = log.New(&logged, "", 0)
+	s, err = New(testSystem(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	if err := s.ListenAndServe(); err == nil || !strings.Contains(err.Error(), "api listener") {
+		t.Fatalf("ListenAndServe on an occupied port: %v, want an api listener error", err)
+	}
+	m := regexp.MustCompile(`msg=debug-listening addr=(\S+)`).FindStringSubmatch(logged.String())
+	if m == nil {
+		t.Fatalf("no debug-listening line:\n%s", logged.String())
+	}
+	if c, err := net.Dial("tcp", m[1]); err == nil {
+		c.Close()
+		t.Errorf("debug server at %s still accepts connections after the API bind failed", m[1])
 	}
 }
 
