@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-short test-race examples bench bench-baseline bench-gate profile cover cover-check fuzz loc-delta reproduce serve loadtest sweep clean
+.PHONY: all check build vet lint test test-short test-race examples bench bench-baseline bench-gate profile cover cover-check fuzz loc-delta reach reproduce serve loadtest sweep clean
 
 all: check
 
@@ -156,6 +156,14 @@ loc-delta:
 		awk '{ add += $$1; del += $$2 } END { printf "non-test Go lines vs $(BASE): +%d -%d (net %+d)\n", add, del, add - del }'
 	@git diff --numstat $(BASE) -- '*_test.go' | \
 		awk '{ add += $$1; del += $$2 } END { printf "test Go lines vs $(BASE): +%d -%d (net %+d)\n", add, del, add - del }'
+
+# Code that only tests reach: build every cmd/ and examples/ binary with
+# coverage, drive them through every CLI mode and every daemon route, and
+# list each function the test suite covers and the drive does not. The
+# ones kept on purpose are in scripts/reach_allowlist.txt with a reason.
+# Takes a few minutes; writes under reach-out/.
+reach:
+	GO=$(GO) bash scripts/reach.sh
 
 # The paper's full evaluation (Figures 6 & 7 at 5000 arrivals).
 reproduce:

@@ -12,7 +12,7 @@ import (
 // behind the facade's vocabulary.
 type (
 	// SystemSpec declares one node's shape (core sizes and latencies);
-	// parse with ParseSystemSpec ("4x8,16x2", "quad").
+	// ParseClusterSpec parses a list of them ("4x8,16x2", "quad").
 	SystemSpec = core.SystemSpec
 	// ClusterConfig shapes a multi-node cluster run.
 	ClusterConfig = cluster.Config
@@ -34,10 +34,6 @@ const (
 
 // DefaultSystemSpec returns the paper's Figure 1 quad-core node shape.
 func DefaultSystemSpec() SystemSpec { return core.DefaultSystemSpec() }
-
-// ParseSystemSpec parses one node shape: comma-separated core sizes in KB,
-// NxS repetitions and named shapes — "2,4,8,8", "4x8,16x2", "quad".
-func ParseSystemSpec(s string) (SystemSpec, error) { return core.ParseSystemSpec(s) }
 
 // ParseClusterSpec parses the CLIs' shared -cluster flag vocabulary:
 // node shapes joined by ';' with optional N* repetition — "16*quad",

@@ -39,6 +39,11 @@ import (
 	"hetsched/internal/vm"
 )
 
+// maxTraceAddr bounds the addresses -fromtrace accepts: the stream sink's
+// footprint bitset spends one bit per 16 bytes up to the highest address,
+// so 4 GiB of address space costs it 32 MB. The VM's traces stay far below.
+const maxTraceAddr = 1 << 32
+
 // sweepTrace scores a saved trace across the full design space in one pass
 // through the trace for all 18 configurations.
 func sweepTrace(path string) error {
@@ -51,15 +56,25 @@ func sweepTrace(path string) error {
 	if err != nil {
 		return err
 	}
-	em := energy.NewDefault()
-	fmt.Printf("trace %s: %d accesses, footprint %.1f KB\n\n",
-		path, tr.Len(), float64(tr.Footprint(64)*64)/1024)
-	fmt.Printf("%-12s %10s %10s %14s\n", "config", "misses", "missrate", "total energy")
+	if tr.Len() == 0 {
+		return fmt.Errorf("trace %s has no accesses", path)
+	}
 	ms, err := cache.NewMultiSim(cache.DesignSpace())
 	if err != nil {
 		return err
 	}
-	tr.Flatten().ReplayBatch(ms)
+	ss := vm.NewStreamSink(ms, 0)
+	for _, a := range tr.Accesses {
+		if a.Addr >= maxTraceAddr {
+			return fmt.Errorf("trace %s: address %#x is past the %d GiB -fromtrace simulates", path, a.Addr, maxTraceAddr>>30)
+		}
+		ss.Access(a.Addr, a.Write)
+	}
+	ss.Flush()
+	em := energy.NewDefault()
+	fmt.Printf("trace %s: %d accesses, footprint %.1f KB\n\n",
+		path, tr.Len(), float64(ss.Footprint(64)*64)/1024)
+	fmt.Printf("%-12s %10s %10s %14s\n", "config", "misses", "missrate", "total energy")
 	for _, s := range ms.Stats() {
 		// Cycle baseline is unknown for a bare trace; charge one cycle per
 		// access plus miss stalls, which preserves the ranking.

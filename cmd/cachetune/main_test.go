@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hetsched/internal/eembc"
+	"hetsched/internal/vm"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -96,6 +97,42 @@ func TestFromTraceGolden(t *testing.T) {
 		t.Errorf("sweep printed %d configuration rows, want 18:\n%s", got, out)
 	}
 	checkGolden(t, "fromtrace_a2time.golden", strings.ReplaceAll(out, path, filepath.Base(path)))
+}
+
+// TestFromTraceEmpty pins the error for a trace with no accesses: a header
+// with a zero count used to print NaN% on every row and exit 0.
+func TestFromTraceEmpty(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.trace")
+	if err := os.WriteFile(path, []byte("HTRC\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCLI(t, "-fromtrace", path)
+	if err == nil || !strings.Contains(err.Error(), "no accesses") {
+		t.Fatalf("empty trace: err = %v, want a no-accesses error", err)
+	}
+	if strings.Contains(out, "NaN") {
+		t.Errorf("empty trace printed NaN rows:\n%s", out)
+	}
+}
+
+// TestFromTraceAddressBound pins the refusal of an address past the range
+// -fromtrace simulates, instead of sizing the footprint bitset to it.
+func TestFromTraceAddressBound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "far.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &vm.Trace{Accesses: []vm.Access{{Addr: 64}, {Addr: 1 << 40, Write: true}}}
+	if err := tr.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCLI(t, "-fromtrace", path); err == nil || !strings.Contains(err.Error(), "0x10000000000") {
+		t.Fatalf("far address: err = %v, want the address named", err)
+	}
 }
 
 // runCLI drives run() as the binary would with the given arguments and

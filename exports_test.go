@@ -63,6 +63,12 @@ type exportRef struct {
 // so a dead cluster (a type, its constructor and its methods) is reported
 // as a whole. Moving a test-only export into a _test.go file of its
 // package (see internal/ann/export_test.go) keeps it available to tests.
+//
+// Matching by name is its blind spot: a method that nothing calls survives
+// when another method shares its name (a Config on one type keeps every
+// exported Config alive), and so does code that a program names but never
+// runs. make reach (scripts/reach.sh) covers both: it lists every function
+// the tests run and no program run reaches.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	var decls []*exportDecl

@@ -142,9 +142,6 @@ func DefaultExperimentConfig() ExperimentConfig { return core.DefaultExperimentC
 // Table 1, which the caller may modify.
 func DesignSpace() []CacheConfig { return slices.Clone(cache.DesignSpace()) }
 
-// BaseConfig is the profiling/base configuration 8KB_4W_64B.
-func BaseConfig() CacheConfig { return cache.BaseConfig }
-
 // Kernels returns the sixteen automotive benchmarks of the canonical
 // suite.
 func Kernels() []Kernel { return eembc.Suite() }

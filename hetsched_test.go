@@ -328,9 +328,6 @@ func TestDesignSpaceHelpers(t *testing.T) {
 	if len(DesignSpace()) != 18 {
 		t.Error("design space is not Table 1")
 	}
-	if BaseConfig().String() != "8KB_4W_64B" {
-		t.Errorf("base config = %s", BaseConfig())
-	}
 	if len(Kernels()) != 16 {
 		t.Error("kernel suite incomplete")
 	}

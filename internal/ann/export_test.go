@@ -49,3 +49,11 @@ func DefaultPredictor() (*SizePredictor, PredictorReport, error) {
 	})
 	return defaultPred, defaultRep, defaultErr
 }
+
+// MSE evaluates mean squared error over the dataset.
+func MSE(n *Network, d Dataset) (float64, error) {
+	if d.Len() == 0 {
+		return 0, fmt.Errorf("ann: MSE over empty dataset")
+	}
+	return mse(n, d, newWorkspace(n))
+}

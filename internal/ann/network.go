@@ -23,21 +23,6 @@ const (
 	ReLU
 )
 
-// String returns the activation name.
-func (a Activation) String() string {
-	switch a {
-	case Identity:
-		return "identity"
-	case Tanh:
-		return "tanh"
-	case Sigmoid:
-		return "sigmoid"
-	case ReLU:
-		return "relu"
-	}
-	return fmt.Sprintf("activation(%d)", int(a))
-}
-
 func (a Activation) apply(x float64) float64 {
 	switch a {
 	case Tanh:

@@ -69,11 +69,6 @@ func TestActivations(t *testing.T) {
 			t.Errorf("%v(%v) = %v, want %v", tc.act, tc.in, got, tc.want)
 		}
 	}
-	for _, a := range []Activation{Identity, Tanh, Sigmoid, ReLU} {
-		if a.String() == "" {
-			t.Error("unnamed activation")
-		}
-	}
 }
 
 // Numerical gradient check: backprop gradients must match finite

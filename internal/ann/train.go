@@ -70,14 +70,6 @@ func Split(d Dataset, trainFrac, valFrac float64, rng *rand.Rand) (train, val, t
 	return train, val, test, nil
 }
 
-// MSE evaluates mean squared error over the dataset.
-func MSE(n *Network, d Dataset) (float64, error) {
-	if d.Len() == 0 {
-		return 0, fmt.Errorf("ann: MSE over empty dataset")
-	}
-	return mse(n, d, newWorkspace(n))
-}
-
 // mse is MSE over a non-empty dataset, with every forward pass run in ws.
 func mse(n *Network, d Dataset, ws *workspace) (float64, error) {
 	var total float64

@@ -81,6 +81,17 @@ func MustNewL1(cfg Config) *L1 {
 	return c
 }
 
+// Flush invalidates every line, counting dirty lines as writebacks.
+func (c *L1) Flush() {
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].dirty {
+			c.stats.Writebacks++
+		}
+		c.lines[i] = line{}
+	}
+	c.stats.Flushes++
+}
+
 // ResetStats zeroes the statistics without disturbing cache contents.
 func (c *L1) ResetStats() { c.stats = Stats{} }
 
@@ -139,11 +150,6 @@ func NewHierarchyL2(l1 Config, l2 L2Config) (*Hierarchy, error) {
 // Access performs one data access through the hierarchy.
 func (h *Hierarchy) Access(addr uint64, write bool) HierarchyResult {
 	r1 := h.L1.Access(addr, write)
-	// A write-through store propagates to the L2 regardless of the L1
-	// outcome (on a miss this is in addition to the fill read below).
-	if r1.WroteThrough {
-		h.L2.Access(addr, true)
-	}
 	if r1.Hit {
 		return HierarchyResult{L1Hit: true}
 	}
@@ -176,3 +182,49 @@ func (h *Hierarchy) Reset() {
 	h.L1.ResetStats()
 	h.L2.ResetStats()
 }
+
+// Accesses returns the total number of accesses observed.
+func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
+
+// MissRate returns misses/accesses, or 0 for an untouched cache.
+func (s Stats) MissRate() float64 {
+	if a := s.Accesses(); a > 0 {
+		return float64(s.Misses) / float64(a)
+	}
+	return 0
+}
+
+// Add accumulates other into s.
+func (s *Stats) Add(other Stats) {
+	s.Hits += other.Hits
+	s.Misses += other.Misses
+	s.ReadHits += other.ReadHits
+	s.ReadMisses += other.ReadMisses
+	s.WriteHits += other.WriteHits
+	s.WriteMiss += other.WriteMiss
+	s.Evictions += other.Evictions
+	s.Writebacks += other.Writebacks
+	s.Flushes += other.Flushes
+}
+
+// Contains reports whether addr currently hits without touching LRU state or
+// statistics. Intended for tests and invariant checks.
+func (c *L1) Contains(addr uint64) bool {
+	blockAddr := addr >> c.shift
+	set := blockAddr & c.setMask
+	tag := blockAddr >> c.tagShift
+	base := int(set) * c.ways
+	for w := 0; w < c.ways; w++ {
+		l := c.lines[base+w]
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// Config returns the active configuration.
+func (c *L1) Config() Config { return c.cfg }
+
+// Accesses returns the number of packed accesses observed so far.
+func (m *MultiSim) Accesses() uint64 { return m.total }

@@ -381,9 +381,6 @@ func (m *MultiSim) Stats() []MultiStats {
 	return out
 }
 
-// Accesses returns the number of packed accesses observed so far.
-func (m *MultiSim) Accesses() uint64 { return m.total }
-
 // --- hierarchy mode -------------------------------------------------------
 
 // msCache is a compact write-back LRU cache used by hierarchy mode. Per

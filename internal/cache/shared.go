@@ -40,9 +40,6 @@ func (h *SharedHierarchy) Access(core int, addr uint64, write bool) (HierarchyRe
 		return HierarchyResult{}, fmt.Errorf("cache: core %d out of range", core)
 	}
 	r1 := h.L1s[core].Access(addr, write)
-	if r1.WroteThrough {
-		h.L2.Access(addr, true)
-	}
 	if r1.Hit {
 		return HierarchyResult{L1Hit: true}, nil
 	}

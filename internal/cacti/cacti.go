@@ -132,53 +132,3 @@ func (m *Model) FillEnergy(c cache.Config) float64 {
 
 // OffChipEnergy returns the energy (nJ) of one main-memory access.
 func (m *Model) OffChipEnergy() float64 { return m.p.EOffChipAccess }
-
-// AccessTimeNS returns a first-order access-time estimate (ns): decode depth
-// plus bitline/sense delay growing with the square root of the array, plus a
-// way-mux term. Used only for reporting; the cycle model charges a constant
-// one cycle per L1 access, consistent with the paper's assumption that an L1
-// fetch is the 1× baseline of its 40× miss latency.
-func (m *Model) AccessTimeNS(c cache.Config) float64 {
-	arrayBytes := float64(c.SizeBytes())
-	t := 0.45 + 0.08*log2i(c.Sets())
-	t += 0.012 * sqrt(arrayBytes) / 8
-	t += 0.05 * float64(c.Ways)
-	return t
-}
-
-// sqrt is a tiny dependency-free Newton square root (keeps the package to
-// integer-friendly stdlib usage and deterministic rounding).
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 24; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-// Table returns the per-configuration energy table over the full design
-// space; convenient for reports and for the characterization pipeline.
-type TableEntry struct {
-	Config   cache.Config
-	HitNJ    float64
-	FillNJ   float64
-	AccessNS float64
-}
-
-// Table evaluates the model over the full Table 1 design space.
-func (m *Model) Table() []TableEntry {
-	space := cache.DesignSpace()
-	out := make([]TableEntry, 0, len(space))
-	for _, c := range space {
-		out = append(out, TableEntry{
-			Config:   c,
-			HitNJ:    m.HitEnergy(c),
-			FillNJ:   m.FillEnergy(c),
-			AccessNS: m.AccessTimeNS(c),
-		})
-	}
-	return out
-}

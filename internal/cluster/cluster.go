@@ -204,9 +204,6 @@ func New(db *characterize.DB, em *energy.Model, pred core.Predictor, cfg Config)
 	return c, nil
 }
 
-// Config returns the validated configuration (defaults filled).
-func (c *Cluster) Config() Config { return c.cfg }
-
 // splitmix64 is the stateless seed mixer shared with internal/fault and
 // internal/sweep (kept as a local copy; three lines of constants over an
 // exported dependency).
@@ -238,16 +235,11 @@ func (c *Cluster) nodeFaults(node int) fault.Plan {
 	return p
 }
 
-// Run schedules jobs across the cluster: the dispatcher routes (and
+// RunContext schedules jobs across the cluster: the dispatcher routes (and
 // steals), then every node simulates its share. Jobs must be sorted by
-// arrival cycle (GenerateWorkload's order).
-func (c *Cluster) Run(jobs []core.Job) (*Result, error) {
-	return c.RunContext(context.Background(), jobs)
-}
-
-// RunContext is Run honoring cancellation while routing (every 256
-// arrivals and every drain step) and at every node-simulation dispatch
-// boundary.
+// arrival cycle (GenerateWorkload's order). It honors cancellation while
+// routing (every 256 arrivals and every drain step) and at every
+// node-simulation dispatch boundary.
 func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("cluster: empty workload")

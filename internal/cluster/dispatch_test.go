@@ -648,6 +648,11 @@ func FuzzDispatchMatchesReference(f *testing.F) {
 		mode := uint8(k%4 | (k/4%2)<<2 | (k%3/2)<<3 | (k/8)<<4)
 		f.Add(int64(k+1), widths[(k+k/4)%len(widths)], mode)
 	}
+	// Five nodes under a scripted crash plan, hybrid scorer, stealing on, a
+	// steal threshold of 3: a node loses its last core while its backlog is
+	// no deeper than the threshold, so only the dead-node evacuation in
+	// stealPass moves that work.
+	f.Add(int64(1), uint8(3), uint8(0x10))
 	db := testDB(f)
 	f.Fuzz(func(t *testing.T, seed int64, width, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))

@@ -135,14 +135,8 @@ type SimCore struct {
 // permanently dead core is never idle — it is unavailable.
 func (c *SimCore) Idle(now uint64) bool { return c.job == nil && !c.failed && !c.dead }
 
-// Failed reports an in-progress transient outage.
-func (c *SimCore) Failed() bool { return c.failed }
-
 // BusyUntil returns the completion time of the current execution.
 func (c *SimCore) BusyUntil() uint64 { return c.busyUntil }
-
-// Job returns the currently executing job (nil when idle).
-func (c *SimCore) Job() *Job { return c.job }
 
 // Decision is a policy's verdict for one queued job.
 type Decision struct {

@@ -147,21 +147,9 @@ func (s SystemSpec) String() string {
 	return strings.Join(parts, ",")
 }
 
-// MarshalText implements encoding.TextMarshaler (flag.TextVar support).
+// MarshalText implements encoding.TextMarshaler, so a spec encodes as its
+// grammar string in JSON.
 func (s SystemSpec) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (s *SystemSpec) UnmarshalText(text []byte) error {
-	spec, err := ParseSystemSpec(string(text))
-	if err != nil {
-		return err
-	}
-	*s = spec
-	return nil
-}
-
-// Set implements flag.Value.
-func (s *SystemSpec) Set(v string) error { return s.UnmarshalText([]byte(v)) }
 
 // SimConfig lowers the spec to a simulator configuration, filling the
 // paper's default latencies for zero fields.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -87,19 +88,13 @@ func TestSystemSpecSizeClasses(t *testing.T) {
 	}
 }
 
-func TestSystemSpecFlagValue(t *testing.T) {
-	var spec SystemSpec
-	if err := spec.Set("16x2"); err != nil {
+func TestSystemSpecMarshalText(t *testing.T) {
+	spec, err := ParseSystemSpec("16x2")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Cores() != 16 {
-		t.Errorf("Set(16x2): %d cores", spec.Cores())
-	}
-	text, err := spec.MarshalText()
-	if err != nil || string(text) != "16x2" {
-		t.Errorf("MarshalText = %q, %v", text, err)
-	}
-	if err := spec.Set("bogus"); err == nil {
-		t.Error("Set(bogus) accepted")
+	text, err := json.Marshal(struct{ Spec SystemSpec }{spec})
+	if err != nil || string(text) != `{"Spec":"16x2"}` {
+		t.Errorf("json.Marshal = %s, %v", text, err)
 	}
 }

@@ -1,7 +1,6 @@
 package eembc
 
 import (
-	"strings"
 	"testing"
 
 	"hetsched/internal/isa"
@@ -42,7 +41,7 @@ func peekWord(m *vm.VM, addr uint64) (int32, error) {
 }
 
 func TestPeekReadsMemory(t *testing.T) {
-	m := vm.MustNew(64, nil)
+	m := mustVM(64)
 	if err := m.PokeFloat(8, -2.5); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestMatrixComputesRealProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := vm.MustNew(k.MemBytes(p), nil)
+	machine := mustVM(k.MemBytes(p))
 	if err := k.Init(machine, p); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestFFTValuesStayBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := vm.MustNew(k.MemBytes(p), nil)
+	machine := mustVM(k.MemBytes(p))
 	if err := k.Init(machine, p); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestIirfltProducesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := vm.MustNew(k.MemBytes(p), nil)
+	machine := mustVM(k.MemBytes(p))
 	if err := k.Init(machine, p); err != nil {
 		t.Fatal(err)
 	}
@@ -250,18 +249,18 @@ func TestKernelsRespectMemBounds(t *testing.T) {
 }
 
 func TestKernelProgramsDisassemble(t *testing.T) {
-	// Every kernel must disassemble without unknown opcodes — a smoke test
-	// for the program builder output.
+	// Every kernel must validate (no unknown opcode, register or branch
+	// target) — a smoke test for the program builder output.
 	for _, k := range Suite() {
 		prog, err := k.Program(DefaultParams())
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
+		if err := prog.Validate(); err != nil {
+			t.Errorf("%s: %v", k.Name, err)
+		}
 		halts := false
-		for i, in := range prog.Instrs {
-			if strings.Contains(in.String(), "op(") {
-				t.Errorf("%s: instr %d disassembles to an unknown opcode: %s", k.Name, i, in)
-			}
+		for _, in := range prog.Instrs {
 			halts = halts || in.Op == isa.HALT
 		}
 		if !halts {
@@ -291,4 +290,13 @@ func TestA2timePrologueGolden(t *testing.T) {
 			break
 		}
 	}
+}
+
+// mustVM is vm.New for memory sizes known to be valid; it panics on error.
+func mustVM(memBytes int) *vm.VM {
+	m, err := vm.New(memBytes, nil)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

@@ -2,8 +2,6 @@ package eembc
 
 import (
 	"testing"
-
-	"hetsched/internal/vm"
 )
 
 func TestTelecomSuiteShape(t *testing.T) {
@@ -82,7 +80,7 @@ func TestConvenEncodesDeterministically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		machine := vm.MustNew(k.MemBytes(p), nil)
+		machine := mustVM(k.MemBytes(p))
 		if err := k.Init(machine, p); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +112,7 @@ func TestFbitalAllocatesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := vm.MustNew(k.MemBytes(p), nil)
+	machine := mustVM(k.MemBytes(p))
 	if err := k.Init(machine, p); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +143,7 @@ func TestViterbMetricsStayBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := vm.MustNew(k.MemBytes(p), nil)
+	machine := mustVM(k.MemBytes(p))
 	if err := k.Init(machine, p); err != nil {
 		t.Fatal(err)
 	}

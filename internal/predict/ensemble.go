@@ -140,15 +140,6 @@ func New(name string, members []Member, weights []float64, eta float64) (*Ensemb
 // Name returns the ensemble's spec string.
 func (e *Ensemble) Name() string { return e.name }
 
-// Members returns the member names in ballot order.
-func (e *Ensemble) Members() []string {
-	out := make([]string, len(e.members))
-	for i, m := range e.members {
-		out[i] = m.Name()
-	}
-	return out
-}
-
 type ballot struct {
 	sizeKB int
 	conf   float64
@@ -346,7 +337,7 @@ func (e *Ensemble) learn(f stats.Features, bestKB int) {
 			if sn != nil {
 				m.learnKey(sn.fp, bestKB)
 			} else {
-				m.Learn(f, bestKB)
+				m.learnKey(keyOf(f), bestKB)
 			}
 		case Learner:
 			m.Learn(f, bestKB)

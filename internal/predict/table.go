@@ -67,13 +67,8 @@ func (t *Table) predictKey(k tableKey) (int, float64, error) {
 	return coldSizeKB(), coldConfidence, nil
 }
 
-// Learn implements Learner.
-func (t *Table) Learn(f stats.Features, bestKB int) {
-	t.learnKey(keyOf(f), bestKB)
-}
-
-// learnKey is Learn given the fingerprint. A best size outside the design
-// space is not counted, so a cell exists only once it holds a count.
+// learnKey records bestKB under the fingerprint k. A best size outside the
+// design space is not counted, so a cell exists only once it holds a count.
 func (t *Table) learnKey(k tableKey, bestKB int) {
 	i := sizeIndex(bestKB)
 	if i < 0 {

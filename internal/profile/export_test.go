@@ -37,3 +37,6 @@ func (e *Entry) KnowsBestForAll(sizes []int) bool {
 	}
 	return true
 }
+
+// Len returns the number of applications with entries.
+func (t *Table) Len() int { return len(t.entries) }

@@ -69,9 +69,6 @@ func (t *Table) Ensure(appID int) *Entry {
 	return e
 }
 
-// Len returns the number of applications with entries.
-func (t *Table) Len() int { return len(t.entries) }
-
 // SetProfile stores the profiling run's statistics.
 func (e *Entry) SetProfile(f stats.Features) {
 	e.Features = f

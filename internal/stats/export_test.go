@@ -11,3 +11,13 @@ func FeatureNames() [NumFeatures]string {
 		"base_misses", "base_miss_rate",
 	}
 }
+
+// Count returns the number of observations fed so far (not the retained
+// sample size).
+func (r *Reservoir) Count() int64 { return r.n }
+
+// Reset clears the stream while keeping capacity and RNG state.
+func (r *Reservoir) Reset() {
+	r.vals = r.vals[:0]
+	r.n = 0
+}

@@ -53,10 +53,6 @@ func (r *Reservoir) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations fed so far (not the retained
-// sample size).
-func (r *Reservoir) Count() int64 { return r.n }
-
 // Quantile estimates the q-th quantile (0 <= q <= 1) of the stream by
 // linear interpolation over the sorted retained sample. It returns 0 when
 // nothing has been observed and an error when q is out of range.
@@ -90,10 +86,4 @@ func (r *Reservoir) Quantiles(qs ...float64) ([]float64, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// Reset clears the stream while keeping capacity and RNG state.
-func (r *Reservoir) Reset() {
-	r.vals = r.vals[:0]
-	r.n = 0
 }

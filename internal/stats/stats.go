@@ -49,9 +49,9 @@ const (
 )
 
 // FootprintSource is the slice of the trace API the feature vector needs:
-// distinct-block working-set counts. *vm.Trace, *vm.FlatTrace and
-// *vm.StreamSink satisfy it, so the streaming pipeline never materializes
-// a trace just for features.
+// distinct-block working-set counts. *vm.Trace and *vm.StreamSink satisfy
+// it, so the streaming pipeline never materializes a trace just for
+// features.
 type FootprintSource interface {
 	Footprint(blockBytes int) int
 }
@@ -112,13 +112,6 @@ func (f Features) Select() []float64 {
 	for i, idx := range selectedIndices {
 		out[i] = f[idx]
 	}
-	return out
-}
-
-// Slice returns the full vector as a []float64 copy.
-func (f Features) Slice() []float64 {
-	out := make([]float64, NumFeatures)
-	copy(out, f[:])
 	return out
 }
 

@@ -64,9 +64,6 @@ func MustNew(sizeKB int) *Tuner {
 	return t
 }
 
-// SizeKB returns the core cache size the tuner explores.
-func (t *Tuner) SizeKB() int { return t.sizeKB }
-
 // Walk drives the heuristic to completion against an energy source — one
 // Next/Observe round per simulated execution — and reports the first
 // error. It is the loop every consumer of a characterization record was

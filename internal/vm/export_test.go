@@ -1,7 +1,7 @@
 package vm
 
-// Test-only API: trace conversions, a tee sink, and VM inspection and
-// reset helpers. No program reads them.
+// Test-only API: packed-access decoding, trace replay, a tee sink, and VM
+// construction, inspection and reset helpers. No program reads them.
 
 import (
 	"encoding/binary"
@@ -11,23 +11,6 @@ import (
 // Unpack decodes one packed access.
 func Unpack(p uint64) (addr uint64, write bool) {
 	return p >> 1, p&1 == 1
-}
-
-// Replay feeds the trace into a per-access sink (compatibility path).
-func (t *FlatTrace) Replay(s MemSink) {
-	for _, p := range t.Packed {
-		s.Access(p>>1, p&1 == 1)
-	}
-}
-
-// Unflatten converts back to the structured representation (tests and
-// tooling; the hot paths stay packed).
-func (t *FlatTrace) Unflatten() *Trace {
-	out := &Trace{Accesses: make([]Access, 0, t.Len())}
-	for _, p := range t.Packed {
-		out.Accesses = append(out.Accesses, Access{Addr: p >> 1, Write: p&1 == 1})
-	}
-	return out
 }
 
 // Replay feeds the trace into another sink (e.g. a cache hierarchy).
@@ -78,3 +61,15 @@ func (v *VM) PeekFloat(addr uint64) (float64, error) {
 	}
 	return floatFrom(binary.LittleEndian.Uint64(v.mem[addr:])), nil
 }
+
+// MustNew is New panicking on error.
+func MustNew(memBytes int, sink MemSink) *VM {
+	v, err := New(memBytes, sink)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// Counters returns the counters accumulated so far.
+func (v *VM) Counters() Counters { return v.ctr }

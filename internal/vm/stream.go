@@ -26,13 +26,30 @@ const (
 	fpShift = 4 // log2(fpGrain)
 )
 
+// Pack encodes one access in the packed form a BatchSink consumes: the
+// address in the upper 63 bits and the write flag in bit 0.
+func Pack(addr uint64, write bool) uint64 {
+	p := addr << 1
+	if write {
+		p |= 1
+	}
+	return p
+}
+
+// BatchSink consumes packed accesses in bulk — the zero-dispatch,
+// zero-allocation replay path (one virtual call per batch instead of one per
+// access).
+type BatchSink interface {
+	AccessBatch(packed []uint64)
+}
+
 // StreamSink fuses trace recording and simulation: it implements MemSink on
 // the producing side (the VM's per-access stream) and forwards packed
 // accesses to a BatchSink (typically cache.MultiSim) in fixed-size chunks,
-// without ever materializing a FlatTrace. On top of the chunk buffer it
+// without ever materializing the trace. On top of the chunk buffer it
 // maintains, inline in the access path, the aggregate trace statistics the
 // characterization pipeline previously re-derived from the materialized
-// trace: access/write counts and the distinct-block footprint bitset.
+// trace: the access count and the distinct-block footprint bitset.
 //
 // After the program halts, call Flush to push the final partial chunk.
 // A StreamSink performs no per-access allocation once constructed (the
@@ -44,17 +61,16 @@ const (
 // a goroutine of its own, so simulation runs beside execution. The sink
 // sees the same chunks in the same order either way.
 type StreamSink struct {
-	sink   BatchSink
-	buf    []uint64 // packed chunk in flight; cap StreamChunk
-	total  int
-	writes int
-	fp     []uint64 // bitset over fpGrain-byte blocks
+	sink  BatchSink
+	buf   []uint64 // packed chunk in flight; cap StreamChunk
+	total int
+	fp    []uint64 // bitset over fpGrain-byte blocks
 
 	// Overlapped mode. full carries filled chunks to the consumer in
 	// order, a nil chunk telling it to exit; free returns them emptied.
 	// Both channels and the ringChunks-1 buffers behind buf are made on
 	// the first Overlap and kept across Resets. While the consumer runs it
-	// owns total, writes and fp; Flush joins it before anything reads them.
+	// owns total and fp; Flush joins it before anything reads them.
 	full, free chan []uint64
 	consumer   sync.WaitGroup
 	overlapped bool
@@ -80,7 +96,6 @@ func (s *StreamSink) Reset(sink BatchSink, memHint int) {
 	s.sink = sink
 	s.buf = s.buf[:0]
 	s.total = 0
-	s.writes = 0
 	if words := fpWords(memHint); words > len(s.fp) {
 		s.fp = make([]uint64, words)
 	} else {
@@ -100,18 +115,14 @@ func fpWords(memHint int) int {
 }
 
 // Access implements MemSink: pack and append. All aggregate accounting
-// (write count, footprint bits) happens per chunk at flush time, keeping the
+// (access count, footprint bits) happens per chunk at flush time, keeping the
 // per-access path to an append and a length check. The VM interpreter
 // devirtualizes this call: when its sink is a *StreamSink it pushes packed
 // accesses inline instead of going through the MemSink interface (one
 // indirect call per memory instruction was a measurable slice of
 // characterization time).
 func (s *StreamSink) Access(addr uint64, write bool) {
-	p := addr << 1
-	if write {
-		p |= 1
-	}
-	s.push(p)
+	s.push(Pack(addr, write))
 }
 
 // push appends one packed access, handing the chunk on when it fills. Kept
@@ -174,10 +185,8 @@ func (s *StreamSink) flushChunk() {
 // interpreter's scattered access pattern.
 func (s *StreamSink) account(chunk []uint64) {
 	s.total += len(chunk)
-	w := 0
 	fp := s.fp
 	for _, p := range chunk {
-		w += int(p & 1)
 		b := p >> (1 + fpShift)
 		if wi := int(b >> 6); wi < len(fp) {
 			fp[wi] |= 1 << (b & 63)
@@ -187,14 +196,15 @@ func (s *StreamSink) account(chunk []uint64) {
 			fp[wi] |= 1 << (b & 63)
 		}
 	}
-	s.writes += w
 	s.sink.AccessBatch(chunk)
 }
 
-// growFP extends the bitset to at least words entries (only reached when the
-// construction hint undersold the address space).
+// growFP extends the bitset to at least words entries, at least doubling it
+// so a stream of rising addresses grows it a logarithmic number of times.
+// Only a sink whose construction hint undersold the address space grows:
+// cachetune -fromtrace streams a saved trace with no hint.
 func (s *StreamSink) growFP(words int) {
-	grown := make([]uint64, words)
+	grown := make([]uint64, max(words, 2*len(s.fp)))
 	copy(grown, s.fp)
 	s.fp = grown
 }
@@ -223,20 +233,8 @@ func (s *StreamSink) Len() int {
 	return s.total
 }
 
-// Writes returns the number of write accesses streamed.
-func (s *StreamSink) Writes() int {
-	s.Flush()
-	return s.writes
-}
-
-// Reads returns the number of read accesses streamed.
-func (s *StreamSink) Reads() int {
-	s.Flush()
-	return s.total - s.writes
-}
-
 // Footprint returns the number of distinct blockBytes-sized blocks touched,
-// bit-identical to FlatTrace.Footprint over the same access stream. The
+// the same count as Trace.Footprint over the same access stream. The
 // tracker records at fpGrain (16-byte) granularity, so blockBytes must be a
 // positive multiple of fpGrain — which covers both feature-vector block
 // sizes (16 and 64). Other sizes return -1 to make a misuse loud in tests

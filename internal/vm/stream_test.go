@@ -11,7 +11,7 @@ import (
 )
 
 // collectBatch records every packed access it receives, preserving order, so
-// a StreamSink's chunked delivery can be compared against the flat trace.
+// a StreamSink's chunked delivery can be compared against a recorded trace.
 type collectBatch struct {
 	packed []uint64
 	calls  int
@@ -27,41 +27,53 @@ func (c *collectBatch) AccessBatch(packed []uint64) {
 }
 
 // TestStreamSinkMatchesFlatTrace drives the same access stream into a
-// StreamSink and a FlatTrace and requires every aggregate the
+// StreamSink and a recorded Trace and requires every aggregate the
 // characterization pipeline consumes to agree: counts, both feature-vector
 // footprints, and the exact packed stream delivered to the batch sink.
 func TestStreamSinkMatchesFlatTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	ft := NewFlatTrace(0)
+	var tr Trace
 	var got collectBatch
 	ss := NewStreamSink(&got, 1<<20)
 	n := 3*StreamChunk + 137 // several full chunks plus a partial
 	for i := 0; i < n; i++ {
 		addr := uint64(rng.Intn(1 << 20))
 		write := rng.Intn(3) == 0
-		ft.Access(addr, write)
+		tr.Access(addr, write)
 		ss.Access(addr, write)
 	}
 	ss.Flush()
-	if ss.Len() != ft.Len() || ss.Writes() != ft.Writes() || ss.Reads() != ft.Reads() {
-		t.Fatalf("counts: stream %d/%d/%d, flat %d/%d/%d",
-			ss.Len(), ss.Writes(), ss.Reads(), ft.Len(), ft.Writes(), ft.Reads())
+	if ss.Len() != tr.Len() {
+		t.Fatalf("Len: stream %d, trace %d", ss.Len(), tr.Len())
 	}
 	for _, block := range []int{16, 64} {
-		if g, w := ss.Footprint(block), ft.Footprint(block); g != w {
-			t.Fatalf("Footprint(%d): stream %d, flat %d", block, g, w)
+		if g, w := ss.Footprint(block), tr.Footprint(block); g != w {
+			t.Fatalf("Footprint(%d): stream %d, trace %d", block, g, w)
 		}
 	}
-	if len(got.packed) != len(ft.Packed) {
-		t.Fatalf("delivered %d packed accesses, want %d", len(got.packed), len(ft.Packed))
+	if len(got.packed) != tr.Len() {
+		t.Fatalf("delivered %d packed accesses, want %d", len(got.packed), tr.Len())
 	}
-	for i := range got.packed {
-		if got.packed[i] != ft.Packed[i] {
-			t.Fatalf("packed access %d: stream %#x, flat %#x", i, got.packed[i], ft.Packed[i])
+	for i, a := range tr.Accesses {
+		if w := Pack(a.Addr, a.Write); got.packed[i] != w {
+			t.Fatalf("packed access %d: stream %#x, trace %#x", i, got.packed[i], w)
 		}
 	}
 	if got.calls < n/StreamChunk {
 		t.Fatalf("expected chunked delivery, got %d batch calls for %d accesses", got.calls, n)
+	}
+}
+
+func TestPackUnpack(t *testing.T) {
+	cases := []struct {
+		addr  uint64
+		write bool
+	}{{0, false}, {0, true}, {1, false}, {0xdeadbeef, true}, {1 << 62, false}}
+	for _, c := range cases {
+		addr, write := Unpack(Pack(c.addr, c.write))
+		if addr != c.addr || write != c.write {
+			t.Fatalf("Pack/Unpack(%#x,%v) = (%#x,%v)", c.addr, c.write, addr, write)
+		}
 	}
 }
 
@@ -90,16 +102,16 @@ func TestStreamSinkFootprintContract(t *testing.T) {
 func TestStreamSinkGrowsBeyondHint(t *testing.T) {
 	for _, hint := range []int{0, 64} {
 		ss := NewStreamSink(&collectBatch{}, hint)
-		ft := NewFlatTrace(0)
+		var tr Trace
 		for i := 0; i < 2000; i++ {
 			addr := uint64(i) * 48 // walks far past any small hint
 			ss.Access(addr, false)
-			ft.Access(addr, false)
+			tr.Access(addr, false)
 		}
-		if g, w := ss.Footprint(16), ft.Footprint(16); g != w {
+		if g, w := ss.Footprint(16), tr.Footprint(16); g != w {
 			t.Errorf("hint %d: Footprint(16) = %d, want %d", hint, g, w)
 		}
-		if g, w := ss.Footprint(64), ft.Footprint(64); g != w {
+		if g, w := ss.Footprint(64), tr.Footprint(64); g != w {
 			t.Errorf("hint %d: Footprint(64) = %d, want %d", hint, g, w)
 		}
 	}
@@ -125,17 +137,16 @@ func TestStreamSinkResetReuse(t *testing.T) {
 			fresh.Access(addr, write)
 			reused.Access(addr, write)
 		}
-		if fresh.Len() != reused.Len() || fresh.Writes() != reused.Writes() {
-			t.Fatalf("run %d: counts diverge: fresh %d/%d, reused %d/%d",
-				run, fresh.Len(), fresh.Writes(), reused.Len(), reused.Writes())
+		if fresh.Len() != reused.Len() {
+			t.Fatalf("run %d: Len diverges: fresh %d, reused %d", run, fresh.Len(), reused.Len())
 		}
 		for _, block := range []int{16, 64} {
 			if f, r := fresh.Footprint(block), reused.Footprint(block); f != r {
 				t.Fatalf("run %d: Footprint(%d): fresh %d, reused %d", run, block, f, r)
 			}
 		}
-		if len(freshOut.packed) != len(reusedOut.packed) {
-			t.Fatalf("run %d: delivered %d vs %d packed accesses", run, len(freshOut.packed), len(reusedOut.packed))
+		if !slices.Equal(freshOut.packed, reusedOut.packed) {
+			t.Fatalf("run %d: reused sink delivered a different access stream", run)
 		}
 	}
 }
@@ -181,9 +192,8 @@ func TestStreamSinkOverlapMatchesSerial(t *testing.T) {
 			serial.Access(addr, write)
 			overlapped.Access(addr, write)
 		}
-		if serial.Len() != overlapped.Len() || serial.Writes() != overlapped.Writes() {
-			t.Fatalf("run %d: counts: serial %d/%d, overlapped %d/%d",
-				run, serial.Len(), serial.Writes(), overlapped.Len(), overlapped.Writes())
+		if serial.Len() != overlapped.Len() {
+			t.Fatalf("run %d: Len: serial %d, overlapped %d", run, serial.Len(), overlapped.Len())
 		}
 		for _, block := range []int{16, 64} {
 			if a, b := serial.Footprint(block), overlapped.Footprint(block); a != b {

@@ -99,18 +99,6 @@ func New(memBytes int, sink MemSink) (*VM, error) {
 	return &VM{mem: make([]byte, memBytes), sink: sink}, nil
 }
 
-// MustNew is New panicking on error.
-func MustNew(memBytes int, sink MemSink) *VM {
-	v, err := New(memBytes, sink)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// Counters returns the counters accumulated so far.
-func (v *VM) Counters() Counters { return v.ctr }
-
 // --- memory helpers (initialization; not counted as program accesses) ---
 
 // PokeWord writes a 32-bit word during setup.
@@ -402,7 +390,7 @@ func (v *VM) Run(p *isa.Program, maxInstr uint64) (Counters, error) {
 
 		default:
 			v.ctr = ctr
-			return ctr, fmt.Errorf("vm: %q pc=%d: unimplemented opcode %v", p.Name, pc, in.Op)
+			return ctr, fmt.Errorf("vm: %q pc=%d: unimplemented opcode %d", p.Name, pc, in.Op)
 		}
 		pc = next
 	}
