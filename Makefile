@@ -67,13 +67,14 @@ bench:
 # engine, kernel execution, one proposed-system simulation, one optimal
 # simulation under a stochastic fault plan, ANN forward pass and backprop
 # step, one bag prediction cold and memoized, the cluster dispatcher's
-# routing pass on 16 and 64 nodes, the daemon's warm batch serving path and
+# routing pass on 16 and 64 nodes, a whole 64-node cluster run on two
+# workers, the daemon's warm batch serving path and
 # a batch with two cold variants per request,
 # one online-ensemble prediction and one completion's ensemble feedback
 # cycle on a warmed fork) as committed JSON,
 # for before/after comparison across PRs. bench-gate reruns the same list,
 # so a row added to BENCH_RE or BENCH_PKGS lands in both targets.
-BENCH_RE = BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkFaultedSimulation|BenchmarkForward|BenchmarkBackpropStep|BenchmarkClusterDispatch|BenchmarkServerScheduleWarm|BenchmarkServerScheduleBatchCold|BenchmarkEnsemblePredict|BenchmarkEnsembleFeedback|BenchmarkSizePredict
+BENCH_RE = BenchmarkL1Access|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayAllConfigs|BenchmarkCharacterizeWorkers|BenchmarkCharacterizeOneKernel|BenchmarkRecordTrace|BenchmarkKernelExecution|BenchmarkProposedSimulation|BenchmarkFaultedSimulation|BenchmarkForward|BenchmarkBackpropStep|BenchmarkClusterDispatch|BenchmarkClusterRun64|BenchmarkServerScheduleWarm|BenchmarkServerScheduleBatchCold|BenchmarkEnsemblePredict|BenchmarkEnsembleFeedback|BenchmarkSizePredict
 BENCH_PKGS = ./internal/cache/ ./internal/characterize/ ./internal/eembc/ ./internal/core/ ./internal/ann/ ./internal/cluster/ ./internal/server/ ./internal/predict/
 
 bench-baseline:

@@ -12,10 +12,13 @@
 // cycle counts), never on simulation state, so routing is a single-threaded
 // pure function of (workload, cluster config). The per-node policies remain
 // the paper's systems, making the expensive placement decisions locally.
-// Node simulations then run in a bounded worker pool; results are stored by
-// node index, so a fixed seed produces bit-identical placements and energy
-// totals at any worker count — the same determinism contract as
-// internal/sweep.
+// Node simulations run in a bounded worker pool beside the route pass: a
+// job's node is final once the dispatcher starts it, so each node's
+// simulator is fed its settled jobs while routing goes on, and advances
+// only through events no later routing can change (see settle). Results
+// are stored by node index, so a fixed seed produces bit-identical
+// placements and energy totals at any worker count — the same determinism
+// contract as internal/sweep.
 //
 // A one-node cluster skips the dispatcher and keeps the fault plan's seed:
 // it is the bare simulator, events and all. On more nodes, fault isolation
@@ -61,8 +64,11 @@ type Config struct {
 	StealThreshold int
 	// DisableStealing turns cross-node work stealing off (ablation).
 	DisableStealing bool
-	// Workers bounds the node-simulation pool (0 = GOMAXPROCS). The count
-	// never changes results.
+	// Workers bounds the node-simulation pool (0 = GOMAXPROCS): w-1
+	// workers simulate nodes while the route pass runs, and all w, the
+	// routing goroutine included, finish them afterwards. With 1, the
+	// route pass runs first and the nodes then simulate one after another
+	// in node order. The count never changes results.
 	Workers int
 	// Sim is the node template every node copies. The node specs own
 	// CoreSizesKB, CoreFreqs, ReconfigCycles and ProfilingCycles, and Trace
@@ -236,10 +242,10 @@ func (c *Cluster) nodeFaults(node int) fault.Plan {
 }
 
 // RunContext schedules jobs across the cluster: the dispatcher routes (and
-// steals), then every node simulates its share. Jobs must be sorted by
-// arrival cycle (GenerateWorkload's order). It honors cancellation while
-// routing (every 256 arrivals and every drain step) and at every
-// node-simulation dispatch boundary.
+// steals) while the nodes simulate the jobs it has settled. Jobs must be
+// sorted by arrival cycle (GenerateWorkload's order). It honors
+// cancellation while routing (every 256 arrivals and every drain step) and
+// at every node-simulation event.
 func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("cluster: empty workload")
@@ -250,62 +256,17 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 		}
 	}
 	res := &Result{System: c.cfg.System, Scorer: c.cfg.Scorer, Jobs: len(jobs), Nodes: make([]NodeResult, len(c.cfg.Nodes))}
-	// One node needs no dispatch: it simulates the workload exactly as
-	// given, which makes it the bare simulator.
-	shares := [][]core.Job{jobs}
-	if len(res.Nodes) > 1 {
-		d := c.newDispatch(jobs)
-		if err := d.route(ctx); err != nil {
-			return nil, err
-		}
-		res.Steals = d.steals
-		shares = d.shares()
-		for i, ns := range d.nodes {
-			res.Nodes[i] = NodeResult{StolenIn: ns.stolenIn, StolenOut: ns.stolenOut, MaxPending: ns.maxPending}
-		}
-	}
-	recs := make([]*trace.Recorder, len(res.Nodes)) // node-local: a Recorder is single-threaded
 	for i := range res.Nodes {
-		nr := &res.Nodes[i]
-		nr.Node, nr.Spec, nr.JobsRouted, nr.Metrics = i, c.cfg.Nodes[i], len(shares[i]), core.Metrics{System: c.cfg.System}
-		if c.cfg.Trace != nil && len(shares[i]) > 0 {
-			recs[i] = c.cfg.Trace.Fork()
-		}
+		res.Nodes[i] = NodeResult{Node: i, Spec: c.cfg.Nodes[i], Metrics: core.Metrics{System: c.cfg.System}}
 	}
-
-	// Simulate every non-empty node in a bounded pool. Results land in
-	// their node's slot, so worker count never changes the output.
-	workers := c.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	var err error
+	if len(res.Nodes) == 1 {
+		err = c.runOne(ctx, jobs, &res.Nodes[0])
+	} else {
+		err = c.runMany(ctx, jobs, res)
 	}
-	workers = min(workers, len(res.Nodes))
-	errs := make([]error, len(res.Nodes))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				res.Nodes[i].Metrics, errs[i] = c.runNode(ctx, i, shares[i], recs[i])
-			}
-		}()
-	}
-	for i, share := range shares {
-		if len(share) > 0 {
-			work <- i
-		}
-	}
-	close(work)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
-		}
-	}
-	for i, rec := range recs {
-		c.cfg.Trace.Merge(rec, i)
+	if err != nil {
+		return nil, err
 	}
 
 	for i := range res.Nodes {
@@ -324,12 +285,86 @@ func (c *Cluster) RunContext(ctx context.Context, jobs []core.Job) (*Result, err
 	return res, nil
 }
 
-// runNode simulates one node over its share of the workload, recording
-// into rec (nil when untraced).
-func (c *Cluster) runNode(ctx context.Context, node int, jobs []core.Job, rec *trace.Recorder) (core.Metrics, error) {
+// runOne runs a one-node cluster: no dispatch, the node simulates the
+// workload exactly as given, which makes it the bare simulator.
+func (c *Cluster) runOne(ctx context.Context, jobs []core.Job, nr *NodeResult) error {
+	var rec *trace.Recorder
+	if c.cfg.Trace != nil {
+		rec = c.cfg.Trace.Fork()
+	}
+	sim, err := c.newNodeSim(0, rec)
+	if err == nil {
+		nr.Metrics, err = sim.RunContext(ctx, jobs)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: node 0: %w", err)
+	}
+	nr.JobsRouted = len(jobs)
+	c.cfg.Trace.Merge(rec, 0)
+	return nil
+}
+
+// runMany routes jobs over the nodes while a pool simulates them. With w
+// workers (Config.Workers), w-1 of them advance nodes during the route
+// pass and the routing goroutine joins them once it ends, so one worker
+// routes first and then simulates the nodes in order. Results land in
+// their node's slot, so the worker count never changes the output; the
+// error reported is the route pass's, else the lowest-indexed node's.
+func (c *Cluster) runMany(ctx context.Context, jobs []core.Job, res *Result) error {
+	workers := c.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(res.Nodes))
+	p := c.newPool(ctx)
+	d := c.newDispatch(jobs)
+	d.publish = p.publish
+	if workers > 1 {
+		d.settleEvery = settleEvery
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.work()
+		}()
+	}
+	// However the run ends, a failed or panicking route pass included
+	// (the daemon recovers panics), no worker outlives it.
+	defer func() {
+		p.halt()
+		wg.Wait()
+	}()
+	if err := d.route(ctx); err != nil {
+		return err
+	}
+	p.work()
+	wg.Wait()
+	for i := range p.runs {
+		if err := p.runs[i].err; err != nil {
+			return fmt.Errorf("cluster: node %d: %w", i, err)
+		}
+	}
+	res.Steals = d.steals
+	for i, ns := range d.nodes {
+		nr, run := &res.Nodes[i], &p.runs[i]
+		nr.StolenIn, nr.StolenOut, nr.MaxPending = ns.stolenIn, ns.stolenOut, ns.maxPending
+		if run.sim != nil {
+			nr.Metrics = run.sim.Metrics()
+			nr.JobsRouted = nr.Metrics.Jobs
+		}
+		c.cfg.Trace.Merge(run.rec, i)
+	}
+	return nil
+}
+
+// newNodeSim builds node's simulator, recording into rec (nil when
+// untraced).
+func (c *Cluster) newNodeSim(node int, rec *trace.Recorder) (*core.Simulator, error) {
 	pol, needsPred, err := core.NewPolicy(c.cfg.System)
 	if err != nil {
-		return core.Metrics{}, err
+		return nil, err
 	}
 	var pred core.Predictor
 	if needsPred {
@@ -341,9 +376,5 @@ func (c *Cluster) runNode(ctx context.Context, node int, jobs []core.Job, rec *t
 	sim.ReconfigCycles, sim.ProfilingCycles = spec.ReconfigCycles, spec.ProfilingCycles
 	sim.Faults = c.nodeFaults(node)
 	sim.Trace = rec
-	s, err := core.NewSimulator(c.db, c.em, pol, pred, sim)
-	if err != nil {
-		return core.Metrics{}, err
-	}
-	return s.RunContext(ctx, jobs)
+	return core.NewSimulator(c.db, c.em, pol, pred, sim)
 }

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hetsched/internal/characterize"
@@ -291,6 +294,90 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// routedShares routes jobs on c alone and returns each node's settled
+// share, or the route error.
+func routedShares(t *testing.T, c *Cluster, jobs []core.Job) ([][]core.Job, error) {
+	t.Helper()
+	d := c.newDispatch(jobs)
+	shares := settledShares(t, "route", d)
+	if err := d.route(context.Background()); err != nil {
+		return nil, err
+	}
+	return shares, nil
+}
+
+// TestNodesMatchBareRuns: with node simulations streaming beside the route
+// pass, every node's Metrics equal a bare simulator run of its share at
+// 1, 2, 3 and 8 workers, under priorities with preemption, SLO-aware
+// stalls and a fault plan with permanent crashes; and the run whose jobs
+// include apps outside the DB fails with the lowest-indexed failing node's
+// error at every worker count.
+func TestNodesMatchBareRuns(t *testing.T) {
+	db := testDB(t)
+	nodes := mustNodes(t, "6*quad;3*4x8;3*2,2,4,8")
+	jobs := testJobs(t, db, 1200, 60, 0.9, 13)
+	r := rand.New(rand.NewSource(13))
+	for i := range jobs {
+		jobs[i].Priority = r.Intn(3)
+		rec, err := db.Record(jobs[i].AppID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i].SetDeadline(jobs[i].ArrivalCycle + 2*rec.BestConfig().Cycles)
+	}
+	broken := append([]core.Job(nil), jobs...)
+	for _, p := range []int{700, 150, 1000} {
+		broken[p].AppID = len(db.Records) + p
+	}
+	sim := core.SimConfig{PriorityScheduling: true, Preemptive: true, SLOAware: true,
+		Faults: fault.Plan{Seed: 5, TransientMTTF: 20_000_000, RecoveryCycles: 40_000, PermanentMTTF: 60_000_000}}
+	for _, w := range []struct {
+		name string
+		jobs []core.Job
+	}{{"valid", jobs}, {"unknown-apps", broken}} {
+		c := newTestCluster(t, db, Config{Nodes: nodes, Sim: sim})
+		shares, err := routedShares(t, c, w.jobs)
+		for _, workers := range []int{1, 2, 3, 8} {
+			c.cfg.Workers = workers
+			matchBareNodes(t, w.name, c, w.jobs, shares, err)
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its n-th
+// call on, from whichever goroutine makes it.
+type cancelAfter struct {
+	context.Context
+	calls atomic.Int64
+	n     int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelMidRouteLeavesNoWorker: a run cancelled while the route pass
+// and the node workers are busy returns context.Canceled, and every
+// worker has exited by the time RunContext returns.
+func TestCancelMidRouteLeavesNoWorker(t *testing.T) {
+	db := testDB(t)
+	nodes := mustNodes(t, "8*quad;4*4x8;4*16x2")
+	jobs := testJobs(t, db, 3000, 96, 0.9, 21)
+	c := newTestCluster(t, db, Config{Nodes: nodes, Workers: 8})
+	before := runtime.NumGoroutine()
+	for _, n := range []int64{1, 2, 40, 400} {
+		if _, err := c.RunContext(&cancelAfter{Context: context.Background(), n: n}, jobs); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled after %d context checks: %v, want context.Canceled", n, err)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("cancelled after %d context checks: %d goroutines, %d before the run", n, after, before)
+		}
+	}
+}
+
 // TestTieBreakAndStealing pins the tie rule and the stealing protocol: two
 // identical nodes under the pure energy scorer tie on every job, so every
 // arrival routes to node 0 — and node 1 gets work only by stealing.
@@ -488,6 +575,26 @@ func BenchmarkClusterDispatch64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := c.newDispatch(jobs)
 		if err := d.route(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusterRun64 is the whole cluster run at perfbench's scale:
+// BenchmarkClusterDispatch64's workload and topology, routed while two
+// workers simulate the nodes.
+func BenchmarkClusterRun64(b *testing.B) {
+	db := testDB(b)
+	nodes := mustNodes(b, "32*quad;16*4x8;16*16x2")
+	cores := 0
+	for _, n := range nodes {
+		cores += n.Cores()
+	}
+	jobs := testJobs(b, db, 5000, cores, 0.9, 7)
+	c := newTestCluster(b, db, Config{Nodes: nodes, Workers: 2})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.RunContext(context.Background(), jobs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,6 +18,13 @@ const unroutable = ^uint64(0)
 // ctxCheckEvery is how many arrivals route handles between context checks.
 const ctxCheckEvery = 256
 
+// settleEvery is how many arrivals route handles between settles while
+// node simulations run beside it.
+const settleEvery = 128
+
+// settledAll is the watermark once every job is settled.
+const settledAll = ^uint64(0)
+
 // nodeState is the dispatcher's estimate of one node: a per-core
 // busy-until horizon fed by the characterization DB's best-config cycle
 // counts, plus the FIFO backlog of routed-but-not-yet-started jobs. It is
@@ -92,17 +99,22 @@ func (ns *nodeState) refreshAlive(t uint64) {
 // refreshFree rescans for the earliest-free surviving core and refreshes
 // the node's load. The alive summary must hold t.
 func (ns *nodeState) refreshFree(t uint64) {
-	l := load{ef: unroutable}
-	ns.efCore = -1
+	ns.load.ef, ns.efCore = unroutable, -1
 	for i, at := range ns.freeAt {
-		if at < l.ef && ns.aliveAt(i, t) {
-			ns.efCore, l.ef = i, at
+		if at < ns.load.ef && ns.aliveAt(i, t) {
+			ns.efCore, ns.load.ef = i, at
 		}
 	}
+	ns.refreshSpread()
+}
+
+// refreshSpread refreshes the load's backlog spread, all that a change of
+// the backlog alone moves.
+func (ns *nodeState) refreshSpread() {
+	ns.load.spread = 0
 	if ns.alive > 0 {
-		l.spread = ns.backlog / uint64(ns.alive)
+		ns.load.spread = ns.backlog / uint64(ns.alive)
 	}
-	ns.load = l
 }
 
 // load is the part of a node's summary that every arrival reads.
@@ -192,6 +204,17 @@ type dispatch struct {
 	started []int32
 	owner   []int32
 
+	// Settling (see settle): every position below settled is final and
+	// laid out by node in buf[:settled]; batches and counts are settle's
+	// reused scratch. route settles every settleEvery arrivals (0: only
+	// once it ends), and publish, when set, receives every settle.
+	buf         []core.Job
+	settled     int
+	batches     [][]core.Job
+	counts      []int
+	settleEvery int
+	publish     func(until uint64, batches [][]core.Job)
+
 	// queued holds the nodes with a backlog, kept in step with every
 	// queue by changed.
 	all, queued nodeSet
@@ -214,6 +237,9 @@ func (c *Cluster) newDispatch(jobs []core.Job) *dispatch {
 		jobs:    jobs,
 		started: make([]int32, 0, len(jobs)),
 		owner:   make([]int32, len(jobs)),
+		buf:     make([]core.Job, len(jobs)),
+		batches: make([][]core.Job, len(c.cfg.Nodes)),
+		counts:  make([]int, len(c.cfg.Nodes)),
 		nodes:   make([]*nodeState, len(c.cfg.Nodes)),
 		bySize:  make([]nodeSet, nsizes),
 		apps:    make([]appInfo, len(c.db.Records)),
@@ -332,10 +358,17 @@ func (d *dispatch) score(a *appInfo, ns *nodeState, wait uint64) float64 {
 }
 
 // changed refreshes node i's load and its membership of the queued set
-// after its horizon, its backlog or its surviving cores moved at cycle t.
+// after its horizon or its surviving cores moved at cycle t.
 func (d *dispatch) changed(i int, t uint64) {
+	d.nodes[i].refreshFree(t)
+	d.queueMoved(i)
+}
+
+// queueMoved refreshes node i's spread and its membership of the queued
+// set after its backlog alone moved.
+func (d *dispatch) queueMoved(i int) {
 	ns := d.nodes[i]
-	ns.refreshFree(t)
+	ns.refreshSpread()
 	if len(ns.queue) > 0 {
 		d.queued.add(i)
 	} else {
@@ -344,22 +377,21 @@ func (d *dispatch) changed(i int, t uint64) {
 }
 
 // enqueue appends the job at position p, estimated at exec cycles, to node
-// i's backlog at cycle t.
-func (d *dispatch) enqueue(i, p int, exec, t uint64) {
+// i's backlog.
+func (d *dispatch) enqueue(i, p int, exec uint64) {
 	ns := d.nodes[i]
 	ns.queue = append(ns.queue, int32(p))
 	ns.backlog += exec
-	d.changed(i, t)
+	d.queueMoved(i)
 }
 
-// popTail removes node i's last queued job at cycle t and returns its
-// position.
-func (d *dispatch) popTail(i int, t uint64) int {
+// popTail removes node i's last queued job and returns its position.
+func (d *dispatch) popTail(i int) int {
 	ns := d.nodes[i]
 	p := ns.queue[len(ns.queue)-1]
 	ns.queue = ns.queue[:len(ns.queue)-1]
 	ns.backlog -= d.est(d.jobs[p].AppID)
-	d.changed(i, t)
+	d.queueMoved(i)
 	return int(p)
 }
 
@@ -385,7 +417,8 @@ func (d *dispatch) advance(i int, t uint64) {
 
 // route runs the full dispatch: filter/score each arrival in order,
 // stealing at every arrival boundary, then drain the remaining backlogs.
-// It checks ctx every ctxCheckEvery arrivals and at every drain step.
+// It settles every d.settleEvery arrivals and once more after the drain,
+// and checks ctx every ctxCheckEvery arrivals and at every drain step.
 func (d *dispatch) route(ctx context.Context) error {
 	var lastArrival uint64
 	for p := range d.jobs {
@@ -393,6 +426,9 @@ func (d *dispatch) route(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+		}
+		if d.settleEvery > 0 && p%d.settleEvery == 0 && p > 0 {
+			d.settle(p)
 		}
 		t := d.jobs[p].ArrivalCycle
 		lastArrival = t
@@ -406,7 +442,11 @@ func (d *dispatch) route(ctx context.Context) error {
 			return err
 		}
 	}
-	return d.drain(ctx, lastArrival)
+	if err := d.drain(ctx, lastArrival); err != nil {
+		return err
+	}
+	d.settle(len(d.jobs))
+	return nil
 }
 
 // routeOne filters and scores the nodes for the job at position p and
@@ -435,7 +475,7 @@ func (d *dispatch) routeOne(p int, t uint64) error {
 		winner, best = d.bestOf(cands, a, t, scorer == ScoreBalance || scorer == ScoreHybrid && !relaxed)
 	}
 
-	d.enqueue(winner, p, a.est, t)
+	d.enqueue(winner, p, a.est)
 	if ns := d.nodes[winner]; len(ns.queue) > ns.maxPending {
 		ns.maxPending = len(ns.queue)
 	}
@@ -533,12 +573,12 @@ func (d *dispatch) stealPass(t uint64) {
 			return
 		}
 		vs, ts := d.nodes[victim], d.nodes[thief]
-		p := d.popTail(victim, t)
+		p := d.popTail(victim)
 		vs.stolenOut++
 		ts.stolenIn++
 		d.steals++
 		job := &d.jobs[p]
-		d.enqueue(thief, p, d.est(job.AppID), t)
+		d.enqueue(thief, p, d.est(job.AppID))
 		d.advance(thief, t)
 		if tr := d.c.cfg.Trace; tr != nil {
 			tr.Record(trace.Event{
@@ -601,43 +641,55 @@ func (d *dispatch) drain(ctx context.Context, t uint64) error {
 	}
 }
 
-// shares copies each node's final assignment out of the workload in the
-// order the node simulates it, by arrival and then index, into one backing
-// array sized to the workload. Each node's jobs are sorted from their
-// estimated start order.
-func (d *dispatch) shares() [][]core.Job {
-	// Group the start log by node, keeping start order within each group.
-	next := make([]int, len(d.nodes)) // the next free slot of each node's group
-	for _, p := range d.started {
-		next[d.owner[p]]++
+// settle lays out the jobs whose node became final since the last settle
+// and publishes them; next is the position of the first unrouted job.
+//
+// A job's node is final once it starts: a queued job may still be stolen,
+// a started one never moves. The watermark W is the lower of the next
+// unrouted job's arrival and the oldest queued job's on any node. Every
+// job arriving before W has started: each queue holds positions in route
+// order, so its head is its oldest job, and later arrivals arrive no
+// earlier than the next unrouted one. Every job yet to start therefore
+// arrives at W or later, so a node's final jobs arriving before W are the
+// next prefix of its share in arrival order. Each node's prefix is handed
+// to publish sorted by (ArrivalCycle, Index), the order its simulator
+// takes them in; once every job has started, W is settledAll.
+func (d *dispatch) settle(next int) {
+	m := next
+	for i := d.queued.next(0); i >= 0; i = d.queued.next(i + 1) {
+		m = min(m, int(d.nodes[i].queue[0]))
 	}
-	sum := 0
-	for i, n := range next {
-		next[i], sum = sum, sum+n
+	until, hi := settledAll, m
+	if m < len(d.jobs) {
+		until = d.jobs[m].ArrivalCycle
+		for hi > d.settled && d.jobs[hi-1].ArrivalCycle == until {
+			hi--
+		}
 	}
-	pos := make([]int32, len(d.started))
-	for _, p := range d.started {
-		pos[next[d.owner[p]]] = p
-		next[d.owner[p]]++
+	// Lay the new jobs out by node: count, place each node's run, sort it.
+	clear(d.counts)
+	for p := d.settled; p < hi; p++ {
+		d.counts[d.owner[p]]++
 	}
-	// next[i] now ends node i's group, which starts where node i-1's ends.
-	buf := make([]core.Job, len(pos))
-	shares := make([][]core.Job, len(d.nodes))
-	from := 0
-	for i, to := range next {
-		group := pos[from:to]
-		slices.SortFunc(group, func(a, b int32) int {
-			ja, jb := &d.jobs[a], &d.jobs[b]
-			if c := cmp.Compare(ja.ArrivalCycle, jb.ArrivalCycle); c != 0 {
+	from := d.settled
+	for i, n := range d.counts {
+		d.batches[i] = d.buf[from : from : from+n]
+		from += n
+	}
+	for p := d.settled; p < hi; p++ {
+		i := d.owner[p]
+		d.batches[i] = append(d.batches[i], d.jobs[p])
+	}
+	for _, b := range d.batches {
+		slices.SortStableFunc(b, func(x, y core.Job) int {
+			if c := cmp.Compare(x.ArrivalCycle, y.ArrivalCycle); c != 0 {
 				return c
 			}
-			return cmp.Compare(ja.Index, jb.Index)
+			return cmp.Compare(x.Index, y.Index)
 		})
-		shares[i] = buf[from:to:to]
-		for k, p := range group {
-			shares[i][k] = d.jobs[p]
-		}
-		from = to
 	}
-	return shares
+	d.settled = hi
+	if d.publish != nil {
+		d.publish(until, d.batches)
+	}
 }

@@ -505,14 +505,57 @@ func (r *refRouter) route(jobs []core.Job) error {
 	}
 }
 
+// settledShares collects what d's settles publish into each node's share,
+// and fails unless every settle keeps the watermark contract: the
+// watermark never falls, each batch extends its node's share in
+// (ArrivalCycle, Index) order with jobs arriving at or past the previous
+// watermark and before the new one, and after the route pass no unrouted
+// or queued job arrives before the watermark. The last settle closes the
+// input with settledAll.
+func settledShares(t *testing.T, name string, d *dispatch) [][]core.Job {
+	t.Helper()
+	shares := make([][]core.Job, len(d.nodes))
+	prev := uint64(0)
+	d.publish = func(until uint64, batches [][]core.Job) {
+		if until < prev {
+			t.Fatalf("%s: watermark fell from %d to %d", name, prev, until)
+		}
+		for i, b := range batches {
+			for k, j := range b {
+				last := core.Job{Index: -1}
+				if k > 0 {
+					last = b[k-1]
+				} else if n := len(shares[i]); n > 0 {
+					last = shares[i][n-1]
+				}
+				if j.ArrivalCycle < prev || j.ArrivalCycle >= until ||
+					last.Index >= 0 && (j.ArrivalCycle < last.ArrivalCycle || j.ArrivalCycle == last.ArrivalCycle && j.Index < last.Index) {
+					t.Fatalf("%s: node %d settled job %d at cycle %d out of order in the watermark interval [%d, %d)",
+						name, i, j.Index, j.ArrivalCycle, prev, until)
+				}
+			}
+			shares[i] = append(shares[i], b...)
+		}
+		for i := d.queued.next(0); i >= 0; i = d.queued.next(i + 1) {
+			if head := d.jobs[d.nodes[i].queue[0]]; head.ArrivalCycle < until {
+				t.Fatalf("%s: node %d still queues job %d at cycle %d below watermark %d", name, i, head.Index, head.ArrivalCycle, until)
+			}
+		}
+		prev = until
+	}
+	return shares
+}
+
 // matchReference routes jobs on c traced and untraced, and on the
 // reference router, and fails unless all three agree. The traced run must
 // make every decision the reference makes: the winner, the relaxed flag,
 // the candidate count and the score bits of each route, and every steal.
 // Both runs must end with the reference's error, steal counts and final
-// jobs per node, and split the workload into the shares a per-node sort of
-// the reference's jobs gives. It returns the untraced dispatch.
-func matchReference(t *testing.T, name string, c *Cluster, jobs []core.Job) *dispatch {
+// jobs per node, and settle the workload into the shares a per-node sort
+// of the reference's jobs gives: the traced run in one settle, the
+// untraced one every 5 arrivals. It returns the untraced dispatch, the
+// shares (nil when routing fails) and the reference's route error.
+func matchReference(t *testing.T, name string, c *Cluster, jobs []core.Job) (*dispatch, [][]core.Job, error) {
 	t.Helper()
 	ref := newRefRouter(c)
 	refErr := ref.route(jobs)
@@ -521,14 +564,17 @@ func matchReference(t *testing.T, name string, c *Cluster, jobs []core.Job) *dis
 	rec := trace.NewRecorder()
 	traced.cfg.Trace = rec
 	var runs [2]*dispatch
+	var shares [2][][]core.Job
 	for k, cl := range []*Cluster{&traced, c} {
 		runs[k] = cl.newDispatch(jobs)
+		runs[k].settleEvery = 5 * k // the traced run settles once, at the end
+		shares[k] = settledShares(t, name, runs[k])
 		if err := runs[k].route(context.Background()); fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("%s: route error %v (traced=%v), reference %v", name, err, cl == &traced, refErr)
 		}
 	}
 	if refErr != nil {
-		return runs[1]
+		return runs[1], nil, refErr
 	}
 
 	var routes []refRoute
@@ -558,6 +604,16 @@ func matchReference(t *testing.T, name string, c *Cluster, jobs []core.Job) *dis
 		t.Fatalf("%s: %d traced steals differ from the reference's %d", name, len(steals), len(ref.steals))
 	}
 
+	want := make([][]core.Job, len(c.cfg.Nodes))
+	for i, n := range ref.nodes {
+		want[i] = slices.Clone(n.jobs)
+		sort.Slice(want[i], func(a, b int) bool {
+			if want[i][a].ArrivalCycle != want[i][b].ArrivalCycle {
+				return want[i][a].ArrivalCycle < want[i][b].ArrivalCycle
+			}
+			return want[i][a].Index < want[i][b].Index
+		})
+	}
 	stolenIn, stolenOut := make([]int, len(c.cfg.Nodes)), make([]int, len(c.cfg.Nodes))
 	for _, st := range ref.steals {
 		stolenIn[st.thief]++
@@ -577,20 +633,49 @@ func matchReference(t *testing.T, name string, c *Cluster, jobs []core.Job) *dis
 					run, i, ns.stolenIn, ns.stolenOut, stolenIn[i], stolenOut[i])
 			}
 		}
-		for i, share := range d.shares() {
-			want := slices.Clone(ref.nodes[i].jobs)
-			sort.Slice(want, func(a, b int) bool {
-				if want[a].ArrivalCycle != want[b].ArrivalCycle {
-					return want[a].ArrivalCycle < want[b].ArrivalCycle
-				}
-				return want[a].Index < want[b].Index
-			})
-			if !slices.Equal(share, want) {
+		for i, share := range shares[k] {
+			if !slices.Equal(share, want[i]) {
 				t.Fatalf("%s: node %d share differs from the reference's jobs sorted by arrival", run, i)
 			}
 		}
 	}
-	return runs[1]
+	return runs[1], want, nil
+}
+
+// matchBareNodes runs c over jobs and fails unless the run agrees with
+// bare simulator runs over shares, the nodes' jobs in arrival order: every
+// node's Metrics equal its share's run, and a failing run reports routeErr
+// when routing fails, else the error of the lowest-indexed node whose share
+// fails, as RunContext wraps it.
+func matchBareNodes(t *testing.T, name string, c *Cluster, jobs []core.Job, shares [][]core.Job, routeErr error) {
+	t.Helper()
+	res, err := c.RunContext(context.Background(), jobs)
+	wantErr := routeErr
+	bare := make([]core.Metrics, len(shares))
+	for i, share := range shares {
+		bare[i] = core.Metrics{System: c.cfg.System}
+		if len(share) == 0 || wantErr != nil {
+			continue
+		}
+		sim, err := c.newNodeSim(i, nil)
+		if err == nil {
+			bare[i], err = sim.RunContext(context.Background(), share)
+		}
+		if err != nil {
+			wantErr = fmt.Errorf("cluster: node %d: %w", i, err)
+		}
+	}
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s at %d workers: error %v, want %v", name, c.cfg.Workers, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	for i, m := range bare {
+		if !reflect.DeepEqual(res.Nodes[i].Metrics, m) {
+			t.Fatalf("%s at %d workers: node %d metrics differ from a bare run of its share", name, c.cfg.Workers, i)
+		}
+	}
 }
 
 // TestDispatchMatchesReference routes each scorer, with and without
@@ -619,7 +704,7 @@ func TestDispatchMatchesReference(t *testing.T) {
 						Nodes: nodes, System: system, Scorer: scorer, DisableStealing: noSteal,
 						Sim: core.SimConfig{Faults: plans[plan]},
 					})
-					d := matchReference(t, name, c, jobs)
+					d, _, _ := matchReference(t, name, c, jobs)
 					if plan == "death" && !noSteal && d.nodes[0].stolenOut > 0 {
 						evacuated = true
 					}
@@ -642,6 +727,9 @@ func TestDispatchMatchesReference(t *testing.T) {
 // of the cache sizes so that some predictions find no node of their size,
 // the workload, with a few jobs of apps outside the DB and some arrival
 // ties whose indexes run against workload order, and the steal threshold.
+// The whole run, at 1, 2, 3 or 8 workers by seed, must then match bare
+// simulator runs of the reference's shares (see matchBareNodes): a job of
+// an unknown app fails its node's simulation.
 func FuzzDispatchMatchesReference(f *testing.F) {
 	widths := []uint8{0, 5, 62, 63, 128, 127, 31, 126} // 2 + width nodes
 	for k := 0; k < 24; k++ {
@@ -707,6 +795,9 @@ func FuzzDispatchMatchesReference(f *testing.F) {
 			Nodes: nodes, System: system, Scorer: ScorerKind(mode & 3), DisableStealing: mode&4 != 0,
 			StealThreshold: 1 + rng.Intn(3), Sim: core.SimConfig{Faults: plan},
 		})
-		matchReference(t, fmt.Sprintf("seed=%d/width=%d/mode=%#x", seed, len(nodes), mode), c, jobs)
+		name := fmt.Sprintf("seed=%d/width=%d/mode=%#x", seed, len(nodes), mode)
+		_, shares, err := matchReference(t, name, c, jobs)
+		c.cfg.Workers = []int{1, 2, 3, 8}[seed&3]
+		matchBareNodes(t, name, c, jobs, shares, err)
 	})
 }

@@ -300,7 +300,9 @@ func (m Metrics) TurnaroundPercentile(p float64) uint64 {
 }
 
 // Simulator drives one system over one workload. It is single-use: build,
-// Run once, read metrics.
+// then either Run once, or Feed the workload in arrival order, Close it and
+// Advance to the end; then read metrics. It is not goroutine-safe: one
+// goroutine at a time may call it.
 type Simulator struct {
 	DB     *characterize.DB
 	EM     *energy.Model
@@ -315,6 +317,17 @@ type Simulator struct {
 	now     uint64
 	queue   []*Job
 	metrics Metrics
+
+	// The run's input (see Feed): the fed batches, the next arrival's
+	// place in them, the watermark below which every arrival is fed, and
+	// whether the input is closed. waitsFor is what the last unfinished
+	// Advance waited for. in starts on inline, so a run fed once (Run)
+	// allocates nothing for it.
+	in              [][]Job
+	inline          [1][]Job
+	inBatch, inNext int
+	until, waitsFor uint64
+	closed          bool
 
 	// Fault injection (nil unless Cfg.Faults is enabled).
 	inj           *fault.Injector
@@ -393,6 +406,7 @@ func NewSimulator(db *characterize.DB, em *energy.Model, pol Policy, pred Predic
 		})
 	}
 	s.bySize = indexBySize(s.cores)
+	s.in = s.inline[:0]
 	s.idleBuf = make([]*SimCore, 0, len(s.cores))
 	s.metrics.System = pol.Name()
 	s.metrics.ExploredPerApp = map[int]int{}
@@ -908,26 +922,79 @@ func (s *Simulator) Run(jobs []Job) (Metrics, error) {
 
 // RunContext is Run honoring cancellation: the context is checked at every
 // event-loop iteration (a job-dispatch boundary), and a canceled context
-// abandons the simulation mid-run with ctx.Err().
+// abandons the simulation mid-run with ctx.Err(). It feeds a private copy
+// of jobs (preemption updates a job in place), closes the input and
+// advances to the end.
 func (s *Simulator) RunContext(ctx context.Context, jobs []Job) (Metrics, error) {
 	if len(jobs) == 0 {
 		return Metrics{}, fmt.Errorf("core: empty workload")
 	}
-	s.metrics.Jobs = len(jobs)
-	// The run's private copies of the jobs, which the queue points into
-	// (preemption updates a job's remaining share in place).
-	pending := slices.Clone(jobs)
-	next := 0
+	s.Feed(slices.Clone(jobs), settledAll)
+	s.Close()
+	_, err := s.Advance(ctx)
+	return s.metrics, err
+}
+
+// settledAll is the watermark of an input whose every arrival is known.
+const settledAll = ^uint64(0)
+
+// Feed appends jobs to the run's input and raises its watermark to until:
+// every job that arrives before until has now been fed. Jobs continue the
+// input's order, by arrival cycle, and none arrives before an earlier
+// watermark. The simulator owns jobs from here on: it points its queue
+// into them and preemption updates them in place.
+func (s *Simulator) Feed(jobs []Job, until uint64) {
+	if len(jobs) > 0 {
+		if s.nextArrival() == nil {
+			s.in, s.inBatch, s.inNext = s.in[:0], 0, 0 // every fed job has arrived
+		}
+		s.in = append(s.in, jobs)
+		s.metrics.Jobs += len(jobs)
+	}
+	s.until = max(s.until, until)
+}
+
+// Close ends the input: every job has been fed.
+func (s *Simulator) Close() { s.closed = true }
+
+// Metrics returns the run's metrics: final once Advance has reported the
+// run done.
+func (s *Simulator) Metrics() Metrics { return s.metrics }
+
+// WaitsFor is the watermark an unfinished run must see pass before it can
+// go on without more jobs: its next event cycle, or ^uint64(0) when only
+// more jobs or Close can move it.
+func (s *Simulator) WaitsFor() uint64 { return s.waitsFor }
+
+// nextArrival returns the first fed job that has not yet arrived, or nil.
+func (s *Simulator) nextArrival() *Job {
+	for ; s.inBatch < len(s.in); s.inBatch, s.inNext = s.inBatch+1, 0 {
+		if b := s.in[s.inBatch]; s.inNext < len(b) {
+			return &b[s.inNext]
+		}
+	}
+	return nil
+}
+
+// Advance runs the event loop while its next event is settled: an event
+// before the watermark, or any event once the input is closed. Every job
+// arriving by a settled event has been fed, so the run is the one a single
+// call over the whole workload makes. Advance reports whether the run has
+// finished; an unfinished run waits for input (see WaitsFor). An open
+// input never finishes the run: a machine with nothing fed, queued or
+// running waits for the next job, since faults alone do not drive the
+// clock. The context is checked at every iteration.
+func (s *Simulator) Advance(ctx context.Context) (bool, error) {
 	for {
 		if err := ctx.Err(); err != nil {
-			return s.metrics, err
+			return false, err
 		}
 		// Determine the next event time: earliest pending arrival,
 		// earliest completion, or — while work remains — earliest fault.
 		nextEvent := uint64(0)
 		have := false
-		if next < len(jobs) {
-			nextEvent = jobs[next].ArrivalCycle
+		if j := s.nextArrival(); j != nil {
+			nextEvent = j.ArrivalCycle
 			have = true
 		}
 		for _, c := range s.cores {
@@ -945,6 +1012,13 @@ func (s *Simulator) RunContext(ctx context.Context, jobs []Job) (Metrics, error)
 				have = true
 			}
 		}
+		if !s.closed && (!have || nextEvent >= s.until) {
+			s.waitsFor = settledAll
+			if have {
+				s.waitsFor = nextEvent
+			}
+			return false, nil
+		}
 		if !have {
 			if len(s.queue) > 0 {
 				alive := 0
@@ -954,11 +1028,11 @@ func (s *Simulator) RunContext(ctx context.Context, jobs []Job) (Metrics, error)
 					}
 				}
 				if alive == 0 {
-					return s.metrics, fmt.Errorf("core: all cores permanently failed with %d jobs queued", len(s.queue))
+					return false, fmt.Errorf("core: all cores permanently failed with %d jobs queued", len(s.queue))
 				}
-				return s.metrics, fmt.Errorf("core: %s deadlocked with %d queued jobs", s.Policy.Name(), len(s.queue))
+				return false, fmt.Errorf("core: %s deadlocked with %d queued jobs", s.Policy.Name(), len(s.queue))
 			}
-			break
+			return true, s.finish()
 		}
 		if nextEvent > s.now {
 			s.now = nextEvent
@@ -967,22 +1041,25 @@ func (s *Simulator) RunContext(ctx context.Context, jobs []Job) (Metrics, error)
 		// finishing exactly when its core crashes survives), then faults,
 		// then arrivals, then a scheduling pass over the updated machine.
 		if err := s.completeDue(); err != nil {
-			return s.metrics, err
+			return false, err
 		}
 		if err := s.applyFaultsDue(); err != nil {
-			return s.metrics, err
+			return false, err
 		}
-		for next < len(jobs) && jobs[next].ArrivalCycle <= s.now {
-			j := &pending[next]
+		for j := s.nextArrival(); j != nil && j.ArrivalCycle <= s.now; j = s.nextArrival() {
 			s.queue = append(s.queue, j)
 			s.traceEnqueue(j)
-			next++
+			s.inNext++
 		}
 		if err := s.schedulePass(); err != nil {
-			return s.metrics, err
+			return false, err
 		}
 	}
+}
 
+// finish closes the books on a drained run: makespan, fault and predictor
+// accounting, idle energy, and the self-check.
+func (s *Simulator) finish() error {
 	s.metrics.Makespan = s.now
 	s.finishFaultAccounting()
 	s.snapshotPredictorStats()
@@ -1000,10 +1077,7 @@ func (s *Simulator) RunContext(ctx context.Context, jobs []Job) (Metrics, error)
 		}
 		s.metrics.IdleEnergy += s.EM.IdleEnergy(c.SizeKB, idleCycles)
 	}
-	if err := s.selfCheck(); err != nil {
-		return s.metrics, err
-	}
-	return s.metrics, nil
+	return s.selfCheck()
 }
 
 // selfCheck validates the run's accounting invariants: preemption refunds

@@ -104,18 +104,36 @@ func GenerateWorkload(cfg WorkloadConfig) ([]Job, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Draw (app, arrival) pairs interleaved — the original stream layout,
 	// kept bit-identical so seeded experiments stay stable.
-	jobs := make([]Job, cfg.Arrivals)
-	for i := range jobs {
-		jobs[i] = Job{
-			AppID:        cfg.AppIDs[rng.Intn(len(cfg.AppIDs))],
-			ArrivalCycle: uint64(rng.Int63n(int64(cfg.HorizonCycles))),
-		}
+	draws := make([]draw, cfg.Arrivals)
+	for i := range draws {
+		draws[i].app = cfg.AppIDs[rng.Intn(len(cfg.AppIDs))]
+		draws[i].arrival = uint64(rng.Int63n(int64(cfg.HorizonCycles)))
 	}
-	return FinishWorkload(jobs), nil
+	// FinishWorkload's order over the bare draws: until Index is set, jobs
+	// tied on both keys are identical, so any sort of the draws by
+	// (arrival, app) builds the jobs FinishWorkload would.
+	slices.SortFunc(draws, func(a, b draw) int {
+		if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.app, b.app)
+	})
+	jobs := make([]Job, len(draws))
+	for i, d := range draws {
+		jobs[i] = Job{Index: i, AppID: d.app, ArrivalCycle: d.arrival}
+	}
+	return jobs, nil
+}
+
+// draw is one generated arrival before it becomes a Job.
+type draw struct {
+	arrival uint64
+	app     int
 }
 
 // FinishWorkload sorts jobs by (arrival, app) and assigns their indices —
-// the ordering contract every generated or replayed workload shares.
+// the ordering contract every generated or replayed workload shares, for
+// sources whose jobs carry more than those two fields.
 func FinishWorkload(jobs []Job) []Job {
 	// Not stable: jobs tied on both keys keep the order pdqsort leaves
 	// them in, the one sort.Slice left before (both share its template).

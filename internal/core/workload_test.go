@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -299,3 +300,25 @@ func TestAllAppIDs(t *testing.T) {
 }
 
 func energyDefaultForTest() *energy.Model { return energy.NewDefault() }
+
+// TestGenerateWorkloadMatchesFinish pins GenerateWorkload's sort of the
+// bare draws to FinishWorkload's sort of whole jobs, on tiny horizons
+// where most arrivals tie on (ArrivalCycle, AppID).
+func TestGenerateWorkloadMatchesFinish(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		cfg := WorkloadConfig{Arrivals: 300, AppIDs: []int{0, 1, 2, 3}, HorizonCycles: uint64(1 + seed%7), Seed: seed}
+		got, err := GenerateWorkload(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		jobs := make([]Job, cfg.Arrivals)
+		for i := range jobs {
+			jobs[i].AppID = cfg.AppIDs[rng.Intn(len(cfg.AppIDs))]
+			jobs[i].ArrivalCycle = uint64(rng.Int63n(int64(cfg.HorizonCycles)))
+		}
+		if want := FinishWorkload(jobs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: GenerateWorkload differs from FinishWorkload of the same draws", seed)
+		}
+	}
+}
