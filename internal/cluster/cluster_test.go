@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hetsched/internal/characterize"
 	"hetsched/internal/core"
@@ -341,6 +342,32 @@ func TestNodesMatchBareRuns(t *testing.T) {
 			c.cfg.Workers = workers
 			matchBareNodes(t, w.name, c, w.jobs, shares, err)
 		}
+	}
+}
+
+// TestNodesFailBeforeRouteEnds: when every node fails early in a long
+// route pass, so that no node is ready when routing closes the input, the
+// run still ends, with the lowest-indexed node's error: closing the input
+// wakes the idle worker.
+func TestNodesFailBeforeRouteEnds(t *testing.T) {
+	db := testDB(t)
+	jobs := testJobs(t, db, 60000, 8, 0.9, 3)
+	for i := range jobs {
+		jobs[i].AppID = len(db.Records) // outside the DB: the first arrival fails its node
+	}
+	c := newTestCluster(t, db, Config{Nodes: mustNodes(t, "2*quad"), Workers: 2})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(jobs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.HasPrefix(err.Error(), "cluster: node 0: ") {
+			t.Fatalf("run error %v, want node 0's", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the run did not end: a worker waits on a closed input")
 	}
 }
 

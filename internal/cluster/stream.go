@@ -57,12 +57,14 @@ func (p *pool) runnable(i int) bool {
 }
 
 // publish hands each node its batch of newly settled jobs and raises the
-// watermark; settledAll closes every node's input.
+// watermark; settledAll closes every node's input. Closing wakes every
+// idle worker even when no node is ready, so each sees the input closed
+// and returns.
 func (p *pool) publish(until uint64, batches [][]core.Job) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.until, p.closed = until, until == settledAll
-	woke := false
+	woke := p.closed
 	for i, b := range batches {
 		if len(b) > 0 {
 			p.runs[i].inbox = append(p.runs[i].inbox, b)
